@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.core.batcher import TickBatcher
@@ -342,7 +343,7 @@ class PenelopeManager(PowerManager):
         merged = list(self._retired_transitions)
         for detector in self.detectors.values():
             merged.extend(detector.view.transitions)
-        merged.sort(key=lambda t: (t.time, t.observer, t.subject))
+        merged.sort(key=attrgetter("time", "observer", "subject"))
         return merged
 
     # -- accounting --------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -326,37 +327,34 @@ def compute_detector_report(
     horizon = spec.duration_s
     intervals = plan.dead_intervals(horizon)
 
-    def _dead_at(node: int, time: float) -> bool:
-        return any(
-            node == victim and start <= time < end
-            for victim, start, end in intervals
-        )
+    # Index both sides by subject once.  ``transitions`` is time-sorted,
+    # so each subject's accusation times come out ascending.
+    dead_spans: Dict[int, List[Tuple[float, float]]] = {}
+    for victim, start, end in intervals:
+        dead_spans.setdefault(victim, []).append((start, end))
+    accused_at: Dict[int, List[float]] = {}
+    false_suspects = 0
+    false_confirms = 0
+    for t in transitions:
+        if t.status == "alive":
+            continue
+        accused_at.setdefault(t.subject, []).append(t.time)
+        if any(start <= t.time < end for start, end in dead_spans.get(t.subject, ())):
+            continue
+        if t.status == "suspect":
+            false_suspects += 1
+        elif t.status == "dead":
+            false_confirms += 1
 
     latencies: List[float] = []
     missed = 0
     for victim, start, end in intervals:
-        detected_at = min(
-            (
-                t.time
-                for t in transitions
-                if t.subject == victim and t.status != "alive" and start <= t.time
-            ),
-            default=None,
-        )
-        if detected_at is None:
+        times = accused_at.get(victim, [])
+        first = bisect_left(times, start)
+        if first == len(times):
             missed += 1
         else:
-            latencies.append(detected_at - start)
-    false_suspects = sum(
-        1
-        for t in transitions
-        if t.status == "suspect" and not _dead_at(t.subject, t.time)
-    )
-    false_confirms = sum(
-        1
-        for t in transitions
-        if t.status == "dead" and not _dead_at(t.subject, t.time)
-    )
+            latencies.append(times[first] - start)
 
     alive_ids = [
         node_id

@@ -30,6 +30,7 @@ testable state machine.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class MemberState:
     """Mutable per-peer record inside a view."""
 
@@ -117,10 +118,21 @@ class MemberView:
             peer: MemberState(ALIVE, 0, 0.0)
             for peer in sorted(p for p in peers if p != node_id)
         }
-        self._pending: Dict[int, _PendingUpdate] = {}
-        #: Cached alive-peer tuple; invalidated on any status change so
-        #: the per-tick discovery query is O(1) instead of O(members).
+        #: Alive peers in ascending id order, kept sorted by
+        #: :meth:`_set_status` (see :meth:`alive_peers` for the cost).
+        self._alive: List[int] = list(self._members)
+        #: Immutable snapshot of ``_alive`` handed to callers (who hold
+        #: it across sends); dropped only when ``_alive`` changes.
         self._alive_cache: Optional[Tuple[int, ...]] = None
+        #: The dissemination buffer: node -> pending update, plus the
+        #: same nodes as one sorted id list per remaining budget
+        #: (``_buckets[r]`` holds every node whose update has ``r``
+        #: transmissions left; ``_buckets[0]`` stays empty because
+        #: exhausted updates leave the buffer).  Reading the buckets from
+        #: the top down yields the ``(-remaining, node)`` order without
+        #: sorting, so a selection of k updates costs O(k log n).
+        self._pending: Dict[int, _PendingUpdate] = {}
+        self._buckets: List[List[int]] = [[] for _ in range(gossip_budget + 1)]
         #: Every accepted state change, in order (chaos metrics input).
         self.transitions: List[MembershipTransition] = []
         #: Called with each transition as it happens (detector timers,
@@ -144,15 +156,15 @@ class MemberView:
     def alive_peers(self) -> Sequence[int]:
         """Peers currently believed alive, in ascending id order.
 
-        Returns a cached immutable tuple (rebuilt only after a status
-        change) -- this sits on the decider's per-request hot path.
+        This sits on the decider's per-request hot path.  The alive set
+        is kept sorted as statuses change (an O(log n) search plus a
+        memmove per transition across the ALIVE boundary); the returned
+        immutable tuple is cached and re-copied from it only after such a
+        transition, so between changes every call returns the same
+        object.
         """
         if self._alive_cache is None:
-            self._alive_cache = tuple(
-                peer
-                for peer, state in self._members.items()
-                if state.status == ALIVE
-            )
+            self._alive_cache = tuple(self._alive)
         return self._alive_cache
 
     def non_dead_peers(self) -> List[int]:
@@ -195,10 +207,9 @@ class MemberView:
         state = self._members.get(update.node)
         if state is None or not self._accepts(state, update.status, update.incarnation):
             return None
-        state.status = update.status
+        self._set_status(update.node, state, update.status)
         state.incarnation = update.incarnation
         state.changed_at = now
-        self._alive_cache = None
         self.enqueue(update.node, update.status, update.incarnation)
         return self._record(update.node, update.status, update.incarnation, now)
 
@@ -216,9 +227,8 @@ class MemberView:
         if state is None or state.status == ALIVE:
             return None
         accusation = (state.status, state.incarnation)
-        state.status = ALIVE
+        self._set_status(peer, state, ALIVE)
         state.changed_at = now
-        self._alive_cache = None
         self._record(peer, ALIVE, state.incarnation, now)
         return accusation
 
@@ -232,6 +242,18 @@ class MemberView:
         self.refutations += 1
         self.enqueue(self.node_id, ALIVE, self.incarnation)
         return self.incarnation
+
+    def _set_status(self, peer: int, state: MemberState, status: str) -> None:
+        """Set ``peer``'s status, keeping the sorted alive set in step."""
+        was_alive = state.status == ALIVE
+        state.status = status
+        if was_alive == (status == ALIVE):
+            return
+        if was_alive:
+            del self._alive[bisect_left(self._alive, peer)]
+        else:
+            insort(self._alive, peer)
+        self._alive_cache = None
 
     def _record(
         self, subject: int, status: str, incarnation: int, now: float
@@ -252,9 +274,13 @@ class MemberView:
 
     def enqueue(self, node: int, status: str, incarnation: int) -> None:
         """Buffer an update for re-dissemination with a fresh budget."""
-        self._pending[node] = _PendingUpdate(
-            status, incarnation, self._gossip_budget
-        )
+        budget = self._gossip_budget
+        pending = self._pending.get(node)
+        if pending is not None:
+            bucket = self._buckets[pending.remaining]
+            del bucket[bisect_left(bucket, node)]
+        self._pending[node] = _PendingUpdate(status, incarnation, budget)
+        insort(self._buckets[budget], node)
 
     def select_updates(self, max_updates: int) -> Tuple[MembershipUpdate, ...]:
         """Pick up to ``max_updates`` for one outgoing message.
@@ -262,18 +288,37 @@ class MemberView:
         Freshest first (highest remaining budget, then lowest subject id
         -- a total order, so selection is deterministic); each pick
         spends one transmission, and exhausted updates leave the buffer.
+        The picks are id-ordered prefixes of the budget buckets, highest
+        first, and each moves one bucket down: O(k log n) for k picks.
         """
         if not self._pending or max_updates <= 0:
             return ()
-        order = sorted(
-            self._pending.items(), key=lambda item: (-item[1].remaining, item[0])
-        )
+        buckets = self._buckets
+        picks: List[Tuple[int, List[int]]] = []
+        wanted = max_updates
+        for remaining in range(self._gossip_budget, 0, -1):
+            bucket = buckets[remaining]
+            if bucket:
+                prefix = bucket[:wanted]
+                del bucket[:wanted]
+                picks.append((remaining, prefix))
+                wanted -= len(prefix)
+                if not wanted:
+                    break
+        # Spend only after choosing, so a pick moved one bucket down is
+        # not chosen twice for the same message.
+        pending_by_node = self._pending
         picked: List[MembershipUpdate] = []
-        for node, pending in order[:max_updates]:
-            picked.append(
-                MembershipUpdate(node, pending.status, pending.incarnation)
-            )
-            pending.remaining -= 1
-            if pending.remaining <= 0:
-                del self._pending[node]
+        for remaining, prefix in picks:
+            lower = buckets[remaining - 1]
+            for node in prefix:
+                pending = pending_by_node[node]
+                picked.append(
+                    MembershipUpdate(node, pending.status, pending.incarnation)
+                )
+                pending.remaining = remaining - 1
+                if remaining == 1:
+                    del pending_by_node[node]
+                else:
+                    insort(lower, node)
         return tuple(picked)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.membership.view import ALIVE, DEAD, SUSPECT, MemberView
 from repro.net.messages import MembershipUpdate
@@ -86,7 +89,8 @@ class TestDirectContact:
         # anyone else's view; repair is the subject's refutation.
         view = make_view()
         view.apply(MembershipUpdate(1, SUSPECT, 0), now=1.0)
-        view._pending.clear()
+        while view.select_updates(10):
+            pass
         view.observe_contact(1, now=2.0)
         assert not view.has_pending_updates
 
@@ -139,7 +143,12 @@ class TestAliveCache:
         before = view.alive_peers()
         assert view.alive_peers() is before  # cached between changes
         view.apply(MembershipUpdate(2, SUSPECT, 0), now=1.0)
-        assert list(view.alive_peers()) == [1, 3]
+        suspected = view.alive_peers()
+        assert suspected is not before  # a new tuple after a change
+        assert list(suspected) == [1, 3]
+        assert before == (1, 2, 3)  # a held result never changes
+        view.apply(MembershipUpdate(2, DEAD, 0), now=1.5)
+        assert view.alive_peers() is suspected  # no ALIVE-boundary crossing
         view.observe_contact(2, now=2.0)
         assert list(view.alive_peers()) == [1, 2, 3]
 
@@ -153,3 +162,144 @@ class TestAliveCache:
         assert [t.subject for t in seen] == [1, 1]
         assert view.transitions == seen
         assert list(view.non_dead_peers()) == [2, 3]
+
+
+class _ReferenceView:
+    """The view's semantics written the plain way: the alive set is a
+    filter over every member, the buffer a full sort by
+    ``(-remaining, node)``."""
+
+    def __init__(self, node_id, peers, initial_incarnation, gossip_budget):
+        self.node_id = node_id
+        self.budget = gossip_budget
+        self.members = {p: [ALIVE, 0] for p in sorted(set(peers) - {node_id})}
+        self.pending = {}
+        if initial_incarnation > 0:
+            self.enqueue(node_id, ALIVE, initial_incarnation)
+
+    def alive_peers(self):
+        return tuple(p for p, (status, _) in self.members.items() if status == ALIVE)
+
+    def apply(self, node, status, incarnation):
+        state = self.members.get(node)
+        if state is None:
+            return False
+        current, known = state
+        if status == ALIVE:
+            accepted = incarnation > known
+        elif status == SUSPECT:
+            accepted = current != DEAD and (
+                incarnation > known or (incarnation == known and current == ALIVE)
+            )
+        else:
+            accepted = current != DEAD and incarnation >= known
+        if accepted:
+            state[:] = [status, incarnation]
+            self.enqueue(node, status, incarnation)
+        return accepted
+
+    def observe_contact(self, node):
+        state = self.members.get(node)
+        if state is None or state[0] == ALIVE:
+            return None
+        accusation = tuple(state)
+        state[0] = ALIVE
+        return accusation
+
+    def enqueue(self, node, status, incarnation):
+        self.pending[node] = [status, incarnation, self.budget]
+
+    def select_updates(self, k):
+        if not self.pending or k <= 0:
+            return ()
+        order = sorted(self.pending.items(), key=lambda item: (-item[1][2], item[0]))
+        picked = []
+        for node, entry in order[:k]:
+            picked.append(MembershipUpdate(node, entry[0], entry[1]))
+            entry[2] -= 1
+            if entry[2] <= 0:
+                del self.pending[node]
+        return tuple(picked)
+
+
+NODE = 0
+SUBJECTS = st.integers(min_value=0, max_value=14)  # 0 is the view's own node
+STATUSES = st.sampled_from([ALIVE, SUSPECT, DEAD])
+INCARNATIONS = st.integers(min_value=0, max_value=4)
+
+
+class ViewMatchesReference(RuleBasedStateMachine):
+    """Random operation sequences over varied budgets and peer sets: the
+    kept-ordered alive set and budget buckets must answer exactly as the
+    filter-and-sort reference does after every step."""
+
+    @initialize(
+        peers=st.lists(st.integers(min_value=0, max_value=12), max_size=12),
+        initial_incarnation=st.integers(min_value=0, max_value=2),
+        gossip_budget=st.integers(min_value=1, max_value=5),
+    )
+    def build(self, peers, initial_incarnation, gossip_budget):
+        self.view = MemberView(NODE, peers, initial_incarnation, gossip_budget)
+        self.ref = _ReferenceView(NODE, peers, initial_incarnation, gossip_budget)
+        self.now = 0.0
+
+    @rule(node=SUBJECTS, status=STATUSES, incarnation=INCARNATIONS)
+    def apply(self, node, status, incarnation):
+        self.now += 1.0
+        if node == NODE:
+            with pytest.raises(ValueError, match="self"):
+                self.view.apply(MembershipUpdate(node, status, incarnation), self.now)
+            return
+        transition = self.view.apply(
+            MembershipUpdate(node, status, incarnation), self.now
+        )
+        assert (transition is not None) == self.ref.apply(node, status, incarnation)
+
+    @rule(node=SUBJECTS)
+    def observe_contact(self, node):
+        self.now += 1.0
+        assert self.view.observe_contact(node, self.now) == self.ref.observe_contact(
+            node
+        )
+
+    @rule(accused=INCARNATIONS)
+    def refute(self, accused):
+        incarnation = self.view.refute(accused)
+        self.ref.enqueue(NODE, ALIVE, incarnation)
+
+    @rule(node=SUBJECTS, status=STATUSES, incarnation=INCARNATIONS)
+    def enqueue(self, node, status, incarnation):
+        self.view.enqueue(node, status, incarnation)
+        self.ref.enqueue(node, status, incarnation)
+
+    @rule(k=st.integers(min_value=0, max_value=6))
+    def select_updates(self, k):
+        assert self.view.select_updates(k) == self.ref.select_updates(k)
+
+    @invariant()
+    def views_agree(self):
+        assert tuple(self.view.alive_peers()) == self.ref.alive_peers()
+        assert self.view.has_pending_updates == bool(self.ref.pending)
+        for node, (status, incarnation) in self.ref.members.items():
+            assert self.view.status_of(node) == status
+            assert self.view.incarnation_of(node) == incarnation
+
+    @invariant()
+    def every_pending_node_sits_in_its_budget_bucket(self):
+        buckets = self.view._buckets
+        assert not buckets[0]
+        placed = {}
+        for remaining, bucket in enumerate(buckets):
+            assert bucket == sorted(bucket)
+            for node in bucket:
+                assert node not in placed
+                placed[node] = remaining
+        assert placed == {
+            node: pending.remaining for node, pending in self.view._pending.items()
+        }
+
+
+TestViewMatchesReference = ViewMatchesReference.TestCase
+TestViewMatchesReference.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)

@@ -66,6 +66,7 @@ from repro.net.messages import (
     PowerRequest,
 )
 from repro.net.network import Network
+from repro.net.roster import roster_of
 from repro.power.rapl import PowerCapInterface
 from repro.sim import (
     Engine,
@@ -99,7 +100,10 @@ class LocalDecider:
     pool:
         The co-located :class:`~repro.core.pool.PowerPool`.
     peers:
-        Node ids of all *other* Penelope nodes (random discovery targets).
+        The Penelope roster, ``node_id`` included or not.  Every member
+        but ``node_id`` is a discovery target; the decider keeps them as
+        an O(1) view of the roster, shared when ``peers`` is a
+        :class:`~repro.net.roster.Roster` (as the manager passes).
     initial_cap_w:
         The node's initial assignment -- the urgency threshold.
     rng:
@@ -128,7 +132,7 @@ class LocalDecider:
         self.node_id = node_id
         self.rapl = rapl
         self.pool = pool
-        self.peers: List[int] = [p for p in peers if p != node_id]
+        self.peers: Sequence[int] = roster_of(peers).without(node_id)
         self.initial_cap_w = initial_cap_w
         self.config = config
         self.recorder = recorder or MetricsRecorder()

@@ -14,6 +14,7 @@ from repro.instrumentation import MetricsRecorder
 from repro.managers.base import PowerManager
 from repro.membership.detector import FailureDetector
 from repro.membership.view import MembershipTransition
+from repro.net.roster import Roster
 
 
 @dataclass(frozen=True)
@@ -117,11 +118,15 @@ class PenelopeManager(PowerManager):
         #: agents inherit the drift -- the fault is in the hardware, not
         #: the daemon).
         self._clock_drift: Dict[int, float] = {}
+        #: The client roster, built once at install.  Every node's decider
+        #: and detector holds an O(1) view of it, never a copy.
+        self.roster = Roster(())
 
     # -- agent wiring -------------------------------------------------------
 
     def _install_agents(self) -> None:
         assert self.cluster is not None
+        self.roster = Roster(self.client_ids)
         for node_id in self.client_ids:
             self._build_agents(node_id, generation=0)
 
@@ -146,7 +151,7 @@ class PenelopeManager(PowerManager):
                 cluster.engine,
                 cluster.network,
                 node_id,
-                self.client_ids,
+                self.roster,
                 self.config,
                 cluster.rngs.stream(f"penelope.membership.{node_id}{suffix}"),
                 recorder=self.recorder,
@@ -168,7 +173,7 @@ class PenelopeManager(PowerManager):
             node_id,
             node.rapl,
             pool,
-            peers=self.client_ids,
+            peers=self.roster,
             initial_cap_w=self.initial_caps[node_id],
             config=self.config,
             rng=cluster.rngs.stream(f"penelope.decider.{node_id}{suffix}"),

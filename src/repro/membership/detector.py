@@ -42,6 +42,7 @@ from typing import (
 )
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.instrumentation import MetricsRecorder
 from repro.membership.messages import (
@@ -59,6 +60,7 @@ from repro.membership.view import (
 )
 from repro.net.messages import PORT_MEMBERSHIP, Addr, MembershipUpdate, Message
 from repro.net.network import Network
+from repro.net.roster import roster_of
 from repro.sim import (
     Callback,
     Engine,
@@ -90,7 +92,11 @@ class FailureDetector:
         The owning node; the detector listens on
         ``Addr(node_id, PORT_MEMBERSHIP)``.
     peers:
-        Ids of all member nodes (``node_id`` itself is filtered out).
+        The member roster, ``node_id`` included or not.  The detector
+        probes every member but ``node_id``, indexed in ascending id
+        order -- an O(1) view of the roster's sorted copy, which a
+        shared :class:`~repro.net.roster.Roster` builds once for all
+        nodes.
     config:
         The ``membership_*`` knobs of :class:`PenelopeConfig`.
     rng:
@@ -118,7 +124,7 @@ class FailureDetector:
         self.config = config
         self.recorder = recorder or MetricsRecorder()
         self._rng = rng
-        self.peers: List[int] = sorted(p for p in peers if p != node_id)
+        self.peers: Sequence[int] = roster_of(peers).ascending().without(node_id)
         self.addr = Addr(node_id, PORT_MEMBERSHIP)
         self.view = MemberView(
             node_id,
@@ -130,8 +136,10 @@ class FailureDetector:
         #: Completed probe rounds (a logical control-loop event, counted
         #: by the kernel benchmark alongside decider iterations).
         self.probe_rounds = 0
-        #: Shuffled probe rotation (refilled from a fresh permutation).
-        self._rotation: List[int] = []
+        #: Shuffled probe rotation: a permutation of indices into
+        #: ``peers``, consumed from the end and refilled when used up.
+        self._rotation: "npt.NDArray[np.int64]" = np.empty(0, dtype=np.int64)
+        self._rotation_left = 0
         #: Current probe round: target and whether any ack arrived.
         self._probe_target: Optional[int] = None
         self._probe_acked = False
@@ -275,12 +283,14 @@ class FailureDetector:
         accusation echo).  The wasted ping per rotation is the price of
         needing no out-of-band rejoin channel.
         """
-        if not self.peers:
+        peers = self.peers
+        if not peers:
             return None
-        if not self._rotation:
-            order = self._rng.permutation(len(self.peers))
-            self._rotation = [self.peers[int(i)] for i in order]
-        return self._rotation.pop()
+        if not self._rotation_left:
+            self._rotation = self._rng.permutation(len(peers))
+            self._rotation_left = len(peers)
+        self._rotation_left -= 1
+        return peers[int(self._rotation[self._rotation_left])]
 
     def _pick_relays(self, target: int) -> List[int]:
         candidates = [p for p in self.view.alive_peers() if p != target]

@@ -105,7 +105,7 @@ class MemberView:
     def __init__(
         self,
         node_id: int,
-        peers: List[int],
+        peers: Sequence[int],
         initial_incarnation: int = 0,
         gossip_budget: int = 4,
     ) -> None:

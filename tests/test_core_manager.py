@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,38 @@ class TestAccounting:
         for t in np.linspace(0.5, 12.0, 24):
             engine.run(until=float(t))
             manager.audit().check()
+
+
+class TestSharedRoster:
+    """Every node's agents view one roster; install memory is linear in N."""
+
+    def test_every_decider_views_the_same_roster(self):
+        _, _, manager = build(n=6)
+        assert manager.roster.members == tuple(range(6))
+        assert all(d.peers.roster is manager.roster for d in manager.deciders.values())
+
+    def test_every_detector_views_the_same_sorted_roster(self):
+        _, _, manager = build(n=6, config=PenelopeConfig(enable_membership=True))
+        ascending = manager.roster.ascending()
+        assert all(d.peers.roster is ascending for d in manager.detectors.values())
+
+    def test_install_memory_grows_linearly(self):
+        def install_peak_bytes(n):
+            budget = n * 2 * 70.0
+            cluster = Cluster(
+                Engine(),
+                ClusterConfig(n_nodes=n, system_power_budget_w=budget),
+                RngRegistry(seed=0),
+            )
+            manager = PenelopeManager()
+            client_ids = list(range(n))
+            tracemalloc.start()
+            try:
+                manager.install(cluster, client_ids=client_ids, budget_w=budget)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 4x the nodes: linear growth gives ~4x the peak; a private O(N)
+        # peer list per node gives ~16x.
+        assert install_peak_bytes(2000) < 6 * install_peak_bytes(500)

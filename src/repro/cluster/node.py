@@ -143,10 +143,15 @@ class WorkloadExecutor:
                     speed, draw = self._phase_speed_and_draw(phase)
                     set_consumption(draw)
                     segment_start = engine._now
+                    segment = Timeout(engine, remaining_work / speed)
                     try:
-                        yield Timeout(engine, remaining_work / speed)
+                        yield segment
                         remaining_work = 0.0
                     except Interrupt as interrupt:
+                        # The executor is the segment's only owner: cancel
+                        # it rather than leave a dead entry queued for up
+                        # to a whole segment.
+                        segment.cancel()
                         elapsed = engine._now - segment_start
                         remaining_work -= elapsed * speed
                         if interrupt.cause == _CAUSE_KILL:

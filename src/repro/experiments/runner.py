@@ -30,10 +30,11 @@ universe.  :func:`run_sweep` is the one funnel they all go through now:
   SIGKILL at any point.
 
 * **Caching.**  With a ``cache_dir``, each finished run is written as one
-  JSON file keyed by a stable content hash of (spec, task kind, code
-  version, salt).  Re-running an interrupted or overlapping sweep only
-  executes the missing specs; corrupted or stale cache files are treated
-  as misses, never as errors.
+  two-line JSON file (a small header, then the recorder's rows) keyed by
+  a stable content hash of (spec, task kind, code version, salt).
+  Re-running an interrupted or overlapping sweep only executes the
+  missing specs; corrupted or stale cache files are treated as misses,
+  never as errors.
 
 * **Progress.**  Module-level listeners (and a per-call ``progress``
   callback) receive one :class:`ProgressEvent` per finished spec --
@@ -52,6 +53,7 @@ bundles the run function with its JSON codecs (see
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import json
 import os
@@ -328,9 +330,19 @@ def spec_fingerprint(spec: Any, kind: TaskKind = SINGLE_RUN, salt: str = "") -> 
 class ResultCache:
     """One-file-per-run JSON cache under ``root/<kind>/<fingerprint>.json``.
 
-    The fingerprint is stored inside the file as well; a mismatch (or any
-    parse/decode failure) makes :meth:`load` report a miss, so truncated
-    or hand-edited files fall back to re-running instead of crashing.
+    Each file is two lines.  Line 1 is a small canonical-JSON header:
+    ``fingerprint``, ``kind``, ``spec``, the ``result`` without its
+    recorder's row tables, and ``body_sha256``.  Line 2 is the body: the
+    row tables of the result's top-level ``recorder`` (empty for kinds
+    without one, see :func:`~repro.experiments.serialize.split_rows`).
+
+    :meth:`load` parses only the header and checks the body against its
+    digest; the recorder parses the body on first use, so replaying a
+    table that reads a run's runtime never touches its event log.  A
+    fingerprint or digest mismatch, a missing body line (including the
+    old one-line layout) or any parse/decode failure of the header makes
+    :meth:`load` report a miss, so truncated or hand-edited files fall
+    back to re-running instead of crashing.
     """
 
     def __init__(
@@ -351,30 +363,42 @@ class ResultCache:
         """The cached result for ``spec``, or ``None`` on miss/corruption."""
         path = self.path_for(spec)
         try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if payload.get("fingerprint") != path.stem:
-            return None
-        try:
-            return self.kind.result_from_dict(payload["result"])
-        except (KeyError, TypeError, ValueError):
+            head, newline, body = path.read_text().partition("\n")
+            if not newline:
+                return None
+            header = json.loads(head)
+            if (
+                header["fingerprint"] != path.stem
+                or header["body_sha256"] != _body_digest(body)
+            ):
+                return None
+            return self.kind.result_from_dict(
+                serialize.join_rows(header["result"], body)
+            )
+        except (OSError, AttributeError, KeyError, TypeError, ValueError):
             return None
 
     def store(self, spec: Any, result: Any) -> Path:
         """Atomically persist ``result`` (write temp file, then rename)."""
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
+        result_dict = self.kind.result_to_dict(result)
+        body = serialize.split_rows(result_dict)
+        header = {
             "fingerprint": path.stem,
             "kind": self.kind.name,
             "spec": self.kind.spec_to_dict(spec),
-            "result": self.kind.result_to_dict(result),
+            "result": result_dict,
+            "body_sha256": _body_digest(body),
         }
         tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-        tmp.write_text(serialize.canonical_json(payload))
+        tmp.write_text(serialize.canonical_json(header) + "\n" + body)
         os.replace(tmp, path)
         return path
+
+
+def _body_digest(body: str) -> str:
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def run_sweep(

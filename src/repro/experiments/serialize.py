@@ -1,11 +1,12 @@
 """JSON (de)serialization for run specs and results.
 
 The parallel sweep runner (:mod:`repro.experiments.runner`) persists every
-completed run as one JSON file under its cache directory, keyed by a
-stable content hash of the spec.  That requires :class:`RunSpec` and
-:class:`RunResult` -- including the polymorphic manager configs, fault
-plans, the full :class:`MetricsRecorder` event log, :class:`BudgetAudit`
-and :class:`NetworkStats` -- to round-trip losslessly through JSON.
+completed run as one two-line JSON file (see ``ResultCache``) under its
+cache directory, keyed by a stable content hash of the spec.  That
+requires :class:`RunSpec` and :class:`RunResult` -- including the
+polymorphic manager configs, fault plans, the full
+:class:`MetricsRecorder` event log, :class:`BudgetAudit` and
+:class:`NetworkStats` -- to round-trip losslessly through JSON.
 
 Python floats survive a JSON round-trip exactly (``json`` emits the
 shortest repr that parses back to the same float), so a decoded result
@@ -25,13 +26,7 @@ from repro.cluster.faults import FaultPlan
 from repro.core.config import PenelopeConfig
 from repro.experiments.harness import RunResult, RunSpec
 from repro.experiments.journal import TaskFailure
-from repro.instrumentation import (
-    CapSample,
-    LedgerSample,
-    MetricsRecorder,
-    TransactionEvent,
-    TurnaroundSample,
-)
+from repro.instrumentation import ROW_TYPES, MetricsRecorder
 from repro.managers.base import BudgetAudit, ManagerConfig
 from repro.managers.slurm import SlurmConfig
 from repro.managers.slurm_ha import HaSlurmConfig
@@ -311,55 +306,53 @@ def spec_from_dict(data: Dict[str, Any]) -> RunSpec:
 
 # Events are stored as flat rows (lists) rather than objects: a paper-sized
 # run records tens of thousands of them, and the field names would dominate
-# the file size.
+# the file size.  The rows are decoded lazily (see ``MetricsRecorder``).
 
 
 def recorder_to_dict(recorder: MetricsRecorder) -> Dict[str, Any]:
     return {
         "record_caps": recorder._record_caps,
-        "transactions": [
-            [t.time, t.kind, t.src, t.dst, t.watts, t.urgent]
-            for t in recorder.transactions
-        ],
-        "turnarounds": [
-            [s.time, s.node, s.wait_s, s.granted_w, s.timed_out]
-            for s in recorder.turnarounds
-        ],
-        "caps": [[s.time, s.node, s.cap_w] for s in recorder.caps],
-        "samples": [[s.time, s.name, s.value] for s in recorder.samples],
+        **recorder.row_tables(),
         "counters": dict(recorder.counters),
     }
 
 
 def recorder_from_dict(data: Dict[str, Any]) -> MetricsRecorder:
-    recorder = MetricsRecorder(record_caps=data["record_caps"])
-    recorder.transactions = [
-        TransactionEvent(
-            time=time, kind=kind, src=src, dst=dst, watts=watts, urgent=urgent
-        )
-        for time, kind, src, dst, watts, urgent in data["transactions"]
-    ]
-    recorder.turnarounds = [
-        TurnaroundSample(
-            time=time,
-            node=node,
-            wait_s=wait_s,
-            granted_w=granted_w,
-            timed_out=timed_out,
-        )
-        for time, node, wait_s, granted_w, timed_out in data["turnarounds"]
-    ]
-    recorder.caps = [
-        CapSample(time=time, node=node, cap_w=cap_w)
-        for time, node, cap_w in data["caps"]
-    ]
-    # Ledger samples postdate the original codec; absent key means none.
-    recorder.samples = [
-        LedgerSample(time=time, name=name, value=value)
-        for time, name, value in data.get("samples", [])
-    ]
-    recorder.counters = {str(k): int(v) for k, v in data["counters"].items()}
-    return recorder
+    """Decode a recorder; its row tables stay undecoded until first use.
+
+    The rows are either inline (``recorder_to_dict`` output, e.g. a
+    journal record) or, from a cache file, the verified body's unparsed
+    JSON under ``"rows"`` (see :func:`join_rows`).
+    """
+    return MetricsRecorder.from_rows(
+        record_caps=data["record_caps"],
+        counters={str(k): int(v) for k, v in data["counters"].items()},
+        rows=data["rows"] if "rows" in data else data,
+    )
+
+
+def split_rows(result: Dict[str, Any]) -> str:
+    """Move the row tables of ``result``'s top-level recorder into a body.
+
+    ``result`` is a ``result_to_dict`` output; its ``"recorder"`` loses
+    its row tables, returned as canonical JSON.  A result without a
+    recorder has the empty body.
+    """
+    recorder = result.get("recorder")
+    if recorder is None:
+        return ""
+    return canonical_json({table: recorder.pop(table) for table in ROW_TYPES})
+
+
+def join_rows(result: Dict[str, Any], body: str) -> Dict[str, Any]:
+    """Inverse of :func:`split_rows`: hand ``body``, unparsed, to the recorder."""
+    recorder = result.get("recorder")
+    if recorder is None:
+        if body:
+            raise ValueError("row body for a result without a recorder")
+    else:
+        recorder["rows"] = body
+    return result
 
 
 # -- audits and network stats ------------------------------------------------

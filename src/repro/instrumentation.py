@@ -11,8 +11,9 @@ vocabulary into a :class:`MetricsRecorder`; the analysis layer
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,13 +70,38 @@ class LedgerSample:
     value: float
 
 
+#: The recorder's row tables and their row types.  A row is the
+#: dataclass's fields in declaration order, so ``cls(*row)`` decodes it.
+ROW_TYPES: Dict[str, Any] = {
+    "transactions": TransactionEvent,
+    "turnarounds": TurnaroundSample,
+    "caps": CapSample,
+    "samples": LedgerSample,
+}
+
+#: Undecoded row tables: a JSON object text, or the parsed mapping.
+RowSource = Union[str, Dict[str, Any]]
+
+
 class MetricsRecorder:
     """Append-only event log for one simulation run.
 
     Recording every cap sample of a thousand-node run would dominate
     memory, so cap sampling can be disabled; transaction and turnaround
     events are always kept (they are what the paper's figures need).
+
+    A recorder replayed from a cache file or a journal record is built
+    by :meth:`from_rows` and holds its row tables undecoded: the JSON
+    is parsed and the row dataclasses are built on the first access to
+    any of the four row lists (through :meth:`__getattr__`, so a freshly
+    simulated recorder keeps plain list attributes and recording costs
+    nothing extra).  :meth:`row_tables` of a recorder nobody touched
+    re-encodes straight from the undecoded rows.
     """
+
+    #: Undecoded row tables; set only on a :meth:`from_rows` recorder
+    #: until its first row-list access.
+    _rows: RowSource
 
     def __init__(self, record_caps: bool = True) -> None:
         self.transactions: List[TransactionEvent] = []
@@ -86,6 +112,54 @@ class MetricsRecorder:
         self._record_caps = record_caps
         #: Free-form counters managers may bump (drops, retries, ...).
         self.counters: Dict[str, int] = {}
+
+    @classmethod
+    def from_rows(
+        cls, record_caps: bool, counters: Dict[str, int], rows: RowSource
+    ) -> "MetricsRecorder":
+        """A recorder whose row lists are decoded from ``rows`` on first use."""
+        recorder = cls.__new__(cls)
+        recorder._record_caps = record_caps
+        recorder.counters = counters
+        recorder._rows = rows
+        return recorder
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached when normal lookup fails, i.e. for a row list of a
+        # from_rows recorder that is still undecoded.  Reads __dict__
+        # directly so a half-built instance (mid-unpickling) cannot recurse.
+        if name not in ROW_TYPES or "_rows" not in self.__dict__:
+            raise AttributeError(name)
+        tables = self.row_tables()
+        del self._rows
+        for table, row_type in ROW_TYPES.items():
+            setattr(self, table, [row_type(*row) for row in tables[table]])
+        return self.__dict__[name]
+
+    def row_tables(self) -> Dict[str, List[List[Any]]]:
+        """The row lists as field rows, keyed by :data:`ROW_TYPES` name.
+
+        An undecoded recorder answers from its source rows (parsing a
+        JSON text once) and builds no row dataclass.
+        """
+        rows = self.__dict__.get("_rows")
+        if rows is not None:
+            if isinstance(rows, str):
+                rows = self._rows = json.loads(rows)
+            # Ledger samples postdate the original codec; absent key means none.
+            return {table: rows.get(table, []) for table in ROW_TYPES}
+        return {
+            "transactions": [
+                [t.time, t.kind, t.src, t.dst, t.watts, t.urgent]
+                for t in self.transactions
+            ],
+            "turnarounds": [
+                [s.time, s.node, s.wait_s, s.granted_w, s.timed_out]
+                for s in self.turnarounds
+            ],
+            "caps": [[s.time, s.node, s.cap_w] for s in self.caps],
+            "samples": [[s.time, s.name, s.value] for s in self.samples],
+        }
 
     # -- recording ---------------------------------------------------------
 

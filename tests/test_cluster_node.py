@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.node import SimNode, WorkloadExecutor
 from repro.power.domain import SKYLAKE_6126_NODE
 from repro.power.rapl import SimulatedRapl
+from repro.sim.events import Timeout
 from repro.workloads.performance import runtime_at_constant_cap
 from repro.workloads.phases import Phase, Workload
 
@@ -112,6 +113,23 @@ class TestExecutor:
         node.start_workload()
         engine.run(until=node.executor.settled)
         assert node.executor.done.triggered
+
+
+    def test_cap_change_cancels_the_abandoned_segment(self, engine, node):
+        node.assign_workload(workload(demand=110.0, work=30.0))
+        node.start_workload()
+        engine.run(until=5.0)
+        cancelled_before = engine.cancelled_events
+        node.rapl.set_cap(140.0)  # enforced at once: interrupts the segment
+        engine.run(until=6.0)
+        assert engine.cancelled_events > cancelled_before
+        # Drain the queue: no live timeout may be left that nobody waits on.
+        orphans = []
+        while (item := engine._scheduler.pop()) is not None:
+            event = item[3]
+            if isinstance(event, Timeout) and not event._cancelled and not event.callbacks:
+                orphans.append(event)
+        assert orphans == []
 
 
 class TestKill:

@@ -1,9 +1,13 @@
-"""Result-cache behaviour: hits skip execution, stale keys miss, and
-corrupted cache files fall back to re-running instead of crashing."""
+"""Result-cache behaviour: hits skip execution, stale keys miss,
+corrupted cache files fall back to re-running instead of crashing, and a
+hit's recorder rows stay undecoded until something reads them."""
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
+import pickle
 from dataclasses import dataclass, replace
 
 import pytest
@@ -12,13 +16,22 @@ import repro.experiments.runner as runner
 from repro.cluster.faults import FaultPlan
 from repro.core.config import PenelopeConfig
 from repro.experiments import serialize
-from repro.experiments.harness import RunSpec
+from repro.experiments.harness import RunResult, RunSpec, run_single
+from repro.experiments.nominal import run_nominal_sweep
 from repro.experiments.runner import (
     SINGLE_RUN,
     ResultCache,
     TaskKind,
     run_sweep,
     spec_fingerprint,
+)
+from repro.instrumentation import (
+    ROW_TYPES,
+    CapSample,
+    LedgerSample,
+    MetricsRecorder,
+    TransactionEvent,
+    TurnaroundSample,
 )
 from repro.managers.slurm import SlurmConfig
 
@@ -212,3 +225,241 @@ class TestSingleRunCache:
         assert serialize.canonical_json(
             serialize.result_to_dict(cached)
         ) == serialize.canonical_json(serialize.result_to_dict(fresh))
+
+
+# -- header/body layout: real runs, whose recorder rows live in the body -------
+
+#: A tiny real run: the stub kind has no recorder, so its body is empty.
+TINY = RunSpec(
+    "penelope", ("EP", "DC"), 70.0, n_clients=4, workload_scale=0.05,
+    record_caps=True,
+)
+
+
+def run_counted(spec: RunSpec) -> RunResult:
+    CALLS.append(spec)
+    return run_single(spec)
+
+
+#: ``SINGLE_RUN`` with a run function that records each execution.
+COUNTED_SINGLE = replace(SINGLE_RUN, fn=run_counted)
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    """One freshly simulated tiny run, with a ledger sample so every row
+    table of the body is non-empty."""
+    result = run_single(TINY)
+    result.recorder.sample(1.0, "ledger.residual_w", 0.0)
+    return result
+
+
+def eager_rows(data):
+    """The recorder's row lists, decoded field by field from
+    ``recorder_to_dict`` output -- the reference a lazy decode must match."""
+    return {
+        "transactions": [
+            TransactionEvent(
+                time=time, kind=kind, src=src, dst=dst, watts=watts, urgent=urgent
+            )
+            for time, kind, src, dst, watts, urgent in data["transactions"]
+        ],
+        "turnarounds": [
+            TurnaroundSample(
+                time=time, node=node, wait_s=wait_s,
+                granted_w=granted_w, timed_out=timed_out,
+            )
+            for time, node, wait_s, granted_w, timed_out in data["turnarounds"]
+        ],
+        "caps": [
+            CapSample(time=time, node=node, cap_w=cap_w)
+            for time, node, cap_w in data["caps"]
+        ],
+        "samples": [
+            LedgerSample(time=time, name=name, value=value)
+            for time, name, value in data["samples"]
+        ],
+    }
+
+
+def canonical(result) -> str:
+    return serialize.canonical_json(serialize.result_to_dict(result))
+
+
+@pytest.fixture
+def row_constructions(monkeypatch):
+    """Count every row dataclass built while the test runs, by class name."""
+    counts = {cls.__name__: 0 for cls in ROW_TYPES.values()}
+    for cls in ROW_TYPES.values():
+
+        def init(self, *args, _cls=cls, _original=cls.__init__, **kwargs):
+            counts[_cls.__name__] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return counts
+
+
+def primed_path(tmp_path, result):
+    """Store ``result`` as the cache entry of ``TINY``; the entry's path."""
+    return ResultCache(tmp_path, COUNTED_SINGLE).store(TINY, result)
+
+
+class TestHeaderBodyLayout:
+    def test_two_lines_header_then_row_body(self, tmp_path, fresh):
+        path = primed_path(tmp_path, fresh)
+        head, body = path.read_text().split("\n")
+        header = json.loads(head)
+        assert set(header) == {"fingerprint", "kind", "spec", "result", "body_sha256"}
+        assert header["fingerprint"] == path.stem
+        assert set(header["result"]["recorder"]) == {"record_caps", "counters"}
+        assert set(json.loads(body)) == set(ROW_TYPES)
+        assert header["body_sha256"] == hashlib.sha256(body.encode()).hexdigest()
+
+    def test_kind_without_recorder_has_an_empty_body(self, tmp_path):
+        run_sweep([StubSpec(3)], kind=STUB, cache_dir=tmp_path)
+        head, body = ResultCache(tmp_path, STUB).path_for(StubSpec(3)).read_text().split("\n")
+        assert body == ""
+        assert json.loads(head)["body_sha256"] == hashlib.sha256(b"").hexdigest()
+
+    def test_loaded_result_is_a_hit_without_execution(self, tmp_path, fresh):
+        primed_path(tmp_path, fresh)
+        results = run_sweep([TINY], kind=COUNTED_SINGLE, cache_dir=tmp_path)
+        assert CALLS == []
+        assert canonical(results[0]) == canonical(fresh)
+
+
+class TestBodyCorruption:
+    """A damaged body is a miss at load time -- never a hit that fails on
+    first recorder access -- and the re-run rewrites a good file."""
+
+    def _assert_miss_rerun_repair(self, tmp_path, path):
+        assert ResultCache(tmp_path, COUNTED_SINGLE).load(TINY) is None
+        results = run_sweep([TINY], kind=COUNTED_SINGLE, cache_dir=tmp_path)
+        assert CALLS == [TINY]  # the damaged entry fell back to executing
+        assert results[0].recorder.transactions
+        CALLS.clear()
+        run_sweep([TINY], kind=COUNTED_SINGLE, cache_dir=tmp_path)
+        assert CALLS == []  # and the rewritten entry is good again
+        assert path.read_text().count("\n") == 1
+
+    def test_truncated_body(self, tmp_path, fresh):
+        path = primed_path(tmp_path, fresh)
+        text = path.read_text()
+        head_len = text.index("\n") + 1
+        path.write_text(text[: head_len + (len(text) - head_len) // 2])
+        self._assert_miss_rerun_repair(tmp_path, path)
+
+    def test_one_flipped_byte_in_the_body(self, tmp_path, fresh):
+        path = primed_path(tmp_path, fresh)
+        data = bytearray(path.read_bytes())
+        at = data.index(b"\n") + 1 + (len(data) - data.index(b"\n")) // 2
+        data[at] = ord("7") if data[at] != ord("7") else ord("8")
+        path.write_bytes(bytes(data))
+        self._assert_miss_rerun_repair(tmp_path, path)
+
+    def test_missing_body_line(self, tmp_path, fresh):
+        path = primed_path(tmp_path, fresh)
+        path.write_text(path.read_text().split("\n")[0])
+        self._assert_miss_rerun_repair(tmp_path, path)
+
+    def test_empty_body_line(self, tmp_path, fresh):
+        path = primed_path(tmp_path, fresh)
+        path.write_text(path.read_text().split("\n")[0] + "\n")
+        self._assert_miss_rerun_repair(tmp_path, path)
+
+    def test_legacy_one_line_file_with_inline_rows(self, tmp_path, fresh):
+        path = primed_path(tmp_path, fresh)
+        legacy = {
+            "fingerprint": path.stem,
+            "kind": SINGLE_RUN.name,
+            "spec": serialize.spec_to_dict(TINY),
+            "result": serialize.result_to_dict(fresh),
+        }
+        path.write_text(serialize.canonical_json(legacy))
+        self._assert_miss_rerun_repair(tmp_path, path)
+
+
+class TestLazyRecorder:
+    def _loaded(self, tmp_path, fresh):
+        primed_path(tmp_path, fresh)
+        loaded = ResultCache(tmp_path, COUNTED_SINGLE).load(TINY)
+        assert loaded is not None
+        return loaded
+
+    def test_row_lists_equal_an_eager_decode(self, tmp_path, fresh):
+        loaded = self._loaded(tmp_path, fresh)
+        expected = eager_rows(serialize.recorder_to_dict(fresh.recorder))
+        for table, rows in expected.items():
+            assert rows  # every table is exercised
+            assert getattr(loaded.recorder, table) == rows
+            assert getattr(loaded.recorder, table) == getattr(fresh.recorder, table)
+        assert loaded.recorder.counters == fresh.recorder.counters
+        assert loaded.recorder._record_caps == fresh.recorder._record_caps
+
+    def test_reencoding_is_byte_identical_and_builds_no_rows(
+        self, tmp_path, fresh, row_constructions
+    ):
+        expected = canonical(fresh)
+        loaded = self._loaded(tmp_path, fresh)
+        assert canonical(loaded) == expected
+        assert sum(row_constructions.values()) == 0
+        assert "_rows" in vars(loaded.recorder)  # still undecoded
+
+    def test_first_access_decodes_once(self, tmp_path, fresh, row_constructions):
+        loaded = self._loaded(tmp_path, fresh)
+        assert len(loaded.recorder.caps) == len(fresh.recorder.caps)
+        built = dict(row_constructions)
+        assert built["TransactionEvent"] == len(fresh.recorder.transactions)
+        assert len(loaded.recorder.transactions) == len(fresh.recorder.transactions)
+        assert len(loaded.recorder.turnarounds) == len(fresh.recorder.turnarounds)
+        assert row_constructions == built
+        assert "_rows" not in vars(loaded.recorder)
+        assert canonical(loaded) == canonical(fresh)
+
+    def test_recording_into_a_loaded_recorder(self, tmp_path, fresh):
+        loaded = self._loaded(tmp_path, fresh)
+        loaded.recorder.transaction(99.0, "grant", 0, 1, 5.0)
+        assert loaded.recorder.transactions[-1].time == 99.0
+        assert len(loaded.recorder.transactions) == len(fresh.recorder.transactions) + 1
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_untouched_result_round_trips(self, tmp_path, fresh, clone):
+        loaded = self._loaded(tmp_path, fresh)
+        copied = clone(loaded)
+        assert "_rows" in vars(copied.recorder)
+        assert canonical(copied) == canonical(fresh)
+        for table in ROW_TYPES:
+            assert getattr(copied.recorder, table) == getattr(fresh.recorder, table)
+
+    def test_unknown_attribute_is_an_attribute_error(self, tmp_path, fresh):
+        loaded = self._loaded(tmp_path, fresh)
+        with pytest.raises(AttributeError):
+            loaded.recorder.no_such_table
+        assert "_rows" in vars(loaded.recorder)
+
+    def test_warm_nominal_replay_builds_no_rows(self, tmp_path, row_constructions):
+        kwargs = dict(
+            caps=(70.0,), pairs=[("EP", "DC")], n_clients=4,
+            workload_scale=0.05, cache_dir=str(tmp_path),
+        )
+        cold = run_nominal_sweep(**kwargs)
+        for name in row_constructions:
+            row_constructions[name] = 0
+        events = []
+        warm = run_nominal_sweep(**kwargs, progress=events.append)
+        assert events and all(e.cached for e in events)
+        assert warm.normalized == cold.normalized
+        assert row_constructions["TransactionEvent"] == 0
+        assert row_constructions["TurnaroundSample"] == 0
+
+    def test_fresh_recorders_keep_plain_list_attributes(self):
+        recorder = run_single(TINY).recorder
+        for table in ROW_TYPES:
+            assert type(vars(recorder)[table]) is list
+            assert table not in vars(MetricsRecorder)  # no property in the way
+        assert "_rows" not in vars(recorder)

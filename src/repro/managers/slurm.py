@@ -420,6 +420,11 @@ class SlurmClient:
             message = get_event.value
             if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
                 granted = message.delta
+                # The client is the deadline's only owner: cancel it
+                # rather than leave it queued to fire into a resolved
+                # AnyOf.
+                if deadline.callbacks is not None:
+                    deadline.cancel()
                 break
             self._handle_async(message)
         self.recorder.turnaround(

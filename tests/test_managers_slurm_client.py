@@ -156,6 +156,8 @@ class TestHungryPath:
             "slurm.client.request_timeouts", 0
         ) >= 1
         assert rig.client.cap_w == INITIAL
+        # A deadline that fired is not cancelled afterwards.
+        assert rig.engine.cancelled_events == 0
 
     def test_saturated_cap_sends_no_request(self):
         rig = Rig(grant_w=10.0)
@@ -237,3 +239,28 @@ class TestLifecycle:
         rig = Rig()
         with pytest.raises(RuntimeError):
             rig.client.start()
+
+
+class TestDeadlines:
+    def test_granted_request_cancels_its_deadline(self):
+        # A response timeout unlike the tick period tells deadlines apart.
+        config = SlurmConfig(stagger_start=False, response_timeout_s=0.9)
+        rig = Rig(grant_w=12.0, config=config)
+        deadlines = []
+        make_timeout = rig.engine.timeout
+
+        def spy(delay, value=None):
+            timeout = make_timeout(delay, value)
+            if delay == config.timeout_s:
+                deadlines.append(timeout)
+            return timeout
+
+        rig.engine.timeout = spy
+        rig.set_draw(INITIAL)
+        cancelled_before = rig.engine.cancelled_events
+        rig.run_periods(1)
+        assert rig.client.applied_grants_w == pytest.approx(12.0)
+        assert deadlines
+        assert rig.engine.cancelled_events > cancelled_before
+        # No deadline of an answered request is left live in the queue.
+        assert [d for d in deadlines if d.callbacks is not None and not d._cancelled] == []

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro.sim.engine import Engine, SimulationError, run_callable_at
+from repro.cluster.faults import FaultPlan
+from repro.experiments.harness import RunSpec, run_single
+from repro.experiments.serialize import canonical_json, result_to_dict
+from repro.sim.engine import _YOUNG_GC_THRESHOLD, Engine, SimulationError, run_callable_at
 from repro.sim.events import Event, Timeout
 
 
@@ -217,3 +222,155 @@ class TestRunUntilHorizon:
         engine.run(until=6.0)
         assert engine.cancelled_events == 1
         assert engine.now == 6.0
+
+
+# -- the collector scope of Engine.run ----------------------------------------
+
+#: A distinctive caller triple, so restoring "the default" by accident fails.
+CALLER_THRESHOLDS = (123, 7, 5)
+
+
+@pytest.fixture
+def collector():
+    """Pin the caller's collector state for a test, and put it back after."""
+    enabled, thresholds = gc.isenabled(), gc.get_threshold()
+    gc.set_threshold(*CALLER_THRESHOLDS)
+    gc.enable()
+    yield
+    gc.set_threshold(*thresholds)
+    (gc.enable if enabled else gc.disable)()
+
+
+def _probe(engine, seen, delay=1.0):
+    def body():
+        yield engine.timeout(delay)
+        seen.append((gc.isenabled(), gc.get_threshold()))
+
+    return engine.process(body())
+
+
+def _already_processed(engine):
+    done = engine.timeout(0.0)
+    engine.run(until=0.1)
+    assert engine.run(until=done) is None
+
+
+def _stop_with_failure(engine):
+    failing = engine.event()
+    engine.call_later(1.0, failing.fail, ValueError("boom"))
+    with pytest.raises(ValueError):
+        engine.run(until=failing)
+
+
+def _unhandled_failure(engine):
+    engine.event().fail(ValueError("nobody waits for this"))
+    with pytest.raises(SimulationError):
+        engine.run()
+
+
+def _drained_before_event(engine):
+    with pytest.raises(SimulationError):
+        engine.run(until=engine.event())
+
+
+def _keyboard_interrupt(engine):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    engine.call_later(1.0, interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        engine.run()
+
+
+#: Every way out of ``Engine.run``.
+EXIT_PATHS = {
+    "horizon": lambda engine: engine.run(until=5.0),
+    "drained queue": lambda engine: engine.run(),
+    "until event": lambda engine: engine.run(until=engine.timeout(1.0)),
+    "until processed event": _already_processed,
+    "until failed event": _stop_with_failure,
+    "unhandled failure": _unhandled_failure,
+    "drained before event": _drained_before_event,
+    "keyboard interrupt": _keyboard_interrupt,
+    "horizon in the past": lambda engine: pytest.raises(ValueError, engine.run, -1.0),
+}
+
+
+@pytest.mark.usefixtures("collector")
+class TestCollectorScope:
+    @pytest.mark.parametrize("until", [None, 5.0, "event"])
+    def test_dispatch_sees_a_young_threshold(self, engine, until):
+        seen = []
+        proc = _probe(engine, seen)
+        engine.run(until=proc if until == "event" else until)
+        assert seen == [(True, (_YOUNG_GC_THRESHOLD, 7, 5))]
+
+    @pytest.mark.parametrize("path", sorted(EXIT_PATHS))
+    def test_thresholds_restored_on_every_exit(self, engine, path):
+        seen = []
+        _probe(engine, seen, delay=0.5)
+        EXIT_PATHS[path](engine)
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+        assert gc.isenabled()
+        assert all(inside == (True, (_YOUNG_GC_THRESHOLD, 7, 5)) for inside in seen)
+
+    def test_nested_runs_restore_each_level(self, engine):
+        inner_engine = Engine()
+        seen = []
+        _probe(inner_engine, seen)
+
+        def outer():
+            yield engine.timeout(1.0)
+            inner_engine.run()
+            seen.append(("after inner", gc.get_threshold()))
+
+        engine.process(outer())
+        engine.run()
+        assert seen == [
+            (True, (_YOUNG_GC_THRESHOLD, 7, 5)),
+            ("after inner", (_YOUNG_GC_THRESHOLD, 7, 5)),
+        ]
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+
+    def test_disabled_collector_stays_disabled_and_untouched(self, engine):
+        gc.disable()
+        seen = []
+        _probe(engine, seen)
+        engine.run()
+        assert seen == [(False, CALLER_THRESHOLDS)]
+        assert not gc.isenabled()
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+
+    def test_larger_caller_threshold_is_kept(self, engine):
+        gc.set_threshold(50_000, 7, 5)
+        seen = []
+        _probe(engine, seen)
+        engine.run()
+        assert seen == [(True, (50_000, 7, 5))]
+        assert gc.get_threshold() == (50_000, 7, 5)
+
+
+# -- collection timing never changes what is simulated ---------------------------
+
+DETERMINISM_SPECS = {
+    "penelope-faulty": RunSpec(
+        "penelope", ("EP", "DC"), 70.0, n_clients=8, workload_scale=0.3,
+        record_caps=True,
+        fault_plan=FaultPlan().kill(2, 3.0).partition([1], 1.0, heal_after_s=2.0),
+    ),
+    "slurm": RunSpec(
+        "slurm", ("EP", "DC"), 70.0, n_clients=8, workload_scale=0.3,
+        record_caps=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DETERMINISM_SPECS))
+def test_collector_off_simulates_the_same_bytes(collector, name):
+    """Logic that hung on finalizers, weakrefs or ``id()`` order would differ."""
+    spec = DETERMINISM_SPECS[name]
+    collected = canonical_json(result_to_dict(run_single(spec)))
+    gc.disable()
+    uncollected = canonical_json(result_to_dict(run_single(spec)))
+    assert not gc.isenabled()
+    assert uncollected == collected

@@ -595,6 +595,11 @@ class LocalDecider:
                     break
                 # A stale grant from an earlier timed-out request: bank it.
                 self._absorb_grant(message)
+        except Interrupt:
+            # Stopped mid-wait: withdraw the getter, or a restart's first
+            # grant would be handed to this dead wait and lost.
+            self.inbox.cancel_get(get_event)
+            raise
         finally:
             # A grant that beat the deadline leaves the deadline armed; an
             # orphaned deadline would still surface from the heap, churn the

@@ -411,7 +411,13 @@ class SlurmClient:
         timed_out = False
         while True:
             get_event = self.inbox.get()
-            yield self.engine.any_of([get_event, deadline])
+            try:
+                yield self.engine.any_of([get_event, deadline])
+            except Interrupt:
+                # Stopped mid-wait: withdraw the getter, or a restart's
+                # first message would be handed to this dead wait and lost.
+                self.inbox.cancel_get(get_event)
+                raise
             if not get_event.triggered:
                 self.inbox.cancel_get(get_event)
                 timed_out = True

@@ -126,7 +126,8 @@ class RequestServer:
         sample = self._sample_service_time
         try:
             while True:
-                message = yield inbox.get()
+                get_event = inbox.get()
+                message = yield get_event
                 cost = sample()
                 if cost > 0.0:
                     yield Timeout(engine, cost)
@@ -135,4 +136,7 @@ class RequestServer:
                 for reply in handler(message):
                     send(reply)
         except Interrupt:
+            # Withdraw a pending get: left registered, it would take the
+            # first request delivered after a restart, for a dead loop.
+            inbox.cancel_get(get_event)
             return

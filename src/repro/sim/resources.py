@@ -6,7 +6,10 @@ Three primitives cover every coordination need of the reproduction:
   paper: "*Penelope* guarantees this through the use of a simple lock").
 * :class:`Store` -- a bounded FIFO of items.  Message inboxes are Stores;
   the bounded capacity plus :meth:`Store.try_put` gives the packet-drop
-  semantics that drive the paper's scaling results.
+  semantics that drive the paper's scaling results.  Every node owns a
+  few, so a Store keeps its queues in plain lists (an empty ``list`` is
+  56 bytes, an empty ``deque`` 760): see the class docstring for why
+  ``pop(0)`` stays cheap.
 * :class:`Gate` -- a broadcast condition that many processes can wait on and
   that can be re-armed (used for shutdown/fault signalling).
 """
@@ -84,7 +87,30 @@ class Store:
     * :meth:`try_put` -- append, returning False at capacity (packet drop).
     * :meth:`get` -- returns an event that fires with the oldest item as
       soon as one is available.
+
+    Items and waiting getters sit in plain lists and leave from the front
+    with ``pop(0)``.  That shift is O(len), but every store a run builds is
+    small: message inboxes are capped at ``pool_inbox_capacity`` /
+    ``server_inbox_capacity`` (128) or ``client_inbox_capacity`` (16), and
+    a store has at most one waiting getter (its owning loop).  At that
+    size ``pop(0)`` costs no more than ``deque.popleft``, while the empty
+    list saves ~700 bytes per queue -- two queues per inbox, tens of
+    thousands of inboxes in a 10k-node universe.  An unbounded store fed
+    faster than it is drained would pay the linear shift; none exists.
+    Slots drop the per-instance ``__dict__`` for the same reason.
     """
+
+    __slots__ = (
+        "engine",
+        "capacity",
+        "name",
+        "_get_name",
+        "_items",
+        "_getters",
+        "inline_handoff",
+        "total_put",
+        "total_dropped",
+    )
 
     def __init__(
         self,
@@ -99,8 +125,8 @@ class Store:
         self.name = name or "store"
         # Event labels are per-call on the hottest paths; build them once.
         self._get_name = f"{self.name}.get"
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        self._items: List[Any] = []
+        self._getters: List[Event] = []
         #: When set, a put that finds a waiting getter completes the
         #: getter's event synchronously instead of enqueueing it.  The
         #: batched tick driver flags decider inboxes this way: the
@@ -135,7 +161,7 @@ class Store:
         # A waiting getter means the store is logically empty: hand over
         # directly (capacity cannot be exceeded in that case).
         if self._getters:
-            getter = self._getters.popleft()
+            getter = self._getters.pop(0)
             self.total_put += 1
             if self.inline_handoff:
                 # Complete in place (see the attribute docstring): the
@@ -161,14 +187,14 @@ class Store:
         """Return an event yielding the oldest item once available."""
         event = Event(self.engine, name=self._get_name)
         if self._items:
-            event.succeed(self._items.popleft())
+            event.succeed(self._items.pop(0))
         else:
             self._getters.append(event)
         return event
 
     def get_nowait(self) -> Any:
         """Pop the oldest item immediately; raise ``IndexError`` if empty."""
-        return self._items.popleft()
+        return self._items.pop(0)
 
     def cancel_get(self, event: EventBase) -> bool:
         """Withdraw a pending getter (e.g. its owner timed out waiting).
@@ -184,15 +210,15 @@ class Store:
 
     def drain(self) -> List[Any]:
         """Remove and return all queued items (used on node failure)."""
-        items = list(self._items)
-        self._items.clear()
+        items = self._items
+        self._items = []
         return items
 
     def cancel_getters(self, exception: BaseException) -> int:
         """Fail all waiting getters (e.g. the node they run on died)."""
         failed = 0
         while self._getters:
-            getter = self._getters.popleft()
+            getter = self._getters.pop(0)
             getter.fail(exception)
             failed += 1
         return failed

@@ -18,6 +18,7 @@ power donor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -180,6 +181,21 @@ _WORK_JITTER = 0.05
 _DEMAND_JITTER = 0.02
 
 
+@functools.lru_cache(maxsize=None)
+def _phase_names(app: str) -> Tuple[str, ...]:
+    """The ``"<template>[<cycle>]"`` label of each of ``app``'s phases.
+
+    Built once per app and shared by every instance, so a 10 000-node
+    universe holds ~20 distinct label strings instead of one per phase.
+    """
+    model = APP_MODELS[app]
+    return tuple(
+        f"{template.name}[{cycle_index}]"
+        for cycle_index in range(model.n_cycles)
+        for template in model.cycle
+    )
+
+
 def build_app(
     name: str,
     rng: Optional[np.random.Generator] = None,
@@ -197,29 +213,39 @@ def build_app(
         ``jitter=False``) builds the deterministic nominal instance.
     scale:
         Multiplies the runtime (e.g. 0.1 for quick tests).
+
+    The jitter takes two doubles per phase, work then demand, in one
+    ``rng.random`` call, and maps each as ``low + (high - low) * u``:
+    the arithmetic ``rng.uniform(low, high)`` applies to the same
+    ``next_double`` sequence, so the phases and the stream position are
+    bit-identical to drawing one scalar ``uniform`` per factor.
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
     model = get_app_model(name)
-    use_jitter = jitter and rng is not None
-    phases = []
+    names = _phase_names(model.name)
     cycle_work = model.nominal_runtime_s * scale / model.n_cycles
-    for cycle_index in range(model.n_cycles):
-        for template in model.cycle:
-            work = cycle_work * template.runtime_fraction
-            demand = template.demand_w_per_socket
-            if use_jitter:
-                assert rng is not None
-                work *= 1.0 + float(rng.uniform(-_WORK_JITTER, _WORK_JITTER))
-                demand *= 1.0 + float(
-                    rng.uniform(-_DEMAND_JITTER, _DEMAND_JITTER)
-                )
-            phases.append(
-                Phase(
-                    name=f"{template.name}[{cycle_index}]",
-                    work_s=work,
-                    demand_w_per_socket=demand,
-                    beta=template.beta,
-                )
+    templates = model.cycle * model.n_cycles
+    if jitter and rng is not None:
+        draws = rng.random(2 * len(templates)).tolist()
+    else:
+        draws = None
+    # high - low of the symmetric ranges, exactly as uniform() forms it.
+    work_span = 2 * _WORK_JITTER
+    demand_span = 2 * _DEMAND_JITTER
+    phases = []
+    for index, template in enumerate(templates):
+        work = cycle_work * template.runtime_fraction
+        demand = template.demand_w_per_socket
+        if draws is not None:
+            work *= 1.0 + (-_WORK_JITTER + work_span * draws[2 * index])
+            demand *= 1.0 + (-_DEMAND_JITTER + demand_span * draws[2 * index + 1])
+        phases.append(
+            Phase(
+                name=names[index],
+                work_s=work,
+                demand_w_per_socket=demand,
+                beta=template.beta,
             )
+        )
     return Workload(app=model.name, phases=tuple(phases))

@@ -276,6 +276,24 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             rig.decider.start()
 
+    def test_restart_mid_request_receives_the_next_grant(self):
+        # Stopped while waiting on a dead peer, the decider must withdraw
+        # its getter: left registered, it would swallow the restarted
+        # decider's first grant.
+        rig = Rig()
+        rig.network.mark_dead(1)
+        rig.set_draw(INITIAL_CAP)
+        rig.engine.run(until=rig.config.period_s + 0.5)
+        assert rig.decider.requests_sent == 1
+        rig.decider.stop()
+        rig.engine.run(until=rig.engine.now + 0.1)
+        rig.network.mark_alive(1)
+        rig.peer_pool.deposit(200.0)
+        rig.decider.start()
+        rig.run_periods(1)
+        assert rig.decider.requests_sent == 2
+        assert rig.decider.cap_w == pytest.approx(INITIAL_CAP + 20.0)
+
     def test_is_urgent_property(self):
         rig = Rig()
         assert not rig.decider.is_urgent

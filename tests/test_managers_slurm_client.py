@@ -240,6 +240,23 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             rig.client.start()
 
+    def test_restart_mid_request_receives_the_next_grant(self):
+        # Stopped while waiting on an unreachable server, the client must
+        # withdraw its getter: left registered, it would swallow the
+        # restarted client's first grant.
+        rig = Rig(grant_w=12.0)
+        rig.network.mark_dead(SERVER.node)
+        rig.set_draw(INITIAL)
+        rig.engine.run(until=rig.config.period_s + 0.5)
+        rig.client.stop()
+        rig.engine.run(until=rig.engine.now + 0.1)
+        rig.network.mark_alive(SERVER.node)
+        rig.client.start()
+        rig.run_periods(1)
+        assert len([m for m in rig.received if isinstance(m, PowerRequest)]) == 1
+        assert rig.client.applied_grants_w == pytest.approx(12.0)
+        assert rig.client.cap_w == pytest.approx(INITIAL + 12.0)
+
 
 class TestDeadlines:
     def test_granted_request_cancels_its_deadline(self):

@@ -140,6 +140,25 @@ class TestLifecycle:
         engine.run()
         assert server.requests_served == 1
 
+    def test_restart_of_a_waiting_loop_serves_the_first_request(
+        self, engine, net, rngs
+    ):
+        # The loop has started and waits on its inbox when it is stopped.
+        # Its getter must leave with it, or the restarted loop's first
+        # request is handed to the dead loop's getter and never served.
+        server = make_server(engine, net, rngs)
+        server.start()
+        engine.run()
+        server.stop()
+        engine.run()
+        server.start()
+        send_request(net)
+        engine.run()
+        assert server.requests_served == 1
+        send_request(net)
+        engine.run()
+        assert server.requests_served == 2
+
     def test_utilization(self, engine, net, rngs):
         server = make_server(engine, net, rngs, service_time=(0.5, 0.5))
         server.start()

@@ -8,8 +8,6 @@ Examples::
     python -m repro faulty   --scale 0.25 --no-cache
     python -m repro scaling-frequency --clients 264 --freqs 1 5 10 20
     python -m repro scaling-scale     --scales 44 132 264
-    python -m repro bench                             # kernel perf sweep
-    python -m repro bench --quick                     # CI perf smoke
     python -m repro chaos --seeds 0 1 2 --jobs 3      # audited fault storms
     python -m repro lint src --format json            # static invariant scan
 
@@ -373,69 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    from repro.experiments import bench as _bench
-
-    bench = sub.add_parser(
-        "bench",
-        help="kernel hot-path benchmark; writes BENCH_kernel.json",
-    )
-    bench.add_argument(
-        "--scales",
-        type=int,
-        nargs="+",
-        default=list(_bench.DEFAULT_SCALES),
-        help="cluster sizes to measure (default: 64 256 1024 4096)",
-    )
-    from repro.sim.schedulers import scheduler_names as _scheduler_names
-
-    bench.add_argument(
-        "--scheduler",
-        dest="schedulers",
-        choices=_scheduler_names(),
-        nargs="+",
-        default=list(_scheduler_names()),
-        help="event-queue scheduler(s) to measure (default: all)",
-    )
-    bench.add_argument(
-        "--sim-seconds",
-        type=float,
-        default=_bench.DEFAULT_SIM_SECONDS,
-        help="simulated horizon per measurement",
-    )
-    bench.add_argument(
-        "--repetitions",
-        type=int,
-        default=_bench.DEFAULT_REPETITIONS,
-        help="repetitions per scale (best wall time wins)",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke sizing: 64 nodes, 10 sim-s, 1 repetition, no sweep",
-    )
-    bench.add_argument(
-        "--batched-sweep",
-        type=int,
-        nargs="?",
-        const=_bench.BATCHED_SWEEP_SCALE,
-        default=None,
-        metavar="N",
-        help=(
-            "add one batched-only calendar row at N nodes "
-            f"(default N: {_bench.BATCHED_SWEEP_SCALE})"
-        ),
-    )
-    bench.add_argument(
-        "--baseline",
-        default=str(_bench.DEFAULT_BASELINE),
-        help="pre-optimization reference JSON (adds speedup fields)",
-    )
-    bench.add_argument(
-        "--output",
-        default=str(_bench.DEFAULT_OUTPUT),
-        help="where to write the results JSON",
-    )
-
     from repro.lint.cli import add_lint_parser
 
     add_lint_parser(sub)
@@ -657,60 +592,6 @@ def _dispatch(args: argparse.Namespace, runner_kwargs: dict) -> int:
             )
             return 0
         return 1 if report.violation_found else 0
-    elif args.command == "bench":
-        from pathlib import Path
-
-        from repro.experiments import bench as bench_mod
-
-        if args.quick:
-            scales, sim_seconds, repetitions = [64], 10.0, 1
-            batched_sweep = None
-        else:
-            scales = args.scales
-            sim_seconds = args.sim_seconds
-            repetitions = args.repetitions
-            batched_sweep = args.batched_sweep
-        payload = bench_mod.main(
-            scales=scales,
-            sim_seconds=sim_seconds,
-            repetitions=repetitions,
-            baseline_path=Path(args.baseline),
-            output=Path(args.output),
-            schedulers=args.schedulers,
-            batched_sweep_scale=batched_sweep,
-        )
-        failed = False
-        guard = payload["scheduler_guard"]
-        if guard is not None and not guard["within_budget"]:
-            print(
-                "[bench] FAIL: calendar scheduler fell below "
-                f"{bench_mod.SCHEDULER_BUDGET_RATIO:g}x heap throughput "
-                f"at {guard['n_clients']} nodes",
-                file=sys.stderr,
-            )
-            failed = True
-        batched_guard = payload["batched_guard"]
-        if (
-            batched_guard is not None
-            and batched_guard["enforced"]
-            and not batched_guard["within_budget"]
-        ):
-            print(
-                "[bench] FAIL: batched ticks fell below "
-                f"{bench_mod.BATCHED_BUDGET_RATIO:g}x per-node throughput "
-                f"at {batched_guard['n_clients']} nodes",
-                file=sys.stderr,
-            )
-            failed = True
-        if not payload["membership"]["within_budget"]:
-            print(
-                "[bench] FAIL: membership overhead exceeds the "
-                f"{1 - bench_mod.MEMBERSHIP_BUDGET_RATIO:.0%} throughput budget",
-                file=sys.stderr,
-            )
-            failed = True
-        if failed:
-            return 1
     elif args.command == "allocation":
         from repro.experiments.allocation import (
             compare_allocation_quality,

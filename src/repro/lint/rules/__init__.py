@@ -13,7 +13,6 @@ from repro.lint.rules import (  # noqa: F401  (import side effect: registration)
     r4_frozen_messages,
     r5_ledger_mutation,
     r6_callback_names,
-    r7_scheduler_order,
     r8_layering,
     r9_protocol,
     r10_stream_graph,
@@ -27,7 +26,6 @@ __all__ = [
     "r4_frozen_messages",
     "r5_ledger_mutation",
     "r6_callback_names",
-    "r7_scheduler_order",
     "r8_layering",
     "r9_protocol",
     "r10_stream_graph",

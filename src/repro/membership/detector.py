@@ -7,9 +7,10 @@ probe has the whole period to answer, and a round that ends unanswered
 sends ``k`` indirect probe-requests through relays and waits one extra
 probe timeout before marking the target *suspected*.  (Folding the
 direct wait into the period keeps the hot path at one timer event per
-round -- the overhead budget enforced by ``repro bench``.)  A suspicion
-that survives the suspect timeout without refutation is confirmed dead
--- the event the pool's escrow layer treats as a write-off trigger.
+round -- the event budget held by ``tests/test_sim_event_budget.py``.)
+A suspicion that survives the suspect timeout without refutation is
+confirmed dead -- the event the pool's escrow layer treats as a
+write-off trigger.
 
 Dissemination is epidemic: accepted updates ride piggyback on every
 outgoing message (the detector's own probes/acks *and*, via

@@ -27,13 +27,7 @@ protocol code.
 
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine, SimulationError, StopSimulation
-from repro.sim.schedulers import (
-    SCHEDULERS,
-    CalendarQueueScheduler,
-    HeapScheduler,
-    Scheduler,
-    scheduler_names,
-)
+from repro.sim.schedulers import HeapScheduler
 from repro.sim.events import (
     AllOf,
     AnyOf,
@@ -54,7 +48,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Callback",
-    "CalendarQueueScheduler",
     "Engine",
     "Event",
     "EventBase",
@@ -67,9 +60,7 @@ __all__ = [
     "Lock",
     "Process",
     "RngRegistry",
-    "SCHEDULERS",
     "STREAM_TABLE",
-    "Scheduler",
     "SimConfig",
     "SimulationError",
     "StopSimulation",
@@ -78,7 +69,6 @@ __all__ = [
     "StreamSpec",
     "Timeout",
     "lookup_stream",
-    "scheduler_names",
     "stable_name_hash",
     "stop_process",
 ]

@@ -5,24 +5,23 @@ sequence)``.  The sequence number makes simultaneous events process in
 trigger order, which (together with seeded RNG streams) makes every
 simulation fully deterministic.
 
-The queue itself is pluggable (:mod:`repro.sim.schedulers`): the engine
-only relies on the scheduler surfacing entries in the exact total key
-order, so the default binary heap and the calendar queue replay any
-scenario byte-identically -- the property pinned by the differential
-rig in ``tests/test_sim_scheduler_equivalence.py``.
+The queue is a :class:`~repro.sim.schedulers.HeapScheduler`, which
+surfaces live entries in exactly that key order
+(``tests/test_sim_scheduler_equivalence.py`` checks it against a
+brute-force model).
 
 Hot-path notes
 --------------
 ``run`` inlines the pop/process cycle instead of calling :meth:`step`
 per event: at paper scale the loop dispatches hundreds of thousands of
 events per wall-second, and the per-event call overhead is measurable
-(see ``benchmarks/bench_kernel.py``).  Event constructors push onto the
-queue through the pre-bound ``engine._push`` rather than a scheduler
-method lookup.  Cancelled events (lazy deletion,
+(see ``python -m bench --workload kernel-10k``).  Event constructors
+push onto the queue through the pre-bound ``engine._push`` rather than a
+scheduler method lookup.  Cancelled events (lazy deletion,
 :meth:`repro.sim.events.Timeout.cancel`) are counted eagerly at cancel
 time -- :meth:`Engine._note_cancelled` -- and the scheduler drops their
-queue entries internally (at surfacing or in bulk routing/resize
-sweeps), so they never reach the dispatch loop and never count toward
+queue entries internally (at surfacing or in bulk compaction), so they
+never reach the dispatch loop and never count toward
 ``processed_events``.
 
 ``run`` also sizes the cyclic garbage collector's young generation for a
@@ -59,7 +58,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.schedulers import Scheduler, make_scheduler, default_scheduler_name
+from repro.sim.schedulers import HeapScheduler
 
 
 class SimulationError(RuntimeError):
@@ -87,20 +86,6 @@ class StopSimulation(Exception):
 _YOUNG_GC_THRESHOLD = 10_000
 
 
-#: How a scheduler may be selected at engine construction.
-SchedulerSpec = Union[None, str, Scheduler, SimConfig]
-
-
-def _resolve_scheduler(spec: SchedulerSpec) -> Scheduler:
-    if spec is None:
-        return make_scheduler(default_scheduler_name())
-    if isinstance(spec, Scheduler):
-        return spec
-    if isinstance(spec, SimConfig):
-        return spec.make_scheduler()
-    return make_scheduler(spec)
-
-
 class Engine:
     """Discrete-event simulation engine.
 
@@ -116,24 +101,21 @@ class Engine:
         engine.run()
         assert engine.now == 1.0 and proc.value == "done"
 
-    ``scheduler`` selects the event-queue implementation: a name from
-    :data:`repro.sim.schedulers.SCHEDULERS`, a ready instance, or a
-    :class:`~repro.sim.config.SimConfig`; ``None`` (the default) honors
-    the ``REPRO_SCHEDULER`` environment variable and falls back to the
-    binary heap.
+    ``sim`` carries the kernel knobs (:class:`~repro.sim.config.SimConfig`);
+    ``None`` uses the ambient defaults.
     """
 
     def __init__(
-        self, start_time: float = 0.0, scheduler: SchedulerSpec = None
+        self, start_time: float = 0.0, sim: Optional[SimConfig] = None
     ) -> None:
         self._now = float(start_time)
-        self._scheduler = _resolve_scheduler(scheduler)
+        self._scheduler = HeapScheduler()
         #: Kernel execution-mode flags, read by agent builders (the
         #: Penelope manager checks them to decide whether to drive its
         #: deciders through a :class:`~repro.core.batcher.TickBatcher`).
-        if isinstance(scheduler, SimConfig):
-            self.batched_ticks = scheduler.effective_batched_ticks()
-            self.tick_slots = scheduler.tick_slots
+        if sim is not None:
+            self.batched_ticks = sim.effective_batched_ticks()
+            self.tick_slots = sim.tick_slots
         else:
             self.batched_ticks = default_batched_ticks()
             self.tick_slots = DEFAULT_TICK_SLOTS
@@ -162,7 +144,7 @@ class Engine:
         return self._active_process
 
     @property
-    def scheduler(self) -> Scheduler:
+    def scheduler(self) -> HeapScheduler:
         """The event-queue scheduler driving this engine."""
         return self._scheduler
 
@@ -283,8 +265,6 @@ class Engine:
                     if item is None:
                         break
                     when, _, _, event = item
-                    if event._cancelled:  # pragma: no cover - scheduler drops these
-                        continue
                     self._now = when
                     processed += 1
                     event._process()
@@ -313,8 +293,6 @@ class Engine:
                             f"event queue drained before {stop_event!r} fired"
                         )
                     when, _, _, event = item
-                    if event._cancelled:  # pragma: no cover - scheduler drops these
-                        continue
                     self._now = when
                     processed += 1
                     event._process()
@@ -330,6 +308,11 @@ class Engine:
                 return event.value
             finally:
                 self.processed_events += processed
+                # Any other exit (drained queue, a failed event,
+                # KeyboardInterrupt) leaves the event pending: it must
+                # not stop a later run when it fires.
+                if stop_event.callbacks is not None:
+                    stop_event.callbacks.remove(_stop_callback)
 
         horizon = float(until)
         if horizon < self._now:
@@ -343,8 +326,6 @@ class Engine:
                 if item is None:
                     break
                 when, _, _, event = item
-                if event._cancelled:  # pragma: no cover - scheduler drops these
-                    continue
                 self._now = when
                 processed += 1
                 event._process()

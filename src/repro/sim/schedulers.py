@@ -1,42 +1,24 @@
-"""Pluggable event-queue schedulers for the simulation engine.
+"""The simulation engine's event queue.
 
 The engine's queue of triggered events is a total order over
-``(time, priority, sequence)`` tuples -- the *determinism contract*: any
-two schedulers must surface exactly the same entries in exactly the same
-order, or a replayed simulation silently diverges.  The engine therefore
-talks to its queue only through the small :class:`Scheduler` interface
-(``push`` / ``pop`` / ``pop_due`` / ``peek`` / ``note_cancelled``),
-and ``tests/test_sim_scheduler_equivalence.py`` runs every
-implementation differentially against the reference heap.
+``(time, priority, sequence)`` tuples -- the *determinism contract*:
+the queue must surface exactly the live entries in exactly that order,
+or a replayed simulation silently diverges.  :class:`HeapScheduler`, a
+binary heap over the full key, is the one implementation;
+``tests/test_sim_scheduler_equivalence.py`` checks it against a
+brute-force sorted-list model.
 
-Two implementations ship:
-
-* :class:`HeapScheduler` -- the classic binary heap (default).  O(log n)
-  per operation, byte-identical to the pre-refactor engine.
-* :class:`CalendarQueueScheduler` -- a Brown-style calendar queue
-  (bucketed wheel with an overflow list).  Under the simulator's
-  heavily-periodic decider/probe/RAPL event mix most operations touch
-  one small bucket, giving O(1) amortized enqueue/dequeue; the wheel
-  self-resizes as the queue grows and shrinks.
-
-Selection: ``Engine(scheduler=...)`` accepts a name, a ready instance,
-or a :class:`~repro.sim.config.SimConfig`; ``None`` falls back to the
-``REPRO_SCHEDULER`` environment variable (the CI matrix leg runs the
-whole tier-1 suite under ``REPRO_SCHEDULER=calendar``) and finally to
-``"heap"``.
-
-Ordering invariants an implementation must uphold (machine-checked by
-lint rule R7 and the differential rig):
+Ordering invariants:
 
 * pops follow the strict ``(time, priority, sequence)`` total order,
   even across duplicate timestamps and zero-delay chains;
 * entries pushed while the queue is mid-drain (same simulated instant)
   sort behind already-queued entries at the same key only via their
-  sequence number -- never via insertion phase or hash order;
+  sequence number;
 * cancelled entries never surface from ``pop`` / ``pop_due`` / ``peek``
-  and never count toward ``len()``.  Physically they are still lazily
+  and never count toward ``len()``.  Physically they are lazily
   deleted -- dropped when they reach the head or swept in bulk by
-  :meth:`Scheduler.note_cancelled`-triggered compaction -- but that
+  :meth:`HeapScheduler.note_cancelled`-triggered compaction -- but that
   timing is internal: the scheduler keeps its *live* size exact via a
   dead-entry counter, and compaction bounds held garbage to at most the
   live entry count (cancellation storms cannot grow the queue without
@@ -45,11 +27,9 @@ lint rule R7 and the differential rig):
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from typing import TYPE_CHECKING, Callable, ClassVar, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.events import EventBase
@@ -57,72 +37,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 #: Queue entries are ``(time, priority, sequence, event)``.
 QueueItem = Tuple[float, int, int, "EventBase"]
 
-#: Environment variable consulted when no scheduler is selected
-#: explicitly -- lets CI (and ``pytest``) sweep the whole suite under an
-#: alternative implementation without touching call sites.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
-DEFAULT_SCHEDULER = "heap"
 
-#: Day index used for entries whose timestamp overflows ``int()`` (an
-#: event at ``float("inf")`` must still sort last, deterministically).
-_FAR_FUTURE_DAY = 1 << 200
+class HeapScheduler:
+    """One binary heap over the full ``(time, priority, sequence)`` key.
 
-#: Horizon that admits every entry (pop == pop_due at infinity).
-_INF = float("inf")
-
-
-class Scheduler:
-    """Interface between :class:`~repro.sim.engine.Engine` and its queue.
-
-    ``push`` is declared as an instance attribute so implementations may
-    bind a C-level callable (see :class:`HeapScheduler`): it is the
-    single hottest call in the simulator -- every timeout, callback,
-    process step and message delivery lands here.
+    ``push`` is an instance attribute bound to C-level ``heappush``: it
+    is the single hottest call in the simulator -- every timeout,
+    callback, process step and message delivery lands here.
     """
 
-    name: ClassVar[str] = ""
-    __slots__ = ()
-
-    #: Enqueue one ``(time, priority, sequence, event)`` entry.
-    push: Callable[[QueueItem], None]
-
-    def pop(self) -> Optional[QueueItem]:
-        """Remove and return the least entry, or ``None`` when empty."""
-        raise NotImplementedError
-
-    def pop_due(self, horizon: float) -> Optional[QueueItem]:
-        """Like :meth:`pop`, but only when the head's time is <= ``horizon``."""
-        raise NotImplementedError
-
-    def peek(self) -> Optional[QueueItem]:
-        """The least entry without removing it, or ``None`` when empty."""
-        raise NotImplementedError
-
-    def note_cancelled(self) -> None:
-        """Record that one *queued* entry was cancelled.
-
-        Called by ``Timeout.cancel`` / ``Callback.cancel`` (through
-        :meth:`Engine._note_cancelled`) exactly once per cancelled
-        entry.  Implementations decrement their live size immediately
-        and may compact -- physically dropping dead entries -- whenever
-        the dead fraction grows past half, which bounds memory held by
-        cancelled-but-unexpired entries at O(live).
-        """
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        """Number of *live* (non-cancelled) queued entries."""
-        raise NotImplementedError
-
-
-class HeapScheduler(Scheduler):
-    """The reference scheduler: one binary heap over the full key.
-
-    Matches the pre-refactor engine exactly; every other implementation
-    is differentially tested against it.
-    """
-
-    name: ClassVar[str] = "heap"
     __slots__ = ("_heap", "_dead", "push")
 
     def __init__(self) -> None:
@@ -135,6 +58,7 @@ class HeapScheduler(Scheduler):
         self.push = partial(heappush, heap)
 
     def pop(self) -> Optional[QueueItem]:
+        """Remove and return the least live entry, or ``None`` when empty."""
         heap = self._heap
         while heap:
             item = heappop(heap)
@@ -145,6 +69,7 @@ class HeapScheduler(Scheduler):
         return None
 
     def pop_due(self, horizon: float) -> Optional[QueueItem]:
+        """Like :meth:`pop`, but only when the head's time is <= ``horizon``."""
         heap = self._heap
         while heap and heap[0][3]._cancelled:
             heappop(heap)
@@ -154,6 +79,7 @@ class HeapScheduler(Scheduler):
         return None
 
     def peek(self) -> Optional[QueueItem]:
+        """The least live entry without removing it, or ``None`` when empty."""
         heap = self._heap
         while heap and heap[0][3]._cancelled:
             heappop(heap)
@@ -161,6 +87,14 @@ class HeapScheduler(Scheduler):
         return heap[0] if heap else None
 
     def note_cancelled(self) -> None:
+        """Record that one *queued* entry was cancelled.
+
+        Called by ``Timeout.cancel`` / ``Callback.cancel`` (through
+        :meth:`Engine._note_cancelled`) exactly once per cancelled entry.
+        The live size drops immediately; once dead entries outnumber
+        live ones the heap is compacted, which bounds the memory held by
+        cancelled-but-unexpired entries at O(live).
+        """
         dead = self._dead + 1
         self._dead = dead
         if dead * 2 > len(self._heap):
@@ -178,555 +112,14 @@ class HeapScheduler(Scheduler):
         self._dead = 0
 
     def __len__(self) -> int:
+        """Number of *live* (non-cancelled) queued entries."""
         return len(self._heap) - self._dead
 
 
-#: Overflow entries carry their absolute day (bucket number) in front so
-#: the overflow heap orders across wheel laps:
-#: ``(day, (time, priority, sequence, event))``.  Tuple comparison never
-#: reaches the event -- sequence numbers are unique.  The wheel's bucket
-#: lists hold *bare* queue items: the wheel only ever covers one lap
-#: (``[base, base + n)``), so a bucket's day is determined by its index
-#: and the wrapper would be pure overhead (an extra tuple per entry is
-#: measurable in allocation, GC scan time, and cache footprint).
-_Entry = Tuple[int, QueueItem]
-
-
-class CalendarQueueScheduler(Scheduler):
-    """Self-resizing calendar queue (Brown 1988) with an overflow list.
-
-    The timeline is divided into ``width``-sized *days* numbered by
-    ``day = int(time / width)``; day ``d`` hashes to bucket ``d % n``.
-    Days are computed once at enqueue, so bucket membership never
-    depends on float rounding at bucket edges.
-
-    The wheel covers exactly one lap of days, ``[base, base + n)``:
-    entries at or past ``limit = base + n`` go to the *overflow list*,
-    a plain heap, so day -> bucket is a bijection on the wheel and each
-    bucket is a small heap of same-day items.  A dequeue scans the
-    wheel from the current day and takes the first non-empty bucket's
-    head; when the wheel runs dry the scan jumps the base to the
-    overflow's earliest day and migrates the next lap's worth of
-    entries onto the wheel.
-
-    Resizing: the wheel grows when occupancy exceeds GROW_PER_BUCKET
-    entries per bucket and shrinks below SHRINK_PER_BUCKET; the new
-    width is the mean gap between *distinct* queued timestamps, so the
-    paper's heavily-periodic event mix (decider ticks, probe rounds,
-    RAPL enforcement) lands about one timestamp cluster per bucket.
-    """
-
-    name: ClassVar[str] = "calendar"
-    MIN_BUCKETS = 8
-    #: Staged entries are spilled onto the wheel once the staging heap
-    #: outgrows this: deep enough that the bulk routing loop amortizes
-    #: its setup, shallow enough that C heap operations on it stay a
-    #: couple of sift levels.
-    STAGING_LIMIT = 128
-    #: Occupancy band, in entries per bucket: grow the wheel above
-    #: GROW_PER_BUCKET, shrink below SHRINK_PER_BUCKET.  The band is
-    #: deliberately wide and the grow target deliberately high: a
-    #: smaller wheel keeps the bucket lists inside the cache levels the
-    #: surrounding simulation work hasn't evicted, and C heap
-    #: operations on a few-entry bucket are cheaper than the cache
-    #: misses of a sparse one.
-    GROW_PER_BUCKET = 2
-    SHRINK_PER_BUCKET = 0.25
-    __slots__ = (
-        "push", "_staging", "_buckets", "_overflow", "_n", "_width",
-        "_inv_width", "_base", "_day", "_limit", "_size", "_dead",
-        "_grow_at", "_shrink_at", "_head_bucket",
-    )
-
-    def __init__(self, n_buckets: int = 8, width: float = 0.25) -> None:
-        if n_buckets < 2:
-            raise ValueError(f"need at least two buckets, got {n_buckets}")
-        if not width > 0.0:
-            raise ValueError(f"bucket width must be positive, got {width!r}")
-        self._n = n_buckets
-        self._width = width
-        #: Multiplying by the inverse is measurably cheaper than dividing
-        #: on the routing path.  The mapping only has to be *monotone* in
-        #: time and used consistently -- which exact bucket a timestamp
-        #: lands in is irrelevant to the pop order (days compare exactly).
-        self._inv_width = 1.0 / width
-        #: Enqueue staging heap: push is the same C-level bound
-        #: ``heappush`` the reference scheduler uses, but the heap is
-        #: kept tiny (<= STAGING_LIMIT plus recent churn), so its sift
-        #: depth stays small.  Dequeues serve whichever of the staging
-        #: head and the wheel head is least; staged entries only migrate
-        #: onto the wheel in bulk, where the routing loop's setup
-        #: amortizes over the whole batch.
-        staging: List[QueueItem] = []
-        self._staging = staging
-        self.push = partial(heappush, staging)
-        self._buckets: List[List[QueueItem]] = [[] for _ in range(n_buckets)]
-        self._overflow: List[_Entry] = []
-        #: The wheel's lap: bucket entries have ``_base <= day < _limit``
-        #: with ``_limit - _base == n``, so ``day % n`` is a bijection
-        #: and buckets hold bare items.  Entries at or beyond ``_limit``
-        #: live in the overflow list.
-        self._base = 0
-        self._limit = n_buckets
-        #: Scan position: all *routed* entries have ``day >= _day``.
-        self._day = 0
-        #: Routed entries only (cancelled included until swept); staged
-        #: entries are counted via ``len(self._staging)`` until the next
-        #: routing pass.
-        self._size = 0
-        #: Cancelled entries still physically held -- anywhere: staging,
-        #: a wheel bucket, or the overflow list.  Live size is
-        #: ``_size + len(_staging) - _dead``; sweeps decrement per entry
-        #: they actually drop, so the accounting holds no matter where a
-        #: dead entry sits or which pass removes it.
-        self._dead = 0
-        #: Occupancy thresholds, precomputed so the per-event paths do no
-        #: arithmetic (see GROW_PER_BUCKET / SHRINK_PER_BUCKET).
-        self._grow_at = int(self.GROW_PER_BUCKET * n_buckets)
-        self._shrink_at = int(self.SHRINK_PER_BUCKET * n_buckets)
-        #: Cache of the bucket currently holding the wheel head (its
-        #: ``[0]`` entry is the least routed entry).  Staging-served pops
-        #: leave the wheel untouched, so the majority of dequeues skip
-        #: the wheel scan entirely; because each bucket holds a single
-        #: day, the cache stays valid across wheel pops until its bucket
-        #: empties, and any other wheel mutation (routing, resize, jump)
-        #: invalidates it.
-        self._head_bucket: Optional[List[QueueItem]] = None
-
-    def _day_of(self, time: float) -> int:
-        try:
-            return int(time * self._inv_width)
-        except OverflowError:
-            return _FAR_FUTURE_DAY
-
-    def _route_staged(self) -> None:
-        """Spill the staging heap onto the wheel in one bulk pass.
-
-        Amortization is the whole point: routing one entry costs about as
-        much as a Python-level push would, so it only happens in batches
-        of up to STAGING_LIMIT, where the loop's setup (hoisted locals)
-        is paid once.  Iteration is over the staging list's array order
-        -- deterministic, and routing is order-independent because every
-        entry's day is absolute.
-
-        Cancelled staged entries are swept here instead of routed: they
-        would otherwise park in buckets behind the head (or in the
-        overflow list) where only a resize walk could reclaim them.
-        """
-        staging = self._staging
-        live: List[QueueItem] = staging
-        if self._dead:
-            live = [item for item in staging if not item[3]._cancelled]
-            self._dead -= len(staging) - len(live)
-        inv_width = self._inv_width
-        try:
-            # Day keys for the whole batch in one specialized
-            # comprehension; the per-item try/except fallback only runs
-            # when an infinite timestamp trips the fast path.
-            keyed = [(int(item[0] * inv_width), item) for item in live]
-        except OverflowError:
-            keyed = [(self._day_of(item[0]), item) for item in live]
-        if keyed and min(keyed)[0] < self._base:
-            # Rare: a staged entry predates the wheel's lap.  Possible
-            # when an overflow jump moved the base past a paused run
-            # horizon and the engine then scheduled between the horizon
-            # and the new base.  Rebuild the wheel around the true
-            # minimum instead of breaking the one-lap bijection.
-            self._overflow.extend(keyed)
-            self._size += len(keyed)
-            staging.clear()
-            self._resize(self._n)
-            return
-        buckets = self._buckets
-        overflow = self._overflow
-        n = self._n
-        limit = self._limit
-        day_floor = self._day
-        for entry in keyed:
-            day = entry[0]
-            if day < limit:
-                if day < day_floor:
-                    # The engine never schedules into the past, but the
-                    # scan may be parked at a *future* head; an enqueue
-                    # between ``now`` and that head must pull it back.
-                    day_floor = day
-                heappush(buckets[day % n], entry[1])
-            else:
-                heappush(overflow, entry)
-        self._day = day_floor
-        self._head_bucket = None
-        size = self._size + len(keyed)
-        self._size = size
-        staging.clear()
-        if size > self._grow_at:
-            self._grow(size)
-
-    def _grow(self, size: int) -> None:
-        """One resize directly to the occupancy-matched bucket count.
-
-        Growing in a single jump instead of repeated doublings matters
-        because routing is batched: the initial scenario construction
-        stages thousands of entries, and rebuilding the wheel once per
-        doubling would turn the first spill into O(size log size).
-        """
-        n_new = self._n
-        grow_per_bucket = self.GROW_PER_BUCKET
-        while size > grow_per_bucket * n_new:
-            n_new *= 2
-        self._resize(n_new)
-
-    # -- scan ---------------------------------------------------------------
-
-    def _find_head(self) -> Optional[QueueItem]:
-        """Advance the scan to the least entry and return it (not removed).
-
-        Routes all staged entries first, so afterwards the wheel holds
-        the entire queue (used by peek, which needs the global head;
-        pop / pop_due avoid this full spill on their fast paths).
-        Draining staging before any overflow jump is also what makes the
-        jump safe: with staging empty, nothing older than the overflow's
-        first day can exist, so rebasing the lap there keeps the
-        one-lap invariant.
-        """
-        if self._staging:
-            self._route_staged()
-        cached = self._head_bucket
-        if cached is not None:
-            return cached[0]
-        if not self._size:
-            return None
-        buckets = self._buckets
-        n = self._n
-        while True:
-            day = self._day
-            limit = self._limit
-            while day < limit:
-                bucket = buckets[day % n]
-                if bucket:
-                    self._day = day
-                    self._head_bucket = bucket
-                    return bucket[0]
-                day += 1
-            # The wheel is empty up to its horizon, so every remaining
-            # entry sits in the overflow list: jump the lap to its
-            # earliest day and migrate the next lap's worth of entries
-            # onto the wheel.
-            overflow = self._overflow
-            assert overflow, "size/bucket bookkeeping diverged"
-            first_day = overflow[0][0]
-            self._base = first_day
-            self._day = first_day
-            self._limit = first_day + n
-            while overflow and overflow[0][0] < self._limit:
-                entry = heappop(overflow)
-                heappush(buckets[entry[0] % n], entry[1])
-
-    def pop(
-        self,
-        _heappop: Callable[[List[QueueItem]], QueueItem] = heappop,
-        _heappush: Callable[[List[QueueItem], QueueItem], None] = heappush,
-        _staging_limit: int = STAGING_LIMIT,
-    ) -> Optional[QueueItem]:
-        # pop_due without the horizon checks, duplicated rather than
-        # delegated: this is the drain-loop dequeue and an extra Python
-        # frame per event is measurable at paper scale.  Any change here
-        # must be mirrored in pop_due (the differential suite in
-        # tests/test_sim_scheduler_equivalence.py cross-checks both).
-        staging = self._staging
-        if len(staging) > _staging_limit:
-            self._route_staged()
-        while True:
-            # Re-read the cache each round: dropping a cancelled entry
-            # below may have emptied the head bucket or resized the wheel.
-            bucket = self._head_bucket
-            if bucket is None and self._size:
-                buckets = self._buckets
-                n = self._n
-                day = self._day
-                limit = self._limit
-                while True:
-                    while day < limit:
-                        head_bucket = buckets[day % n]
-                        if head_bucket:
-                            self._day = day
-                            self._head_bucket = bucket = head_bucket
-                            break
-                        day += 1
-                    if bucket is not None:
-                        break
-                    if staging:
-                        # An overflow jump is only safe with staging drained
-                        # (see _find_head); route and rescan.
-                        self._route_staged()
-                        buckets = self._buckets
-                        n = self._n
-                        day = self._day
-                        limit = self._limit
-                        continue
-                    overflow = self._overflow
-                    assert overflow, "size/bucket bookkeeping diverged"
-                    day = overflow[0][0]
-                    limit = day + n
-                    self._base = day
-                    self._day = day
-                    self._limit = limit
-                    while overflow and overflow[0][0] < limit:
-                        entry = _heappop(overflow)  # type: ignore[arg-type]
-                        _heappush(buckets[entry[0] % n], entry[1])  # type: ignore[index]
-            if bucket is None:
-                if staging:
-                    item = _heappop(staging)
-                    if item[3]._cancelled:
-                        self._dead -= 1
-                        continue
-                    return item
-                return None
-            wheel_item = bucket[0]
-            if staging:
-                staged = staging[0]
-                if staged < wheel_item:
-                    item = _heappop(staging)
-                    if item[3]._cancelled:
-                        self._dead -= 1
-                        continue
-                    return item
-            _heappop(bucket)
-            if not bucket:
-                self._head_bucket = None
-            size = self._size - 1
-            self._size = size
-            if size < self._shrink_at and size and self._n > self.MIN_BUCKETS:
-                self._resize(max(self.MIN_BUCKETS, self._n // 2))
-            if wheel_item[3]._cancelled:
-                self._dead -= 1
-                continue
-            return wheel_item
-
-    def pop_due(
-        self,
-        horizon: float,
-        _heappop: Callable[[List[QueueItem]], QueueItem] = heappop,
-        _heappush: Callable[[List[QueueItem], QueueItem], None] = heappush,
-        _staging_limit: int = STAGING_LIMIT,
-    ) -> Optional[QueueItem]:
-        # The engine's per-event dequeue.  Serve the smaller of the
-        # staging head and the wheel head; the wheel head lives in the
-        # ``_head_bucket`` cache, so staging-served pops (the majority:
-        # freshly scheduled events tend to be the soonest) never touch
-        # the wheel at all, and the cache survives wheel-served pops
-        # until the head bucket empties.  Inlined (no _find_head /
-        # helper calls): the extra Python frames would cost more than
-        # the useful work at this call rate.
-        staging = self._staging
-        if len(staging) > _staging_limit:
-            self._route_staged()
-        while True:
-            # Re-read the cache each round: dropping a cancelled entry
-            # below may have emptied the head bucket or resized the wheel.
-            bucket = self._head_bucket
-            if bucket is None and self._size:
-                buckets = self._buckets
-                n = self._n
-                day = self._day
-                limit = self._limit
-                while True:
-                    while day < limit:
-                        head_bucket = buckets[day % n]
-                        if head_bucket:
-                            self._day = day
-                            self._head_bucket = bucket = head_bucket
-                            break
-                        day += 1
-                    if bucket is not None:
-                        break
-                    if staging:
-                        # An overflow jump is only safe with staging drained
-                        # (see _find_head); route and rescan.
-                        self._route_staged()
-                        buckets = self._buckets
-                        n = self._n
-                        day = self._day
-                        limit = self._limit
-                        continue
-                    # The wheel is empty up to its horizon: jump the scan to
-                    # the overflow list's earliest day and migrate the next
-                    # lap onto the wheel (see _find_head).
-                    overflow = self._overflow
-                    assert overflow, "size/bucket bookkeeping diverged"
-                    day = overflow[0][0]
-                    limit = day + n
-                    self._base = day
-                    self._day = day
-                    self._limit = limit
-                    while overflow and overflow[0][0] < limit:
-                        entry = _heappop(overflow)  # type: ignore[arg-type]
-                        _heappush(buckets[entry[0] % n], entry[1])  # type: ignore[index]
-            if bucket is None:
-                if staging and staging[0][0] <= horizon:
-                    item = _heappop(staging)
-                    if item[3]._cancelled:
-                        self._dead -= 1
-                        continue
-                    return item
-                return None
-            wheel_item = bucket[0]
-            if staging:
-                staged = staging[0]
-                if staged < wheel_item:
-                    if staged[0] > horizon:
-                        return None
-                    item = _heappop(staging)
-                    if item[3]._cancelled:
-                        self._dead -= 1
-                        continue
-                    return item
-            if wheel_item[0] > horizon:
-                return None
-            _heappop(bucket)
-            if not bucket:
-                self._head_bucket = None
-            size = self._size - 1
-            self._size = size
-            if size < self._shrink_at and size and self._n > self.MIN_BUCKETS:
-                self._resize(max(self.MIN_BUCKETS, self._n // 2))
-            if wheel_item[3]._cancelled:
-                self._dead -= 1
-                continue
-            return wheel_item
-
-    def peek(self) -> Optional[QueueItem]:
-        while True:
-            head = self._find_head()
-            if head is None or not head[3]._cancelled:
-                return head
-            # Drop the cancelled head (it is _head_bucket[0]: _find_head
-            # routed staging first, so the head lives on the wheel).
-            bucket = self._head_bucket
-            assert bucket is not None, "head cache diverged from _find_head"
-            heappop(bucket)
-            if not bucket:
-                self._head_bucket = None
-            self._size -= 1
-            self._dead -= 1
-
-    def note_cancelled(self) -> None:
-        dead = self._dead + 1
-        self._dead = dead
-        if dead * 2 > self._size + len(self._staging):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Sweep every dead entry -- staging in place, wheel via resize.
-
-        The staging list object must survive (``push`` is bound to it);
-        the wheel walk reuses :meth:`_resize`, which drops cancelled
-        entries while rebuilding at the current bucket count.
-        """
-        staging = self._staging
-        if staging:
-            live = [item for item in staging if not item[3]._cancelled]
-            if len(live) != len(staging):
-                self._dead -= len(staging) - len(live)
-                staging[:] = live
-                heapify(staging)
-        self._resize(self._n)
-
-    def __len__(self) -> int:
-        return self._size + len(self._staging) - self._dead
-
-    # -- resizing -----------------------------------------------------------
-
-    def _estimate_width(self, times: List[float]) -> float:
-        """Mean gap between distinct finite queued timestamps.
-
-        Falls back to the current width when the queue holds fewer than
-        two distinct finite times (all-simultaneous queues carry no gap
-        information; keeping the old width is the deterministic choice).
-        """
-        finite = [t for t in times if t != _INF]
-        distinct = len(set(finite))
-        if distinct < 2:
-            return self._width
-        span = max(finite) - min(finite)
-        if not span > 0.0:
-            return self._width
-        return span / (distinct - 1)
-
-    def _resize(self, n_new: int) -> None:
-        # chain.from_iterable walks the buckets at C speed; a Python
-        # generator per bucket would dominate (most buckets hold 0-2
-        # entries, so per-bucket overhead is per-entry overhead).
-        items: List[QueueItem] = list(chain.from_iterable(self._buckets))
-        items.extend(entry[1] for entry in self._overflow)
-        if self._dead:
-            # The resize already walks every routed entry, so sweeping
-            # cancelled ones here is free -- and it is what reclaims dead
-            # entries parked in buckets behind the scan head, which no
-            # pop path would reach until their day came up.
-            live = [item for item in items if not item[3]._cancelled]
-            self._dead -= len(items) - len(live)
-            items = live
-        self._size = len(items)
-        times = [item[0] for item in items]
-        self._width = self._estimate_width(times)
-        inv_width = 1.0 / self._width
-        self._inv_width = inv_width
-        self._n = n_new
-        self._grow_at = int(self.GROW_PER_BUCKET * n_new)
-        self._shrink_at = int(self.SHRINK_PER_BUCKET * n_new)
-        # Rekey in bulk (see _route_staged): a per-item helper call here
-        # would put a Python frame under every queued entry, and resizes
-        # touch the whole queue.
-        try:
-            days = [int(t * inv_width) for t in times]
-        except OverflowError:
-            days = [self._day_of(t) for t in times]
-        # A sweep may leave nothing routed (cancellation storm drained
-        # the wheel); park the lap at the current scan day.
-        base = min(days) if days else self._day
-        limit = base + n_new
-        self._base = base
-        self._day = base
-        self._limit = limit
-        buckets: List[List[QueueItem]] = [[] for _ in range(n_new)]
-        overflow: List[_Entry] = []
-        overflow_append = overflow.append
-        for day, item in zip(days, items):
-            if day >= limit:
-                overflow_append((day, item))
-            else:
-                buckets[day % n_new].append(item)
-        for bucket in buckets:
-            heapify(bucket)
-        heapify(overflow)
-        self._buckets = buckets
-        self._overflow = overflow
-        self._head_bucket = None
-
-
-#: Registry of selectable implementations (name -> class).
-SCHEDULERS: Dict[str, Type[Scheduler]] = {
-    HeapScheduler.name: HeapScheduler,
-    CalendarQueueScheduler.name: CalendarQueueScheduler,
-}
-
-
-def scheduler_names() -> Tuple[str, ...]:
-    """Selectable scheduler names, sorted."""
-    return tuple(sorted(SCHEDULERS))
+#: The benchmark harness under ``bench/`` reads these two names.
+SCHEDULERS: Dict[str, Type[HeapScheduler]] = {"heap": HeapScheduler}
 
 
 def default_scheduler_name() -> str:
-    """The ambient default: ``$REPRO_SCHEDULER`` or ``"heap"``."""
-    return os.environ.get(SCHEDULER_ENV, DEFAULT_SCHEDULER)
-
-
-def make_scheduler(name: str) -> Scheduler:
-    """Instantiate a registered scheduler by name."""
-    try:
-        factory = SCHEDULERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}"
-        ) from None
-    return factory()
+    """The name of the engine's event queue (always ``"heap"``)."""
+    return "heap"

@@ -7,22 +7,6 @@ import pytest
 
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.schedulers import SCHEDULER_ENV, scheduler_names
-
-
-@pytest.fixture(params=scheduler_names())
-def scheduler(request: pytest.FixtureRequest, monkeypatch: pytest.MonkeyPatch) -> str:
-    """Parametrize a test over every registered event-queue scheduler.
-
-    Sets ``REPRO_SCHEDULER`` so engines constructed inside the test --
-    including indirectly, e.g. through ``run_single`` or
-    ``run_chaos_single`` -- pick up the parametrized implementation.
-    Tests that construct an :class:`Engine` explicitly can also pass the
-    returned name straight to ``Engine(scheduler=...)``.
-    """
-    name: str = request.param
-    monkeypatch.setenv(SCHEDULER_ENV, name)
-    return name
 
 
 @pytest.fixture

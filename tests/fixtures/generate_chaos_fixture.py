@@ -6,9 +6,8 @@ Usage::
 
 Pins one full chaos-storm trajectory (kills + flap + loss burst over a
 tiny cluster) the same way ``generate_kernel_fixtures.py`` pins the
-nominal runs: ``tests/test_experiments_chaos.py`` replays the spec under
-every registered event-queue scheduler and asserts the serialized
-:class:`ChaosResult` matches byte-for-byte.  Chaos exercises queue
+nominal runs: ``tests/test_experiments_chaos.py`` replays the spec and
+asserts the serialized :class:`ChaosResult` matches byte-for-byte.  Chaos exercises queue
 shapes the nominal fixtures never produce -- cancelled in-flight
 messages from node kills, retry timers, same-instant fault bursts -- so
 this fixture is the adversarial half of the determinism contract.

@@ -5,10 +5,10 @@ Usage::
     PYTHONPATH=src python tests/fixtures/generate_kernel_fixtures.py
 
 The fixtures pin one protocol revision's simulation results:
-``tests/test_sim_bench.py`` asserts that the simulator reproduces each
-recorded ``RunResult`` byte-for-byte, so any change to event ordering,
-RNG stream consumption or float arithmetic in the sim core shows up as
-a fixture mismatch.  Deliberate protocol changes regenerate the
+``tests/test_fixture_byte_identity.py`` asserts that the simulator
+reproduces each recorded ``RunResult`` byte-for-byte, so any change to
+event ordering, RNG stream consumption or float arithmetic in the sim
+core shows up as a fixture mismatch.  Deliberate protocol changes regenerate the
 fixtures (the diff documents the trajectory change); the last
 regeneration was for the escrowed-grant protocol, which adds one
 ``GrantAck`` per positive Penelope grant and therefore shifts

@@ -251,12 +251,11 @@ class TestChaosCodecs:
 
 
 class TestPinnedChaosDeterminism:
-    def test_byte_identical_to_pinned_fixture(self, scheduler):
-        # The chaos analogue of TestPinnedTrajectoryDeterminism: kills,
-        # flaps and loss bursts cancel in-flight events, which is the
-        # queue shape the nominal fixtures never exercise.  Every
-        # registered scheduler must replay the storm byte-for-byte.
-        # Batching is pinned off: the fixture bytes encode the staggered
+    def test_byte_identical_to_pinned_fixture(self):
+        # The chaos analogue of the pinned kernel fixtures: kills, flaps
+        # and loss bursts cancel in-flight events, which is the queue
+        # shape the nominal fixtures never exercise.  The storm must
+        # replay byte-for-byte.  Batching is pinned off: the fixture bytes encode the staggered
         # per-node trajectory, which the batcher only approximates (the
         # CI matrix leg exports REPRO_BATCHED_TICKS=1).
         import importlib.util

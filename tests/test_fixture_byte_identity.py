@@ -7,10 +7,10 @@ their defaults.  This file is the dedicated regression guard for that
 claim, in three layers:
 
 1. every pinned fixture (three nominal kernels + the chaos storm)
-   replays byte-for-byte under every registered scheduler;
+   replays byte-for-byte;
 2. *inert* knob values -- drift rate ``0.0`` and slowdown factor
    ``1.0`` -- leave a run bitwise identical (IEEE-754 guarantees
-   ``x * 1.0 == x``), across schedulers x batched-ticks on/off;
+   ``x * 1.0 == x``), with batched ticks on and off;
 3. the serialization surface emits none of the new keys at defaults,
    so cache sha256 keys and fixture bytes cannot shift.
 """
@@ -66,7 +66,7 @@ class TestPinnedFixturesWithKnobsAtDefaults:
             "kernel_nominal_fair",
         ],
     )
-    def test_kernel_fixture_bytes(self, name, scheduler):
+    def test_kernel_fixture_bytes(self, name):
         module = _load_module("generate_kernel_fixtures")
         spec = module.FIXTURE_SPECS[name]
         expected = (FIXTURES / f"{name}.json").read_text()
@@ -74,7 +74,7 @@ class TestPinnedFixturesWithKnobsAtDefaults:
         data["network"] = module._upgrade_network_dict(dict(data["network"]))
         assert canonical_json(data) + "\n" == expected
 
-    def test_chaos_fixture_bytes(self, scheduler):
+    def test_chaos_fixture_bytes(self):
         module = _load_module("generate_chaos_fixture")
         expected = (FIXTURES / f"{module.CHAOS_FIXTURE_NAME}.json").read_text()
         data = chaos_result_to_dict(
@@ -105,13 +105,13 @@ class TestInertKnobsAreBitwiseNoOps:
     arithmetic multiplies by it -- bitwise identity -- and the batcher
     gate only unbatches on scale != 1.0); ``slow_node(n, 1.0, ...)``
     multiplies latency by 1.0.  Neither consumes an RNG draw, so the
-    run must match the no-fault baseline bit-for-bit on both scheduler
-    implementations and with tick batching on *and* off.
+    run must match the no-fault baseline bit-for-bit with tick batching
+    on *and* off.
     """
 
     @pytest.mark.parametrize("batched", [False, True])
-    def test_trajectory_identical(self, scheduler, batched):
-        sim = SimConfig(scheduler=scheduler, batched_ticks=batched)
+    def test_trajectory_identical(self, batched):
+        sim = SimConfig(batched_ticks=batched)
         base = run_chaos_single(_QUIET, sim=sim, plan=FaultPlan())
         noop_plan = (
             FaultPlan()

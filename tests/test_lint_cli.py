@@ -50,7 +50,7 @@ class TestJsonReport:
         assert report["version"] == REPORT_VERSION
         assert report["files_scanned"] == 1
         assert report["counts"] == {"R6": 2}
-        assert report["rules_run"] == ["R1", "R2", "R3", "R4", "R5", "R6", "R7"]
+        assert report["rules_run"] == ["R1", "R2", "R3", "R4", "R5", "R6"]
         finding = report["findings"][0]
         assert set(finding) == {"rule", "path", "line", "col", "message", "snippet"}
         assert finding["rule"] == "R6"
@@ -94,7 +94,7 @@ class TestProjectMode:
              "--format", "json"]
         )
         report = json.loads(capsys.readouterr().out)
-        assert report["rules_run"] == [f"R{n}" for n in range(1, 12)]
+        assert report["rules_run"] == [f"R{n}" for n in range(1, 12) if n != 7]
         assert report["counts"] == {"R9": 4}
         assert all(f["rule"] == "R9" for f in report["findings"])
 
@@ -113,9 +113,10 @@ class TestListRules:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11"
+            "R1", "R2", "R3", "R4", "R5", "R6", "R8", "R9", "R10", "R11"
         ):
             assert rule_id in out
+        assert "R7" not in out  # retired
         assert "invariant:" in out
 
     def test_project_rules_marked(self, capsys):

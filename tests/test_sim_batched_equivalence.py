@@ -11,11 +11,10 @@ stream identically.
 
 These tests enforce the contract differentially across nominal, faulty
 (kill, crash-restart, partition + loss burst), membership-enabled and
-retry-heavy scenarios, under every registered event-queue scheduler, and
-additionally replay the pinned kernel fixtures with ``batched_ticks``
-explicitly off (the fixtures use the staggered default configuration,
-which the batcher only approximates -- default-off is itself part of the
-contract).
+retry-heavy scenarios, and additionally replay the pinned kernel
+fixtures with ``batched_ticks`` explicitly off (the fixtures use the
+staggered default configuration, which the batcher only approximates --
+default-off is itself part of the contract).
 """
 
 from __future__ import annotations
@@ -84,18 +83,18 @@ _SCENARIOS = {
 }
 
 
-def _scenario_bytes(spec: RunSpec, scheduler: str, batched: bool) -> str:
-    sim = SimConfig(scheduler=scheduler, batched_ticks=batched)
+def _scenario_bytes(spec: RunSpec, batched: bool) -> str:
+    sim = SimConfig(batched_ticks=batched)
     return canonical_json(result_to_dict(run_single(spec, sim=sim)))
 
 
 class TestBatchedDifferential:
     @pytest.mark.parametrize("name", sorted(_SCENARIOS))
-    def test_batched_run_is_byte_identical(self, name: str, scheduler: str) -> None:
+    def test_batched_run_is_byte_identical(self, name: str) -> None:
         spec = _SCENARIOS[name]
-        per_node = _scenario_bytes(spec, scheduler, batched=False)
-        batched = _scenario_bytes(spec, scheduler, batched=True)
-        assert batched == per_node, f"batched diverged on {name!r}/{scheduler}"
+        per_node = _scenario_bytes(spec, batched=False)
+        batched = _scenario_bytes(spec, batched=True)
+        assert batched == per_node, f"batched diverged on {name!r}"
 
 
 class TestBatcherGating:
@@ -121,8 +120,8 @@ class TestBatcherGating:
         finally:
             manager.stop()
         # ... and the run is trivially byte-identical.
-        assert _scenario_bytes(spec, "heap", batched=True) == _scenario_bytes(
-            spec, "heap", batched=False
+        assert _scenario_bytes(spec, batched=True) == _scenario_bytes(
+            spec, batched=False
         )
 
     def test_manager_batches_every_decider_when_supported(self) -> None:

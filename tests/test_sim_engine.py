@@ -106,6 +106,43 @@ class TestRunUntilEvent:
         with pytest.raises(SimulationError, match="drained"):
             engine.run(until=event)
 
+    def _fail_now(self, engine):
+        engine.event().fail(ValueError("boom"))
+
+    def _interrupt_now(self, engine):
+        def stop():
+            raise KeyboardInterrupt
+
+        engine.call_later(0.0, stop)
+
+    @pytest.mark.parametrize(
+        "exit_kind, raises",
+        [
+            ("drained", SimulationError),
+            ("failed", SimulationError),
+            ("interrupted", KeyboardInterrupt),
+        ],
+    )
+    @pytest.mark.parametrize("later_until", [None, 5.0])
+    def test_abandoned_stop_event_does_not_stop_a_later_run(
+        self, engine, exit_kind, raises, later_until
+    ):
+        # run(until=event) leaves by another exit while the event is
+        # still pending; when the event fires in a later run, that run
+        # must neither stop early nor leak StopSimulation.
+        stop_event = engine.event()
+        if exit_kind == "failed":
+            self._fail_now(engine)
+        elif exit_kind == "interrupted":
+            self._interrupt_now(engine)
+        with pytest.raises(raises):
+            engine.run(until=stop_event)
+        stop_event.succeed()
+        engine.timeout(1.0)
+        engine.run(until=later_until)
+        assert engine.now == (1.0 if later_until is None else later_until)
+        assert stop_event.processed
+
 
 class TestFailurePropagation:
     def test_unhandled_event_failure_raises_simulation_error(self, engine):
@@ -170,14 +207,11 @@ class TestFactories:
 class TestRunUntilHorizon:
     """Micro-regressions for run(until=<number>) boundary behavior.
 
-    Parametrized over every registered scheduler via the `scheduler`
-    fixture: horizon handling is where a bucketed queue's scan cursor
-    can disagree with a heap (events exactly at the horizon, buckets
-    whose head entries are all cancelled).
+    Covers events exactly at the horizon and queue heads whose entries
+    are all cancelled.
     """
 
-    def test_event_exactly_at_horizon_is_processed(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_event_exactly_at_horizon_is_processed(self, engine):
         fired = []
         engine.call_later(5.0, fired.append, "at-horizon")
         engine.call_later(5.000001, fired.append, "past-horizon")
@@ -185,13 +219,11 @@ class TestRunUntilHorizon:
         assert fired == ["at-horizon"]
         assert engine.now == 5.0
 
-    def test_empty_queue_still_advances_clock_to_until(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_empty_queue_still_advances_clock_to_until(self, engine):
         engine.run(until=42.0)
         assert engine.now == 42.0
 
-    def test_events_past_horizon_stay_queued(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_events_past_horizon_stay_queued(self, engine):
         fired = []
         engine.call_later(10.0, fired.append, "later")
         engine.run(until=5.0)
@@ -199,8 +231,7 @@ class TestRunUntilHorizon:
         engine.run(until=10.0)
         assert fired == ["later"]
 
-    def test_peek_skips_a_fully_cancelled_bucket_head(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_peek_skips_a_fully_cancelled_head(self, engine):
         # Several same-time entries at the queue head, all cancelled:
         # peek() must lazily discard the whole cluster and report the
         # first live entry behind it.
@@ -214,8 +245,7 @@ class TestRunUntilHorizon:
         engine.run()
         assert engine.now == survivor_at
 
-    def test_run_until_horizon_counts_cancelled_entries(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_run_until_horizon_counts_cancelled_entries(self, engine):
         cancelled = engine.timeout(3.0)
         engine.call_later(1.0, cancelled.cancel)
         engine.call_later(4.0, lambda: None)

@@ -1,46 +1,77 @@
-"""Differential equivalence rig: every scheduler vs the reference heap.
+"""Ordering proof for the event queue: the heap vs a brute-force model.
 
 The determinism contract (DESIGN.md) says the event queue is a *total
 order* over ``(time, priority, sequence)`` -- the scheduler is just a
-container for it.  These tests enforce the contract differentially:
+container for it.  These tests hold :class:`HeapScheduler` to that
+contract against :class:`_ModelQueue`, a test-local reference that
+keeps a plain list, drops cancelled entries and sorts on every
+dequeue:
 
-* **Scheduler level** (hypothesis): randomized push/pop/pop_due/cancel
-  workloads with clustered timestamps, duplicate times and priority
-  ties must produce the identical operation-by-operation transcript on
-  the heap and the calendar queue, shrinking to minimal
-  counterexamples.  Tiny initial wheels force resize/overflow paths.
+* **Scheduler level** (hypothesis): randomized push/pop/pop_due/peek/
+  cancel workloads with clustered timestamps, duplicate times and
+  priority ties must produce the identical operation-by-operation
+  transcript on the heap and the model, shrinking to minimal
+  counterexamples.
 * **Engine level** (hypothesis): random schedules of timeouts,
-  callbacks, cancellations and zero-delay chains driven through
-  ``Engine.run`` must process in the same order with the same final
-  clock and counters.
-* **Scenario level**: full Penelope nominal / faulty / membership and
-  chaos-storm runs must serialize byte-identically under both
-  schedulers (the pinned-fixture tests in ``test_sim_bench.py`` and
-  ``test_experiments_chaos.py`` additionally pin those bytes across
-  revisions).
+  callbacks, cancellations, interrupts and zero-delay chains driven
+  through ``Engine.run`` must process in the same order with the same
+  final clock and counters when the engine's queue is the model.
+
+Whole scenarios are pinned byte-for-byte by the fixture tests in
+``test_fixture_byte_identity.py`` and ``test_experiments_chaos.py``.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.faults import FaultPlan
-from repro.experiments.chaos import ChaosSpec, chaos_result_to_dict, run_chaos_single
-from repro.experiments.harness import RunSpec, run_single
-from repro.experiments.serialize import canonical_json, result_to_dict
-from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
-from repro.sim.schedulers import (
-    SCHEDULERS,
-    CalendarQueueScheduler,
-    HeapScheduler,
-    scheduler_names,
-)
+from repro.sim.schedulers import HeapScheduler
+
+
+class _ModelQueue:
+    """Brute-force reference queue: a plain list, sorted on every dequeue.
+
+    Cancelled entries are filtered out before each look at the head, so
+    the head is always the least live ``(time, priority, sequence)``
+    key.  Implements the interface the engine uses.
+    """
+
+    def __init__(self) -> None:
+        self.items: list = []
+
+    def push(self, item) -> None:
+        self.items.append(item)
+
+    def _live(self) -> list:
+        self.items = sorted(
+            (item for item in self.items if not item[3]._cancelled),
+            key=lambda item: item[:3],
+        )
+        return self.items
+
+    def pop(self):
+        live = self._live()
+        return live.pop(0) if live else None
+
+    def pop_due(self, horizon):
+        live = self._live()
+        return live.pop(0) if live and live[0][0] <= horizon else None
+
+    def peek(self):
+        live = self._live()
+        return live[0] if live else None
+
+    def note_cancelled(self) -> None:
+        pass
+
+    def __len__(self) -> int:
+        return len(self._live())
+
 
 # ---------------------------------------------------------------------------
-# Scheduler-level differential workloads
+# Scheduler-level workloads
 # ---------------------------------------------------------------------------
 
 
@@ -82,7 +113,7 @@ _ops = st.lists(
 
 
 def _run_ops(scheduler, ops):
-    """Interpret an op list against one scheduler; return the transcript.
+    """Interpret an op list against one queue; return the transcript.
 
     Pushes respect the engine's no-past-scheduling guarantee: times are
     ``now + delay`` where ``now`` advances to each popped entry's time
@@ -140,207 +171,22 @@ def _key(item):
 class TestSchedulerDifferential:
     @given(ops=_ops)
     @settings(max_examples=300, deadline=None)
-    def test_calendar_matches_heap_transcript(self, ops):
-        heap = _run_ops(HeapScheduler(), ops)
-        calendar = _run_ops(CalendarQueueScheduler(), ops)
-        assert calendar == heap
-
-    @given(ops=_ops, n_buckets=st.sampled_from([2, 3, 8]), width=st.sampled_from([1e-6, 0.25, 1e3]))
-    @settings(max_examples=200, deadline=None)
-    def test_degenerate_wheel_geometry_still_matches(self, ops, n_buckets, width):
-        # Tiny wheels and absurd widths force resizes, overflow misses
-        # and multi-lap buckets on almost every operation.
-        heap = _run_ops(HeapScheduler(), ops)
-        calendar = _run_ops(
-            CalendarQueueScheduler(n_buckets=n_buckets, width=width), ops
-        )
-        assert calendar == heap
+    def test_heap_matches_model_transcript(self, ops):
+        assert _run_ops(HeapScheduler(), ops) == _run_ops(_ModelQueue(), ops)
 
     def test_far_future_entries_sort_last(self):
-        heap, calendar = HeapScheduler(), CalendarQueueScheduler()
-        for scheduler in (heap, calendar):
+        heap, model = HeapScheduler(), _ModelQueue()
+        for scheduler in (heap, model):
             scheduler.push((float("inf"), 1, 0, _FakeEvent(0)))
             scheduler.push((1.0, 1, 1, _FakeEvent(1)))
             scheduler.push((float("inf"), 1, 2, _FakeEvent(2)))
         order_heap = [heap.pop()[2] for _ in range(3)]
-        order_cal = [calendar.pop()[2] for _ in range(3)]
-        assert order_cal == order_heap == [1, 0, 2]
-
-
-def _drain_via(scheduler, via):
-    """Drain a scheduler through one specific dequeue entry point.
-
-    ``pop`` and ``pop_due`` are deliberately duplicated code paths in
-    the calendar queue; driving each separately pins both copies of the
-    overflow-jump and shrink logic.
-    """
-    out = []
-    if via == "pop":
-        while True:
-            item = scheduler.pop()
-            if item is None:
-                return out
-            out.append(_key(item))
-    horizon = 0.0
-    while True:
-        item = scheduler.pop_due(horizon)
-        if item is None:
-            if not len(scheduler):
-                return out
-            # Step the horizon without consulting the queue, like a
-            # run(until=...) ladder would.
-            horizon += 7.3
-            continue
-        out.append(_key(item))
-
-
-class TestCalendarLapBoundary:
-    """Pin the overflow-jump lap boundary: ``limit = day + n`` exactly.
-
-    After the wheel drains, the scan jumps its lap to the overflow's
-    earliest day ``d`` and migrates entries with ``day < d + n`` onto
-    the wheel.  An entry whose day is *exactly* ``d + n`` must stay in
-    overflow (the wheel's bijection covers one lap, half-open) and
-    surface only after the following jump -- an off-by-one that neither
-    entry point may drift on while the two stay hand-duplicated.
-    """
-
-    #: Wheel geometry chosen so day == int(time): n=8, width=1.0, and
-    #: few enough entries that no grow-resize re-derives the width.
-    N = 8
-
-    def _boundary_queue(self):
-        calendar = CalendarQueueScheduler(n_buckets=self.N, width=1.0)
-        heap = HeapScheduler()
-        times = [
-            0.0, 1.0, 2.0,          # near lap [0, 8): anchors the wheel
-            100.0, 103.5, 107.0,    # first far lap [100, 108)
-            107.99,                 # last on-wheel day of that lap
-            108.0,                  # exactly at limit -> stays in overflow
-            115.0,                  # second lap [108, 116)
-            116.0,                  # exactly at the second lap's limit
-        ]
-        for sequence, time in enumerate(times):
-            item = (time, 1, sequence, _FakeEvent(sequence))
-            calendar.push(item)
-            heap.push(item)
-        return calendar, heap, times
-
-    @pytest.mark.parametrize("via", ["pop", "pop_due"])
-    def test_exact_limit_entry_waits_one_more_lap(self, via):
-        calendar, heap, times = self._boundary_queue()
-        # Route staging up front (peek spills it) so the lap jumps
-        # happen inside pop/pop_due's own scan, not in _find_head.
-        assert calendar.peek() == heap.peek()
-        drained = _drain_via(calendar, via)
-        assert drained == _drain_via(heap, via)
-        assert [key[0] for key in drained] == sorted(times)
-        # The final lap must have been rebased onto the boundary day
-        # (116 surfaced via its own jump, not an early migration).
-        assert calendar._base == 116
-        assert calendar._limit == 116 + self.N
-
-    @pytest.mark.parametrize("via", ["pop", "pop_due"])
-    def test_mid_drain_jump_lands_on_boundary_day(self, via):
-        calendar, _, _ = self._boundary_queue()
-        assert calendar.peek() is not None
-        # Drain the near lap plus the whole first far lap: the next
-        # dequeue's jump must rebase at exactly day 108 (the entry that
-        # sat at the previous lap's limit).
-        for _ in range(7):
-            item = calendar.pop() if via == "pop" else calendar.pop_due(_INF_TIME)
-            assert item is not None
-        assert (calendar._base, calendar._limit) == (100, 108)
-        boundary = calendar.pop() if via == "pop" else calendar.pop_due(_INF_TIME)
-        assert boundary is not None and boundary[0] == 108.0
-        assert (calendar._base, calendar._limit) == (108, 116)
-
-    @given(
-        deltas=st.lists(st.integers(0, 24), min_size=1, max_size=12),
-        via=st.sampled_from(["pop", "pop_due"]),
-        jump_base=st.integers(9, 400),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_boundary_grid_matches_heap(self, deltas, via, jump_base):
-        # Integer day grid spanning three laps past a jump target, so
-        # exact multiples of the lap length (8, 16, 24) land exactly on
-        # successive ``limit`` values whenever present.
-        calendar = CalendarQueueScheduler(n_buckets=self.N, width=1.0)
-        heap = HeapScheduler()
-        items = [(0.0, 1, 0, _FakeEvent(0))]
-        for sequence, delta in enumerate(deltas, start=1):
-            items.append(
-                (float(jump_base + delta), 1, sequence, _FakeEvent(sequence))
-            )
-        for item in items:
-            calendar.push(item)
-            heap.push(item)
-        assert calendar.peek() == heap.peek()
-        assert _drain_via(calendar, via) == _drain_via(heap, via)
-
-
-_INF_TIME = float("inf")
-
-
-class TestCalendarShrinkResize:
-    """Pin the shrink-resize path under both dequeue entry points.
-
-    Growing routes in bulk; shrinking happens one entry at a time as a
-    drain crosses ``SHRINK_PER_BUCKET`` occupancy, re-deriving the
-    bucket width from the surviving entries.  Both hand-duplicated
-    dequeues carry the shrink check, so both must walk the full ladder
-    down to MIN_BUCKETS without perturbing the pop order.
-    """
-
-    @pytest.mark.parametrize("via", ["pop", "pop_due"])
-    def test_shrink_ladder_preserves_order(self, via):
-        calendar = CalendarQueueScheduler()
-        heap = HeapScheduler()
-        # > STAGING_LIMIT entries so the first dequeue bulk-routes and
-        # grows the wheel well past MIN_BUCKETS.
-        for sequence in range(200):
-            item = (sequence * 0.25, 1, sequence, _FakeEvent(sequence))
-            calendar.push(item)
-            heap.push(item)
-        assert _drain_via(calendar, via) == _drain_via(heap, via)
-        # The drain crossed every shrink threshold on the way down.
-        assert calendar._n == CalendarQueueScheduler.MIN_BUCKETS
-
-    @pytest.mark.parametrize("via", ["pop", "pop_due"])
-    def test_shrink_with_interleaved_pushes_matches_heap(self, via):
-        calendar = CalendarQueueScheduler()
-        heap = HeapScheduler()
-        sequence = 0
-        for sequence in range(160):
-            item = (sequence * 0.5, 1, sequence, _FakeEvent(sequence))
-            calendar.push(item)
-            heap.push(item)
-        transcript_cal, transcript_heap = [], []
-        # Drain in bursts with fresh pushes between them: shrinks and
-        # re-grows interleave, and late pushes land below the scan day.
-        for _burst in range(8):
-            for _ in range(18):
-                item_cal = (
-                    calendar.pop() if via == "pop" else calendar.pop_due(_INF_TIME)
-                )
-                item_heap = heap.pop() if via == "pop" else heap.pop_due(_INF_TIME)
-                transcript_cal.append(_key(item_cal))
-                transcript_heap.append(_key(item_heap))
-                if item_cal is None or item_heap is None:
-                    break
-            # Keep both sides in lockstep burst by burst.
-            assert transcript_cal == transcript_heap
-            now = 0.0 if transcript_cal[-1] is None else transcript_cal[-1][0]
-            for extra in range(4):
-                sequence += 1
-                item = (now + extra * 3.0, 1, sequence, _FakeEvent(sequence))
-                calendar.push(item)
-                heap.push(item)
-        assert _drain_via(calendar, via) == _drain_via(heap, via)
+        order_model = [model.pop()[2] for _ in range(3)]
+        assert order_heap == order_model == [1, 0, 2]
 
 
 # ---------------------------------------------------------------------------
-# Engine-level differential workloads
+# Engine-level workloads
 # ---------------------------------------------------------------------------
 
 _schedule = st.lists(
@@ -354,9 +200,16 @@ _schedule = st.lists(
 )
 
 
-def _engine_trace(scheduler_name, schedule, horizon):
-    """Run one synthetic workload; return (trace, now, processed, cancelled)."""
-    engine = Engine(scheduler=scheduler_name)
+def _engine_trace(schedule, horizon, model=False):
+    """Run one synthetic workload; return (trace, now, processed, cancelled).
+
+    With ``model`` the engine's queue is swapped for :class:`_ModelQueue`
+    before anything is scheduled.
+    """
+    engine = Engine()
+    if model:
+        engine._scheduler = _ModelQueue()
+        engine._push = engine._scheduler.push
     trace = []
 
     def note(tag):
@@ -372,7 +225,7 @@ def _engine_trace(scheduler_name, schedule, horizon):
             engine.call_later(delay, note, ("callback", index))
         elif kind == "cancelled":
             # Cancel strictly before the timeout would fire, so the entry
-            # is lazily discarded by whichever scheduler holds it.
+            # is lazily discarded by the queue.
             timeout = engine.timeout(delay + 1.0)
             engine.call_later(delay / 2.0, timeout.cancel)
         elif kind == "chain":
@@ -398,52 +251,5 @@ class TestEngineDifferential:
     @given(schedule=_schedule, horizon=st.floats(1.0, 500.0, allow_nan=False))
     @settings(max_examples=150, deadline=None)
     def test_processing_order_clock_and_counters_match(self, schedule, horizon):
-        results = {
-            name: _engine_trace(name, schedule, horizon)
-            for name in scheduler_names()
-        }
-        reference = results["heap"]
-        for name, outcome in results.items():
-            assert outcome == reference, f"{name} diverged from heap"
-
-
-# ---------------------------------------------------------------------------
-# Full-scenario differentials
-# ---------------------------------------------------------------------------
-
-_NOMINAL = RunSpec(
-    "penelope", ("EP", "DC"), 70.0, n_clients=4, seed=7, workload_scale=0.1,
-    record_caps=True,
-)
-_FAULTY = RunSpec(
-    "penelope", ("CG", "LU"), 65.0, n_clients=4, seed=5, workload_scale=0.1,
-    fault_plan=FaultPlan().kill(1, 2.0),
-)
-_MEMBERSHIP_CHAOS = ChaosSpec(
-    n_clients=6, seed=7, duration_s=15.0, workload_scale=0.1,
-    kills=1, flaps=1, bursts=1, partitions=1,
-    enable_membership=True, membership_probe_period_s=0.5,
-)
-
-
-def _scenario_bytes(spec, scheduler):
-    return canonical_json(result_to_dict(run_single(spec, sim=SimConfig(scheduler=scheduler))))
-
-
-class TestScenarioDifferential:
-    def test_nominal_penelope_byte_identical_across_schedulers(self):
-        results = {name: _scenario_bytes(_NOMINAL, name) for name in SCHEDULERS}
-        assert len(set(results.values())) == 1, sorted(results)
-
-    def test_faulty_penelope_byte_identical_across_schedulers(self):
-        results = {name: _scenario_bytes(_FAULTY, name) for name in SCHEDULERS}
-        assert len(set(results.values())) == 1, sorted(results)
-
-    def test_membership_chaos_storm_byte_identical_across_schedulers(self, monkeypatch):
-        payloads = {}
-        for name in scheduler_names():
-            monkeypatch.setenv("REPRO_SCHEDULER", name)
-            payloads[name] = canonical_json(
-                chaos_result_to_dict(run_chaos_single(_MEMBERSHIP_CHAOS))
-            )
-        assert len(set(payloads.values())) == 1
+        heap = _engine_trace(schedule, horizon)
+        assert heap == _engine_trace(schedule, horizon, model=True)

@@ -13,13 +13,15 @@ from __future__ import annotations
 from conftest import FULL, save_figure
 
 from repro.experiments.allocation import (
+    AllocationSpec,
     compare_allocation_quality,
     format_allocation,
 )
 
 
 def bench_allocation_quality(benchmark):
-    kwargs = dict(
+    template = AllocationSpec(
+        manager="fair",
         n_clients=20 if FULL else 10,
         workload_scale=1.0 if FULL else 0.5,
         observe_s=60.0 if FULL else 30.0,
@@ -27,7 +29,7 @@ def bench_allocation_quality(benchmark):
     )
     traces = benchmark.pedantic(
         lambda: compare_allocation_quality(
-            managers=("fair", "slurm", "penelope"), **kwargs
+            managers=("fair", "slurm", "penelope"), template=template
         ),
         rounds=1,
         iterations=1,

@@ -387,7 +387,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         runner_kwargs = dict(
             jobs=None if args.jobs == 0 else args.jobs,
             cache_dir=None if args.no_cache else args.cache_dir,
-            use_cache=not args.no_cache,
         )
         journal = args.resume if args.resume is not None else args.journal
         if journal is not None:
@@ -594,28 +593,22 @@ def _dispatch(args: argparse.Namespace, runner_kwargs: dict) -> int:
         return 1 if report.violation_found else 0
     elif args.command == "allocation":
         from repro.experiments.allocation import (
+            AllocationSpec,
             compare_allocation_quality,
             format_allocation,
         )
 
-        # compare_allocation_quality forwards unknown keywords to the
-        # AllocationSpec template, so the executor options travel in the
-        # explicit runner_options dict.
-        sweep_kwargs = dict(runner_kwargs)
-        runner_options = {
-            key: sweep_kwargs.pop(key)
-            for key in ("retry", "journal", "resume", "harness_faults")
-            if key in sweep_kwargs
-        }
         traces = compare_allocation_quality(
             managers=args.managers,
-            n_clients=args.clients,
-            cap_w_per_socket=args.cap,
-            workload_scale=args.scale,
-            observe_s=args.observe,
-            seed=args.seed,
-            runner_options=runner_options,
-            **sweep_kwargs,
+            template=AllocationSpec(
+                manager=args.managers[0],
+                n_clients=args.clients,
+                cap_w_per_socket=args.cap,
+                workload_scale=args.scale,
+                observe_s=args.observe,
+                seed=args.seed,
+            ),
+            **runner_kwargs,
         )
         print(format_allocation(traces))
     else:  # pragma: no cover - argparse enforces the choices

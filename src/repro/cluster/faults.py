@@ -321,11 +321,19 @@ class FaultPlan:
         default_factory=list
     )
     loss_bursts: List[Tuple[float, float, float]] = field(default_factory=list)
-    duplicate_bursts: List[Tuple[float, float, float]] = field(default_factory=list)
-    reorder_bursts: List[Tuple[float, float, float]] = field(default_factory=list)
-    clock_drifts: List[Tuple[int, float, float]] = field(default_factory=list)
+    # The adversarial categories postdate the cached results: their JSON
+    # leaves them out while empty, so older plans keep their cache keys.
+    duplicate_bursts: List[Tuple[float, float, float]] = field(
+        default_factory=list, metadata={"omit_default": True}
+    )
+    reorder_bursts: List[Tuple[float, float, float]] = field(
+        default_factory=list, metadata={"omit_default": True}
+    )
+    clock_drifts: List[Tuple[int, float, float]] = field(
+        default_factory=list, metadata={"omit_default": True}
+    )
     slow_nodes: List[Tuple[int, float, float, Optional[float]]] = field(
-        default_factory=list
+        default_factory=list, metadata={"omit_default": True}
     )
 
     def kill(self, node_id: int, at_time_s: float) -> "FaultPlan":

@@ -9,7 +9,7 @@
 * :mod:`repro.experiments.chaos` -- randomized fault storms under a
   continuous budget-conservation auditor.
 * :mod:`repro.experiments.runner` -- parallel sweep executor + result cache.
-* :mod:`repro.experiments.serialize` -- JSON codecs for specs and results.
+* :mod:`repro.experiments.serialize` -- the JSON codec for specs and results.
 * :mod:`repro.experiments.report` -- text tables in the paper's format.
 """
 

@@ -15,19 +15,13 @@ yardstick for everyone else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments import serialize
 from repro.experiments.harness import RunSpec, build_run
-from repro.experiments.runner import (
-    ProgressListener,
-    TaskKind,
-    raise_on_failures,
-    run_sweep,
-)
+from repro.experiments.runner import TaskKind, raise_on_failures, run_sweep
 from repro.managers.base import ManagerConfig
 from repro.managers.podd import proportional_caps
 
@@ -168,103 +162,30 @@ def measure_allocation_trace(
     )
 
 
-# -- sweep-runner integration ------------------------------------------------
-
-
-def allocation_spec_to_dict(spec: AllocationSpec) -> Dict[str, Any]:
-    return {
-        "manager": spec.manager,
-        "pair": list(spec.pair),
-        "cap_w_per_socket": spec.cap_w_per_socket,
-        "n_clients": spec.n_clients,
-        "seed": spec.seed,
-        "workload_scale": spec.workload_scale,
-        "observe_s": spec.observe_s,
-        "sample_every_s": spec.sample_every_s,
-        "manager_config": (
-            serialize.config_to_dict(spec.manager_config)
-            if spec.manager_config is not None
-            else None
-        ),
-    }
-
-
-def allocation_spec_from_dict(data: Dict[str, Any]) -> AllocationSpec:
-    return AllocationSpec(
-        manager=data["manager"],
-        pair=tuple(data["pair"]),
-        cap_w_per_socket=data["cap_w_per_socket"],
-        n_clients=data["n_clients"],
-        seed=data["seed"],
-        workload_scale=data["workload_scale"],
-        observe_s=data["observe_s"],
-        sample_every_s=data["sample_every_s"],
-        manager_config=(
-            serialize.config_from_dict(data["manager_config"])
-            if data["manager_config"] is not None
-            else None
-        ),
-    )
-
-
-def allocation_trace_to_dict(trace: AllocationTrace) -> Dict[str, Any]:
-    return {
-        "manager": trace.manager,
-        "times": [float(t) for t in trace.times],
-        "mean_abs_deviation_w": [float(d) for d in trace.mean_abs_deviation_w],
-        "oracle": {str(node): cap for node, cap in sorted(trace.oracle.items())},
-        "even_split_deviation_w": trace.even_split_deviation_w,
-    }
-
-
-def allocation_trace_from_dict(data: Dict[str, Any]) -> AllocationTrace:
-    return AllocationTrace(
-        manager=data["manager"],
-        times=np.array(data["times"]),
-        mean_abs_deviation_w=np.array(data["mean_abs_deviation_w"]),
-        oracle={int(node): cap for node, cap in data["oracle"].items()},
-        even_split_deviation_w=data["even_split_deviation_w"],
-    )
-
-
 #: :func:`run_allocation_point` as a sweep-runner task kind.
 ALLOCATION_RUN = TaskKind(
-    name="allocation",
-    fn=run_allocation_point,
-    spec_to_dict=allocation_spec_to_dict,
-    result_to_dict=allocation_trace_to_dict,
-    result_from_dict=allocation_trace_from_dict,
+    "allocation", run_allocation_point, AllocationSpec, AllocationTrace
 )
 
 
 def compare_allocation_quality(
     managers: Sequence[str] = ("fair", "slurm", "penelope"),
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    progress: Optional[ProgressListener] = None,
-    runner_options: Optional[Dict[str, Any]] = None,
-    **kwargs,
+    template: Optional[AllocationSpec] = None,
+    **runner_kwargs: Any,
 ) -> Dict[str, AllocationTrace]:
     """Allocation traces for several managers under identical conditions.
 
-    One spec per manager, fanned out (and cached) through
-    :func:`~repro.experiments.runner.run_sweep`.  ``**kwargs`` feed the
-    :class:`AllocationSpec` template, so the resilient-executor options
-    (``retry``, ``journal``, ``resume``, ``harness_faults``) travel in
-    the explicit ``runner_options`` dict instead.
+    One spec per manager -- ``template`` (default: the
+    :class:`AllocationSpec` defaults) with its manager replaced -- fanned
+    out (and cached) through :func:`~repro.experiments.runner.run_sweep`,
+    which receives every extra keyword.
     """
-    specs = [AllocationSpec(manager=manager, **kwargs) for manager in managers]
+    specs = [
+        replace(template, manager=manager) if template else AllocationSpec(manager)
+        for manager in managers
+    ]
     traces = raise_on_failures(
-        run_sweep(
-            specs,
-            kind=ALLOCATION_RUN,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            progress=progress,
-            **(runner_options or {}),
-        ),
+        run_sweep(specs, kind=ALLOCATION_RUN, **runner_kwargs),
         context="allocation comparison",
     )
     return dict(zip(managers, traces))

@@ -22,10 +22,9 @@ own streams): same spec, same storm, same trajectory.
 
 from __future__ import annotations
 
-import dataclasses
 import statistics
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster, ClusterConfig
@@ -37,8 +36,6 @@ from repro.experiments.invariants import (
     Invariant,
     InvariantMonitor,
     InvariantViolation,
-    violation_from_dict,
-    violation_to_dict,
 )
 from repro.experiments.runner import TaskKind, run_sweep
 from repro.instrumentation import MetricsRecorder
@@ -49,6 +46,12 @@ from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
+
+
+#: Fields that postdate the pinned chaos fixture and the sweep cache keys
+#: are left out of their JSON at their default (see ``serialize``), so
+#: specs and results not using them keep byte-identical canonical JSON.
+_LATE = {"omit_default": True}
 
 
 @dataclass(frozen=True)
@@ -98,18 +101,18 @@ class ChaosSpec:
     #: Adversarial fault families (all default-off): counts of scheduled
     #: message-duplication bursts, reordering-window bursts, per-node
     #: clock drifts, and gray-slow node windows.
-    duplicate_bursts: int = 0
-    reorder_bursts: int = 0
-    clock_drifts: int = 0
-    slow_nodes: int = 0
+    duplicate_bursts: int = field(default=0, metadata=_LATE)
+    reorder_bursts: int = field(default=0, metadata=_LATE)
+    clock_drifts: int = field(default=0, metadata=_LATE)
+    slow_nodes: int = field(default=0, metadata=_LATE)
     #: Intensities for the adversarial families: per-message duplication
     #: probability inside a burst, extra-latency window width while
     #: reordering, maximum |drift| rate, and the worst slow-node latency
     #: multiplier (draws span [2, slow_factor]).
-    duplicate_prob: float = 0.1
-    reorder_window_s: float = 0.05
-    max_drift_rate: float = 0.05
-    slow_factor: float = 8.0
+    duplicate_prob: float = field(default=0.1, metadata=_LATE)
+    reorder_window_s: float = field(default=0.05, metadata=_LATE)
+    max_drift_rate: float = field(default=0.05, metadata=_LATE)
+    slow_factor: float = field(default=8.0, metadata=_LATE)
 
     def __post_init__(self) -> None:
         if self.n_clients < 4:
@@ -420,7 +423,7 @@ class ChaosResult:
     detector: Optional[Dict[str, Any]] = None
     #: Invariant violations observed by the monitor (empty on a clean
     #: run; can only be non-empty when the run was not fail-fast).
-    violations: List[InvariantViolation] = dataclasses.field(default_factory=list)
+    violations: List[InvariantViolation] = field(default_factory=list, metadata=_LATE)
 
 
 def run_chaos_single(
@@ -497,7 +500,7 @@ def run_chaos_single(
     manager.stop()
     return ChaosResult(
         spec=spec,
-        schedule=serialize.fault_plan_to_dict(plan),
+        schedule=serialize.encode(plan),
         n_audits=len(auditor.ledgers),
         max_abs_residual_w=auditor.max_abs_residual_w,
         final=final,
@@ -508,91 +511,10 @@ def run_chaos_single(
     )
 
 
-# -- JSON codecs (cache round-trip) ------------------------------------------
+#: Called by name from ``bench/`` (the chaos-membership digest).
+chaos_result_to_dict = serialize.encode
 
-
-#: Spec fields that postdate the pinned chaos fixture and the sweep
-#: cache keys: emitted only when they differ from the default, so specs
-#: not using them keep byte-identical canonical JSON (and sha256 keys).
-_SPEC_LATE_FIELDS = (
-    "duplicate_bursts",
-    "reorder_bursts",
-    "clock_drifts",
-    "slow_nodes",
-    "duplicate_prob",
-    "reorder_window_s",
-    "max_drift_rate",
-    "slow_factor",
-)
-
-_SPEC_DEFAULTS = {
-    f.name: f.default for f in dataclasses.fields(ChaosSpec)
-}
-
-
-def chaos_spec_to_dict(spec: ChaosSpec) -> Dict[str, Any]:
-    data = dataclasses.asdict(spec)
-    data["pair"] = list(spec.pair)
-    for key in _SPEC_LATE_FIELDS:
-        if data[key] == _SPEC_DEFAULTS[key]:
-            del data[key]
-    return data
-
-
-def chaos_spec_from_dict(data: Dict[str, Any]) -> ChaosSpec:
-    kwargs = dict(data)
-    kwargs["pair"] = tuple(kwargs["pair"])
-    return ChaosSpec(**kwargs)
-
-
-def ledger_to_dict(ledger: ConservationLedger) -> Dict[str, Any]:
-    return dataclasses.asdict(ledger)
-
-
-def ledger_from_dict(data: Dict[str, Any]) -> ConservationLedger:
-    return ConservationLedger(**data)
-
-
-def chaos_result_to_dict(result: ChaosResult) -> Dict[str, Any]:
-    data = {
-        "spec": chaos_spec_to_dict(result.spec),
-        "schedule": result.schedule,
-        "n_audits": result.n_audits,
-        "max_abs_residual_w": result.max_abs_residual_w,
-        "final": ledger_to_dict(result.final),
-        "recorder": serialize.recorder_to_dict(result.recorder),
-        "network": serialize.network_stats_to_dict(result.network),
-        "detector": result.detector,
-    }
-    # Violations postdate the pinned fixture; clean runs stay byte-identical.
-    if result.violations:
-        data["violations"] = [violation_to_dict(v) for v in result.violations]
-    return data
-
-
-def chaos_result_from_dict(data: Dict[str, Any]) -> ChaosResult:
-    return ChaosResult(
-        spec=chaos_spec_from_dict(data["spec"]),
-        schedule=data["schedule"],
-        n_audits=data["n_audits"],
-        max_abs_residual_w=data["max_abs_residual_w"],
-        final=ledger_from_dict(data["final"]),
-        recorder=serialize.recorder_from_dict(data["recorder"]),
-        network=serialize.network_stats_from_dict(data["network"]),
-        detector=data.get("detector"),
-        violations=[
-            violation_from_dict(v) for v in data.get("violations", [])
-        ],
-    )
-
-
-CHAOS_RUN = TaskKind(
-    name="chaos",
-    fn=run_chaos_single,
-    spec_to_dict=chaos_spec_to_dict,
-    result_to_dict=chaos_result_to_dict,
-    result_from_dict=chaos_result_from_dict,
-)
+CHAOS_RUN = TaskKind("chaos", run_chaos_single, ChaosSpec, ChaosResult)
 
 
 def chaos_specs(
@@ -603,14 +525,7 @@ def chaos_specs(
     return [ChaosSpec(seed=seed, **overrides) for seed in seeds]
 
 
-def run_chaos_sweep(
-    specs: Sequence[ChaosSpec],
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    progress: Optional[Any] = None,
-    **runner_kwargs: Any,
-) -> List[Any]:
+def run_chaos_sweep(specs: Sequence[ChaosSpec], **runner_kwargs: Any) -> List[Any]:
     """Run a chaos sweep through the common parallel/cached executor.
 
     Unlike the figure sweeps, quarantined seeds stay *in-slot* as
@@ -619,15 +534,7 @@ def run_chaos_sweep(
     partial result, not a reason to abort the storm (the CLI prints the
     failure summary and exits nonzero).
     """
-    return run_sweep(
-        specs,
-        kind=CHAOS_RUN,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        progress=progress,
-        **runner_kwargs,
-    )
+    return run_sweep(specs, kind=CHAOS_RUN, **runner_kwargs)
 
 
 def format_chaos(results: Sequence[ChaosResult]) -> str:

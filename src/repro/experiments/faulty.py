@@ -15,13 +15,19 @@ surviving nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence, Tuple
 
-from repro.analysis.stats import geometric_mean, normalized_performance
+from repro.analysis.stats import normalized_performance
 from repro.cluster.faults import FaultPlan
-from repro.experiments.harness import RunSpec, needs_server_node
-from repro.experiments.runner import ProgressListener, raise_on_failures, run_sweep
+from repro.experiments.harness import needs_server_node
+from repro.experiments.nominal import (
+    DEFAULT_SYSTEMS,
+    PAPER_CAPS_W_PER_SOCKET,
+    NominalResult,
+    cell_specs,
+)
+from repro.experiments.runner import raise_on_failures, run_sweep
 from repro.workloads.apps import APP_NAMES, build_app
 from repro.workloads.generator import unique_pairs
 from repro.workloads.performance import runtime_at_constant_cap
@@ -68,39 +74,8 @@ def fault_plan_for(
 
 
 @dataclass
-class FaultyResult:
+class FaultyResult(NominalResult):
     """Normalized performances under induced failures."""
-
-    caps: Tuple[float, ...]
-    systems: Tuple[str, ...]
-    pairs: Tuple[Tuple[str, str], ...]
-    normalized: Dict[Tuple[str, float, Tuple[str, str]], float] = field(
-        default_factory=dict
-    )
-    fair_runtimes: Dict[Tuple[float, Tuple[str, str]], float] = field(
-        default_factory=dict
-    )
-
-    def geomean_per_cap(self, system: str) -> Dict[float, float]:
-        out: Dict[float, float] = {}
-        for cap in self.caps:
-            values = [
-                self.normalized[(system, cap, pair)]
-                for pair in self.pairs
-                if (system, cap, pair) in self.normalized
-            ]
-            if values:
-                out[cap] = geometric_mean(values)
-        return out
-
-    def overall_geomean(self, system: str) -> float:
-        values = [
-            self.normalized[(system, cap, pair)]
-            for cap in self.caps
-            for pair in self.pairs
-            if (system, cap, pair) in self.normalized
-        ]
-        return geometric_mean(values)
 
     def penelope_advantage_over_slurm(self) -> float:
         """The paper's headline: 8-15% mean gain for Penelope (§4.4)."""
@@ -108,17 +83,13 @@ class FaultyResult:
 
 
 def run_faulty_sweep(
-    caps: Sequence[float] = (60.0, 70.0, 80.0, 90.0, 100.0),
+    caps: Sequence[float] = PAPER_CAPS_W_PER_SOCKET,
     pairs: Optional[Sequence[Tuple[str, str]]] = None,
-    systems: Sequence[str] = ("slurm", "penelope"),
+    systems: Sequence[str] = DEFAULT_SYSTEMS,
     n_clients: int = 20,
     seed: int = 0,
     workload_scale: float = 1.0,
     failure_fraction: float = DEFAULT_FAILURE_FRACTION,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    progress: Optional[ProgressListener] = None,
     **runner_kwargs: Any,
 ) -> FaultyResult:
     """Run the Figure 3 sweep: every run suffers its §4.4 failure.
@@ -126,61 +97,30 @@ def run_faulty_sweep(
     The failure instant comes from the *predicted* Fair runtime (a closed
     form), not the measured one, so the whole sweep -- Fair baselines and
     faulted runs alike -- is known up-front and fans out through
-    :func:`~repro.experiments.runner.run_sweep` (``jobs`` worker
-    processes, results cached under ``cache_dir``).
+    :func:`~repro.experiments.runner.run_sweep`, which receives every
+    extra keyword.
     """
     pair_list = list(pairs) if pairs is not None else unique_pairs(APP_NAMES)
     result = FaultyResult(
         caps=tuple(caps), systems=tuple(systems), pairs=tuple(pair_list)
     )
-    specs: list = []
-    slots: list = []
-    for cap in caps:
-        for pair in pair_list:
-            specs.append(
-                RunSpec(
-                    manager="fair",
-                    pair=pair,
-                    cap_w_per_socket=cap,
-                    n_clients=n_clients,
-                    seed=seed,
-                    workload_scale=workload_scale,
-                )
-            )
-            slots.append(("fair", cap, pair))
-            for system in systems:
-                plan = fault_plan_for(
-                    system,
-                    pair,
-                    cap,
-                    n_clients,
-                    workload_scale=workload_scale,
-                    failure_fraction=failure_fraction,
-                )
-                specs.append(
-                    RunSpec(
-                        manager=system,
-                        pair=pair,
-                        cap_w_per_socket=cap,
-                        n_clients=n_clients,
-                        seed=seed,
-                        workload_scale=workload_scale,
-                        fault_plan=plan,
-                    )
-                )
-                slots.append((system, cap, pair))
-
-    runs = raise_on_failures(
-        run_sweep(
-            specs,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            progress=progress,
-            **runner_kwargs,
+    slots, specs = cell_specs(
+        caps,
+        pair_list,
+        systems,
+        n_clients,
+        seed,
+        workload_scale,
+        fault_plan=lambda system, cap, pair: fault_plan_for(
+            system,
+            pair,
+            cap,
+            n_clients,
+            workload_scale=workload_scale,
+            failure_fraction=failure_fraction,
         ),
-        context="faulty sweep",
     )
+    runs = raise_on_failures(run_sweep(specs, **runner_kwargs), context="faulty sweep")
 
     by_slot = dict(zip(slots, runs))
     for cap in caps:

@@ -36,20 +36,12 @@ import numpy as np
 
 from repro.cluster.faults import FaultPlan
 from repro.experiments import serialize
-from repro.experiments.chaos import (
-    ChaosSpec,
-    build_chaos_plan,
-    chaos_spec_from_dict,
-    chaos_spec_to_dict,
-    run_chaos_single,
-)
+from repro.experiments.chaos import ChaosSpec, build_chaos_plan, run_chaos_single
 from repro.experiments.invariants import (
     Invariant,
     InvariantViolation,
     default_invariants,
     get_invariant,
-    violation_from_dict,
-    violation_to_dict,
 )
 from repro.experiments.journal import CampaignJournal, replay_journal
 from repro.sim.config import SimConfig
@@ -244,12 +236,6 @@ def _halve_window(
     return out
 
 
-def _plan_from_dict(plan_dict: Dict[str, Any]) -> FaultPlan:
-    return serialize.fault_plan_from_dict(
-        {"node_kills": [], "partitions": [], **plan_dict}
-    )
-
-
 def _max_node_ref(plan_dict: Dict[str, Any]) -> int:
     """Highest node id the plan mentions (-1 when it mentions none)."""
     ids = [-1]
@@ -285,7 +271,7 @@ def _violates(
     result = run_chaos_single(
         spec,
         sim=_SIM,
-        plan=_plan_from_dict(plan_dict),
+        plan=serialize.decode(FaultPlan, plan_dict),
         invariants=invariants,
         fail_fast=False,
     )
@@ -364,7 +350,7 @@ def shrink(
 def _trial_fingerprint(master_seed: int, trial: int, spec: ChaosSpec) -> str:
     """Content hash identifying one fuzz trial in the campaign journal."""
     return serialize.sha256_of(
-        {"fuzz": master_seed, "trial": trial, "spec": chaos_spec_to_dict(spec)}
+        {"fuzz": master_seed, "trial": trial, "spec": serialize.encode(spec)}
     )
 
 
@@ -424,7 +410,7 @@ def run_fuzz(
                 continue
             first = result.violations[0]
             summary["violated"] = first.invariant
-            plan_dict = serialize.fault_plan_to_dict(build_chaos_plan(spec))
+            plan_dict = serialize.encode(build_chaos_plan(spec))
             shrunk = shrink(
                 spec, plan_dict, invariants, first, config.max_shrink_runs
             )
@@ -432,11 +418,11 @@ def run_fuzz(
                 "format": REPRO_FORMAT,
                 "master_seed": config.master_seed,
                 "trial": trial,
-                "spec": chaos_spec_to_dict(shrunk.spec),
+                "spec": serialize.encode(shrunk.spec),
                 "plan": shrunk.plan_dict,
                 "invariants": [inv.name for inv in invariants],
                 "sim": {"batched_ticks": False},
-                "violation": violation_to_dict(shrunk.violation),
+                "violation": serialize.encode(shrunk.violation),
                 "fault_count": fault_count(shrunk.plan_dict),
                 "shrink_runs": shrunk.runs_spent,
             }
@@ -476,13 +462,13 @@ def replay_repro(
     Returns ``(reproduced, all_violations)`` where ``reproduced`` is the
     recorded invariant's violation when it fired again, else ``None``.
     """
-    spec = chaos_spec_from_dict(repro["spec"])
+    spec = serialize.decode(ChaosSpec, repro["spec"])
     invariants = [get_invariant(name) for name in repro["invariants"]]
-    expected = violation_from_dict(repro["violation"])
+    expected = serialize.decode(InvariantViolation, repro["violation"])
     result = run_chaos_single(
         spec,
         sim=_SIM,
-        plan=_plan_from_dict(repro["plan"]),
+        plan=serialize.decode(FaultPlan, repro["plan"]),
         invariants=invariants,
         fail_fast=False,
     )

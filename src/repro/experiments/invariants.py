@@ -67,24 +67,6 @@ class InvariantViolation:
     context: Dict[str, Any] = field(default_factory=dict)
 
 
-def violation_to_dict(violation: InvariantViolation) -> Dict[str, Any]:
-    return {
-        "invariant": violation.invariant,
-        "time": violation.time,
-        "message": violation.message,
-        "context": dict(violation.context),
-    }
-
-
-def violation_from_dict(data: Dict[str, Any]) -> InvariantViolation:
-    return InvariantViolation(
-        invariant=data["invariant"],
-        time=data["time"],
-        message=data["message"],
-        context=dict(data.get("context", {})),
-    )
-
-
 class InvariantViolationError(AssertionError):
     """Raised on the first violation when the monitor is fail-fast.
 

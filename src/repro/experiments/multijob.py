@@ -22,14 +22,8 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.faults import FaultPlan
-from repro.experiments import serialize
 from repro.experiments.harness import extra_nodes, make_manager
-from repro.experiments.runner import (
-    ProgressListener,
-    TaskKind,
-    raise_on_failures,
-    run_sweep,
-)
+from repro.experiments.runner import TaskKind, raise_on_failures, run_sweep
 from repro.instrumentation import MetricsRecorder
 from repro.managers.base import ManagerConfig
 from repro.sim.engine import Engine
@@ -165,77 +159,8 @@ def run_multijob(
     )
 
 
-# -- sweep-runner integration ------------------------------------------------
-
-
-def multijob_spec_to_dict(spec: MultiJobSpec) -> Dict[str, Any]:
-    return {
-        "manager": spec.manager,
-        "n_clients": spec.n_clients,
-        "cap_w_per_socket": spec.cap_w_per_socket,
-        "seed": spec.seed,
-        "workload_scale": spec.workload_scale,
-        "sequences": [list(sequence) for sequence in spec.sequences],
-        "fault_plan": (
-            serialize.fault_plan_to_dict(spec.fault_plan)
-            if spec.fault_plan is not None
-            else None
-        ),
-        "manager_config": (
-            serialize.config_to_dict(spec.manager_config)
-            if spec.manager_config is not None
-            else None
-        ),
-    }
-
-
-def multijob_spec_from_dict(data: Dict[str, Any]) -> MultiJobSpec:
-    return MultiJobSpec(
-        manager=data["manager"],
-        n_clients=data["n_clients"],
-        cap_w_per_socket=data["cap_w_per_socket"],
-        seed=data["seed"],
-        workload_scale=data["workload_scale"],
-        sequences=tuple(tuple(sequence) for sequence in data["sequences"]),
-        fault_plan=(
-            serialize.fault_plan_from_dict(data["fault_plan"])
-            if data["fault_plan"] is not None
-            else None
-        ),
-        manager_config=(
-            serialize.config_from_dict(data["manager_config"])
-            if data["manager_config"] is not None
-            else None
-        ),
-    )
-
-
-def multijob_result_to_dict(result: MultiJobResult) -> Dict[str, Any]:
-    return {
-        "manager": result.manager,
-        "runtime_s": result.runtime_s,
-        "faulted": result.faulted,
-        "recorder": serialize.recorder_to_dict(result.recorder),
-    }
-
-
-def multijob_result_from_dict(data: Dict[str, Any]) -> MultiJobResult:
-    return MultiJobResult(
-        manager=data["manager"],
-        runtime_s=data["runtime_s"],
-        faulted=data["faulted"],
-        recorder=serialize.recorder_from_dict(data["recorder"]),
-    )
-
-
 #: :func:`run_multijob_spec` as a sweep-runner task kind.
-MULTIJOB_RUN = TaskKind(
-    name="multijob",
-    fn=run_multijob_spec,
-    spec_to_dict=multijob_spec_to_dict,
-    result_to_dict=multijob_result_to_dict,
-    result_from_dict=multijob_result_from_dict,
-)
+MULTIJOB_RUN = TaskKind("multijob", run_multijob_spec, MultiJobSpec, MultiJobResult)
 
 
 @dataclass
@@ -262,10 +187,6 @@ def run_multijob_comparison(
     seed: int = 0,
     workload_scale: float = 1.0,
     fault_at_fraction: float = 0.25,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    progress: Optional[ProgressListener] = None,
     **runner_kwargs: Any,
 ) -> MultiJobComparison:
     """The §4.4 generalization experiment.
@@ -273,9 +194,10 @@ def run_multijob_comparison(
     The fault strikes during job 1 (at ``fault_at_fraction`` of the Fair
     runtime), so the frozen caps are tuned for the *wrong* job afterwards.
 
-    Runs fan out through :func:`~repro.experiments.runner.run_sweep` in
-    two waves: the fault-free runs first (the fault instant depends on the
-    measured Fair runtime), then every faulted run.
+    Runs fan out through :func:`~repro.experiments.runner.run_sweep`
+    (which receives every extra keyword) in two waves: the fault-free
+    runs first (the fault instant depends on the measured Fair runtime),
+    then every faulted run.
     """
 
     def base_spec(manager: str, fault_plan: Optional[FaultPlan] = None) -> MultiJobSpec:
@@ -288,10 +210,7 @@ def run_multijob_comparison(
             fault_plan=fault_plan,
         )
 
-    sweep = dict(
-        kind=MULTIJOB_RUN, jobs=jobs, cache_dir=cache_dir,
-        use_cache=use_cache, progress=progress, **runner_kwargs,
-    )
+    sweep = dict(kind=MULTIJOB_RUN, **runner_kwargs)
     fault_free = raise_on_failures(
         run_sweep(
             [base_spec("fair")] + [base_spec(manager) for manager in managers],

@@ -9,11 +9,12 @@ overall.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple  # noqa: F401
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import geometric_mean, normalized_performance
+from repro.cluster.faults import FaultPlan
 from repro.experiments.harness import RunSpec
-from repro.experiments.runner import ProgressListener, raise_on_failures, run_sweep
+from repro.experiments.runner import raise_on_failures, run_sweep
 from repro.workloads.apps import APP_NAMES
 from repro.workloads.generator import unique_pairs
 
@@ -69,6 +70,49 @@ class NominalResult:
         return self.overall_geomean(system_a) / self.overall_geomean(system_b) - 1.0
 
 
+Slot = Tuple[str, float, Tuple[str, str]]
+
+
+def cell_specs(
+    caps: Sequence[float],
+    pairs: Sequence[Tuple[str, str]],
+    systems: Sequence[str],
+    n_clients: int,
+    seed: int,
+    workload_scale: float,
+    repetitions: int = 1,
+    fault_plan: Optional[Callable[[str, float, Tuple[str, str]], Optional[FaultPlan]]] = None,
+) -> Tuple[List[Slot], List[RunSpec]]:
+    """The Fig. 2/3 sweep: each cell's ``(system, cap, pair)`` slot and spec.
+
+    Per (cap, pair, repetition): Fair first, then every system, all on
+    one seed so they face identical workload jitter.  ``fault_plan``
+    gives each cell's plan (Fair's included); the faulty sweep's Fair
+    cells thus equal the nominal sweep's and share its cache entries.
+    """
+    slots: List[Slot] = []
+    specs: List[RunSpec] = []
+    for cap in caps:
+        for pair in pairs:
+            for repetition in range(repetitions):
+                for system in ("fair", *systems):
+                    slots.append((system, cap, pair))
+                    specs.append(
+                        RunSpec(
+                            manager=system,
+                            pair=pair,
+                            cap_w_per_socket=cap,
+                            n_clients=n_clients,
+                            seed=seed + 7919 * repetition,
+                            workload_scale=workload_scale,
+                            fault_plan=(
+                                fault_plan(system, cap, pair) if fault_plan else None
+                            ),
+                        )
+                    )
+    return slots, specs
+
+
 def run_nominal_sweep(
     caps: Sequence[float] = PAPER_CAPS_W_PER_SOCKET,
     pairs: Optional[Sequence[Tuple[str, str]]] = None,
@@ -77,10 +121,6 @@ def run_nominal_sweep(
     seed: int = 0,
     workload_scale: float = 1.0,
     repetitions: int = 1,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    progress: Optional[ProgressListener] = None,
     **runner_kwargs: Any,
 ) -> NominalResult:
     """Run the full Figure 2 sweep (or a subset, for tests).
@@ -91,11 +131,10 @@ def run_nominal_sweep(
     tighter estimates.
 
     Every run is independent, so the whole sweep is one flat spec list
-    handed to :func:`~repro.experiments.runner.run_sweep`: ``jobs`` fans
-    it out over worker processes, ``cache_dir`` skips already-computed
-    runs, and any extra keyword (``retry``, ``journal``, ``resume``,
-    ``harness_faults``) passes straight through to the resilient
-    executor.  Because the figure aggregates every cell, a quarantined
+    handed to :func:`~repro.experiments.runner.run_sweep`; every extra
+    keyword (``jobs``, ``cache_dir``, ``progress``, ``retry``,
+    ``journal``, ``resume``, ``harness_faults``) passes straight through
+    to it.  Because the figure aggregates every cell, a quarantined
     spec raises :class:`~repro.experiments.runner.SweepFailure` instead
     of poisoning the geomeans.
     """
@@ -105,38 +144,11 @@ def run_nominal_sweep(
     result = NominalResult(
         caps=tuple(caps), systems=tuple(systems), pairs=tuple(pair_list)
     )
-
-    def cell_spec(manager: str, cap: float, pair: Tuple[str, str], repetition: int) -> RunSpec:
-        return RunSpec(
-            manager=manager,
-            pair=pair,
-            cap_w_per_socket=cap,
-            n_clients=n_clients,
-            seed=seed + 7919 * repetition,
-            workload_scale=workload_scale,
-        )
-
-    specs: List[RunSpec] = []
-    slots: List[Tuple[str, float, Tuple[str, str]]] = []
-    for cap in caps:
-        for pair in pair_list:
-            for repetition in range(repetitions):
-                specs.append(cell_spec("fair", cap, pair, repetition))
-                slots.append(("fair", cap, pair))
-                for system in systems:
-                    specs.append(cell_spec(system, cap, pair, repetition))
-                    slots.append((system, cap, pair))
-
+    slots, specs = cell_specs(
+        caps, pair_list, systems, n_clients, seed, workload_scale, repetitions
+    )
     runs = raise_on_failures(
-        run_sweep(
-            specs,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            progress=progress,
-            **runner_kwargs,
-        ),
-        context="nominal sweep",
+        run_sweep(specs, **runner_kwargs), context="nominal sweep"
     )
 
     runtimes: Dict[Tuple[str, float, Tuple[str, str]], List[float]] = {}

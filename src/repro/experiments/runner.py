@@ -47,7 +47,8 @@ universe.  :func:`run_sweep` is the one funnel they all go through now:
   hook that proves the pool degrades gracefully.
 
 Sweeps over other spec types plug in through :class:`TaskKind`, which
-bundles the run function with its JSON codecs (see
+names the run function and its spec and result types; the JSON codec
+follows from the types (see :mod:`repro.experiments.serialize` and
 :data:`repro.experiments.scaling.SCALING_RUN` and friends).
 """
 
@@ -67,7 +68,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments import serialize
-from repro.experiments.harness import run_single
+from repro.experiments.harness import RunResult, RunSpec, run_single
 from repro.experiments.journal import (
     CampaignJournal,
     TaskFailure,
@@ -98,28 +99,22 @@ _HANG_SLEEP_S = 3600.0
 
 @dataclass(frozen=True)
 class TaskKind:
-    """A sweep-able task type: a run function plus its JSON codecs.
+    """A sweep-able task type: a run function and its spec/result types.
 
     ``fn`` must be a module-level callable (picklable by reference) taking
-    one spec and returning one result; the codecs make specs hashable for
-    the cache and results round-trippable to JSON.
+    one ``spec_type`` and returning one ``result_type``.  Specs are hashed
+    for the cache and results persisted through
+    :func:`~repro.experiments.serialize.encode`/``decode``.
     """
 
     name: str
     fn: Callable[[Any], Any]
-    spec_to_dict: Callable[[Any], Dict[str, Any]]
-    result_to_dict: Callable[[Any], Dict[str, Any]]
-    result_from_dict: Callable[[Dict[str, Any]], Any]
+    spec_type: type
+    result_type: type
 
 
 #: The default kind: :func:`repro.experiments.harness.run_single`.
-SINGLE_RUN = TaskKind(
-    name="single",
-    fn=run_single,
-    spec_to_dict=serialize.spec_to_dict,
-    result_to_dict=serialize.result_to_dict,
-    result_from_dict=serialize.result_from_dict,
-)
+SINGLE_RUN = TaskKind("single", run_single, RunSpec, RunResult)
 
 
 @dataclass(frozen=True)
@@ -322,7 +317,7 @@ def spec_fingerprint(spec: Any, kind: TaskKind = SINGLE_RUN, salt: str = "") -> 
         "version": CODE_VERSION,
         "kind": kind.name,
         "salt": salt,
-        "spec": kind.spec_to_dict(spec),
+        "spec": serialize.encode(spec),
     }
     return serialize.sha256_of(payload)
 
@@ -336,32 +331,26 @@ class ResultCache:
     row tables of the result's top-level ``recorder`` (empty for kinds
     without one, see :func:`~repro.experiments.serialize.split_rows`).
 
-    :meth:`load` parses only the header and checks the body against its
-    digest; the recorder parses the body on first use, so replaying a
-    table that reads a run's runtime never touches its event log.  A
-    fingerprint or digest mismatch, a missing body line (including the
-    old one-line layout) or any parse/decode failure of the header makes
-    :meth:`load` report a miss, so truncated or hand-edited files fall
-    back to re-running instead of crashing.
+    Every method takes the spec's :func:`spec_fingerprint`, which the
+    caller has already computed.  :meth:`load` parses only the header
+    and checks the body against its digest; the recorder parses the body
+    on first use, so replaying a table that reads a run's runtime never
+    touches its event log.  A fingerprint or digest mismatch, a missing
+    body line (including the old one-line layout) or any parse/decode
+    failure of the header makes :meth:`load` report a miss, so truncated
+    or hand-edited files fall back to re-running instead of crashing.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        kind: TaskKind = SINGLE_RUN,
-        salt: str = "",
-    ) -> None:
+    def __init__(self, root: Union[str, Path], kind: TaskKind = SINGLE_RUN) -> None:
         self.root = Path(root)
         self.kind = kind
-        self.salt = salt
 
-    def path_for(self, spec: Any) -> Path:
-        fingerprint = spec_fingerprint(spec, self.kind, self.salt)
+    def path_for(self, fingerprint: str) -> Path:
         return self.root / self.kind.name / f"{fingerprint}.json"
 
-    def load(self, spec: Any) -> Optional[Any]:
-        """The cached result for ``spec``, or ``None`` on miss/corruption."""
-        path = self.path_for(spec)
+    def load(self, fingerprint: str) -> Optional[Any]:
+        """The cached result under ``fingerprint``; ``None`` on miss/corruption."""
+        path = self.path_for(fingerprint)
         try:
             head, newline, body = path.read_text().partition("\n")
             if not newline:
@@ -372,22 +361,22 @@ class ResultCache:
                 or header["body_sha256"] != _body_digest(body)
             ):
                 return None
-            return self.kind.result_from_dict(
-                serialize.join_rows(header["result"], body)
+            return serialize.decode(
+                self.kind.result_type, serialize.join_rows(header["result"], body)
             )
         except (OSError, AttributeError, KeyError, TypeError, ValueError):
             return None
 
-    def store(self, spec: Any, result: Any) -> Path:
+    def store(self, fingerprint: str, spec: Any, result: Any) -> Path:
         """Atomically persist ``result`` (write temp file, then rename)."""
-        path = self.path_for(spec)
+        path = self.path_for(fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
-        result_dict = self.kind.result_to_dict(result)
+        result_dict = serialize.encode(result)
         body = serialize.split_rows(result_dict)
         header = {
             "fingerprint": path.stem,
             "kind": self.kind.name,
-            "spec": self.kind.spec_to_dict(spec),
+            "spec": serialize.encode(spec),
             "result": result_dict,
             "body_sha256": _body_digest(body),
         }
@@ -406,7 +395,6 @@ def run_sweep(
     kind: TaskKind = SINGLE_RUN,
     jobs: Optional[int] = 1,
     cache_dir: Optional[Union[str, Path]] = None,
-    use_cache: bool = True,
     salt: str = "",
     progress: Optional[ProgressListener] = None,
     retry: Optional[RetryPolicy] = None,
@@ -425,15 +413,14 @@ def run_sweep(
     specs:
         The sweep, in the order results should come back.
     kind:
-        Task type (run function + codecs); defaults to ``run_single``.
+        Task type (run function, spec and result types); defaults to
+        ``run_single``.  Every spec must be a ``kind.spec_type``.
     jobs:
         Worker processes.  ``1`` runs in-process; ``None`` uses the CPU
         count.
     cache_dir:
-        Cache root (``None`` disables caching entirely).
-    use_cache:
-        With ``False``, existing cache files are neither read nor
-        written -- every spec executes.
+        Cache root (``None`` disables caching entirely: existing cache
+        files are neither read nor written).
     salt:
         Extra cache-key component (e.g. for deliberate cache busting).
     progress:
@@ -461,6 +448,12 @@ def run_sweep(
         raise ValueError(f"jobs must be positive, got {jobs!r}")
     if resume and journal is None:
         raise ValueError("resume=True requires a journal path")
+    for spec in spec_list:
+        if not isinstance(spec, kind.spec_type):
+            raise TypeError(
+                f"{kind.name} sweep needs {kind.spec_type.__name__} specs, "
+                f"got {type(spec).__name__}"
+            )
     policy = retry if retry is not None else DEFAULT_RETRY
     faults_text = (
         harness_faults
@@ -469,11 +462,7 @@ def run_sweep(
     )
     if faults_text is not None:
         HarnessFaults.parse(faults_text)  # fail fast on a typo'd spec
-    cache = (
-        ResultCache(cache_dir, kind, salt)
-        if use_cache and cache_dir is not None
-        else None
-    )
+    cache = ResultCache(cache_dir, kind) if cache_dir is not None else None
     total = len(spec_list)
     results: List[Any] = [None] * total
     fingerprints = [spec_fingerprint(spec, kind, salt) for spec in spec_list]
@@ -497,10 +486,12 @@ def run_sweep(
                 # Durable in the journal: restore without re-executing
                 # (and repopulate the cache so later cache-only runs --
                 # and the CI byte-diff -- see the same artifacts).
-                result = kind.result_from_dict(restored_done[fingerprint])
+                result = serialize.decode(
+                    kind.result_type, restored_done[fingerprint]
+                )
                 results[index] = result
                 if cache is not None:
-                    cache.store(spec, result)
+                    cache.store(fingerprint, spec, result)
                 _notify(
                     ProgressEvent(kind.name, index, total, spec, True, 0.0),
                     progress,
@@ -515,14 +506,14 @@ def run_sweep(
                     progress,
                 )
                 continue
-            cached = cache.load(spec) if cache is not None else None
+            cached = cache.load(fingerprint) if cache is not None else None
             if cached is not None:
                 results[index] = cached
                 if journal_log is not None:
                     # Journal cache hits too: the journal alone must be
                     # able to reconstruct the full campaign on resume.
                     journal_log.record_done(
-                        fingerprint, index, kind.result_to_dict(cached)
+                        fingerprint, index, serialize.encode(cached)
                     )
                 _notify(
                     ProgressEvent(kind.name, index, total, spec, True, 0.0),
@@ -667,10 +658,10 @@ def _complete(
     durable record)."""
     results[index] = result
     if cache is not None:
-        cache.store(spec_list[index], result)
+        cache.store(fingerprints[index], spec_list[index], result)
     if journal_log is not None:
         journal_log.record_done(
-            fingerprints[index], index, kind.result_to_dict(result)
+            fingerprints[index], index, serialize.encode(result)
         )
     _notify(
         ProgressEvent(kind.name, index, total, spec_list[index], False, duration_s),
@@ -887,10 +878,10 @@ def _run_parallel(
                     continue
                 results[index] = result
                 if cache is not None:
-                    cache.store(spec_list[index], result)
+                    cache.store(fingerprints[index], spec_list[index], result)
                 if journal_log is not None:
                     journal_log.record_done(
-                        fingerprints[index], index, kind.result_to_dict(result)
+                        fingerprints[index], index, serialize.encode(result)
                     )
         for future in list(inflight):
             future.cancel()

@@ -22,19 +22,13 @@ frequency (service time 80-100 microseconds per request, strictly serial).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import DistributionSummary
 from repro.core.config import PenelopeConfig
-from repro.experiments import serialize
 from repro.experiments.harness import make_manager, needs_server_node
-from repro.experiments.runner import (
-    ProgressListener,
-    TaskKind,
-    raise_on_failures,
-    run_sweep,
-)
+from repro.experiments.runner import TaskKind, raise_on_failures, run_sweep
 from repro.experiments.metrics import (
     redistribution_time_from_caps,
     timeout_rate,
@@ -430,101 +424,8 @@ def run_scaling_point(spec: ScalingSpec) -> ScalingResult:
     )
 
 
-# -- sweep-runner integration ------------------------------------------------
-
-
-def scaling_spec_to_dict(spec: ScalingSpec) -> Dict[str, Any]:
-    return {
-        "manager": spec.manager,
-        "n_clients": spec.n_clients,
-        "frequency_hz": spec.frequency_hz,
-        "cap_w_per_socket": spec.cap_w_per_socket,
-        "donor_demand_w_per_socket": spec.donor_demand_w_per_socket,
-        "hungry_demand_w_per_socket": spec.hungry_demand_w_per_socket,
-        "release_at_s": spec.release_at_s,
-        "observe_for_s": spec.observe_for_s,
-        "seed": spec.seed,
-        "spec": asdict(spec.spec),
-        "pair": list(spec.pair) if spec.pair is not None else None,
-        "stagger_window_s": spec.stagger_window_s,
-        "server_inbox_capacity": spec.server_inbox_capacity,
-        "manager_config": (
-            serialize.config_to_dict(spec.manager_config)
-            if spec.manager_config is not None
-            else None
-        ),
-    }
-
-
-def scaling_spec_from_dict(data: Dict[str, Any]) -> ScalingSpec:
-    return ScalingSpec(
-        manager=data["manager"],
-        n_clients=data["n_clients"],
-        frequency_hz=data["frequency_hz"],
-        cap_w_per_socket=data["cap_w_per_socket"],
-        donor_demand_w_per_socket=data["donor_demand_w_per_socket"],
-        hungry_demand_w_per_socket=data["hungry_demand_w_per_socket"],
-        release_at_s=data["release_at_s"],
-        observe_for_s=data["observe_for_s"],
-        seed=data["seed"],
-        spec=PowerDomainSpec(**data["spec"]),
-        pair=tuple(data["pair"]) if data["pair"] is not None else None,
-        stagger_window_s=data["stagger_window_s"],
-        server_inbox_capacity=data["server_inbox_capacity"],
-        manager_config=(
-            serialize.config_from_dict(data["manager_config"])
-            if data["manager_config"] is not None
-            else None
-        ),
-    )
-
-
-def scaling_result_to_dict(result: ScalingResult) -> Dict[str, Any]:
-    return {
-        "spec": scaling_spec_to_dict(result.spec),
-        "available_w": result.available_w,
-        "redistribution_median_s": result.redistribution_median_s,
-        "redistribution_total_s": result.redistribution_total_s,
-        "total_capped": result.total_capped,
-        "turnaround": (
-            asdict(result.turnaround) if result.turnaround is not None else None
-        ),
-        "timeout_fraction": result.timeout_fraction,
-        "messages_sent": result.messages_sent,
-        "messages_dropped_overflow": result.messages_dropped_overflow,
-        "server_requests_served": result.server_requests_served,
-        "recorder": serialize.recorder_to_dict(result.recorder),
-    }
-
-
-def scaling_result_from_dict(data: Dict[str, Any]) -> ScalingResult:
-    return ScalingResult(
-        spec=scaling_spec_from_dict(data["spec"]),
-        available_w=data["available_w"],
-        redistribution_median_s=data["redistribution_median_s"],
-        redistribution_total_s=data["redistribution_total_s"],
-        total_capped=data["total_capped"],
-        turnaround=(
-            DistributionSummary(**data["turnaround"])
-            if data["turnaround"] is not None
-            else None
-        ),
-        timeout_fraction=data["timeout_fraction"],
-        messages_sent=data["messages_sent"],
-        messages_dropped_overflow=data["messages_dropped_overflow"],
-        server_requests_served=data["server_requests_served"],
-        recorder=serialize.recorder_from_dict(data["recorder"]),
-    )
-
-
 #: :func:`run_scaling_point` as a sweep-runner task kind.
-SCALING_RUN = TaskKind(
-    name="scaling",
-    fn=run_scaling_point,
-    spec_to_dict=scaling_spec_to_dict,
-    result_to_dict=scaling_result_to_dict,
-    result_from_dict=scaling_result_from_dict,
-)
+SCALING_RUN = TaskKind("scaling", run_scaling_point, ScalingSpec, ScalingResult)
 
 
 def sweep_frequency(
@@ -534,10 +435,6 @@ def sweep_frequency(
     seed: int = 0,
     observe_for_s: Optional[float] = None,
     base: Optional[ScalingSpec] = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    progress: Optional[ProgressListener] = None,
     **runner_kwargs: Any,
 ) -> Dict[Tuple[str, float], ScalingResult]:
     """Figures 4, 5, 7: fix the scale, sweep decider frequency."""
@@ -566,15 +463,7 @@ def sweep_frequency(
             )
             keys.append((manager, freq))
     runs = raise_on_failures(
-        run_sweep(
-            points,
-            kind=SCALING_RUN,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            progress=progress,
-            **runner_kwargs,
-        ),
+        run_sweep(points, kind=SCALING_RUN, **runner_kwargs),
         context="frequency sweep",
     )
     return dict(zip(keys, runs))
@@ -587,10 +476,6 @@ def sweep_pairs(
     managers: Sequence[str] = ("penelope", "slurm"),
     seed: int = 0,
     observe_for_s: float = 30.0,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    progress: Optional[ProgressListener] = None,
     **runner_kwargs: Any,
 ) -> Dict[Tuple[str, Tuple[str, str]], ScalingResult]:
     """The paper's per-pair distributions: one scaling run per application
@@ -621,15 +506,7 @@ def sweep_pairs(
             )
             keys.append((manager, pair))
     runs = raise_on_failures(
-        run_sweep(
-            points,
-            kind=SCALING_RUN,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            progress=progress,
-            **runner_kwargs,
-        ),
+        run_sweep(points, kind=SCALING_RUN, **runner_kwargs),
         context="pair sweep",
     )
     return dict(zip(keys, runs))
@@ -642,10 +519,6 @@ def sweep_scale(
     seed: int = 0,
     observe_for_s: float = 40.0,
     base: Optional[ScalingSpec] = None,
-    jobs: Optional[int] = 1,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-    progress: Optional[ProgressListener] = None,
     **runner_kwargs: Any,
 ) -> Dict[Tuple[str, int], ScalingResult]:
     """Figures 6, 8: fix the frequency at 1/s, sweep the node count."""
@@ -666,15 +539,7 @@ def sweep_scale(
             )
             keys.append((manager, scale))
     runs = raise_on_failures(
-        run_sweep(
-            points,
-            kind=SCALING_RUN,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            progress=progress,
-            **runner_kwargs,
-        ),
+        run_sweep(points, kind=SCALING_RUN, **runner_kwargs),
         context="scale sweep",
     )
     return dict(zip(keys, runs))

@@ -1,17 +1,37 @@
-"""JSON (de)serialization for run specs and results.
+"""One field-driven JSON codec for every experiment spec and result.
 
-The parallel sweep runner (:mod:`repro.experiments.runner`) persists every
-completed run as one two-line JSON file (see ``ResultCache``) under its
-cache directory, keyed by a stable content hash of the spec.  That
-requires :class:`RunSpec` and :class:`RunResult` -- including the
-polymorphic manager configs, fault plans, the full
-:class:`MetricsRecorder` event log, :class:`BudgetAudit` and
-:class:`NetworkStats` -- to round-trip losslessly through JSON.
+The sweep runner (:mod:`repro.experiments.runner`) keys its cache by a
+content hash of each spec and persists every finished run (see
+``ResultCache``), so every spec and result type must round-trip
+losslessly through JSON.  Instead of a hand-written codec per type,
+:func:`encode` and :func:`decode` derive one from the dataclass itself:
+the first use of a class compiles a plan from :func:`dataclasses.fields`
+and :func:`typing.get_type_hints`, and later calls reuse it.  The field
+type decides the JSON shape:
 
-Python floats survive a JSON round-trip exactly (``json`` emits the
-shortest repr that parses back to the same float), so a decoded result
-re-serializes to byte-identical canonical JSON -- the property the
-determinism tests pin down.
+* tuples and lists become lists (and tuples again on decode);
+* ``Optional[X]`` maps ``None`` to ``null``;
+* ``Dict[int, X]`` keys become strings (JSON object keys are strings)
+  and come back as ints;
+* nested dataclasses become objects;
+* ``np.ndarray`` becomes a list of floats;
+* scalars and ``Any`` pass through unchanged.
+
+A field declared with ``metadata={"omit_default": True}`` is left out
+while it equals its default.  Fields added after results were first
+cached use it, so older specs keep their canonical JSON and cache keys.
+
+Four types keep a hand-written leaf codec:
+
+* :class:`MetricsRecorder`: its event rows stay undecoded until first
+  use (see :func:`split_rows`/:func:`join_rows`);
+* :class:`FaultPlan` decodes through its validating builder methods,
+  since ``repro fuzz --replay`` reads plans from outside the program;
+* :class:`NetworkStats` decodes the legacy merged ``dropped_dead`` key;
+* :class:`ManagerConfig` is polymorphic, tagged ``{"type", "fields"}``.
+
+Python floats survive a JSON round-trip exactly, so a decoded result
+re-encodes to byte-identical canonical JSON.
 """
 
 from __future__ import annotations
@@ -19,34 +39,24 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
-from typing import Any, Dict, Type
+import types
+import typing
+from typing import Any, Callable, Dict, Optional, Tuple, Type, TypeVar, Union
+
+import numpy as np
 
 from repro.cluster.faults import FaultPlan
 from repro.core.config import PenelopeConfig
-from repro.experiments.harness import RunResult, RunSpec
-from repro.experiments.journal import TaskFailure
 from repro.instrumentation import ROW_TYPES, MetricsRecorder
-from repro.managers.base import BudgetAudit, ManagerConfig
+from repro.managers.base import ManagerConfig
 from repro.managers.slurm import SlurmConfig
 from repro.managers.slurm_ha import HaSlurmConfig
-from repro.membership.messages import (
-    MembershipAck,
-    MembershipGossip,
-    MembershipPing,
-    MembershipPingReq,
-)
-from repro.net.messages import (
-    Addr,
-    ExcessReport,
-    GrantAck,
-    MembershipUpdate,
-    Message,
-    PowerGrant,
-    PowerRequest,
-    ReleaseDirective,
-)
 from repro.net.network import NetworkStats
+
+T = TypeVar("T")
+
+#: A compiled field codec; ``None`` stands for the identity.
+Codec = Optional[Callable[[Any], Any]]
 
 #: Every concrete manager-config class the harness can carry.  Order is
 #: irrelevant; lookups go through the class name stored in the JSON.
@@ -55,25 +65,8 @@ CONFIG_TYPES: Dict[str, Type[ManagerConfig]] = {
     for cls in (ManagerConfig, PenelopeConfig, SlurmConfig, HaSlurmConfig)
 }
 
-#: Every wire message type, keyed by class name (= ``Message.kind``).
-#: The whole-program lint rule R9 checks this table against the message
-#: classes declared in ``net/messages.py`` / ``membership/messages.py``:
-#: a type missing here cannot cross a process boundary in the ROADMAP's
-#: real-substrate and federated modes.
-MESSAGE_TYPES: Dict[str, Type[Message]] = {
-    cls.__name__: cls
-    for cls in (
-        PowerRequest,
-        PowerGrant,
-        GrantAck,
-        ExcessReport,
-        ReleaseDirective,
-        MembershipPing,
-        MembershipPingReq,
-        MembershipAck,
-        MembershipGossip,
-    )
-}
+_SCALARS = (int, float, str, bool, type(None))
+_UNIONS = (Union, types.UnionType)
 
 
 def canonical_json(obj: Any) -> str:
@@ -90,152 +83,224 @@ def sha256_of(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-# -- manager configs ---------------------------------------------------------
+# -- the codec -----------------------------------------------------------------
+
+_ENCODERS: Dict[Type[Any], Callable[[Any], Any]] = {}
+_DECODERS: Dict[Any, Callable[[Any], Any]] = {}
+
+#: Marks a field that is always emitted (no ``omit_default`` metadata).
+_KEEP = object()
 
 
-def config_to_dict(config: ManagerConfig) -> Dict[str, Any]:
+def encode(obj: Any) -> Any:
+    """The JSON-safe form of ``obj``, chosen by its runtime type."""
+    cls = type(obj)
+    try:
+        encoder = _ENCODERS[cls]
+    except KeyError:
+        encoder = _ENCODERS[cls] = _type_encoder(cls)
+    return encoder(obj)
+
+
+def decode(cls: Type[T], data: Any) -> T:
+    """Inverse of :func:`encode`: rebuild a ``cls`` from its JSON form.
+
+    ``cls`` may also be any type hint a field can carry (``Optional[X]``,
+    ``List[X]``, ...).  Keys missing from ``data`` take field defaults.
+    """
+    try:
+        decoder = _DECODERS[cls]
+    except KeyError:
+        decoder = _DECODERS[cls] = _hint_decoder(cls) or _identity
+    result: T = decoder(data)
+    return result
+
+
+def _identity(value: Any) -> Any:
+    return value
+
+
+def _leaf(cls: Type[Any], table: Dict[Type[Any], Callable[[Any], Any]]) -> Codec:
+    for base, codec in table.items():
+        if issubclass(cls, base):
+            return codec
+    return None
+
+
+def _type_encoder(cls: Type[Any]) -> Callable[[Any], Any]:
+    leaf = _leaf(cls, _LEAF_ENCODERS)
+    if leaf is not None:
+        return leaf
+    if dataclasses.is_dataclass(cls):
+        return _dataclass_encoder(cls)
+    if issubclass(cls, np.ndarray):
+        return np.ndarray.tolist
+    return _identity
+
+
+def _omitted_default(f: "dataclasses.Field[Any]") -> Any:
+    """The value ``f`` is left out at, or ``_KEEP``."""
+    if not f.metadata.get("omit_default"):
+        return _KEEP
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return f.default
+
+
+def _dataclass_encoder(cls: Any) -> Callable[[Any], Dict[str, Any]]:
+    hints = typing.get_type_hints(cls)
+    plan = [
+        (f.name, _hint_encoder(hints[f.name]), _omitted_default(f))
+        for f in dataclasses.fields(cls)
+    ]
+
+    def encode_fields(obj: Any) -> Dict[str, Any]:
+        out: Dict[str, Any] = {}
+        for name, codec, default in plan:
+            value = getattr(obj, name)
+            if default is not _KEEP and value == default:
+                continue
+            out[name] = value if codec is None else codec(value)
+        return out
+
+    return encode_fields
+
+
+def _dataclass_decoder(cls: Any) -> Callable[[Dict[str, Any]], Any]:
+    hints = typing.get_type_hints(cls)
+    plan = [
+        (f.name, _hint_decoder(hints[f.name]))
+        for f in dataclasses.fields(cls)
+        if f.init
+    ]
+
+    def decode_fields(data: Dict[str, Any]) -> Any:
+        kwargs: Dict[str, Any] = {}
+        for name, codec in plan:
+            if name in data:
+                value = data[name]
+                kwargs[name] = value if codec is None else codec(value)
+        return cls(**kwargs)
+
+    return decode_fields
+
+
+def _hint_encoder(hint: Any) -> Codec:
+    if hint is Any or hint in _SCALARS:
+        return None
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in _UNIONS:
+        inner = _optional_inner(args, _hint_encoder)
+        if inner is None:
+            return None
+        return lambda value: None if value is None else inner(value)
+    if origin is tuple and args and args[-1] is not Ellipsis:
+        codecs = [_hint_encoder(arg) for arg in args]
+        if not any(codecs):
+            return list
+        return lambda value: [
+            item if codec is None else codec(item)
+            for codec, item in zip(codecs, value)
+        ]
+    if origin in (tuple, list):
+        item_codec = _hint_encoder(args[0]) if args else None
+        if item_codec is None:
+            return list
+        return lambda value: [item_codec(item) for item in value]
+    if origin is dict:
+        key: Callable[[Any], Any] = str if args[0] is int else _identity
+        value_codec = _hint_encoder(args[1])
+        if key is _identity and value_codec is None:
+            return dict
+        return lambda value: {
+            key(k): v if value_codec is None else value_codec(v)
+            for k, v in value.items()
+        }
+    return encode
+
+
+def _hint_decoder(hint: Any) -> Codec:
+    if hint is Any or hint in _SCALARS:
+        return None
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in _UNIONS:
+        inner = _optional_inner(args, _hint_decoder)
+        if inner is None:
+            return None
+        return lambda data: None if data is None else inner(data)
+    if origin is tuple and args and args[-1] is not Ellipsis:
+        codecs = [_hint_decoder(arg) for arg in args]
+        if not any(codecs):
+            return tuple
+        return lambda data: tuple(
+            item if codec is None else codec(item)
+            for codec, item in zip(codecs, data)
+        )
+    if origin in (tuple, list):
+        item_codec = _hint_decoder(args[0]) if args else None
+        collect: Callable[[Any], Any] = tuple if origin is tuple else list
+        if item_codec is None:
+            return collect
+        return lambda data: collect(item_codec(item) for item in data)
+    if origin is dict:
+        key: Callable[[Any], Any] = int if args[0] is int else _identity
+        value_codec = _hint_decoder(args[1])
+        if key is _identity and value_codec is None:
+            return dict
+        return lambda data: {
+            key(k): v if value_codec is None else value_codec(v)
+            for k, v in data.items()
+        }
+    if not isinstance(hint, type):
+        return None
+    leaf = _leaf(hint, _LEAF_DECODERS)
+    if leaf is not None:
+        return leaf
+    if dataclasses.is_dataclass(hint):
+        return _dataclass_decoder(hint)
+    if issubclass(hint, np.ndarray):
+        return np.array
+    return None
+
+
+def _optional_inner(
+    args: Tuple[Any, ...], compile_hint: Callable[[Any], Codec]
+) -> Codec:
+    rest = [arg for arg in args if arg is not type(None)]
+    if len(rest) != 1:
+        raise TypeError(f"no codec for a union of {rest!r}")
+    return compile_hint(rest[0])
+
+
+# -- leaf codecs ---------------------------------------------------------------
+
+
+def _encode_config(config: ManagerConfig) -> Dict[str, Any]:
     name = type(config).__name__
-    if name not in CONFIG_TYPES:
+    if CONFIG_TYPES.get(name) is not type(config):
         raise TypeError(f"unregistered manager config type {name!r}")
-    fields = {}
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        fields[f.name] = value
-    return {"type": name, "fields": fields}
+    return {"type": name, "fields": _config_fields[name][0](config)}
 
 
-def config_from_dict(data: Dict[str, Any]) -> ManagerConfig:
-    cls = CONFIG_TYPES[data["type"]]
-    kwargs = {
-        # Tuple-typed config fields (the service-time ranges) come back
-        # from JSON as lists; every other field is a scalar or None.
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in data["fields"].items()
-    }
-    return cls(**kwargs)
+def _decode_config(data: Dict[str, Any]) -> ManagerConfig:
+    config: ManagerConfig = _config_fields[data["type"]][1](data["fields"])
+    return config
 
 
-# -- wire messages -----------------------------------------------------------
+_config_fields = {
+    name: (_dataclass_encoder(cls), _dataclass_decoder(cls))
+    for name, cls in CONFIG_TYPES.items()
+}
 
 
-def message_to_dict(message: Message) -> Dict[str, Any]:
-    """Encode any registered wire message as a JSON-safe dict.
-
-    ``Addr`` endpoints flatten to ``[node, port]`` pairs and piggybacked
-    gossip to ``[node, status, incarnation]`` rows.  The unstamped
-    ``send_time`` sentinel (``nan``) becomes ``null`` -- ``NaN`` is not
-    valid strict JSON, and :func:`canonical_json` output must parse
-    everywhere.
-    """
-    name = type(message).__name__
-    if name not in MESSAGE_TYPES:
-        raise TypeError(f"unregistered message type {name!r}")
-    payload: Dict[str, Any] = {}
-    for f in dataclasses.fields(message):
-        value: Any = getattr(message, f.name)
-        if f.name in ("src", "dst"):
-            value = [value.node, value.port]
-        elif f.name == "gossip":
-            value = [[u.node, u.status, u.incarnation] for u in value]
-        elif f.name == "send_time" and math.isnan(value):
-            value = None
-        payload[f.name] = value
-    return {"type": name, "fields": payload}
-
-
-def message_from_dict(data: Dict[str, Any]) -> Message:
-    """Decode :func:`message_to_dict` output back into its message type.
-
-    The original ``msg_id`` is preserved (request/reply correlation must
-    survive the process boundary), so decoding never draws from the
-    local message-id counter.
-    """
-    cls = MESSAGE_TYPES[data["type"]]
-    kwargs = dict(data["fields"])
-    kwargs["src"] = Addr(int(kwargs["src"][0]), str(kwargs["src"][1]))
-    kwargs["dst"] = Addr(int(kwargs["dst"][0]), str(kwargs["dst"][1]))
-    kwargs["gossip"] = tuple(
-        MembershipUpdate(int(node), str(status), int(incarnation))
-        for node, status, incarnation in kwargs["gossip"]
-    )
-    if kwargs["send_time"] is None:
-        kwargs["send_time"] = float("nan")
-    return cls(**kwargs)
-
-
-# -- fault plans -------------------------------------------------------------
-
-
-def fault_plan_to_dict(plan: FaultPlan) -> Dict[str, Any]:
-    return {
-        "node_kills": [[node_id, at] for node_id, at in plan.node_kills],
-        "partitions": [
-            [list(isolated), at, heal] for isolated, at, heal in plan.partitions
-        ],
-        "restarts": [[node_id, at] for node_id, at in plan.restarts],
-        "flaps": [
-            [list(isolated), at, down, up, cycles]
-            for isolated, at, down, up, cycles in plan.flaps
-        ],
-        "loss_bursts": [
-            [probability, at, duration]
-            for probability, at, duration in plan.loss_bursts
-        ],
-        # Adversarial categories postdate the codec: emitted only when
-        # present so older plans' canonical JSON (and the sha256 cache
-        # keys derived from it) is unchanged.
-        **(
-            {
-                "duplicate_bursts": [
-                    [probability, at, duration]
-                    for probability, at, duration in plan.duplicate_bursts
-                ]
-            }
-            if plan.duplicate_bursts
-            else {}
-        ),
-        **(
-            {
-                "reorder_bursts": [
-                    [window, at, duration]
-                    for window, at, duration in plan.reorder_bursts
-                ]
-            }
-            if plan.reorder_bursts
-            else {}
-        ),
-        **(
-            {
-                "clock_drifts": [
-                    [node_id, rate, at] for node_id, rate, at in plan.clock_drifts
-                ]
-            }
-            if plan.clock_drifts
-            else {}
-        ),
-        **(
-            {
-                "slow_nodes": [
-                    [node_id, factor, at, duration]
-                    for node_id, factor, at, duration in plan.slow_nodes
-                ]
-            }
-            if plan.slow_nodes
-            else {}
-        ),
-    }
-
-
-def fault_plan_from_dict(data: Dict[str, Any]) -> FaultPlan:
+def _decode_fault_plan(data: Dict[str, Any]) -> FaultPlan:
+    # Through the builders, so a hand-written repro file is validated;
+    # absent categories (plans cached before they existed) stay empty.
     plan = FaultPlan()
-    for node_id, at in data["node_kills"]:
+    for node_id, at in data.get("node_kills", []):
         plan.kill(int(node_id), at)
-    for isolated, at, heal in data["partitions"]:
+    for isolated, at, heal in data.get("partitions", []):
         plan.partition([int(i) for i in isolated], at, heal)
-    # The churn categories postdate the original codec; absent keys mean
-    # an older plan without them.
     for node_id, at in data.get("restarts", []):
         plan.restart(int(node_id), at)
     for isolated, at, down, up, cycles in data.get("flaps", []):
@@ -253,63 +318,26 @@ def fault_plan_from_dict(data: Dict[str, Any]) -> FaultPlan:
     return plan
 
 
-# -- run specs ---------------------------------------------------------------
+def _decode_network_stats(data: Dict[str, Any]) -> NetworkStats:
+    if "dropped_dead_src" not in data:
+        # Legacy cache files predate the send-time/arrival-time split and
+        # carry only the merged counter; the breakdown is unrecoverable, so
+        # attribute it to the send side -- ``dropped`` and ``dropped_dead``
+        # aggregates stay exact either way.
+        data = {**data, "dropped_dead_src": data["dropped_dead"]}
+    stats: NetworkStats = _network_stats_fields(data)
+    return stats
 
 
-def spec_to_dict(spec: RunSpec) -> Dict[str, Any]:
-    return {
-        "manager": spec.manager,
-        "pair": list(spec.pair),
-        "cap_w_per_socket": spec.cap_w_per_socket,
-        "n_clients": spec.n_clients,
-        "seed": spec.seed,
-        "workload_scale": spec.workload_scale,
-        "manager_config": (
-            config_to_dict(spec.manager_config)
-            if spec.manager_config is not None
-            else None
-        ),
-        "fault_plan": (
-            fault_plan_to_dict(spec.fault_plan)
-            if spec.fault_plan is not None
-            else None
-        ),
-        "record_caps": spec.record_caps,
-        "time_limit_s": spec.time_limit_s,
-    }
+_network_stats_fields = _dataclass_decoder(NetworkStats)
 
-
-def spec_from_dict(data: Dict[str, Any]) -> RunSpec:
-    return RunSpec(
-        manager=data["manager"],
-        pair=tuple(data["pair"]),
-        cap_w_per_socket=data["cap_w_per_socket"],
-        n_clients=data["n_clients"],
-        seed=data["seed"],
-        workload_scale=data["workload_scale"],
-        manager_config=(
-            config_from_dict(data["manager_config"])
-            if data["manager_config"] is not None
-            else None
-        ),
-        fault_plan=(
-            fault_plan_from_dict(data["fault_plan"])
-            if data["fault_plan"] is not None
-            else None
-        ),
-        record_caps=data["record_caps"],
-        time_limit_s=data["time_limit_s"],
-    )
-
-
-# -- metrics recorder --------------------------------------------------------
 
 # Events are stored as flat rows (lists) rather than objects: a paper-sized
 # run records tens of thousands of them, and the field names would dominate
 # the file size.  The rows are decoded lazily (see ``MetricsRecorder``).
 
 
-def recorder_to_dict(recorder: MetricsRecorder) -> Dict[str, Any]:
+def _encode_recorder(recorder: MetricsRecorder) -> Dict[str, Any]:
     return {
         "record_caps": recorder._record_caps,
         **recorder.row_tables(),
@@ -317,13 +345,9 @@ def recorder_to_dict(recorder: MetricsRecorder) -> Dict[str, Any]:
     }
 
 
-def recorder_from_dict(data: Dict[str, Any]) -> MetricsRecorder:
-    """Decode a recorder; its row tables stay undecoded until first use.
-
-    The rows are either inline (``recorder_to_dict`` output, e.g. a
-    journal record) or, from a cache file, the verified body's unparsed
-    JSON under ``"rows"`` (see :func:`join_rows`).
-    """
+def _decode_recorder(data: Dict[str, Any]) -> MetricsRecorder:
+    # The rows are either inline (e.g. a journal record) or, from a cache
+    # file, the verified body's unparsed JSON under "rows" (see join_rows).
     return MetricsRecorder.from_rows(
         record_caps=data["record_caps"],
         counters={str(k): int(v) for k, v in data["counters"].items()},
@@ -331,12 +355,27 @@ def recorder_from_dict(data: Dict[str, Any]) -> MetricsRecorder:
     )
 
 
+_LEAF_ENCODERS: Dict[Type[Any], Callable[[Any], Any]] = {
+    ManagerConfig: _encode_config,
+    MetricsRecorder: _encode_recorder,
+}
+_LEAF_DECODERS: Dict[Type[Any], Callable[[Any], Any]] = {
+    ManagerConfig: _decode_config,
+    MetricsRecorder: _decode_recorder,
+    FaultPlan: _decode_fault_plan,
+    NetworkStats: _decode_network_stats,
+}
+
+#: Called by name from ``bench/`` (the kernel-10k digest).
+network_stats_to_dict = encode
+
+
 def split_rows(result: Dict[str, Any]) -> str:
     """Move the row tables of ``result``'s top-level recorder into a body.
 
-    ``result`` is a ``result_to_dict`` output; its ``"recorder"`` loses
-    its row tables, returned as canonical JSON.  A result without a
-    recorder has the empty body.
+    ``result`` is an encoded result; its ``"recorder"`` loses its row
+    tables, returned as canonical JSON.  A result without a recorder has
+    the empty body.
     """
     recorder = result.get("recorder")
     if recorder is None:
@@ -353,136 +392,3 @@ def join_rows(result: Dict[str, Any], body: str) -> Dict[str, Any]:
     else:
         recorder["rows"] = body
     return result
-
-
-# -- audits and network stats ------------------------------------------------
-
-
-def audit_to_dict(audit: BudgetAudit) -> Dict[str, Any]:
-    return {
-        "budget_w": audit.budget_w,
-        "caps_w": audit.caps_w,
-        "pooled_w": audit.pooled_w,
-        "in_flight_w": audit.in_flight_w,
-        "lost_w": audit.lost_w,
-        "unsafe_caps": list(audit.unsafe_caps),
-    }
-
-
-def audit_from_dict(data: Dict[str, Any]) -> BudgetAudit:
-    return BudgetAudit(
-        budget_w=data["budget_w"],
-        caps_w=data["caps_w"],
-        pooled_w=data["pooled_w"],
-        in_flight_w=data["in_flight_w"],
-        lost_w=data["lost_w"],
-        unsafe_caps=[int(n) for n in data["unsafe_caps"]],
-    )
-
-
-def network_stats_to_dict(stats: NetworkStats) -> Dict[str, Any]:
-    data = dataclasses.asdict(stats)
-    data["by_kind"] = dict(stats.by_kind)
-    # The adversarial-fault counters postdate the pinned fixtures and the
-    # cache-key hashes; emit them only when the faults actually fired so
-    # default runs keep producing byte-identical JSON.
-    for key in ("duplicated", "reordered", "duplicated_by_kind", "reordered_by_kind"):
-        if not data[key]:
-            del data[key]
-    return data
-
-
-def network_stats_from_dict(data: Dict[str, Any]) -> NetworkStats:
-    if "dropped_dead_src" in data:
-        dead_src = data["dropped_dead_src"]
-        dead_dst = data["dropped_dead_dst"]
-    else:
-        # Legacy cache files predate the send-time/arrival-time split and
-        # carry only the merged counter; the breakdown is unrecoverable, so
-        # attribute it to the send side -- ``dropped`` and ``dropped_dead``
-        # aggregates stay exact either way.
-        dead_src = data["dropped_dead"]
-        dead_dst = 0
-    return NetworkStats(
-        sent=data["sent"],
-        delivered=data["delivered"],
-        dropped_dead_src=dead_src,
-        dropped_dead_dst=dead_dst,
-        dropped_partition=data["dropped_partition"],
-        dropped_overflow=data["dropped_overflow"],
-        dropped_unattached=data["dropped_unattached"],
-        dropped_loss=data["dropped_loss"],
-        duplicated=int(data.get("duplicated", 0)),
-        reordered=int(data.get("reordered", 0)),
-        by_kind={str(k): int(v) for k, v in data["by_kind"].items()},
-        duplicated_by_kind={
-            str(k): int(v) for k, v in data.get("duplicated_by_kind", {}).items()
-        },
-        reordered_by_kind={
-            str(k): int(v) for k, v in data.get("reordered_by_kind", {}).items()
-        },
-    )
-
-
-# -- sweep failure records ---------------------------------------------------
-
-# The record type itself lives in ``repro.experiments.journal`` (kept
-# stdlib-only so journal replay never depends on the simulation stack);
-# this is its strict-checked wire codec, shaped like every other
-# ``*_to_dict``/``*_from_dict`` pair here.
-
-
-def task_failure_to_dict(failure: TaskFailure) -> Dict[str, Any]:
-    """Encode a quarantined-spec record as a JSON-safe dict."""
-    return {
-        "kind": failure.kind,
-        "fingerprint": failure.fingerprint,
-        "index": failure.index,
-        "reason": failure.reason,
-        "error_type": failure.error_type,
-        "message": failure.message,
-        "attempts": failure.attempts,
-    }
-
-
-def task_failure_from_dict(data: Dict[str, Any]) -> TaskFailure:
-    """Decode :func:`task_failure_to_dict` output."""
-    return TaskFailure(
-        kind=str(data["kind"]),
-        fingerprint=str(data["fingerprint"]),
-        index=int(data["index"]),
-        reason=str(data["reason"]),
-        error_type=str(data["error_type"]),
-        message=str(data["message"]),
-        attempts=int(data["attempts"]),
-    )
-
-
-# -- run results -------------------------------------------------------------
-
-
-def result_to_dict(result: RunResult) -> Dict[str, Any]:
-    return {
-        "spec": spec_to_dict(result.spec),
-        "runtime_s": result.runtime_s,
-        "recorder": recorder_to_dict(result.recorder),
-        "audit": audit_to_dict(result.audit),
-        "network": network_stats_to_dict(result.network),
-        # JSON objects only take string keys; node ids go back to int on load.
-        "finish_times": {
-            str(node): at for node, at in sorted(result.finish_times.items())
-        },
-        "unfinished": list(result.unfinished),
-    }
-
-
-def result_from_dict(data: Dict[str, Any]) -> RunResult:
-    return RunResult(
-        spec=spec_from_dict(data["spec"]),
-        runtime_s=data["runtime_s"],
-        recorder=recorder_from_dict(data["recorder"]),
-        audit=audit_from_dict(data["audit"]),
-        network=network_stats_from_dict(data["network"]),
-        finish_times={int(node): at for node, at in data["finish_times"].items()},
-        unfinished=tuple(int(n) for n in data["unfinished"]),
-    )

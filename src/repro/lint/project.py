@@ -10,9 +10,8 @@ the project rules (R8-R10) check:
   runtime coupling, so the layering rule exempts them);
 * the **message protocol surface** -- every message dataclass defined
   in a ``messages.py`` module, every construction (send-side evidence),
-  every ``isinstance``/``match`` dispatch (handle-side evidence),
-  every ``.kind ==`` string dispatch, and the codec registry parsed
-  out of ``serialize.py``'s ``MESSAGE_TYPES`` table;
+  every ``isinstance``/``match`` dispatch (handle-side evidence) and
+  every ``.kind ==`` string dispatch;
 * the **RNG stream table** -- every ``.stream(...)`` draw site with its
   name template normalized (f-string interpolations become ``{}``,
   names resolve through module-level string constants), plus the
@@ -30,9 +29,6 @@ import re
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.context import FileContext
-
-#: Name of the codec table R9 reads out of ``serialize.py``.
-CODEC_TABLE_NAME = "MESSAGE_TYPES"
 
 #: Name of the stream manifest R10 reads out of ``sim/streams.py``.
 STREAM_TABLE_NAME = "STREAM_TABLE"
@@ -224,9 +220,6 @@ class ProjectContext:
         self.construction_sites: Dict[str, List[Site]] = {}
         self.handling_sites: Dict[str, List[Site]] = {}
         self.kind_literal_sites: List[Tuple[Site, str]] = []
-        #: Class names listed in a ``MESSAGE_TYPES`` codec table, or
-        #: ``None`` when no codec module was part of the scan.
-        self.codec_names: Optional[Set[str]] = None
         # -- stream graph --------------------------------------------------
         self.stream_draws: List[StreamDraw] = []
         #: Manifest rows, or ``None`` when no stream table was scanned.
@@ -235,7 +228,6 @@ class ProjectContext:
         self._collect_import_edges()
         self._collect_message_classes()
         self._collect_protocol_sites()
-        self._collect_codec_names()
         self._collect_stream_facts()
 
     # -- import graph -------------------------------------------------------
@@ -341,13 +333,11 @@ class ProjectContext:
 
     def _collect_protocol_sites(self) -> None:
         for ctx in self.files.values():
-            in_codec = ctx.display_path.endswith("serialize.py")
             for node in ast.walk(ctx.tree):
                 if isinstance(node, ast.Call):
                     name = self._resolve_message_name(ctx, node.func)
                     if (
                         name is not None
-                        and not in_codec
                         and ctx.display_path != self.message_classes[name].path
                     ):
                         self.construction_sites.setdefault(name, []).append(
@@ -408,69 +398,6 @@ class ProjectContext:
                         self.handling_sites.setdefault(literal.value, []).append(
                             Site(ctx.display_path, literal.lineno, literal)
                         )
-
-    def _collect_codec_names(self) -> None:
-        for ctx in self.files.values():
-            if not ctx.display_path.endswith("serialize.py"):
-                continue
-            # A scanned codec module makes the codec check live even
-            # before the table exists -- an empty surface is itself the
-            # finding (every wire type is then uncovered).
-            if self.codec_names is None:
-                self.codec_names = set()
-            for node in ctx.tree.body:
-                names = self._codec_assignment_names(ctx, node)
-                if names is not None:
-                    self.codec_names.update(names)
-
-    @staticmethod
-    def _codec_assignment_names(
-        ctx: FileContext, node: ast.stmt
-    ) -> Optional[Set[str]]:
-        """Class names in a ``MESSAGE_TYPES = ...`` table, if this is one.
-
-        Accepts the two registry idioms used in the codebase: a dict
-        comprehension over a tuple of classes (``{cls.__name__: cls for
-        cls in (A, B)}``) and a literal dict (``{"A": A}``).
-        """
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            if not any(
-                isinstance(t, ast.Name) and t.id == CODEC_TABLE_NAME
-                for t in node.targets
-            ):
-                return None
-            value = node.value
-        elif isinstance(node, ast.AnnAssign):
-            if not (
-                isinstance(node.target, ast.Name)
-                and node.target.id == CODEC_TABLE_NAME
-            ):
-                return None
-            value = node.value
-        if value is None:
-            return None
-        names: Set[str] = set()
-        if isinstance(value, ast.DictComp):
-            for generator in value.generators:
-                source = generator.iter
-                elements = (
-                    list(source.elts)
-                    if isinstance(source, (ast.Tuple, ast.List))
-                    else []
-                )
-                for element in elements:
-                    if isinstance(element, ast.Name):
-                        names.add(element.id)
-                    elif isinstance(element, ast.Attribute):
-                        names.add(element.attr)
-        elif isinstance(value, ast.Dict):
-            for key in value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    names.add(key.value)
-        return names
-
-    # -- stream graph --------------------------------------------------------
 
     def _collect_stream_facts(self) -> None:
         for ctx in self.files.values():

@@ -2,12 +2,10 @@
 
 The message surface is convention-heavy: dataclasses in
 ``net/messages.py`` / ``membership/messages.py``, ``Network.send`` on
-one side, ``isinstance`` dispatch in inbox loops and datagram handlers
-on the other, and the JSON codec table in ``experiments/serialize.py``
-for anything that must cross a process boundary (the ROADMAP's
-real-substrate and federated modes).  Nothing ties the three surfaces
-together at runtime -- a type that is sent but never handled simply
-vanishes into ``dropped_unattached`` counters at 2 a.m.
+one side, and ``isinstance`` dispatch in inbox loops and datagram
+handlers on the other.  Nothing ties the two surfaces together at
+runtime -- a type that is sent but never handled simply vanishes into
+``dropped_unattached`` counters at 2 a.m.
 
 Cross-file checks (anchors chosen so inline suppressions land where the
 decision is made):
@@ -17,9 +15,6 @@ decision is made):
   site.
 * **handled-but-never-constructed** -- dead dispatch arms; flagged at
   every ``isinstance``/``match`` site of the orphaned type.
-* **missing codec** -- a message class absent from the
-  ``MESSAGE_TYPES`` codec table; flagged at the class definition.
-  Skipped when no codec module is part of the scan (partial trees).
 * **unknown kind literal** -- ``message.kind == "Typo"`` string
   dispatch on a name no registered message type carries; flagged at
   the literal.
@@ -27,7 +22,6 @@ decision is made):
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.lint.findings import Finding
@@ -41,24 +35,21 @@ class ProtocolConformanceRule(Rule):
     name = "protocol-conformance"
     summary = (
         "every message type sent has a handler, every handler a sender, "
-        "every type a codec entry, every kind-literal a registered type"
+        "every kind-literal a registered type"
     )
     invariant = (
-        "closed protocol surface: the send sites, dispatch sites and "
-        "codec table agree on exactly the same set of message types, so "
-        "no message can silently vanish or arrive undecodable"
+        "closed protocol surface: the send sites and dispatch sites agree "
+        "on exactly the same set of message types, so no message can "
+        "silently vanish"
     )
     scope = ()
     requires_project = True
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         classes = {
-            name: cls
-            for name, cls in project.message_classes.items()
-            if not cls.base
+            name for name, cls in project.message_classes.items() if not cls.base
         }
         for name in sorted(classes):
-            cls = classes[name]
             constructed = project.construction_sites.get(name, ())
             handled = project.handling_sites.get(name, ())
             if constructed and not handled:
@@ -79,16 +70,6 @@ class ProtocolConformanceRule(Rule):
                         "constructed anywhere in the scanned tree (dead "
                         "handler arm)",
                     )
-            if project.codec_names is not None and name not in project.codec_names:
-                ctx = project.files[cls.path]
-                anchor = _line_anchor(cls.line)
-                yield ctx.finding(
-                    self.rule_id,
-                    anchor,
-                    f"message type {name} has no codec entry in "
-                    "MESSAGE_TYPES (experiments/serialize.py); every "
-                    "wire message must round-trip through JSON",
-                )
         for site, literal in project.kind_literal_sites:
             cls = project.message_classes.get(literal)
             if cls is None or cls.base:
@@ -104,10 +85,3 @@ class ProtocolConformanceRule(Rule):
     ) -> Finding:
         ctx = project.files[site.path]
         return ctx.finding(self.rule_id, site.node, message)
-
-
-def _line_anchor(line: int) -> ast.AST:
-    anchor = ast.Pass()
-    anchor.lineno = line
-    anchor.col_offset = 0
-    return anchor

@@ -21,8 +21,8 @@ from __future__ import annotations
 import pathlib
 import sys
 
-from repro.experiments.chaos import ChaosSpec, chaos_result_to_dict, run_chaos_single
-from repro.experiments.serialize import canonical_json
+from repro.experiments.chaos import ChaosSpec, run_chaos_single
+from repro.experiments.serialize import canonical_json, encode
 
 FIXTURE_DIR = pathlib.Path(__file__).parent
 
@@ -43,7 +43,7 @@ CHAOS_FIXTURE_NAME = "chaos_smoke"
 
 
 def main() -> int:
-    data = chaos_result_to_dict(run_chaos_single(CHAOS_FIXTURE_SPEC))
+    data = encode(run_chaos_single(CHAOS_FIXTURE_SPEC))
     path = FIXTURE_DIR / f"{CHAOS_FIXTURE_NAME}.json"
     path.write_text(canonical_json(data) + "\n")
     print(f"wrote {path}")

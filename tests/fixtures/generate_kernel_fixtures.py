@@ -32,7 +32,7 @@ import pathlib
 import sys
 
 from repro.experiments.harness import RunSpec, run_single
-from repro.experiments.serialize import canonical_json, result_to_dict
+from repro.experiments.serialize import canonical_json, encode
 
 FIXTURE_DIR = pathlib.Path(__file__).parent
 
@@ -80,7 +80,7 @@ def _upgrade_network_dict(network: dict) -> dict:
 
 def main() -> int:
     for name, spec in FIXTURE_SPECS.items():
-        data = result_to_dict(run_single(spec))
+        data = encode(run_single(spec))
         data["network"] = _upgrade_network_dict(dict(data["network"]))
         path = FIXTURE_DIR / f"{name}.json"
         path.write_text(canonical_json(data) + "\n")

@@ -1,13 +1,13 @@
 """Send and dispatch sites exercising every R9 check."""
 
-from repro.net.messages import Ghost, Orphan, Ping, Pong, Unencoded
+from repro.net.messages import Ghost, Orphan, Ping, Pong, Raw
 
 
 def emit(network, peer):
     network.send(Ping(src=1, dst=peer))
     network.send(Pong(src=1, dst=peer))
     network.send(Orphan(src=1, dst=peer))
-    network.send(Unencoded(src=1, dst=peer))
+    network.send(Raw(src=1, dst=peer))
 
 
 def handle(message):
@@ -15,7 +15,7 @@ def handle(message):
         return "ping"
     if isinstance(message, Ghost):
         return "ghost"
-    if isinstance(message, Unencoded):
+    if isinstance(message, Raw):
         return "raw"
     if message.kind == "Pong":
         return "pong"

@@ -1,4 +1,4 @@
-"""Fixture protocol surface: live, orphaned, dead and uncoded types."""
+"""Fixture protocol surface: live, orphaned and dead types."""
 
 from dataclasses import dataclass
 
@@ -34,5 +34,5 @@ class Ghost(Message):
 
 
 @dataclass(frozen=True)
-class Unencoded(Message):
-    """Live both ways but missing from the codec table."""
+class Raw(Message):
+    """Sent and isinstance-handled: fully live."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.allocation import (
+    AllocationSpec,
     AllocationTrace,
     compare_allocation_quality,
     format_allocation,
@@ -77,7 +78,8 @@ class TestTrace:
 class TestComparison:
     def test_compare_and_format(self):
         traces = compare_allocation_quality(
-            managers=("fair", "penelope"), **FAST
+            managers=("fair", "penelope"),
+            template=AllocationSpec(manager="fair", **FAST),
         )
         text = format_allocation(traces)
         assert "fair" in text and "penelope" in text

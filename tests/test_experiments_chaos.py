@@ -16,17 +16,14 @@ from repro.core.manager import ConservationLedger
 from repro.experiments.chaos import (
     BudgetAuditor,
     ChaosSpec,
+    ChaosResult,
     build_chaos_plan,
-    chaos_result_from_dict,
-    chaos_result_to_dict,
-    chaos_spec_from_dict,
-    chaos_spec_to_dict,
     chaos_specs,
     format_chaos,
     run_chaos_single,
     run_chaos_sweep,
 )
-from repro.experiments.serialize import canonical_json
+from repro.experiments.serialize import canonical_json, decode, encode
 from repro.sim.config import SimConfig
 
 SMOKE = ChaosSpec(
@@ -231,15 +228,11 @@ class TestBudgetAuditor:
 
 class TestChaosCodecs:
     def test_spec_round_trips_through_json(self):
-        decoded = chaos_spec_from_dict(
-            json.loads(json.dumps(chaos_spec_to_dict(SMOKE)))
-        )
+        decoded = decode(ChaosSpec, json.loads(json.dumps(encode(SMOKE))))
         assert decoded == SMOKE
 
     def test_result_round_trips_through_json(self, smoke_result):
-        decoded = chaos_result_from_dict(
-            json.loads(json.dumps(chaos_result_to_dict(smoke_result)))
-        )
+        decoded = decode(ChaosResult, json.loads(json.dumps(encode(smoke_result))))
         assert decoded.spec == smoke_result.spec
         assert decoded.schedule == smoke_result.schedule
         assert decoded.n_audits == smoke_result.n_audits
@@ -270,9 +263,7 @@ class TestPinnedChaosDeterminism:
         spec_module.loader.exec_module(module)
         assert module.CHAOS_FIXTURE_SPEC == SMOKE
         expected = (fixtures / f"{module.CHAOS_FIXTURE_NAME}.json").read_text()
-        data = chaos_result_to_dict(
-            run_chaos_single(SMOKE, sim=SimConfig(batched_ticks=False))
-        )
+        data = encode(run_chaos_single(SMOKE, sim=SimConfig(batched_ticks=False)))
         assert canonical_json(data) + "\n" == expected
 
 
@@ -341,8 +332,8 @@ class TestDetectorMetrics:
         assert without.partitions == []
 
     def test_detector_report_round_trips_through_json(self, membership_result):
-        decoded = chaos_result_from_dict(
-            json.loads(json.dumps(chaos_result_to_dict(membership_result)))
+        decoded = decode(
+            ChaosResult, json.loads(json.dumps(encode(membership_result)))
         )
         assert decoded.detector == membership_result.detector
         assert decoded.final == membership_result.final

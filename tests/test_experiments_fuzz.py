@@ -104,7 +104,7 @@ class TestSampling:
 
 class TestPlanAtoms:
     def _plan_dict(self, spec):
-        return serialize.fault_plan_to_dict(build_chaos_plan(spec))
+        return serialize.encode(build_chaos_plan(spec))
 
     def test_atoms_enumerate_every_fault(self):
         plan = self._plan_dict(

@@ -24,9 +24,8 @@ from repro.experiments.invariants import (
     default_invariants,
     get_invariant,
     register_invariant,
-    violation_from_dict,
-    violation_to_dict,
 )
+from repro.experiments.serialize import decode, encode
 
 STORM = ChaosSpec(
     n_clients=4,
@@ -75,14 +74,13 @@ class TestViolationCodec:
             message="pool 1 grant 7 double settle",
             context={"node": 1, "grant_id": 7, "requester": 2},
         )
-        decoded = violation_from_dict(
-            json.loads(json.dumps(violation_to_dict(violation)))
-        )
+        decoded = decode(InvariantViolation, json.loads(json.dumps(encode(violation))))
         assert decoded == violation
 
     def test_context_defaults_to_empty(self):
-        decoded = violation_from_dict(
-            {"invariant": "clock-monotone", "time": 1.0, "message": "m"}
+        decoded = decode(
+            InvariantViolation,
+            {"invariant": "clock-monotone", "time": 1.0, "message": "m"},
         )
         assert decoded.context == {}
 
@@ -203,10 +201,7 @@ class TestLiveRuns:
         assert cause.violation.invariant == "selftest-node-death"
 
     def test_violations_survive_the_result_codec(self):
-        from repro.experiments.chaos import (
-            chaos_result_from_dict,
-            chaos_result_to_dict,
-        )
+        from repro.experiments.chaos import ChaosResult
 
         result = run_chaos_single(
             STORM,
@@ -214,13 +209,9 @@ class TestLiveRuns:
             fail_fast=False,
         )
         assert result.violations
-        decoded = chaos_result_from_dict(
-            json.loads(json.dumps(chaos_result_to_dict(result)))
-        )
+        decoded = decode(ChaosResult, json.loads(json.dumps(encode(result))))
         assert decoded.violations == result.violations
 
     def test_clean_results_serialize_without_a_violations_key(self):
-        from repro.experiments.chaos import chaos_result_to_dict
-
         result = run_chaos_single(STORM)
-        assert "violations" not in chaos_result_to_dict(result)
+        assert "violations" not in encode(result)

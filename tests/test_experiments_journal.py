@@ -49,13 +49,7 @@ def run_plain(spec: PlainSpec) -> dict:
     return {"value": spec.value, "square": spec.value * spec.value}
 
 
-PLAIN = TaskKind(
-    name="plain",
-    fn=run_plain,
-    spec_to_dict=lambda s: {"value": s.value},
-    result_to_dict=lambda r: dict(r),
-    result_from_dict=lambda d: dict(d),
-)
+PLAIN = TaskKind("plain", run_plain, PlainSpec, dict)
 
 PLAIN_SPECS = [PlainSpec(i) for i in range(3)]
 
@@ -79,13 +73,7 @@ def run_count(spec: CountSpec) -> dict:
     return {"value": spec.value}
 
 
-COUNT = TaskKind(
-    name="count",
-    fn=run_count,
-    spec_to_dict=lambda s: {"value": s.value, "dir": s.marker_dir},
-    result_to_dict=lambda r: dict(r),
-    result_from_dict=lambda d: dict(d),
-)
+COUNT = TaskKind("count", run_count, CountSpec, dict)
 
 
 def run_poisoned(spec: CountSpec) -> dict:
@@ -93,13 +81,7 @@ def run_poisoned(spec: CountSpec) -> dict:
     raise RuntimeError("poisoned spec")
 
 
-POISONED = TaskKind(
-    name="poisoned",
-    fn=run_poisoned,
-    spec_to_dict=COUNT.spec_to_dict,
-    result_to_dict=COUNT.result_to_dict,
-    result_from_dict=COUNT.result_from_dict,
-)
+POISONED = TaskKind("poisoned", run_poisoned, CountSpec, dict)
 
 
 def canonical(results) -> str:

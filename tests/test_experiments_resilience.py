@@ -65,17 +65,7 @@ def run_flaky(spec: FlakySpec) -> dict:
     return {"value": spec.value, "attempts": attempt + 1}
 
 
-FLAKY = TaskKind(
-    name="flaky",
-    fn=run_flaky,
-    spec_to_dict=lambda s: {
-        "value": s.value,
-        "fail_until": s.fail_until,
-        "dir": s.marker_dir,
-    },
-    result_to_dict=lambda r: dict(r),
-    result_from_dict=lambda d: dict(d),
-)
+FLAKY = TaskKind("flaky", run_flaky, FlakySpec, dict)
 
 
 def flaky_specs(tmp_path, fail_untils) -> list:
@@ -236,7 +226,6 @@ class TestFailureHandling:
         assert raise_on_failures([{"ok": 1}]) == [{"ok": 1}]
 
     def test_task_failure_codec_round_trip(self):
-        from repro.experiments import serialize
         from repro.experiments.journal import task_failure_to_dict
 
         failure = TaskFailure(
@@ -245,13 +234,6 @@ class TestFailureHandling:
             message="exceeded task deadline of 2s", attempts=3,
         )
         assert task_failure_from_dict(task_failure_to_dict(failure)) == failure
-        # The strict serialize-layer codec agrees with the journal's.
-        assert (
-            serialize.task_failure_from_dict(
-                serialize.task_failure_to_dict(failure)
-            )
-            == failure
-        )
 
 
 # -- harness self-chaos (the CI gate's mechanism) ----------------------------

@@ -37,7 +37,7 @@ SPECS = [
 
 def _canonical(results):
     return serialize.canonical_json(
-        [serialize.result_to_dict(result) for result in results]
+        [serialize.encode(result) for result in results]
     )
 
 
@@ -94,13 +94,7 @@ def run_echo(spec: EchoSpec) -> dict:
     return {"value": spec.value}
 
 
-ECHO = TaskKind(
-    name="echo",
-    fn=run_echo,
-    spec_to_dict=lambda s: {"value": s.value},
-    result_to_dict=lambda r: dict(r),
-    result_from_dict=lambda d: {"value": int(d["value"])},
-)
+ECHO = TaskKind("echo", run_echo, EchoSpec, dict)
 
 ECHO_SPECS = [EchoSpec(i) for i in range(5)]
 
@@ -154,13 +148,7 @@ def run_sleepy(spec: SleepSpec) -> dict:
     return {"value": spec.value}
 
 
-SLEEPY = TaskKind(
-    name="sleepy",
-    fn=run_sleepy,
-    spec_to_dict=lambda s: {"value": s.value, "seconds": s.seconds},
-    result_to_dict=lambda r: dict(r),
-    result_from_dict=lambda d: {"value": int(d["value"])},
-)
+SLEEPY = TaskKind("sleepy", run_sleepy, SleepSpec, dict)
 
 
 class TestDurationAccounting:

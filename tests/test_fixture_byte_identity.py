@@ -23,19 +23,9 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.faults import FaultPlan
-from repro.experiments.chaos import (
-    ChaosSpec,
-    chaos_result_to_dict,
-    chaos_spec_to_dict,
-    run_chaos_single,
-)
+from repro.experiments.chaos import ChaosSpec, run_chaos_single
 from repro.experiments.harness import run_single
-from repro.experiments.serialize import (
-    canonical_json,
-    fault_plan_to_dict,
-    network_stats_to_dict,
-    result_to_dict,
-)
+from repro.experiments.serialize import canonical_json, encode
 from repro.net.network import NetworkStats
 from repro.sim.config import SimConfig
 
@@ -70,14 +60,14 @@ class TestPinnedFixturesWithKnobsAtDefaults:
         module = _load_module("generate_kernel_fixtures")
         spec = module.FIXTURE_SPECS[name]
         expected = (FIXTURES / f"{name}.json").read_text()
-        data = result_to_dict(run_single(spec, sim=SimConfig(batched_ticks=False)))
+        data = encode(run_single(spec, sim=SimConfig(batched_ticks=False)))
         data["network"] = module._upgrade_network_dict(dict(data["network"]))
         assert canonical_json(data) + "\n" == expected
 
     def test_chaos_fixture_bytes(self):
         module = _load_module("generate_chaos_fixture")
         expected = (FIXTURES / f"{module.CHAOS_FIXTURE_NAME}.json").read_text()
-        data = chaos_result_to_dict(
+        data = encode(
             run_chaos_single(
                 module.CHAOS_FIXTURE_SPEC, sim=SimConfig(batched_ticks=False)
             )
@@ -137,7 +127,7 @@ class TestSerializationSurfaceAtDefaults:
     """Layer 3: no new keys leak into canonical JSON at defaults."""
 
     def test_chaos_spec_dict_omits_late_fields(self):
-        data = chaos_spec_to_dict(_QUIET)
+        data = encode(_QUIET)
         for key in (
             "duplicate_bursts",
             "reorder_bursts",
@@ -151,7 +141,7 @@ class TestSerializationSurfaceAtDefaults:
             assert key not in data
 
     def test_fault_plan_dict_omits_empty_adversarial_categories(self):
-        data = fault_plan_to_dict(FaultPlan().kill(1, 2.0).loss_burst(0.2, 1.0, 1.0))
+        data = encode(FaultPlan().kill(1, 2.0).loss_burst(0.2, 1.0, 1.0))
         assert set(data) == {
             "node_kills",
             "partitions",
@@ -161,7 +151,7 @@ class TestSerializationSurfaceAtDefaults:
         }
 
     def test_network_stats_dict_omits_zero_adversarial_counters(self):
-        data = network_stats_to_dict(NetworkStats())
+        data = encode(NetworkStats())
         for key in (
             "duplicated",
             "reordered",
@@ -173,8 +163,8 @@ class TestSerializationSurfaceAtDefaults:
     def test_non_defaults_round_trip(self):
         # The omission is emit-side only: non-default values survive.
         spec = ChaosSpec(duplicate_bursts=2, slow_factor=4.0)
-        data = chaos_spec_to_dict(spec)
+        data = encode(spec)
         assert data["duplicate_bursts"] == 2
         assert data["slow_factor"] == 4.0
         plan = FaultPlan().duplicate_burst(0.3, 1.0, 1.0)
-        assert fault_plan_to_dict(plan)["duplicate_bursts"] == [[0.3, 1.0, 1.0]]
+        assert encode(plan)["duplicate_bursts"] == [[0.3, 1.0, 1.0]]

@@ -95,7 +95,7 @@ class TestProjectMode:
         )
         report = json.loads(capsys.readouterr().out)
         assert report["rules_run"] == [f"R{n}" for n in range(1, 12) if n != 7]
-        assert report["counts"] == {"R9": 4}
+        assert report["counts"] == {"R9": 3}
         assert all(f["rule"] == "R9" for f in report["findings"])
 
     def test_rule_subset_with_project(self, capsys):

@@ -193,7 +193,6 @@ class TestR9Protocol:
             ("core/node.py", 9),  # Orphan sent, never handled
             ("core/node.py", 16),  # Ghost handled, never constructed
             ("core/node.py", 22),  # kind == "Typo"
-            ("net/messages.py", 37),  # Unencoded missing from codec
         ]
 
     def test_messages_name_the_types(self):
@@ -202,21 +201,15 @@ class TestR9Protocol:
         assert "Orphan" in messages[0] and "no module handles it" in messages[0]
         assert "Ghost" in messages[1] and "dead handler arm" in messages[1]
         assert "'Typo'" in messages[2]
-        assert "Unencoded" in messages[3] and "codec" in messages[3]
 
     def test_live_types_silent(self):
-        # Ping (isinstance-handled) and Pong (kind-literal-handled) are
-        # fully live and codec-covered: no finding may mention them.
+        # Ping and Raw (isinstance-handled) and Pong (kind-literal-handled)
+        # are fully live: no finding may mention them.
         report = project_report("project_r9", ["R9"])
         for finding in report.findings:
             assert "Ping" not in finding.message
             assert "Pong" not in finding.message
-
-    def test_codec_check_skipped_without_serialize_module(self):
-        # project_r8 has messages-free modules and no serialize.py: the
-        # codec surface is absent, so R9 must not invent codec findings.
-        report = project_report("project_r8", ["R9"])
-        assert report.ok
+            assert "Raw" not in finding.message
 
 
 class TestR10StreamGraph:

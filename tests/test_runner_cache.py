@@ -52,13 +52,7 @@ def run_stub(spec: StubSpec) -> dict:
     return {"value": spec.value, "knob": spec.knob}
 
 
-STUB = TaskKind(
-    name="stub",
-    fn=run_stub,
-    spec_to_dict=lambda s: {"value": s.value, "knob": s.knob},
-    result_to_dict=lambda r: dict(r),
-    result_from_dict=lambda d: {"value": int(d["value"]), "knob": float(d["knob"])},
-)
+STUB = TaskKind("stub", run_stub, StubSpec, dict)
 
 
 @pytest.fixture(autouse=True)
@@ -98,13 +92,16 @@ class TestCacheHitSkipsExecution:
         run_sweep(specs, kind=STUB)
         assert len(CALLS) == 2
 
-    def test_use_cache_false_neither_reads_nor_writes(self, tmp_path):
+    def test_no_cache_dir_neither_reads_nor_writes(self, tmp_path, monkeypatch):
+        # ``cache_dir=None`` is the one off switch: a warm cache under the
+        # working directory is ignored, and nothing new is written there.
+        monkeypatch.chdir(tmp_path)
         specs = [StubSpec(0)]
-        run_sweep(specs, kind=STUB, cache_dir=tmp_path, use_cache=False)
-        assert list(tmp_path.rglob("*.json")) == []
-        run_sweep(specs, kind=STUB, cache_dir=tmp_path)  # still a cold cache
-        run_sweep(specs, kind=STUB, cache_dir=tmp_path, use_cache=False)
-        assert len(CALLS) == 3
+        run_sweep(specs, kind=STUB, cache_dir=".")
+        written = sorted(tmp_path.rglob("*"))
+        run_sweep(specs, kind=STUB, cache_dir=None)
+        assert len(CALLS) == 2
+        assert sorted(tmp_path.rglob("*")) == written
 
     def test_no_temp_files_left_behind(self, tmp_path):
         run_sweep([StubSpec(i) for i in range(3)], kind=STUB, cache_dir=tmp_path)
@@ -165,7 +162,7 @@ class TestCorruptionFallback:
     def _primed_path(self, tmp_path):
         run_sweep([self.SPEC], kind=STUB, cache_dir=tmp_path)
         CALLS.clear()
-        path = ResultCache(tmp_path, STUB).path_for(self.SPEC)
+        path = ResultCache(tmp_path, STUB).path_for(spec_fingerprint(self.SPEC, STUB))
         assert path.is_file()
         return path
 
@@ -223,8 +220,8 @@ class TestSingleRunCache:
         cached = run_sweep([spec], cache_dir=tmp_path, progress=events.append)[0]
         assert [e.cached for e in events] == [True]
         assert serialize.canonical_json(
-            serialize.result_to_dict(cached)
-        ) == serialize.canonical_json(serialize.result_to_dict(fresh))
+            serialize.encode(cached)
+        ) == serialize.canonical_json(serialize.encode(fresh))
 
 
 # -- header/body layout: real runs, whose recorder rows live in the body -------
@@ -256,7 +253,7 @@ def fresh():
 
 def eager_rows(data):
     """The recorder's row lists, decoded field by field from
-    ``recorder_to_dict`` output -- the reference a lazy decode must match."""
+    its encoded form -- the reference a lazy decode must match."""
     return {
         "transactions": [
             TransactionEvent(
@@ -283,7 +280,7 @@ def eager_rows(data):
 
 
 def canonical(result) -> str:
-    return serialize.canonical_json(serialize.result_to_dict(result))
+    return serialize.canonical_json(serialize.encode(result))
 
 
 @pytest.fixture
@@ -302,7 +299,8 @@ def row_constructions(monkeypatch):
 
 def primed_path(tmp_path, result):
     """Store ``result`` as the cache entry of ``TINY``; the entry's path."""
-    return ResultCache(tmp_path, COUNTED_SINGLE).store(TINY, result)
+    fingerprint = spec_fingerprint(TINY, COUNTED_SINGLE)
+    return ResultCache(tmp_path, COUNTED_SINGLE).store(fingerprint, TINY, result)
 
 
 class TestHeaderBodyLayout:
@@ -318,7 +316,8 @@ class TestHeaderBodyLayout:
 
     def test_kind_without_recorder_has_an_empty_body(self, tmp_path):
         run_sweep([StubSpec(3)], kind=STUB, cache_dir=tmp_path)
-        head, body = ResultCache(tmp_path, STUB).path_for(StubSpec(3)).read_text().split("\n")
+        path = ResultCache(tmp_path, STUB).path_for(spec_fingerprint(StubSpec(3), STUB))
+        head, body = path.read_text().split("\n")
         assert body == ""
         assert json.loads(head)["body_sha256"] == hashlib.sha256(b"").hexdigest()
 
@@ -334,7 +333,9 @@ class TestBodyCorruption:
     first recorder access -- and the re-run rewrites a good file."""
 
     def _assert_miss_rerun_repair(self, tmp_path, path):
-        assert ResultCache(tmp_path, COUNTED_SINGLE).load(TINY) is None
+        assert ResultCache(tmp_path, COUNTED_SINGLE).load(
+            spec_fingerprint(TINY, COUNTED_SINGLE)
+        ) is None
         results = run_sweep([TINY], kind=COUNTED_SINGLE, cache_dir=tmp_path)
         assert CALLS == [TINY]  # the damaged entry fell back to executing
         assert results[0].recorder.transactions
@@ -373,8 +374,8 @@ class TestBodyCorruption:
         legacy = {
             "fingerprint": path.stem,
             "kind": SINGLE_RUN.name,
-            "spec": serialize.spec_to_dict(TINY),
-            "result": serialize.result_to_dict(fresh),
+            "spec": serialize.encode(TINY),
+            "result": serialize.encode(fresh),
         }
         path.write_text(serialize.canonical_json(legacy))
         self._assert_miss_rerun_repair(tmp_path, path)
@@ -383,13 +384,15 @@ class TestBodyCorruption:
 class TestLazyRecorder:
     def _loaded(self, tmp_path, fresh):
         primed_path(tmp_path, fresh)
-        loaded = ResultCache(tmp_path, COUNTED_SINGLE).load(TINY)
+        loaded = ResultCache(tmp_path, COUNTED_SINGLE).load(
+            spec_fingerprint(TINY, COUNTED_SINGLE)
+        )
         assert loaded is not None
         return loaded
 
     def test_row_lists_equal_an_eager_decode(self, tmp_path, fresh):
         loaded = self._loaded(tmp_path, fresh)
-        expected = eager_rows(serialize.recorder_to_dict(fresh.recorder))
+        expected = eager_rows(serialize.encode(fresh.recorder))
         for table, rows in expected.items():
             assert rows  # every table is exercised
             assert getattr(loaded.recorder, table) == rows

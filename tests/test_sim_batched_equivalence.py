@@ -28,7 +28,7 @@ from repro.cluster.faults import FaultPlan
 from repro.core.batcher import TickBatcher
 from repro.core.config import PenelopeConfig
 from repro.experiments.harness import RunSpec, build_run, run_single
-from repro.experiments.serialize import canonical_json, result_to_dict
+from repro.experiments.serialize import canonical_json, encode
 from repro.sim.config import BATCHED_TICKS_ENV, SimConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -85,7 +85,7 @@ _SCENARIOS = {
 
 def _scenario_bytes(spec: RunSpec, batched: bool) -> str:
     sim = SimConfig(batched_ticks=batched)
-    return canonical_json(result_to_dict(run_single(spec, sim=sim)))
+    return canonical_json(encode(run_single(spec, sim=sim)))
 
 
 class TestBatchedDifferential:
@@ -197,7 +197,7 @@ class TestPinnedFixturesStayOff:
         spec_module.loader.exec_module(module)
         spec = module.FIXTURE_SPECS[name]
         expected = (FIXTURES / f"{name}.json").read_text()
-        data = result_to_dict(
+        data = encode(
             run_single(spec, sim=SimConfig(batched_ticks=False))
         )
         data["network"] = module._upgrade_network_dict(dict(data["network"]))

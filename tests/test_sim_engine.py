@@ -8,7 +8,7 @@ import pytest
 
 from repro.cluster.faults import FaultPlan
 from repro.experiments.harness import RunSpec, run_single
-from repro.experiments.serialize import canonical_json, result_to_dict
+from repro.experiments.serialize import canonical_json, encode
 from repro.sim.engine import _YOUNG_GC_THRESHOLD, Engine, SimulationError, run_callable_at
 from repro.sim.events import Event, Timeout
 
@@ -399,8 +399,8 @@ DETERMINISM_SPECS = {
 def test_collector_off_simulates_the_same_bytes(collector, name):
     """Logic that hung on finalizers, weakrefs or ``id()`` order would differ."""
     spec = DETERMINISM_SPECS[name]
-    collected = canonical_json(result_to_dict(run_single(spec)))
+    collected = canonical_json(encode(run_single(spec)))
     gc.disable()
-    uncollected = canonical_json(result_to_dict(run_single(spec)))
+    uncollected = canonical_json(encode(run_single(spec)))
     assert not gc.isenabled()
     assert uncollected == collected

@@ -29,7 +29,6 @@ disabled replay byte-identically.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -201,14 +200,14 @@ class FailureDetector:
         """Piggyback pending membership updates onto ``message``.
 
         Returns the message unchanged when nothing is pending; otherwise
-        a ``dataclasses.replace`` copy (same ``msg_id``/``send_time``
-        semantics, lint R4) carrying up to ``membership_piggyback_max``
-        updates.
+        a copy (:meth:`~repro.net.messages.Message.with_gossip`: same
+        ``msg_id`` and ``send_time``, lint R4) carrying up to
+        ``membership_piggyback_max`` updates.
         """
         updates = self.view.select_updates(self.config.membership_piggyback_max)
         if not updates:
             return message
-        return replace(message, gossip=updates)
+        return message.with_gossip(updates)
 
     def ingest(self, message: Message) -> None:
         """Absorb liveness evidence from any received message.

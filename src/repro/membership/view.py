@@ -26,13 +26,23 @@ incarnation, so global repair is left to the subject's own refutation
 The view is deliberately engine-free (callers pass ``now``): all timer
 management lives in the detector, keeping this module a pure, easily
 testable state machine.
+
+Storage.  Every node's view lives in one process, so whatever a view
+keeps per peer is paid N^2 times.  The per-peer state is therefore
+flat columns indexed by slot -- a ``bytearray`` of status codes and an
+``array('q')`` of incarnations, ~9 bytes per peer -- and a view built
+from a :class:`~repro.net.roster.RosterView` takes its slots from the
+roster's position index, built once per universe, instead of building
+its own.  The gossip buffer keeps its pending status, incarnation and
+remaining budget in columns over the same slots.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.messages import (
     MEMBER_ALIVE as ALIVE,
@@ -40,27 +50,31 @@ from repro.net.messages import (
     MEMBER_SUSPECT as SUSPECT,
     MembershipUpdate,
 )
+from repro.net.roster import RosterView
 
 __all__ = [
     "ALIVE",
     "DEAD",
     "SUSPECT",
-    "MemberState",
     "MemberView",
     "MembershipTransition",
 ]
 
-
-@dataclass(slots=True)
-class MemberState:
-    """Mutable per-peer record inside a view."""
-
-    status: str
-    incarnation: int
-    changed_at: float
+#: Status names by column code.  ALIVE is code 0, so a zeroed column is
+#: the optimistic initial view.
+_STATUSES = (ALIVE, SUSPECT, DEAD)
+_CODES = {status: code for code, status in enumerate(_STATUSES)}
+_ALIVE, _SUSPECT, _DEAD = 0, 1, 2
 
 
-@dataclass(frozen=True)
+def _code(status: str) -> int:
+    code = _CODES.get(status)
+    if code is None:
+        raise ValueError(f"unknown membership status {status!r}")
+    return code
+
+
+@dataclass(frozen=True, slots=True)
 class MembershipTransition:
     """One state change in one observer's view (the metrics unit)."""
 
@@ -71,15 +85,16 @@ class MembershipTransition:
     incarnation: int
 
 
-class _PendingUpdate:
-    """A buffered update with its remaining retransmission budget."""
-
-    __slots__ = ("status", "incarnation", "remaining")
-
-    def __init__(self, status: str, incarnation: int, remaining: int) -> None:
-        self.status = status
-        self.incarnation = incarnation
-        self.remaining = remaining
+def _shared_index(node_id: int, peers: Sequence[int]) -> Optional[Mapping[object, int]]:
+    """The roster's position index when ``peers`` is its roster minus
+    ``node_id`` (every slot then belongs to a peer or to ``node_id``);
+    ``None`` for any other sequence."""
+    if not isinstance(peers, RosterView) or node_id in peers:
+        return None
+    roster = peers.roster
+    if len(peers) != len(roster) - (node_id in roster):
+        return None
+    return roster.positions
 
 
 class MemberView:
@@ -91,7 +106,10 @@ class MemberView:
         The owning node (the ``observer`` of every transition).
     peers:
         All *other* member ids; the initial view marks them alive at
-        incarnation 0 (optimistic join).
+        incarnation 0 (optimistic join).  A
+        :class:`~repro.net.roster.RosterView` excluding ``node_id``
+        lends the view its roster's slot index; any other sequence gets
+        a private one.
     initial_incarnation:
         This node's own starting incarnation.  Crash-restarts pass the
         previous generation's value plus one, and any positive value is
@@ -114,24 +132,42 @@ class MemberView:
         self.node_id = node_id
         self.incarnation = initial_incarnation
         self._gossip_budget = gossip_budget
-        self._members: Dict[int, MemberState] = {
-            peer: MemberState(ALIVE, 0, 0.0)
-            for peer in sorted(p for p in peers if p != node_id)
-        }
+        index = _shared_index(node_id, peers)
+        if index is None:
+            members = sorted({*peers, node_id})
+            index = {member: slot for slot, member in enumerate(members)}
+            alive = [member for member in members if member != node_id]
+        else:
+            alive = sorted(peers)
+        #: Member id -> slot in every column below.  The index holds the
+        #: peers and at most ``node_id``, whose member slot stays alive
+        #: at incarnation 0: self-updates never reach :meth:`apply`.
+        self._index = index
+        size = len(index)
+        self._status = bytearray(size)
+        self._incarnation = array("q", [0]) * size
         #: Alive peers in ascending id order, kept sorted by
         #: :meth:`_set_status` (see :meth:`alive_peers` for the cost).
-        self._alive: List[int] = list(self._members)
+        self._alive = alive
         #: Immutable snapshot of ``_alive`` handed to callers (who hold
         #: it across sends); dropped only when ``_alive`` changes.
         self._alive_cache: Optional[Tuple[int, ...]] = None
-        #: The dissemination buffer: node -> pending update, plus the
-        #: same nodes as one sorted id list per remaining budget
-        #: (``_buckets[r]`` holds every node whose update has ``r``
-        #: transmissions left; ``_buckets[0]`` stays empty because
-        #: exhausted updates leave the buffer).  Reading the buckets from
-        #: the top down yields the ``(-remaining, node)`` order without
-        #: sorting, so a selection of k updates costs O(k log n).
-        self._pending: Dict[int, _PendingUpdate] = {}
+        #: The dissemination buffer: per slot, the pending update's
+        #: status code and incarnation and its remaining budget (0 when
+        #: nothing is pending), plus the pending ids as one sorted list
+        #: per remaining budget (``_buckets[r]`` holds every node whose
+        #: update has ``r`` transmissions left; ``_buckets[0]`` stays
+        #: empty because exhausted updates leave the buffer).  Reading
+        #: the buckets from the top down yields the ``(-remaining,
+        #: node)`` order without sorting, so a selection of k updates
+        #: costs O(k log n).
+        self._pending_status = bytearray(size)
+        self._pending_incarnation = array("q", [0]) * size
+        self._remaining = array("B" if gossip_budget <= 0xFF else "L", [0]) * size
+        self._pending_count = 0
+        #: Buffer slots past the index, for updates about ids the index
+        #: lacks (this node, when its roster does not list it).
+        self._extra_slots: Dict[int, int] = {}
         self._buckets: List[List[int]] = [[] for _ in range(gossip_budget + 1)]
         #: Every accepted state change, in order (chaos metrics input).
         self.transitions: List[MembershipTransition] = []
@@ -146,12 +182,12 @@ class MemberView:
     # -- queries -------------------------------------------------------------
 
     def status_of(self, peer: int) -> str:
-        state = self._members.get(peer)
-        return state.status if state is not None else ALIVE
+        slot = self._index.get(peer)
+        return ALIVE if slot is None else _STATUSES[self._status[slot]]
 
     def incarnation_of(self, peer: int) -> int:
-        state = self._members.get(peer)
-        return state.incarnation if state is not None else 0
+        slot = self._index.get(peer)
+        return 0 if slot is None else self._incarnation[slot]
 
     def alive_peers(self) -> Sequence[int]:
         """Peers currently believed alive, in ascending id order.
@@ -167,31 +203,11 @@ class MemberView:
             self._alive_cache = tuple(self._alive)
         return self._alive_cache
 
-    def non_dead_peers(self) -> List[int]:
-        return [
-            peer
-            for peer, state in self._members.items()
-            if state.status != DEAD
-        ]
-
     @property
     def has_pending_updates(self) -> bool:
-        return bool(self._pending)
+        return self._pending_count > 0
 
     # -- state machine -------------------------------------------------------
-
-    def _accepts(self, state: MemberState, status: str, incarnation: int) -> bool:
-        if status == ALIVE:
-            return incarnation > state.incarnation
-        if status == SUSPECT:
-            if state.status == DEAD:
-                return False
-            return incarnation > state.incarnation or (
-                incarnation == state.incarnation and state.status == ALIVE
-            )
-        if status == DEAD:
-            return state.status != DEAD and incarnation >= state.incarnation
-        raise ValueError(f"unknown membership status {status!r}")
 
     def apply(
         self, update: MembershipUpdate, now: float
@@ -202,16 +218,31 @@ class MemberView:
         Facts about the view's own node are the detector's business
         (refutation) and must not reach this method.
         """
-        if update.node == self.node_id:
+        node = update.node
+        if node == self.node_id:
             raise ValueError("self-updates are handled by the detector")
-        state = self._members.get(update.node)
-        if state is None or not self._accepts(state, update.status, update.incarnation):
+        slot = self._index.get(node)
+        if slot is None:
             return None
-        self._set_status(update.node, state, update.status)
-        state.incarnation = update.incarnation
-        state.changed_at = now
-        self.enqueue(update.node, update.status, update.incarnation)
-        return self._record(update.node, update.status, update.incarnation, now)
+        code = _code(update.status)
+        incarnation = update.incarnation
+        current = self._status[slot]
+        known = self._incarnation[slot]
+        # The precedence rules of the module docstring.
+        if code == _ALIVE:
+            accepted = incarnation > known
+        elif code == _SUSPECT:
+            accepted = current != _DEAD and (
+                incarnation > known or (incarnation == known and current == _ALIVE)
+            )
+        else:
+            accepted = current != _DEAD and incarnation >= known
+        if not accepted:
+            return None
+        self._set_status(node, slot, code)
+        self._incarnation[slot] = incarnation
+        self._enqueue(node, slot, code, incarnation)
+        return self._record(node, update.status, incarnation, now)
 
     def observe_contact(self, peer: int, now: float) -> Optional[Tuple[str, int]]:
         """Direct liveness evidence (a message arrived from ``peer``).
@@ -223,14 +254,16 @@ class MemberView:
         equal-incarnation ``alive`` would not override the accusation in
         anyone else's view anyway.
         """
-        state = self._members.get(peer)
-        if state is None or state.status == ALIVE:
+        slot = self._index.get(peer)
+        if slot is None:
             return None
-        accusation = (state.status, state.incarnation)
-        self._set_status(peer, state, ALIVE)
-        state.changed_at = now
-        self._record(peer, ALIVE, state.incarnation, now)
-        return accusation
+        code = self._status[slot]
+        if code == _ALIVE:
+            return None
+        incarnation = self._incarnation[slot]
+        self._set_status(peer, slot, _ALIVE)
+        self._record(peer, ALIVE, incarnation, now)
+        return _STATUSES[code], incarnation
 
     def refute(self, accused_incarnation: int) -> int:
         """Refute a suspicion/death claim about *this* node.
@@ -243,11 +276,11 @@ class MemberView:
         self.enqueue(self.node_id, ALIVE, self.incarnation)
         return self.incarnation
 
-    def _set_status(self, peer: int, state: MemberState, status: str) -> None:
+    def _set_status(self, peer: int, slot: int, code: int) -> None:
         """Set ``peer``'s status, keeping the sorted alive set in step."""
-        was_alive = state.status == ALIVE
-        state.status = status
-        if was_alive == (status == ALIVE):
+        was_alive = self._status[slot] == _ALIVE
+        self._status[slot] = code
+        if was_alive == (code == _ALIVE):
             return
         if was_alive:
             del self._alive[bisect_left(self._alive, peer)]
@@ -259,11 +292,7 @@ class MemberView:
         self, subject: int, status: str, incarnation: int, now: float
     ) -> MembershipTransition:
         transition = MembershipTransition(
-            time=now,
-            observer=self.node_id,
-            subject=subject,
-            status=status,
-            incarnation=incarnation,
+            now, self.node_id, subject, status, incarnation
         )
         self.transitions.append(transition)
         for listener in self.listeners:
@@ -274,12 +303,27 @@ class MemberView:
 
     def enqueue(self, node: int, status: str, incarnation: int) -> None:
         """Buffer an update for re-dissemination with a fresh budget."""
+        slot = self._index.get(node)
+        if slot is None:
+            slot = self._extra_slots.get(node)
+            if slot is None:
+                slot = self._extra_slots[node] = len(self._remaining)
+                self._pending_status.append(0)
+                self._pending_incarnation.append(0)
+                self._remaining.append(0)
+        self._enqueue(node, slot, _code(status), incarnation)
+
+    def _enqueue(self, node: int, slot: int, code: int, incarnation: int) -> None:
         budget = self._gossip_budget
-        pending = self._pending.get(node)
-        if pending is not None:
-            bucket = self._buckets[pending.remaining]
+        remaining = self._remaining[slot]
+        if remaining:
+            bucket = self._buckets[remaining]
             del bucket[bisect_left(bucket, node)]
-        self._pending[node] = _PendingUpdate(status, incarnation, budget)
+        else:
+            self._pending_count += 1
+        self._pending_status[slot] = code
+        self._pending_incarnation[slot] = incarnation
+        self._remaining[slot] = budget
         insort(self._buckets[budget], node)
 
     def select_updates(self, max_updates: int) -> Tuple[MembershipUpdate, ...]:
@@ -291,7 +335,7 @@ class MemberView:
         The picks are id-ordered prefixes of the budget buckets, highest
         first, and each moves one bucket down: O(k log n) for k picks.
         """
-        if not self._pending or max_updates <= 0:
+        if not self._pending_count or max_updates <= 0:
             return ()
         buckets = self._buckets
         picks: List[Tuple[int, List[int]]] = []
@@ -307,18 +351,24 @@ class MemberView:
                     break
         # Spend only after choosing, so a pick moved one bucket down is
         # not chosen twice for the same message.
-        pending_by_node = self._pending
+        slot_of = self._index.get
+        extra_slots = self._extra_slots
+        statuses = self._pending_status
+        incarnations = self._pending_incarnation
+        budgets = self._remaining
         picked: List[MembershipUpdate] = []
         for remaining, prefix in picks:
             lower = buckets[remaining - 1]
             for node in prefix:
-                pending = pending_by_node[node]
+                slot = slot_of(node)
+                if slot is None:
+                    slot = extra_slots[node]
                 picked.append(
-                    MembershipUpdate(node, pending.status, pending.incarnation)
+                    MembershipUpdate(node, _STATUSES[statuses[slot]], incarnations[slot])
                 )
-                pending.remaining = remaining - 1
-                if remaining == 1:
-                    del pending_by_node[node]
-                else:
+                budgets[slot] = remaining - 1
+                if remaining > 1:
                     insort(lower, node)
+            if remaining == 1:
+                self._pending_count -= len(prefix)
         return tuple(picked)

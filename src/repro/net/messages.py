@@ -107,9 +107,9 @@ class Message:
         Optional piggybacked membership updates (empty unless the
         sender's failure detector has pending dissemination).  Senders
         stamp the payload onto an already-built message with
-        ``dataclasses.replace`` -- same ``msg_id``, so request/reply
-        correlation is unaffected and lint R4's immutability contract
-        holds.
+        :meth:`with_gossip`, a fresh copy with the same ``msg_id``, so
+        request/reply correlation is unaffected and lint R4's
+        immutability contract holds.
     """
 
     src: Addr
@@ -143,8 +143,30 @@ class Message:
         object.__setattr__(twin, "send_time", send_time)
         return twin
 
+    def with_gossip(
+        self: _MessageT, gossip: Tuple[MembershipUpdate, ...]
+    ) -> _MessageT:
+        """This message carrying ``gossip`` as its piggyback payload.
 
-#: Per-class field-name cache backing :meth:`Message.stamped`.
+        Semantically ``dataclasses.replace(self, gossip=...)`` (same
+        ``msg_id`` and ``send_time``), built like :meth:`stamped`: the
+        failure detector stamps gossip onto a large share of all
+        outgoing traffic in membership runs.
+        """
+        cls = type(self)
+        names = _STAMP_FIELDS.get(cls)
+        if names is None:
+            names = tuple(f.name for f in fields(cls))
+            _STAMP_FIELDS[cls] = names
+        twin = cls.__new__(cls)
+        for name in names:
+            object.__setattr__(twin, name, getattr(self, name))
+        object.__setattr__(twin, "gossip", gossip)
+        return twin
+
+
+#: Per-class field-name cache backing :meth:`Message.stamped` and
+#: :meth:`Message.with_gossip`.
 _STAMP_FIELDS: Dict[Type["Message"], Tuple[str, ...]] = {}
 
 

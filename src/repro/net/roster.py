@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 from itertools import chain, islice
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union, overload
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union, overload
 
 __all__ = ["Roster", "RosterView", "roster_of"]
 
@@ -57,6 +57,12 @@ class Roster(Sequence[int]):
 
     def __repr__(self) -> str:
         return f"Roster({list(self.members)!r})"
+
+    @property
+    def positions(self) -> Mapping[object, int]:
+        """Member id -> position, built once and shared by every view of
+        this roster (read-only)."""
+        return self._positions
 
     def without(self, member: int) -> "RosterView":
         """Every member except ``member`` (all of them if it is absent)."""

@@ -7,8 +7,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.membership.view import ALIVE, DEAD, SUSPECT, MemberView
+from repro.membership.view import ALIVE, DEAD, SUSPECT, MembershipTransition, MemberView
 from repro.net.messages import MembershipUpdate
+from repro.net.roster import Roster
 
 
 def make_view(peers=(1, 2, 3), **kwargs):
@@ -161,7 +162,7 @@ class TestAliveCache:
         assert [t.status for t in seen] == [SUSPECT, DEAD]
         assert [t.subject for t in seen] == [1, 1]
         assert view.transitions == seen
-        assert list(view.non_dead_peers()) == [2, 3]
+        assert [view.status_of(peer) for peer in (1, 2, 3)] == [DEAD, ALIVE, ALIVE]
 
 
 class _ReferenceView:
@@ -228,75 +229,126 @@ STATUSES = st.sampled_from([ALIVE, SUSPECT, DEAD])
 INCARNATIONS = st.integers(min_value=0, max_value=4)
 
 
+def _buffer_slot(view, node):
+    slot = view._index.get(node)
+    return view._extra_slots.get(node) if slot is None else slot
+
+
 class ViewMatchesReference(RuleBasedStateMachine):
     """Random operation sequences over varied budgets and peer sets: the
     kept-ordered alive set and budget buckets must answer exactly as the
-    filter-and-sort reference does after every step."""
+    filter-and-sort reference does after every step.  Two views run side
+    by side: one built from a plain list (a private slot index) and one
+    from a :class:`RosterView` (the roster's shared index, with or
+    without this node in the roster, in either id order)."""
 
     @initialize(
         peers=st.lists(st.integers(min_value=0, max_value=12), max_size=12),
         initial_incarnation=st.integers(min_value=0, max_value=2),
         gossip_budget=st.integers(min_value=1, max_value=5),
+        self_in_roster=st.booleans(),
+        descending=st.booleans(),
     )
-    def build(self, peers, initial_incarnation, gossip_budget):
-        self.view = MemberView(NODE, peers, initial_incarnation, gossip_budget)
+    def build(self, peers, initial_incarnation, gossip_budget, self_in_roster, descending):
+        members = sorted(set(peers) - {NODE} | ({NODE} if self_in_roster else set()))
+        roster = Roster(members[::-1] if descending else members)
+        shared = MemberView(NODE, roster.without(NODE), initial_incarnation, gossip_budget)
+        assert shared._index is roster.positions
+        listed = MemberView(NODE, peers, initial_incarnation, gossip_budget)
+        self.views = (shared, listed)
         self.ref = _ReferenceView(NODE, peers, initial_incarnation, gossip_budget)
         self.now = 0.0
 
     @rule(node=SUBJECTS, status=STATUSES, incarnation=INCARNATIONS)
     def apply(self, node, status, incarnation):
         self.now += 1.0
+        update = MembershipUpdate(node, status, incarnation)
         if node == NODE:
-            with pytest.raises(ValueError, match="self"):
-                self.view.apply(MembershipUpdate(node, status, incarnation), self.now)
+            for view in self.views:
+                with pytest.raises(ValueError, match="self"):
+                    view.apply(update, self.now)
             return
-        transition = self.view.apply(
-            MembershipUpdate(node, status, incarnation), self.now
-        )
-        assert (transition is not None) == self.ref.apply(node, status, incarnation)
+        accepted = self.ref.apply(node, status, incarnation)
+        for view in self.views:
+            transition = view.apply(update, self.now)
+            assert (transition is not None) == accepted
+            if accepted:
+                assert transition == MembershipTransition(
+                    self.now, NODE, node, status, incarnation
+                )
 
     @rule(node=SUBJECTS)
     def observe_contact(self, node):
         self.now += 1.0
-        assert self.view.observe_contact(node, self.now) == self.ref.observe_contact(
-            node
-        )
+        accusation = self.ref.observe_contact(node)
+        for view in self.views:
+            assert view.observe_contact(node, self.now) == accusation
 
     @rule(accused=INCARNATIONS)
     def refute(self, accused):
-        incarnation = self.view.refute(accused)
-        self.ref.enqueue(NODE, ALIVE, incarnation)
+        incarnations = {view.refute(accused) for view in self.views}
+        assert incarnations == {accused + 1}
+        self.ref.enqueue(NODE, ALIVE, incarnations.pop())
 
     @rule(node=SUBJECTS, status=STATUSES, incarnation=INCARNATIONS)
     def enqueue(self, node, status, incarnation):
-        self.view.enqueue(node, status, incarnation)
+        for view in self.views:
+            view.enqueue(node, status, incarnation)
         self.ref.enqueue(node, status, incarnation)
 
     @rule(k=st.integers(min_value=0, max_value=6))
     def select_updates(self, k):
-        assert self.view.select_updates(k) == self.ref.select_updates(k)
+        expected = self.ref.select_updates(k)
+        for view in self.views:
+            assert view.select_updates(k) == expected
 
     @invariant()
     def views_agree(self):
-        assert tuple(self.view.alive_peers()) == self.ref.alive_peers()
-        assert self.view.has_pending_updates == bool(self.ref.pending)
-        for node, (status, incarnation) in self.ref.members.items():
-            assert self.view.status_of(node) == status
-            assert self.view.incarnation_of(node) == incarnation
+        shared, listed = self.views
+        assert shared.transitions == listed.transitions
+        for view in self.views:
+            assert tuple(view.alive_peers()) == self.ref.alive_peers()
+            assert view.has_pending_updates == bool(self.ref.pending)
+            for node, (status, incarnation) in self.ref.members.items():
+                assert view.status_of(node) == status
+                assert view.incarnation_of(node) == incarnation
+            # Ids outside the membership -- this node, ids no roster
+            # lists -- read as the optimistic default.
+            for node in range(-2, 17):
+                if node not in self.ref.members:
+                    assert view.status_of(node) == ALIVE
+                    assert view.incarnation_of(node) == 0
 
     @invariant()
     def every_pending_node_sits_in_its_budget_bucket(self):
-        buckets = self.view._buckets
-        assert not buckets[0]
-        placed = {}
-        for remaining, bucket in enumerate(buckets):
-            assert bucket == sorted(bucket)
-            for node in bucket:
-                assert node not in placed
-                placed[node] = remaining
-        assert placed == {
-            node: pending.remaining for node, pending in self.view._pending.items()
-        }
+        for view in self.views:
+            buckets = view._buckets
+            assert not buckets[0]
+            placed = {}
+            for remaining, bucket in enumerate(buckets):
+                assert bucket == sorted(bucket)
+                for node in bucket:
+                    assert node not in placed
+                    placed[node] = remaining
+            # The buffer columns: one slot per indexed id plus one per
+            # extra id, each holding its bucket's budget (0 when idle).
+            index, extra = view._index, view._extra_slots
+            size = len(index) + len(extra)
+            assert not set(index) & set(extra)
+            assert sorted(extra.values()) == list(range(len(index), size))
+            assert len(view._status) == len(view._incarnation) == len(index)
+            columns = (view._pending_status, view._pending_incarnation, view._remaining)
+            assert [len(column) for column in columns] == [size] * 3
+            assert view._pending_count == len(placed)
+            for node in [*index, *extra]:
+                assert view._remaining[_buffer_slot(view, node)] == placed.pop(node, 0)
+            assert not placed  # every buffered id has a slot
+            # ... and each pending slot holds the reference's update.
+            for node, (status, incarnation, remaining) in self.ref.pending.items():
+                slot = _buffer_slot(view, node)
+                assert view._pending_status[slot] == (ALIVE, SUSPECT, DEAD).index(status)
+                assert view._pending_incarnation[slot] == incarnation
+                assert view._remaining[slot] == remaining
 
 
 TestViewMatchesReference = ViewMatchesReference.TestCase

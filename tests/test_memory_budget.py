@@ -4,6 +4,8 @@ The scaling runs (10 000 nodes on one small machine) are bounded by bytes
 per node, so these tests pin the fixed costs a node brings: an upper bound
 on the traced bytes of a built and started Penelope universe, and on the
 emptiest per-node container, an inbox :class:`Store` with nothing in it.
+The SWIM membership plane is the one O(N^2) structure (every node's view
+holds every peer), so it is held to a budget per observer-peer pair.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+from repro.core.config import PenelopeConfig
 from repro.experiments import harness
+from repro.membership.view import ALIVE, MembershipTransition
 from repro.sim.engine import Engine
 from repro.sim.resources import Store
 
@@ -27,10 +31,23 @@ NODE_BUDGET_B = 15_000
 #: its ``"<name>.get"`` label); a ``deque`` alone would be 760 B.
 EMPTY_STORE_BUDGET_B = 300
 
+#: Traced ``membership/view.py`` bytes per observer-peer pair of a
+#: 256-node membership universe, built and started.  Measured at 31.0 B on
+#: CPython 3.11 (seeds 7 and 2022): 19 B of status, incarnation and
+#: gossip-buffer columns, 8 B of sorted alive list, the rest per-view
+#: fixed cost.  The build that kept one ``MemberState`` and one dict slot
+#: per peer traced 103.0 B.
+MEMBER_PAIR_BUDGET_B = 40
 
-def _universe(n_clients: int):
+
+def _universe(n_clients: int, **config):
     spec = harness.RunSpec(
-        "penelope", ("EP", "DC"), 80.0, n_clients=n_clients, seed=2022
+        "penelope",
+        ("EP", "DC"),
+        80.0,
+        n_clients=n_clients,
+        seed=2022,
+        manager_config=PenelopeConfig(**config) if config else None,
     )
     engine, cluster, manager = harness.build_run(spec)
     manager.start()
@@ -67,3 +84,26 @@ def test_empty_store_within_budget():
         tracemalloc.stop()
     per_store = traced / count
     assert per_store <= EMPTY_STORE_BUDGET_B, f"{per_store:.0f} B per Store"
+
+
+def test_membership_view_bytes_per_pair_within_budget():
+    n = 256
+    _universe(4, enable_membership=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        universe = _universe(n, enable_membership=True)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    detectors = universe[2].detectors
+    assert len(detectors) == n
+    views = snapshot.filter_traces([tracemalloc.Filter(True, "*/membership/view.py")])
+    traced = sum(stat.size for stat in views.statistics("filename"))
+    per_pair = traced / (n * (n - 1))
+    assert per_pair <= MEMBER_PAIR_BUDGET_B, f"{per_pair:.1f} B per observer-peer pair"
+
+
+def test_membership_transition_is_slotted():
+    transition = MembershipTransition(1.0, 0, 1, ALIVE, 0)
+    assert not hasattr(transition, "__dict__")

@@ -1,0 +1,75 @@
+"""Byte pins of the experiment commands' stdout at tiny sizes.
+
+Each command runs through the CLI with ``--no-cache`` (``overhead`` has
+no cache) and its stdout is hashed.  A change to how any experiment
+builds or runs its simulated universe -- stream draws, budget
+arithmetic, install/start order -- moves at least one digest.
+
+The cap of 60.1 W/socket on six clients is one where the system-budget
+expressions ``budget`` and ``budget * n / n`` differ in the last bit, so
+the runs cover both roundings of the cluster's fair share.
+
+To re-pin after an intended behaviour change, print the new digests with
+``python -m pytest tests/test_output_pins.py -q`` and read them off the
+assertion messages.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.cli import main
+from repro.experiments.hardware_efficiency import (
+    compare_hardware_efficiency,
+    format_hardware_efficiency,
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+COMMAND_PINS = {
+    "overhead --scale 0.05": (
+        "0e20d7a22a1ac985a5817ede5494b396370e3996e83f790c720596038fe1c128"
+    ),
+    "nominal --caps 60.1 --pairs EP:DC --clients 6 --scale 0.05 --no-cache": (
+        "76a6e13915354214e6b02194a2be4e8bfec7e0cfb356d97e7efb138a53c4df9d"
+    ),
+    "faulty --caps 60.1 --pairs EP:DC --clients 6 --scale 0.05 --no-cache": (
+        "0690446748d5b2d0ee3ebe34c3e30935ce9e11f67e82871e41f62274cc0e9efe"
+    ),
+    "multijob --clients 4 --scale 0.05 --no-cache": (
+        "d1a29f1ad9c12641de94334b0a9653b0b2132e185c9736a39203c28c052baeaf"
+    ),
+    "allocation --clients 4 --scale 0.2 --observe 5 --no-cache": (
+        "728ad7dc8f17c93373326fb13d952c75dca7a7df74497fd09dea959ae7e84ac9"
+    ),
+    "chaos --seeds 0 1 --clients 6 --cap 60.1 --duration 10 --base-loss 0.01 "
+    "--membership --no-cache": (
+        "15d834bae054e0702a6cc6009c60b2bcabfb11bf1a2618a1fcfd433954634ab0"
+    ),
+}
+
+HARDWARE_EFFICIENCY_PIN = (
+    "abcc928bc65354928941357b578c12a3cf37ea7d9a38ab2f74e7fb4c6a7124f2"
+)
+
+
+@pytest.mark.parametrize("argv", sorted(COMMAND_PINS))
+def test_command_stdout_is_pinned(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out) == COMMAND_PINS[argv], out
+
+
+def test_hardware_efficiency_table_is_pinned():
+    text = format_hardware_efficiency(
+        compare_hardware_efficiency(
+            total_nodes=9, budget_w=9 * 2 * 50.0, app="CG", workload_scale=0.05, seed=2
+        )
+    )
+    assert _sha256(text) == HARDWARE_EFFICIENCY_PIN, text

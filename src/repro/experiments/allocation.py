@@ -135,33 +135,6 @@ def run_allocation_point(spec: AllocationSpec) -> AllocationTrace:
     )
 
 
-def measure_allocation_trace(
-    manager_name: str,
-    pair: Tuple[str, str] = ("EP", "DC"),
-    cap_w_per_socket: float = 65.0,
-    n_clients: int = 10,
-    seed: int = 0,
-    workload_scale: float = 0.5,
-    observe_s: float = 30.0,
-    sample_every_s: float = 1.0,
-    manager_config=None,
-) -> AllocationTrace:
-    """Keyword-style wrapper around :func:`run_allocation_point`."""
-    return run_allocation_point(
-        AllocationSpec(
-            manager=manager_name,
-            pair=tuple(pair),
-            cap_w_per_socket=cap_w_per_socket,
-            n_clients=n_clients,
-            seed=seed,
-            workload_scale=workload_scale,
-            observe_s=observe_s,
-            sample_every_s=sample_every_s,
-            manager_config=manager_config,
-        )
-    )
-
-
 #: :func:`run_allocation_point` as a sweep-runner task kind.
 ALLOCATION_RUN = TaskKind(
     "allocation", run_allocation_point, AllocationSpec, AllocationTrace

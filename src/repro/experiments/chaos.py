@@ -27,11 +27,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.faults import FaultPlan
 from repro.core.config import PenelopeConfig
 from repro.core.manager import ConservationLedger, PenelopeManager
 from repro.experiments import serialize
+from repro.experiments.harness import build_universe, pair_workloads
 from repro.experiments.invariants import (
     Invariant,
     InvariantMonitor,
@@ -45,7 +45,6 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.workloads.generator import assign_pair_to_cluster
 
 
 #: Fields that postdate the pinned chaos fixture and the sweep cache keys
@@ -232,35 +231,28 @@ def build_chaos_plan(spec: ChaosSpec) -> FaultPlan:
 class BudgetAuditor:
     """Daemon asserting budget conservation at every probe.
 
-    Each probe snapshots the manager's :class:`ConservationLedger`,
-    calls its :meth:`~ConservationLedger.check` (strict equality modulo
-    float tolerance) *and* the base §2.1 :meth:`~PowerManager.audit`
-    (budget never exceeded, caps never unsafe), then records every
-    ledger term as a :class:`~repro.instrumentation.LedgerSample`.  A
-    violated invariant raises out of the engine loop immediately --
-    chaos runs fail loudly at the first destroyed watt, with the full
-    term breakdown in the exception.
+    Each probe snapshots the manager's :class:`ConservationLedger`, runs
+    the :class:`InvariantMonitor` (whose ``conservation`` invariant checks
+    the ledger and the §2.1 audit), then records every ledger term as a
+    :class:`~repro.instrumentation.LedgerSample`.  A fail-fast monitor
+    raises out of the engine loop at the first destroyed watt, with the
+    full term breakdown in the exception.
     """
 
     def __init__(
         self,
         engine: Engine,
         manager: PenelopeManager,
+        monitor: InvariantMonitor,
         interval_s: float = 1.0,
-        recorder: Optional[MetricsRecorder] = None,
-        monitor: Optional[InvariantMonitor] = None,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("audit interval must be positive")
         self.engine = engine
         self.manager = manager
-        self.interval_s = interval_s
-        self.recorder = recorder if recorder is not None else manager.recorder
-        #: Optional invariant monitor; when set, every probe evaluates
-        #: the full invariant registry instead of the two bare
-        #: conservation checks (which the monitor's ``conservation``
-        #: invariant subsumes).
         self.monitor = monitor
+        self.interval_s = interval_s
+        self.recorder = manager.recorder
         self.ledgers: List[ConservationLedger] = []
         self.max_abs_residual_w = 0.0
         self._process: Optional[Process] = None
@@ -278,11 +270,7 @@ class BudgetAuditor:
     def probe(self) -> ConservationLedger:
         """Sample, assert and record one conservation snapshot."""
         ledger = self.manager.ledger()
-        if self.monitor is None:
-            ledger.check()
-            self.manager.audit().check()
-        else:
-            self.monitor.probe()
+        self.monitor.probe()
         for name in (
             "caps_live_w",
             "caps_dead_w",
@@ -446,45 +434,32 @@ def run_chaos_single(
     default invariant set; ``fail_fast=False`` records violations in the
     result instead of raising at the first one.
     """
-    engine = Engine(sim=sim)
-    rngs = RngRegistry(seed=spec.seed)
-    config = PenelopeConfig(
-        response_timeout_s=spec.response_timeout_s,
-        request_retries=spec.request_retries,
-        grant_ack_retries=spec.grant_ack_retries,
-        enable_membership=spec.enable_membership,
-        membership_probe_period_s=spec.membership_probe_period_s,
-    )
-    manager = PenelopeManager(
-        config=config, recorder=MetricsRecorder(record_caps=False)
-    )
-    cluster_config = ClusterConfig(
-        n_nodes=spec.n_clients,
-        system_power_budget_w=spec.budget_w,
-        message_loss_probability=spec.base_loss,
-    )
-    cluster = Cluster(engine, cluster_config, rngs)
-    assignment = assign_pair_to_cluster(
-        spec.pair,
-        range(spec.n_clients),
-        rng=rngs.stream("workload.jitter"),
-        scale=spec.workload_scale,
-    )
-    cluster.install_assignment(
-        assignment, overhead_factor=config.overhead_factor
-    )
-    manager.install(
-        cluster, client_ids=list(range(spec.n_clients)), budget_w=spec.budget_w
-    )
     if plan is None:
         plan = build_chaos_plan(spec)
-    plan.install(cluster, manager)
+    engine, cluster, manager = build_universe(
+        "penelope",
+        spec.n_clients,
+        spec.budget_w,
+        spec.seed,
+        pair_workloads(spec.pair, spec.n_clients, spec.workload_scale),
+        manager_config=PenelopeConfig(
+            response_timeout_s=spec.response_timeout_s,
+            request_retries=spec.request_retries,
+            grant_ack_retries=spec.grant_ack_retries,
+            enable_membership=spec.enable_membership,
+            membership_probe_period_s=spec.membership_probe_period_s,
+        ),
+        loss=spec.base_loss,
+        fault_plan=plan,
+        sim=sim,
+        # Penelope withholds no server, and chaos has always declared
+        # the unscaled client budget (``budget * n / n`` can round).
+        system_budget_w=spec.budget_w,
+    )
     monitor = InvariantMonitor(
         engine, manager, invariants=invariants, fail_fast=fail_fast
     )
-    auditor = BudgetAuditor(
-        engine, manager, interval_s=spec.audit_interval_s, monitor=monitor
-    )
+    auditor = BudgetAuditor(engine, manager, monitor, interval_s=spec.audit_interval_s)
     cluster.start_workloads()
     manager.start()
     auditor.start()

@@ -27,11 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.experiments.harness import extra_nodes, make_manager
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
-from repro.workloads.apps import build_app
+from repro.experiments.harness import app_workloads, build_universe, extra_nodes
 
 
 @dataclass(frozen=True)
@@ -68,26 +64,18 @@ def run_hardware_efficiency(
     n_clients = total_nodes - withheld
     if n_clients < 2:
         raise ValueError("not enough hardware left to compute on")
-    engine = Engine()
-    rngs = RngRegistry(seed=seed)
-    cluster = Cluster(
-        engine,
-        ClusterConfig(
-            n_nodes=total_nodes,
-            system_power_budget_w=budget_w * total_nodes / n_clients,
-        ),
-        rngs,
+    _, cluster, manager = build_universe(
+        manager_name,
+        n_clients,
+        budget_w,
+        seed,
+        app_workloads(app, n_clients, workload_scale),
+        record_caps=True,
     )
-    manager = make_manager(manager_name)
-    jitter = rngs.stream("workload.jitter")
-    work_total = 0.0
-    for node_id in range(n_clients):
-        workload = build_app(app, rng=jitter, scale=workload_scale)
-        work_total += workload.total_work_s
-        cluster.node(node_id).assign_workload(
-            workload, overhead_factor=manager.config.overhead_factor
-        )
-    manager.install(cluster, client_ids=list(range(n_clients)), budget_w=budget_w)
+    work_total = sum(
+        cluster.nodes[node_id].executor.workload.total_work_s
+        for node_id in range(n_clients)
+    )
     manager.start()
     makespan = cluster.run_to_completion()
     manager.audit().check()
@@ -127,8 +115,6 @@ def format_hardware_efficiency(results: Dict[str, ThroughputResult]) -> str:
     ):
         lines.append(
             f"{manager:>10} | {result.compute_nodes:>13} | "
-            f"{result.makespan_s:>10.2f} | {result.throughput:>9.3f}x"
-            .replace(f"{result.throughput:>9.3f}x",
-                     f"{result.throughput / baseline:>9.3f}x")
+            f"{result.makespan_s:>10.2f} | {result.throughput / baseline:>9.3f}x"
         )
     return "\n".join(lines)

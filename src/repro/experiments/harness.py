@@ -1,15 +1,17 @@
-"""Single-run driver shared by the nominal, faulty and overhead experiments.
+"""The one universe builder, and the single-run driver of Figs. 2 and 3.
 
-A :class:`RunSpec` fully describes one measurement: manager, application
-pair, initial per-socket cap, cluster size, seed and optional fault plan.
-:func:`run_single` builds a fresh simulation universe for it, runs to
-completion, audits the §2.1 constraints and returns a :class:`RunResult`.
+:func:`build_universe` builds every simulated :class:`Cluster` universe
+the experiments run; they differ only in the workloads, manager config,
+loss rate and cap recording they pass it.  A :class:`RunSpec` fully
+describes one Fig. 2/3 measurement; :func:`run_single` builds it with
+:func:`build_run`, runs to completion, audits the §2.1 constraints and
+returns a :class:`RunResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.faults import FaultPlan
@@ -25,7 +27,9 @@ from repro.net.network import NetworkStats
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from repro.workloads.apps import build_app
 from repro.workloads.generator import assign_pair_to_cluster
+from repro.workloads.phases import Workload
 
 #: manager name -> (factory taking an optional ManagerConfig,
 #:                  dedicated server nodes withheld beyond the clients,
@@ -51,28 +55,25 @@ def make_manager(
     config: Optional[ManagerConfig] = None,
     recorder: Optional[MetricsRecorder] = None,
 ) -> PowerManager:
-    """Instantiate a manager by name, with a type-checked config.
+    """Instantiate a manager by name; a ``None`` config means its defaults.
 
-    The config check is table-driven so every manager -- including Fair,
-    whose factory previously sat outside the per-name isinstance ladder --
-    gets the same treatment: a ``None`` config means factory defaults, a
-    config of the registered type (or a subclass) is passed through, and
-    anything else is a :class:`TypeError`.
+    A config must be of the type :data:`MANAGER_FACTORIES` registers for
+    ``name`` (or a subclass), or this raises :class:`TypeError`.
     """
     try:
-        factory, _, config_type = MANAGER_FACTORIES[name]
+        factory = MANAGER_FACTORIES[name][0]
     except KeyError:
         raise KeyError(
             f"unknown manager {name!r}; choose from {sorted(MANAGER_FACTORIES)}"
         ) from None
-    if config is None:
-        return factory(recorder=recorder)
-    if not isinstance(config, config_type):
-        raise TypeError(
-            f"{name} requires a {config_type.__name__}, "
-            f"got {type(config).__name__}"
-        )
+    _check_config(name, config)
     return factory(config=config, recorder=recorder)
+
+
+def _check_config(name: str, config: Optional[ManagerConfig]) -> None:
+    expected = expected_config_type(name)
+    if config is not None and not isinstance(config, expected):
+        raise TypeError(f"{name} requires a {expected.__name__}, got {type(config).__name__}")
 
 
 def extra_nodes(name: str) -> int:
@@ -107,13 +108,7 @@ class RunSpec:
             raise ValueError("need at least two client nodes for a pair")
         if self.cap_w_per_socket <= 0:
             raise ValueError("cap must be positive")
-        if self.manager_config is not None:
-            config_type = expected_config_type(self.manager)
-            if not isinstance(self.manager_config, config_type):
-                raise TypeError(
-                    f"{self.manager} requires a {config_type.__name__}, "
-                    f"got {type(self.manager_config).__name__}"
-                )
+        _check_config(self.manager, self.manager_config)
 
     @property
     def budget_w(self) -> float:
@@ -141,6 +136,71 @@ class RunResult:
         return 1.0 / self.runtime_s
 
 
+#: Draws a universe's client workloads (node id -> workload) from its RNGs.
+WorkloadDraw = Callable[[RngRegistry], Mapping[int, Workload]]
+
+
+def pair_workloads(pair: Tuple[str, str], n_clients: int, scale: float) -> WorkloadDraw:
+    """§4.1's split: the first half of the clients runs ``pair[0]``, the
+    rest ``pair[1]``, each node its own jittered instance."""
+    return lambda rngs: assign_pair_to_cluster(
+        pair, range(n_clients), rng=rngs.stream("workload.jitter"), scale=scale
+    ).workloads
+
+
+def app_workloads(app: str, n_clients: int, scale: float) -> WorkloadDraw:
+    """Every client runs its own jittered instance of ``app``."""
+    return lambda rngs: {
+        node_id: build_app(app, rng=rngs.stream("workload.jitter"), scale=scale)
+        for node_id in range(n_clients)
+    }
+
+
+def build_universe(
+    manager_name: str,
+    n_clients: int,
+    budget_w: float,
+    seed: int,
+    workloads: WorkloadDraw,
+    manager_config: Optional[ManagerConfig] = None,
+    record_caps: bool = False,
+    loss: float = 0.0,
+    fault_plan: Optional[FaultPlan] = None,
+    sim: Optional[SimConfig] = None,
+    system_budget_w: Optional[float] = None,
+) -> Tuple[Engine, Cluster, PowerManager]:
+    """Construct (engine, cluster, manager) for one run, installed but idle.
+
+    The manager governs clients ``0 .. n_clients - 1`` under ``budget_w``;
+    its server nodes, if any, come after them.  ``system_budget_w``
+    defaults to ``budget_w`` scaled up to the servers' share.  Nothing is
+    started: each caller starts the universe in its own order.
+    """
+    engine = Engine(sim=sim)
+    rngs = RngRegistry(seed=seed)
+    extra = extra_nodes(manager_name)
+    manager = make_manager(
+        manager_name,
+        config=manager_config,
+        recorder=MetricsRecorder(record_caps=record_caps),
+    )
+    if system_budget_w is None:
+        system_budget_w = budget_w * (n_clients + extra) / n_clients
+    cluster_config = ClusterConfig(
+        n_nodes=n_clients + extra,
+        system_power_budget_w=system_budget_w,
+        message_loss_probability=loss,
+    )
+    cluster = Cluster(engine, cluster_config, rngs)
+    overhead = manager.config.overhead_factor
+    for node_id, workload in workloads(rngs).items():
+        cluster.nodes[node_id].assign_workload(workload, overhead_factor=overhead)
+    manager.install(cluster, client_ids=list(range(n_clients)), budget_w=budget_w)
+    if fault_plan is not None:
+        fault_plan.install(cluster, manager)
+    return engine, cluster, manager
+
+
 def build_run(spec: RunSpec, sim: Optional[SimConfig] = None):
     """Construct (engine, cluster, manager) for ``spec`` without running.
 
@@ -149,34 +209,17 @@ def build_run(spec: RunSpec, sim: Optional[SimConfig] = None):
     deliberately lives outside :class:`RunSpec` because it must never
     change what is simulated -- only how.
     """
-    engine = Engine(sim=sim)
-    rngs = RngRegistry(seed=spec.seed)
-    extra = extra_nodes(spec.manager)
-    manager = make_manager(
+    return build_universe(
         spec.manager,
-        config=spec.manager_config,
-        recorder=MetricsRecorder(record_caps=spec.record_caps),
+        spec.n_clients,
+        spec.budget_w,
+        spec.seed,
+        pair_workloads(spec.pair, spec.n_clients, spec.workload_scale),
+        manager_config=spec.manager_config,
+        record_caps=spec.record_caps,
+        fault_plan=spec.fault_plan,
+        sim=sim,
     )
-    cluster_config = ClusterConfig(
-        n_nodes=spec.n_clients + extra,
-        system_power_budget_w=spec.budget_w * (spec.n_clients + extra) / spec.n_clients,
-    )
-    cluster = Cluster(engine, cluster_config, rngs)
-    assignment = assign_pair_to_cluster(
-        spec.pair,
-        range(spec.n_clients),
-        rng=rngs.stream("workload.jitter"),
-        scale=spec.workload_scale,
-    )
-    cluster.install_assignment(
-        assignment, overhead_factor=manager.config.overhead_factor
-    )
-    manager.install(
-        cluster, client_ids=list(range(spec.n_clients)), budget_w=spec.budget_w
-    )
-    if spec.fault_plan is not None:
-        spec.fault_plan.install(cluster, manager)
-    return engine, cluster, manager
 
 
 def run_single(spec: RunSpec, sim: Optional[SimConfig] = None) -> RunResult:

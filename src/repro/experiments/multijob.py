@@ -20,13 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.faults import FaultPlan
-from repro.experiments.harness import extra_nodes, make_manager
+from repro.experiments.harness import build_universe, extra_nodes
 from repro.experiments.runner import TaskKind, raise_on_failures, run_sweep
 from repro.instrumentation import MetricsRecorder
 from repro.managers.base import ManagerConfig
-from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.apps import build_app
 from repro.workloads.phases import Workload, concatenate
@@ -66,10 +64,6 @@ class MultiJobResult:
     faulted: bool
     recorder: MetricsRecorder
 
-    @property
-    def performance(self) -> float:
-        return 1.0 / self.runtime_s
-
 
 @dataclass(frozen=True)
 class MultiJobSpec:
@@ -95,33 +89,16 @@ class MultiJobSpec:
 
 def run_multijob_spec(spec: MultiJobSpec) -> MultiJobResult:
     """Run the back-to-back schedule described by ``spec``."""
-    engine = Engine()
-    rngs = RngRegistry(seed=spec.seed)
-    extra = extra_nodes(spec.manager)
-    n_clients = spec.n_clients
-    budget = spec.cap_w_per_socket * 2 * n_clients
-    cluster = Cluster(
-        engine,
-        ClusterConfig(
-            n_nodes=n_clients + extra,
-            system_power_budget_w=budget * (n_clients + extra) / n_clients,
-        ),
-        rngs,
+    _, cluster, manager = build_universe(
+        spec.manager,
+        spec.n_clients,
+        spec.cap_w_per_socket * 2 * spec.n_clients,
+        spec.seed,
+        lambda rngs: build_sequences(spec.n_clients, spec.sequences, rngs, spec.workload_scale),
+        manager_config=spec.manager_config,
+        record_caps=True,
+        fault_plan=spec.fault_plan,
     )
-    manager = make_manager(spec.manager, config=spec.manager_config)
-    workloads = build_sequences(
-        n_clients,
-        sequences=spec.sequences,
-        rngs=rngs,
-        workload_scale=spec.workload_scale,
-    )
-    for node_id, workload in workloads.items():
-        cluster.node(node_id).assign_workload(
-            workload, overhead_factor=manager.config.overhead_factor
-        )
-    manager.install(cluster, client_ids=list(range(n_clients)), budget_w=budget)
-    if spec.fault_plan is not None:
-        spec.fault_plan.install(cluster)
     manager.start()
     runtime = cluster.run_to_completion()
     manager.audit().check()
@@ -131,31 +108,6 @@ def run_multijob_spec(spec: MultiJobSpec) -> MultiJobResult:
         runtime_s=runtime,
         faulted=spec.fault_plan is not None and not spec.fault_plan.is_empty,
         recorder=manager.recorder,
-    )
-
-
-def run_multijob(
-    manager_name: str,
-    n_clients: int = 10,
-    cap_w_per_socket: float = 65.0,
-    seed: int = 0,
-    workload_scale: float = 1.0,
-    sequences: Sequence[Sequence[str]] = DEFAULT_SEQUENCES,
-    fault_plan: Optional[FaultPlan] = None,
-    manager_config: Optional[ManagerConfig] = None,
-) -> MultiJobResult:
-    """Keyword-style wrapper around :func:`run_multijob_spec`."""
-    return run_multijob_spec(
-        MultiJobSpec(
-            manager=manager_name,
-            n_clients=n_clients,
-            cap_w_per_socket=cap_w_per_socket,
-            seed=seed,
-            workload_scale=workload_scale,
-            sequences=tuple(tuple(sequence) for sequence in sequences),
-            fault_plan=fault_plan,
-            manager_config=manager_config,
-        )
     )
 
 

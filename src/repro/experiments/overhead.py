@@ -19,12 +19,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.core.config import PenelopeConfig
-from repro.core.manager import PenelopeManager
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
-from repro.workloads.apps import APP_NAMES, build_app
+from repro.experiments.harness import app_workloads, build_universe
+from repro.workloads.apps import APP_NAMES
 
 
 @dataclass(frozen=True)
@@ -47,40 +44,6 @@ class OverheadResult:
         )
 
 
-def _single_node_runtime(
-    app: str,
-    cap_w_per_socket: float,
-    seed: int,
-    workload_scale: float,
-    with_penelope: bool,
-    config: Optional[PenelopeConfig] = None,
-) -> float:
-    """One app on one node, with or without the Penelope daemons."""
-    engine = Engine()
-    rngs = RngRegistry(seed=seed)
-    budget = cap_w_per_socket * 2
-    cluster = Cluster(
-        engine,
-        ClusterConfig(n_nodes=1, system_power_budget_w=budget),
-        rngs,
-    )
-    workload = build_app(app, rng=rngs.stream("workload.jitter"), scale=workload_scale)
-    manager = None
-    overhead = 0.0
-    if with_penelope:
-        manager = PenelopeManager(config=config)
-        overhead = manager.config.overhead_factor
-    cluster.node(0).assign_workload(workload, overhead_factor=overhead)
-    if manager is not None:
-        manager.install(cluster, client_ids=[0], budget_w=budget)
-        manager.start()
-    runtime = cluster.run_to_completion()
-    if manager is not None:
-        manager.audit().check()
-        manager.stop()
-    return runtime
-
-
 def run_overhead_experiment(
     apps: Sequence[str] = APP_NAMES,
     cap_w_per_socket: float = 80.0,
@@ -88,19 +51,27 @@ def run_overhead_experiment(
     workload_scale: float = 1.0,
     config: Optional[PenelopeConfig] = None,
 ) -> OverheadResult:
-    """Measure Penelope-on vs static-cap runtimes for every app (§4.2)."""
-    runtimes: Dict[str, Tuple[float, float]] = {}
-    for app in apps:
-        static = _single_node_runtime(
-            app, cap_w_per_socket, seed, workload_scale, with_penelope=False
-        )
-        managed = _single_node_runtime(
-            app,
-            cap_w_per_socket,
+    """Measure Penelope-on vs static-cap runtimes for every app (§4.2).
+
+    The static cap is a one-node Fair run: Fair sets the cap once and runs
+    no daemons, so it adds no overhead.
+    """
+
+    def runtime(manager_name: str, app: str, config: Optional[PenelopeConfig] = None) -> float:
+        _, cluster, manager = build_universe(
+            manager_name,
+            1,
+            cap_w_per_socket * 2,
             seed,
-            workload_scale,
-            with_penelope=True,
-            config=config,
+            app_workloads(app, 1, workload_scale),
+            manager_config=config,
+            record_caps=True,
         )
-        runtimes[app] = (static, managed)
+        manager.start()
+        makespan = cluster.run_to_completion()
+        manager.audit().check()
+        manager.stop()
+        return makespan
+
+    runtimes = {app: (runtime("fair", app), runtime("penelope", app, config)) for app in apps}
     return OverheadResult(cap_w_per_socket=cap_w_per_socket, runtimes=runtimes)

@@ -8,7 +8,7 @@ benchmark harness can regenerate each one without a plotting stack.
 from __future__ import annotations
 
 import sys
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.experiments.faulty import FaultyResult
 from repro.experiments.nominal import NominalResult
@@ -52,10 +52,23 @@ def print_progress(event: ProgressEvent) -> None:
     print(format_progress(event), file=sys.stderr)
 
 
-def _bar(value: float, unit: float, width: int = 40, char: str = "#") -> str:
-    """A crude text bar: one ``char`` per ``unit`` of value."""
-    n = max(0, min(width, int(round(value / unit))))
-    return char * n
+def _cap_table(result: NominalResult) -> List[str]:
+    """The Fig. 2/3 table: header, one geomean row per cap, overall row."""
+    header = f"{'cap W/socket':>14} | " + " | ".join(f"{s:>9}" for s in result.systems)
+    lines = [header, "-" * len(header)]
+    per_cap = {s: result.geomean_per_cap(s) for s in result.systems}
+    for cap in result.caps:
+        lines.append(
+            f"{cap:>14.0f} | "
+            + " | ".join(
+                f"{per_cap[s].get(cap, float('nan')):>9.4f}" for s in result.systems
+            )
+        )
+    lines.append(
+        f"{'overall':>14} | "
+        + " | ".join(f"{result.overall_geomean(s):>9.4f}" for s in result.systems)
+    )
+    return lines
 
 
 def format_nominal(result: NominalResult, title: str = "Figure 2") -> str:
@@ -63,19 +76,8 @@ def format_nominal(result: NominalResult, title: str = "Figure 2") -> str:
     lines = [
         f"{title}: Performance Under Nominal Conditions "
         f"(normalized to Fair, geomean over {len(result.pairs)} pairs)",
-        f"{'cap W/socket':>14} | " + " | ".join(f"{s:>9}" for s in result.systems),
+        *_cap_table(result),
     ]
-    lines.append("-" * len(lines[-1]))
-    per_cap = {s: result.geomean_per_cap(s) for s in result.systems}
-    for cap in result.caps:
-        row = f"{cap:>14.0f} | " + " | ".join(
-            f"{per_cap[s].get(cap, float('nan')):>9.4f}" for s in result.systems
-        )
-        lines.append(row)
-    lines.append(
-        f"{'overall':>14} | "
-        + " | ".join(f"{result.overall_geomean(s):>9.4f}" for s in result.systems)
-    )
     if {"slurm", "penelope"} <= set(result.systems):
         advantage = result.mean_advantage("slurm", "penelope")
         lines.append(
@@ -91,21 +93,8 @@ def format_faulty(result: FaultyResult, title: str = "Figure 3") -> str:
         f"{title}: Performance Under Faulty Conditions "
         f"(normalized to Fair, geomean over {len(result.pairs)} pairs; "
         f"SLURM server / one Penelope client killed mid-run)",
-        f"{'cap W/socket':>14} | " + " | ".join(f"{s:>9}" for s in result.systems),
+        *_cap_table(result),
     ]
-    lines.append("-" * len(lines[-1]))
-    per_cap = {s: result.geomean_per_cap(s) for s in result.systems}
-    for cap in result.caps:
-        lines.append(
-            f"{cap:>14.0f} | "
-            + " | ".join(
-                f"{per_cap[s].get(cap, float('nan')):>9.4f}" for s in result.systems
-            )
-        )
-    lines.append(
-        f"{'overall':>14} | "
-        + " | ".join(f"{result.overall_geomean(s):>9.4f}" for s in result.systems)
-    )
     if {"slurm", "penelope"} <= set(result.systems):
         advantage = result.penelope_advantage_over_slurm()
         lines.append(

@@ -10,8 +10,8 @@ from repro.experiments.allocation import (
     AllocationTrace,
     compare_allocation_quality,
     format_allocation,
-    measure_allocation_trace,
     oracle_allocation,
+    run_allocation_point,
 )
 
 FAST = dict(
@@ -48,7 +48,7 @@ class TestOracle:
 class TestTrace:
     @pytest.fixture(scope="class")
     def penelope_trace(self):
-        return measure_allocation_trace("penelope", **FAST)
+        return run_allocation_point(AllocationSpec("penelope", **FAST))
 
     def test_shape(self, penelope_trace):
         assert penelope_trace.times.size == penelope_trace.mean_abs_deviation_w.size
@@ -68,7 +68,7 @@ class TestTrace:
             penelope_trace.steady_state_deviation_w(tail_fraction=0.0)
 
     def test_fair_never_moves(self):
-        trace = measure_allocation_trace("fair", **FAST)
+        trace = run_allocation_point(AllocationSpec("fair", **FAST))
         assert np.allclose(
             trace.mean_abs_deviation_w, trace.even_split_deviation_w
         )

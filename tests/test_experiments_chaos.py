@@ -197,7 +197,7 @@ class TestBuildChaosPlan:
 class TestBudgetAuditor:
     def test_interval_validated(self, smoke_result):
         with pytest.raises(ValueError):
-            BudgetAuditor(engine=None, manager=None, interval_s=0.0)
+            BudgetAuditor(engine=None, manager=None, monitor=None, interval_s=0.0)
 
     def test_smoke_run_holds_conservation(self, smoke_result):
         # interval-grid probes plus the final horizon probe

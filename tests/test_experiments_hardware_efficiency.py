@@ -63,3 +63,13 @@ class TestTradeOff:
         text = format_hardware_efficiency(results)
         assert "Benefit 3" in text
         assert "penelope" in text and "slurm" in text
+
+    def test_best_design_prints_unit_throughput(self):
+        results = compare_hardware_efficiency(
+            managers=("penelope", "slurm"), app="EP", **FAST
+        )
+        best, runner_up = format_hardware_efficiency(results).splitlines()[3:]
+        # Rows are sorted best first; throughput is relative to the best.
+        assert best.split()[0] == "slurm" and best.endswith(" 1.000x")
+        assert runner_up.split()[0] == "penelope"
+        assert not runner_up.endswith(" 1.000x")

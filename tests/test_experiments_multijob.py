@@ -7,10 +7,11 @@ import pytest
 from repro.cluster.faults import FaultPlan
 from repro.experiments.multijob import (
     MultiJobComparison,
+    MultiJobSpec,
     build_sequences,
     format_multijob,
-    run_multijob,
     run_multijob_comparison,
+    run_multijob_spec,
 )
 from repro.sim.rng import RngRegistry
 
@@ -41,19 +42,19 @@ class TestBuildSequences:
 
 class TestRunMultijob:
     def test_runs_and_audits(self):
-        result = run_multijob("penelope", **FAST)
+        result = run_multijob_spec(MultiJobSpec("penelope", **FAST))
         assert result.runtime_s > 0
         assert not result.faulted
 
     def test_fault_plan_marks_result(self):
-        result = run_multijob(
-            "penelope", fault_plan=FaultPlan().kill(0, 5.0), **FAST
+        result = run_multijob_spec(
+            MultiJobSpec("penelope", fault_plan=FaultPlan().kill(0, 5.0), **FAST)
         )
         assert result.faulted
 
     def test_deterministic(self):
-        a = run_multijob("slurm", **FAST)
-        b = run_multijob("slurm", **FAST)
+        a = run_multijob_spec(MultiJobSpec("slurm", **FAST))
+        b = run_multijob_spec(MultiJobSpec("slurm", **FAST))
         assert a.runtime_s == b.runtime_s
 
 

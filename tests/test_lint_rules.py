@@ -237,6 +237,24 @@ class TestR10StreamGraph:
         assert all(f.line != 8 for f in report.findings)
         assert not any("fabric.py" in f.path for f in report.findings)
 
+    def test_workload_jitter_belongs_to_the_universe_builder(self, tmp_path):
+        # Against the real manifest, an experiment that draws the workload
+        # jitter itself -- a hand-built universe -- is a foreign draw.
+        package = tmp_path / "repro"
+        for sub in ("", "sim", "experiments"):
+            (package / sub).mkdir(exist_ok=True)
+            (package / sub / "__init__.py").write_text("")
+        (package / "sim" / "streams.py").write_text(
+            (REPO_ROOT / "src" / "repro" / "sim" / "streams.py").read_text()
+        )
+        draw = 'def build(rngs):\n    return rngs.stream("workload.jitter")\n'
+        (package / "experiments" / "harness.py").write_text(draw)
+        (package / "experiments" / "overhead.py").write_text(draw)
+        report = lint_paths(
+            [tmp_path], rule_ids=["R10"], config=LintConfig(), project=True
+        )
+        assert located(report, "R10") == [("experiments/overhead.py", 2)]
+
 
 class TestR11FutureTimeouts:
     def test_bad_fixture_exact_lines(self):

@@ -47,6 +47,7 @@ from repro.power.rapl import PowerCapInterface
 from repro.sim import (
     Engine,
     EventBase,
+    FirstOf,
     Interrupt,
     Process,
     Store,
@@ -404,39 +405,44 @@ class SlurmClient:
             alpha=alpha,
             iteration=self.iterations,
         )
-        sent_at = self.engine.now
+        engine = self.engine
+        sent_at = engine.now
         self.network.send(request)
-        deadline = self.engine.timeout(self.config.timeout_s)
+        deadline = engine.timeout(self.config.timeout_s)
         granted = 0.0
         timed_out = False
-        while True:
-            get_event = self.inbox.get()
-            try:
-                yield self.engine.any_of([get_event, deadline])
-            except Interrupt:
-                # Stopped mid-wait: withdraw the getter, or a restart's
-                # first message would be handed to this dead wait and lost.
-                self.inbox.cancel_get(get_event)
-                raise
-            if not get_event.triggered:
-                self.inbox.cancel_get(get_event)
-                timed_out = True
-                self.recorder.bump("slurm.client.request_timeouts")
-                break
-            message = get_event.value
-            if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
-                granted = message.delta
-                # The client is the deadline's only owner: cancel it
-                # rather than leave it queued to fire into a resolved
-                # AnyOf.
-                if deadline.callbacks is not None:
-                    deadline.cancel()
-                break
-            self._handle_async(message)
+        try:
+            while True:
+                get_event = self.inbox.get()
+                # Lean two-event wait, as in the Penelope decider: same
+                # wake-up as any_of([get_event, deadline]) without the
+                # condition bookkeeping.
+                yield FirstOf(engine, get_event, deadline)
+                if not get_event.triggered:
+                    self.inbox.cancel_get(get_event)
+                    timed_out = True
+                    self.recorder.bump("slurm.client.request_timeouts")
+                    break
+                message = get_event.value
+                if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
+                    granted = message.delta
+                    break
+                self._handle_async(message)
+        except Interrupt:
+            # Stopped mid-wait: withdraw the getter, or a restart's first
+            # message would be handed to this dead wait and lost.
+            self.inbox.cancel_get(get_event)
+            raise
+        finally:
+            # The client is the deadline's only owner.  A grant that beat
+            # it, or a stop mid-wait, leaves it armed: cancel it rather
+            # than let it fire as a no-op later.
+            if not deadline.processed:
+                deadline.cancel()
         self.recorder.turnaround(
-            time=self.engine.now,
+            time=engine.now,
             node=self.node_id,
-            wait_s=self.engine.now - sent_at,
+            wait_s=engine.now - sent_at,
             granted_w=granted,
             timed_out=timed_out,
         )

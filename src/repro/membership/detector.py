@@ -201,7 +201,7 @@ class FailureDetector:
 
         Returns the message unchanged when nothing is pending; otherwise
         a copy (:meth:`~repro.net.messages.Message.with_gossip`: same
-        ``msg_id`` and ``send_time``, lint R4) carrying up to
+        ``msg_id``, lint R4) carrying up to
         ``membership_piggyback_max`` updates.
         """
         updates = self.view.select_updates(self.config.membership_piggyback_max)

@@ -90,17 +90,14 @@ class Message:
 
     Messages are immutable value objects (``frozen=True``, enforced
     statically by lint rule R4): once constructed, the sender's copy can
-    never change under the feet of whoever holds a reference.
+    never change under the feet of whoever holds a reference.  That is
+    what lets :meth:`repro.net.network.Network.send` deliver the
+    sender's instance itself, with no in-flight copy.
 
     Attributes
     ----------
     src, dst:
         Endpoint addresses (:class:`Addr`).
-    send_time:
-        Simulated time at which the message entered the network.  The
-        sender's instance keeps the ``nan`` default;
-        :meth:`repro.net.network.Network.send` delivers a stamped copy
-        (:meth:`stamped`, preserving ``msg_id``).
     msg_id:
         Unique id, used to correlate requests and replies.
     gossip:
@@ -115,33 +112,11 @@ class Message:
     src: Addr
     dst: Addr
     msg_id: int = field(default_factory=next_message_id)
-    send_time: float = float("nan")
     gossip: Tuple[MembershipUpdate, ...] = ()
 
     @property
     def kind(self) -> str:
         return type(self).__name__
-
-    def stamped(self: _MessageT, send_time: float) -> _MessageT:
-        """The in-flight twin: an identical copy with ``send_time`` set.
-
-        Semantically ``dataclasses.replace(self, send_time=...)`` (same
-        ``msg_id``, all other fields shared), minus the per-call field
-        introspection and re-validation -- ``Network.send`` stamps every
-        message exactly once on the kernel's hottest path.  The copy is
-        fully built before anyone holds a reference, so R4's sharing
-        invariant (no observable post-construction mutation) holds.
-        """
-        cls = type(self)
-        names = _STAMP_FIELDS.get(cls)
-        if names is None:
-            names = tuple(f.name for f in fields(cls))
-            _STAMP_FIELDS[cls] = names
-        twin = cls.__new__(cls)
-        for name in names:
-            object.__setattr__(twin, name, getattr(self, name))
-        object.__setattr__(twin, "send_time", send_time)
-        return twin
 
     def with_gossip(
         self: _MessageT, gossip: Tuple[MembershipUpdate, ...]
@@ -149,9 +124,12 @@ class Message:
         """This message carrying ``gossip`` as its piggyback payload.
 
         Semantically ``dataclasses.replace(self, gossip=...)`` (same
-        ``msg_id`` and ``send_time``), built like :meth:`stamped`: the
-        failure detector stamps gossip onto a large share of all
-        outgoing traffic in membership runs.
+        ``msg_id``, all other fields shared), minus the per-call field
+        introspection and re-validation: the failure detector stamps
+        gossip onto a large share of all outgoing traffic in membership
+        runs.  The copy is fully built before anyone holds a reference,
+        so R4's sharing invariant (no observable post-construction
+        mutation) holds.
         """
         cls = type(self)
         names = _STAMP_FIELDS.get(cls)
@@ -165,8 +143,7 @@ class Message:
         return twin
 
 
-#: Per-class field-name cache backing :meth:`Message.stamped` and
-#: :meth:`Message.with_gossip`.
+#: Per-class field-name cache backing :meth:`Message.with_gossip`.
 _STAMP_FIELDS: Dict[Type["Message"], Tuple[str, ...]] = {}
 
 

@@ -212,7 +212,7 @@ class Network:
     ) -> None:
         """Deliver each subsequent message twice with ``probability``.
 
-        The second copy is the *same stamped message* (same ``msg_id``)
+        The echo is the *same message instance* (same ``msg_id``)
         arriving later -- exactly what a fabric that retransmits or
         multipaths produces, and the adversarial input for any
         at-most-once guarantee (grant application, escrow settlement).
@@ -284,7 +284,9 @@ class Network:
 
         Delivery is a single :class:`~repro.sim.events.Callback` event
         scheduled directly on the engine queue; the arrival-time checks
-        live in :meth:`_deliver`.
+        live in :meth:`_deliver`.  The receiver gets the sender's
+        instance itself: messages are frozen (lint R4), so there is
+        nothing to copy.
         """
         stats = self.stats
         stats.sent += 1
@@ -346,15 +348,10 @@ class Network:
             stats.reordered_by_kind[kind] = (
                 stats.reordered_by_kind.get(kind, 0) + 1
             )
-        # Messages are frozen value objects: delivery carries a *stamped
-        # copy* (same msg_id) instead of mutating the sender's instance
-        # retroactively.  Stamping after the drop checks keeps the copy
-        # off the dropped paths.
-        stamped = message.stamped(self.engine._now)
         # Direct Callback construction (== engine.call_later) saves a call
         # per message on the simulation's hottest path; constant tiebreak
         # key for the same reason.
-        Callback(self.engine, delay, self._deliver, stamped, name="net.deliver")
+        Callback(self.engine, delay, self._deliver, message, name="net.deliver")
         if self._duplicate_probability > 0.0:
             assert self._duplicate_rng is not None
             if float(self._duplicate_rng.random()) < self._duplicate_probability:
@@ -363,7 +360,7 @@ class Network:
                     stats.duplicated_by_kind.get(kind, 0) + 1
                 )
                 # The echo trails the original by up to one extra latency
-                # (same stamped copy, same msg_id -- a true duplicate).
+                # (same instance, same msg_id -- a true duplicate).
                 echo_delay = delay * (
                     1.0 + float(self._duplicate_rng.random())
                 )
@@ -371,7 +368,7 @@ class Network:
                     self.engine,
                     echo_delay,
                     self._deliver,
-                    stamped,
+                    message,
                     name="net.deliver.dup",
                 )
 

@@ -281,3 +281,76 @@ class TestDeadlines:
         assert rig.engine.cancelled_events > cancelled_before
         # No deadline of an answered request is left live in the queue.
         assert [d for d in deadlines if d.callbacks is not None and not d._cancelled] == []
+
+    def test_stop_mid_wait_cancels_its_deadline(self):
+        # Stopped while waiting on an unreachable server, the client owns
+        # a still-armed deadline: it must be cancelled, not left to fire
+        # into the abandoned wait.
+        config = SlurmConfig(stagger_start=False, response_timeout_s=0.9)
+        rig = Rig(grant_w=12.0, config=config)
+        rig.network.mark_dead(SERVER.node)
+        deadlines = []
+        make_timeout = rig.engine.timeout
+
+        def spy(delay, value=None):
+            timeout = make_timeout(delay, value)
+            if delay == config.timeout_s:
+                deadlines.append(timeout)
+            return timeout
+
+        rig.engine.timeout = spy
+        rig.set_draw(INITIAL)
+        rig.engine.run(until=config.period_s + 0.5)
+        assert len(deadlines) == 1 and not deadlines[0].processed
+        rig.client.stop()
+        rig.engine.run(until=rig.engine.now + 0.1)  # deliver the interrupt
+        assert not rig.client.is_running
+        assert deadlines[0]._cancelled
+
+
+class TestLeanWait:
+    def test_no_condition_built_while_a_run_dispatches(self, monkeypatch):
+        # Every server wait is a FirstOf: a full AnyOf/AllOf condition
+        # built inside the event loop means a client fell back to
+        # engine.any_of.  (run_to_completion builds its own AnyOf before
+        # the loop starts, which this count leaves out.)
+        from repro.experiments.harness import RunSpec, run_single
+        from repro.sim import events
+
+        counts = {"conditions": 0, "first_of": 0}
+        dispatching = [False]
+        dispatch = Engine._dispatch
+        condition_init = events._Condition.__init__
+        first_of_init = events.FirstOf.__init__
+
+        def counting_dispatch(self, until):
+            dispatching[0] = True
+            try:
+                return dispatch(self, until)
+            finally:
+                dispatching[0] = False
+
+        def counting_condition(self, *args, **kwargs):
+            if dispatching[0]:
+                counts["conditions"] += 1
+            condition_init(self, *args, **kwargs)
+
+        def counting_first_of(self, *args, **kwargs):
+            if dispatching[0]:
+                counts["first_of"] += 1
+            first_of_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "_dispatch", counting_dispatch)
+        monkeypatch.setattr(events._Condition, "__init__", counting_condition)
+        monkeypatch.setattr(events.FirstOf, "__init__", counting_first_of)
+        run_single(
+            RunSpec(
+                manager="slurm",
+                pair=("EP", "DC"),
+                cap_w_per_socket=80.0,
+                n_clients=4,
+                workload_scale=0.05,
+            )
+        )
+        assert counts["first_of"] > 0
+        assert counts["conditions"] == 0

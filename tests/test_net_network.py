@@ -30,26 +30,24 @@ class TestDelivery:
         assert len(inbox) == 0  # not delivered synchronously
         engine.run()
         assert len(inbox) == 1
-        # Delivery carries a stamped copy (messages are frozen); identity
-        # is the msg_id, not the object.
-        delivered = inbox.get_nowait()
-        assert delivered == msg or delivered.msg_id == msg.msg_id
+        assert inbox.get_nowait() is msg
         assert engine.now == pytest.approx(120e-6)
 
-    def test_send_time_stamped(self, engine, net):
+    def test_delivers_the_sent_instance(self, engine, net):
+        # Messages are frozen, so the network delivers the sender's
+        # instance itself; a duplication echo delivers that same
+        # instance a second time.
         inbox = Store(engine)
         net.attach(Addr(1, PORT_POOL), inbox)
-        engine.timeout(1.0)
-        engine.run()
+        net.enable_duplication(0.999999, np.random.default_rng(0))
         msg = request(0, 1)
         net.send(msg)
         engine.run()
-        delivered = inbox.get_nowait()
-        # The delivered copy is stamped; the sender's frozen instance
-        # keeps the nan default.
-        assert delivered.send_time == 1.0
-        assert delivered.msg_id == msg.msg_id
-        assert msg.send_time != msg.send_time  # nan
+        assert net.stats.duplicated == 1
+        first, echo = inbox.get_nowait(), inbox.get_nowait()
+        assert first is msg and echo is msg
+        assert len(inbox) == 0
+        assert not hasattr(msg, "send_time")
 
     def test_loopback_faster_than_remote(self, engine, net):
         inbox_local = Store(engine)

@@ -9,6 +9,12 @@ The cap of 60.1 W/socket on six clients is one where the system-budget
 expressions ``budget`` and ``budget * n / n`` differ in the last bit, so
 the runs cover both roundings of the cluster's fair share.
 
+The ``scaling-*`` tables print four significant digits, so the scaling
+study is also pinned a level down: the canonical JSON of whole
+``ScalingResult`` objects, recorder included, for points covering both
+managers, a raised frequency, server-inbox overflow drops and pair
+playback.
+
 To re-pin after an intended behaviour change, print the new digests with
 ``python -m pytest tests/test_output_pins.py -q`` and read them off the
 assertion messages.
@@ -25,6 +31,8 @@ from repro.experiments.hardware_efficiency import (
     compare_hardware_efficiency,
     format_hardware_efficiency,
 )
+from repro.experiments.scaling import ScalingSpec, run_scaling_point
+from repro.experiments.serialize import canonical_json, encode
 
 
 def _sha256(text: str) -> str:
@@ -51,6 +59,12 @@ COMMAND_PINS = {
     "--membership --no-cache": (
         "15d834bae054e0702a6cc6009c60b2bcabfb11bf1a2618a1fcfd433954634ab0"
     ),
+    "scaling-frequency --freqs 1 4 --clients 8 --seed 1 --no-cache": (
+        "1c792ef03bc70db67994a0385afe0867da8651d6eadcec961d03998f3d0bad99"
+    ),
+    "scaling-scale --scales 8 16 --seed 1 --no-cache": (
+        "a2e00943705275cb07aab5224f172dd7850c14d4ef6adc9f6e3c91ce0441c5af"
+    ),
 }
 
 HARDWARE_EFFICIENCY_PIN = (
@@ -73,3 +87,43 @@ def test_hardware_efficiency_table_is_pinned():
         )
     )
     assert _sha256(text) == HARDWARE_EFFICIENCY_PIN, text
+
+
+
+def _scaling_id(spec: ScalingSpec) -> str:
+    pair = "" if spec.pair is None else "-" + ":".join(spec.pair)
+    return f"{spec.manager}-{spec.n_clients}-{spec.frequency_hz:g}hz{pair}"
+
+
+SCALING_POINT_PINS = {
+    ScalingSpec(manager="penelope", n_clients=8, seed=1): (
+        "5e147ed0efaf12fb6109f9d318c2548729e2b087431b35129d91ced6770839c5"
+    ),
+    ScalingSpec(manager="slurm", n_clients=8, seed=1): (
+        "14babd48656afc4aa1559bb6105f0a87a9e09c376ca9fa46a000a7065469a421"
+    ),
+    ScalingSpec(manager="penelope", n_clients=16, frequency_hz=4.0, seed=1): (
+        "f6ae2b7974c7f1e654294cbd4e20b39e72c34ea9ab7181bc6deec9dee5095522"
+    ),
+    # Saturates the server inbox: 2,543 overflow drops.
+    ScalingSpec(
+        manager="slurm",
+        n_clients=64,
+        frequency_hz=20.0,
+        observe_for_s=5.0,
+        server_inbox_capacity=16,
+        seed=1,
+    ): "0432baeb3c260f1555c53163c43ddf4f21370a608c4812e2cd11539c5e640c48",
+    ScalingSpec(manager="penelope", n_clients=8, pair=("MG", "LU"), seed=1): (
+        "d2a49bcadda503acb2cca040e6938e42fd3e8cedc3a3864e1852bedf2c9fbb8f"
+    ),
+    ScalingSpec(manager="slurm", n_clients=8, pair=("MG", "LU"), seed=1): (
+        "03166af6d606f20b6e4b2ae2419c8ce1be1c6e0ecb4e40919acd9f5a8a26e602"
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", list(SCALING_POINT_PINS), ids=_scaling_id)
+def test_scaling_point_result_is_pinned(spec):
+    digest = _sha256(canonical_json(encode(run_scaling_point(spec))))
+    assert digest == SCALING_POINT_PINS[spec], digest

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.network import Network
 from repro.net.topology import LatencyModel, Topology
@@ -13,6 +13,7 @@ from repro.sim.engine import Engine
 from repro.sim.events import EventBase
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import PairAssignment
+from repro.workloads.traces import PowerTrace
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,6 @@ class ClusterConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
     enforcement_delay_s: Tuple[float, float] = (0.2, 0.5)
     reading_noise: float = 0.01
-    #: Per-endpoint inbox bound; overflow drops packets.
-    inbox_capacity: int = 128
     #: Probability of any message being lost in flight (lossy fabric).
     message_loss_probability: float = 0.0
 
@@ -57,13 +56,18 @@ class ClusterConfig:
 
 
 class Cluster:
-    """Nodes, network and workload wiring for one simulation run."""
+    """Nodes, network and workload wiring for one simulation run.
+
+    ``traces`` maps node ids to the power profiles those nodes play back
+    (see :class:`SimNode`); every other node runs the RAPL model.
+    """
 
     def __init__(
         self,
         engine: Engine,
         config: ClusterConfig,
         rng_registry: Optional[RngRegistry] = None,
+        traces: Optional[Mapping[int, PowerTrace]] = None,
     ) -> None:
         config.validate_budget()
         self.engine = engine
@@ -76,6 +80,7 @@ class Cluster:
             self.rngs.stream("net.latency"),
             loss_probability=config.message_loss_probability,
         )
+        traces = traces or {}
         self.nodes: List[SimNode] = [
             SimNode(
                 engine,
@@ -85,6 +90,7 @@ class Cluster:
                 initial_cap_w=config.fair_share_w,
                 enforcement_delay_s=config.enforcement_delay_s,
                 reading_noise=config.reading_noise,
+                trace=traces.get(node_id),
             )
             for node_id in range(config.n_nodes)
         ]

@@ -1,4 +1,4 @@
-"""One simulated machine: power domain, RAPL, and a workload executor."""
+"""One simulated machine: power domain, power source, and a workload executor."""
 
 from __future__ import annotations
 
@@ -13,11 +13,13 @@ from repro.power.sockets import (
     socket_demands_w,
     speed_with_sockets,
 )
+from repro.power.trace_source import TracePowerSource
 from repro.sim.engine import Engine
 from repro.sim.events import Event, EventBase, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.workloads.performance import consumed_power_w, speed_under_cap
 from repro.workloads.phases import Phase, Workload
+from repro.workloads.traces import PowerTrace
 
 #: Interrupt causes understood by the executor.
 _CAUSE_RECOMPUTE = "recompute"
@@ -171,7 +173,12 @@ class WorkloadExecutor:
 
 
 class SimNode:
-    """A cluster machine: identity, power domain, RAPL, optional workload."""
+    """A cluster machine: identity, power domain, RAPL, optional workload.
+
+    Given a ``trace``, the node plays that power profile back through a
+    :class:`TracePowerSource` instead (§4.5's simulation mode): its
+    deciders see the recorded demand, and it hosts no workload.
+    """
 
     def __init__(
         self,
@@ -182,18 +189,28 @@ class SimNode:
         initial_cap_w: Optional[float] = None,
         enforcement_delay_s: Tuple[float, float] = (0.2, 0.5),
         reading_noise: float = 0.01,
+        trace: Optional[PowerTrace] = None,
     ) -> None:
         self.engine = engine
         self.node_id = node_id
         self.spec = spec
-        self.rapl = SimulatedRapl(
-            engine,
-            spec,
-            rng,
-            initial_cap_w=initial_cap_w,
-            enforcement_delay_s=enforcement_delay_s,
-            reading_noise=reading_noise,
-        )
+        self.rapl: SimulatedRapl
+        if trace is None:
+            self.rapl = SimulatedRapl(
+                engine,
+                spec,
+                rng,
+                initial_cap_w=initial_cap_w,
+                enforcement_delay_s=enforcement_delay_s,
+                reading_noise=reading_noise,
+            )
+        else:
+            # Typed as the RAPL model because only the workload, kill and
+            # revive paths need more than PowerCapInterface, and no caller
+            # gives a playback node a workload or a fault.
+            self.rapl = TracePowerSource(  # type: ignore[assignment]
+                engine, spec, trace, initial_cap_w=initial_cap_w
+            )
         self.executor: Optional[WorkloadExecutor] = None
         self.alive = True
         #: Manager agents register teardown callbacks here so that a node

@@ -2,10 +2,10 @@
 
 :func:`build_universe` builds every simulated :class:`Cluster` universe
 the experiments run; they differ only in the workloads, manager config,
-loss rate and cap recording they pass it.  A :class:`RunSpec` fully
-describes one Fig. 2/3 measurement; :func:`run_single` builds it with
-:func:`build_run`, runs to completion, audits the §2.1 constraints and
-returns a :class:`RunResult`.
+loss rate, cap recording and power traces they pass it.  A
+:class:`RunSpec` fully describes one Fig. 2/3 measurement;
+:func:`run_single` builds it with :func:`build_run`, runs to completion,
+audits the §2.1 constraints and returns a :class:`RunResult`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.sim.rng import RngRegistry
 from repro.workloads.apps import build_app
 from repro.workloads.generator import assign_pair_to_cluster
 from repro.workloads.phases import Workload
+from repro.workloads.traces import PowerTrace
 
 #: manager name -> (factory taking an optional ManagerConfig,
 #:                  dedicated server nodes withheld beyond the clients,
@@ -168,13 +169,16 @@ def build_universe(
     fault_plan: Optional[FaultPlan] = None,
     sim: Optional[SimConfig] = None,
     system_budget_w: Optional[float] = None,
+    traces: Optional[Mapping[int, PowerTrace]] = None,
 ) -> Tuple[Engine, Cluster, PowerManager]:
     """Construct (engine, cluster, manager) for one run, installed but idle.
 
     The manager governs clients ``0 .. n_clients - 1`` under ``budget_w``;
     its server nodes, if any, come after them.  ``system_budget_w``
-    defaults to ``budget_w`` scaled up to the servers' share.  Nothing is
-    started: each caller starts the universe in its own order.
+    defaults to ``budget_w`` scaled up to the servers' share.  Nodes named
+    in ``traces`` play back those power profiles (the §4.5 scaling
+    study).  Nothing is started: each caller starts the universe in its
+    own order.
     """
     engine = Engine(sim=sim)
     rngs = RngRegistry(seed=seed)
@@ -191,7 +195,7 @@ def build_universe(
         system_power_budget_w=system_budget_w,
         message_loss_probability=loss,
     )
-    cluster = Cluster(engine, cluster_config, rngs)
+    cluster = Cluster(engine, cluster_config, rngs, traces=traces)
     overhead = manager.config.overhead_factor
     for node_id, workload in workloads(rngs).items():
         cluster.nodes[node_id].assign_workload(workload, overhead_factor=overhead)

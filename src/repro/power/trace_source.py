@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.power.domain import PowerDomainSpec
 from repro.power.rapl import PowerCapInterface
 from repro.sim.engine import Engine
@@ -31,16 +29,10 @@ class TracePowerSource(PowerCapInterface):
         spec: PowerDomainSpec,
         trace: PowerTrace,
         initial_cap_w: Optional[float] = None,
-        rng: Optional[np.random.Generator] = None,
-        reading_noise: float = 0.0,
     ) -> None:
-        if reading_noise < 0:
-            raise ValueError("reading_noise must be non-negative")
         self.engine = engine
         self.spec = spec
         self.trace = trace
-        self._rng = rng
-        self._noise = reading_noise
         self._cap_w = spec.clamp_cap(
             initial_cap_w if initial_cap_w is not None else spec.max_cap_w
         )
@@ -98,8 +90,6 @@ class TracePowerSource(PowerCapInterface):
             average = (self._acc_energy_j - self._last_read_energy) / window
         self._last_read_time = now
         self._last_read_energy = self._acc_energy_j
-        if self._noise > 0.0 and self._rng is not None:
-            average *= 1.0 + float(self._rng.normal(0.0, self._noise))
         return max(average, 0.0)
 
     # -- introspection --------------------------------------------------------

@@ -44,11 +44,7 @@ class StreamSpec:
 STREAM_TABLE: Tuple[StreamSpec, ...] = (
     StreamSpec(
         template="net.latency",
-        # The cluster wires the production Network; the scaling rig
-        # builds its own tree-topology Network for the same experiment
-        # family.  Both construct independent registries per run, so the
-        # shared semantic name never aliases one generator.
-        owners=("repro/cluster/cluster.py", "repro/experiments/scaling.py"),
+        owners=("repro/cluster/cluster.py",),
         purpose="per-message network latency factors (and loss draws)",
     ),
     StreamSpec(

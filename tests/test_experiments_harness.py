@@ -10,6 +10,7 @@ from repro.experiments.harness import (
     MANAGER_FACTORIES,
     RunSpec,
     build_run,
+    build_universe,
     expected_config_type,
     make_manager,
     needs_server_node,
@@ -18,6 +19,9 @@ from repro.experiments.harness import (
 from repro.managers.base import ManagerConfig
 from repro.managers.slurm import SlurmConfig
 from repro.managers.slurm_ha import HaSlurmConfig
+from repro.power.rapl import SimulatedRapl
+from repro.power.trace_source import TracePowerSource
+from repro.workloads.traces import constant_trace
 
 FAST = dict(n_clients=4, workload_scale=0.1, seed=0)
 
@@ -122,6 +126,18 @@ class TestBuildRun:
         _, cluster, _ = build_run(RunSpec("slurm", ("EP", "DC"), 80.0, **FAST))
         assert cluster.node(4).executor is None
         assert all(cluster.node(i).executor is not None for i in range(4))
+
+    def test_traced_nodes_play_back_their_traces(self):
+        trace = constant_trace(190.0)
+        _, cluster, _ = build_universe(
+            "slurm", 4, 4 * 140.0, 0, workloads=lambda rngs: {},
+            traces={1: trace, 2: trace},
+        )
+        for node in cluster.nodes:
+            traced = node.node_id in (1, 2)
+            assert isinstance(node.rapl, TracePowerSource) == traced
+            assert isinstance(node.rapl, SimulatedRapl) != traced
+        assert cluster.node(1).rapl.trace is trace
 
 
 class TestRunSingle:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.scaling import (
     ScalingSpec,
-    TraceNode,
     run_scaling_point,
     sweep_frequency,
     sweep_scale,
@@ -148,16 +147,3 @@ class TestSweeps:
         )
         assert set(results) == {("penelope", 16), ("penelope", 32)}
 
-
-class TestTraceNode:
-    def test_kill_runs_callbacks(self, engine):
-        from repro.power.domain import SKYLAKE_6126_NODE
-        from repro.workloads.traces import constant_trace
-
-        node = TraceNode(engine, 0, SKYLAKE_6126_NODE, constant_trace(100.0), 140.0)
-        called = []
-        node.on_kill.append(lambda: called.append(True))
-        node.kill()
-        node.kill()  # idempotent
-        assert called == [True]
-        assert not node.alive

@@ -237,23 +237,43 @@ class TestR10StreamGraph:
         assert all(f.line != 8 for f in report.findings)
         assert not any("fabric.py" in f.path for f in report.findings)
 
-    def test_workload_jitter_belongs_to_the_universe_builder(self, tmp_path):
-        # Against the real manifest, an experiment that draws the workload
-        # jitter itself -- a hand-built universe -- is a foreign draw.
+    @staticmethod
+    def real_manifest_report(tmp_path, draws):
+        """R10 over ``draws`` (path under repro/ -> source) against the
+        real stream manifest."""
         package = tmp_path / "repro"
-        for sub in ("", "sim", "experiments"):
-            (package / sub).mkdir(exist_ok=True)
-            (package / sub / "__init__.py").write_text("")
+        (package / "sim").mkdir(parents=True)
         (package / "sim" / "streams.py").write_text(
             (REPO_ROOT / "src" / "repro" / "sim" / "streams.py").read_text()
         )
-        draw = 'def build(rngs):\n    return rngs.stream("workload.jitter")\n'
-        (package / "experiments" / "harness.py").write_text(draw)
-        (package / "experiments" / "overhead.py").write_text(draw)
-        report = lint_paths(
+        for path, source in draws.items():
+            (package / path).parent.mkdir(exist_ok=True)
+            (package / path).write_text(source)
+        for directory in [package, *package.iterdir()]:
+            (directory / "__init__.py").write_text("")
+        return lint_paths(
             [tmp_path], rule_ids=["R10"], config=LintConfig(), project=True
         )
+
+    def test_workload_jitter_belongs_to_the_universe_builder(self, tmp_path):
+        # Against the real manifest, an experiment that draws the workload
+        # jitter itself -- a hand-built universe -- is a foreign draw.
+        draw = 'def build(rngs):\n    return rngs.stream("workload.jitter")\n'
+        report = self.real_manifest_report(
+            tmp_path,
+            {"experiments/harness.py": draw, "experiments/overhead.py": draw},
+        )
         assert located(report, "R10") == [("experiments/overhead.py", 2)]
+
+    def test_net_latency_belongs_to_the_cluster(self, tmp_path):
+        # Only the cluster wires a Network; a scaling rig that builds its
+        # own is a foreign draw.
+        draw = 'def build(rngs):\n    return rngs.stream("net.latency")\n'
+        report = self.real_manifest_report(
+            tmp_path,
+            {"cluster/cluster.py": draw, "experiments/scaling.py": draw},
+        )
+        assert located(report, "R10") == [("experiments/scaling.py", 2)]
 
 
 class TestR11FutureTimeouts:

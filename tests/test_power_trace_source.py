@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.power.domain import SKYLAKE_6126_NODE
@@ -71,31 +70,8 @@ class TestPlayback:
         # Demand below idle is clipped up to the idle floor.
         assert source.instantaneous_power_w == SKYLAKE_6126_NODE.idle_w
 
-    def test_noise_applied_when_rng_given(self, engine):
-        rng = np.random.default_rng(0)
-        source = TracePowerSource(
-            engine,
-            SKYLAKE_6126_NODE,
-            constant_trace(200.0),
-            initial_cap_w=100.0,
-            rng=rng,
-            reading_noise=0.05,
-        )
-        readings = []
-        for _ in range(20):
-            engine.timeout(1.0)
-            engine.run()
-            readings.append(source.read_power())
-        assert len(set(readings)) > 1
-
     def test_counters(self, engine, step_source):
         step_source.read_power()
         step_source.set_cap(100.0)
         assert step_source.power_reads == 1
         assert step_source.cap_writes == 1
-
-    def test_negative_noise_rejected(self, engine):
-        with pytest.raises(ValueError):
-            TracePowerSource(
-                engine, SKYLAKE_6126_NODE, constant_trace(1.0), reading_noise=-1
-            )

@@ -9,6 +9,7 @@ Examples::
     python -m repro scaling-frequency --clients 264 --freqs 1 5 10 20
     python -m repro scaling-scale     --scales 44 132 264
     python -m repro chaos --seeds 0 1 2 --jobs 3      # audited fault storms
+    python -m repro claims --jobs 2                   # check every paper claim
     python -m repro lint src --format json            # static invariant scan
 
 Full paper-sized sweeps take minutes; every command accepts reduced
@@ -68,6 +69,7 @@ SWEEP_COMMANDS = (
     "multijob",
     "allocation",
     "chaos",
+    "claims",
 )
 
 
@@ -310,6 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_runner_args(chaos)
 
+    claims = sub.add_parser(
+        "claims",
+        help="check the paper's claims table; exit 1 on any FAIL",
+    )
+    claims.add_argument(
+        "--paper",
+        action="store_true",
+        help="run at the paper's dimensions (slow) instead of the reduced bench size",
+    )
+    _add_runner_args(claims)
+
     fuzz = sub.add_parser(
         "fuzz",
         help="shrinking chaos fuzzer: search fault schedules for invariant breaks",
@@ -379,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     started = time.perf_counter()
 
     runner_kwargs: dict = {}
@@ -394,14 +408,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.resume is not None:
             runner_kwargs["resume"] = True
         if args.task_timeout is not None or args.max_retries is not None:
-            runner_kwargs["retry"] = RetryPolicy(
-                max_retries=(
-                    args.max_retries
-                    if args.max_retries is not None
-                    else DEFAULT_RETRY.max_retries
-                ),
-                task_timeout_s=args.task_timeout,
-            )
+            try:
+                runner_kwargs["retry"] = RetryPolicy(
+                    max_retries=(
+                        args.max_retries
+                        if args.max_retries is not None
+                        else DEFAULT_RETRY.max_retries
+                    ),
+                    task_timeout_s=args.task_timeout,
+                )
+            except ValueError as error:
+                parser.error(str(error))
         if args.harness_faults is not None:
             runner_kwargs["harness_faults"] = args.harness_faults
         add_progress_listener(print_progress)
@@ -528,6 +545,13 @@ def _dispatch(args: argparse.Namespace, runner_kwargs: dict) -> int:
                 json.dump(metrics, handle, indent=2, sort_keys=True)
             print(f"[detector metrics written to {args.metrics_out}]", file=sys.stderr)
         if failures:
+            return 1
+    elif args.command == "claims":
+        from repro.experiments.claims import format_claims, run_claims
+
+        verdicts = run_claims("paper" if args.paper else "bench", **runner_kwargs)
+        print(format_claims(verdicts))
+        if not all(verdict.passed for verdict in verdicts):
             return 1
     elif args.command == "fuzz":
         from repro.experiments import fuzz as fuzz_mod

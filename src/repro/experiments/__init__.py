@@ -19,6 +19,7 @@
 * :mod:`repro.experiments.journal` -- write-ahead campaign journal.
 * :mod:`repro.experiments.serialize` -- the JSON codec for specs and results.
 * :mod:`repro.experiments.report` -- text tables in the paper's format.
+* :mod:`repro.experiments.claims` -- the paper-claims table (``repro claims``).
 """
 
 from repro.experiments.harness import (

@@ -2,7 +2,7 @@
 
 Every figure of the evaluation is a bar chart or box-plot series; these
 formatters print the same rows/series as aligned text tables so the
-benchmark harness can regenerate each one without a plotting stack.
+CLI can regenerate each one without a plotting stack.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ dedicated node.  Clients talk to the primary; after
 ``failover_after_timeouts`` consecutive unanswered requests a client
 fails over to the standby (and its excess reports follow it).
 
-Two structural costs remain even with the fallback, and the HA benchmarks
-measure both:
+Two structural costs remain even with the fallback, and the ``ext.ha.*``
+rows of ``repro claims`` measure both:
 
 * the **failover gap** -- no power shifts while clients are timing out,
 * **pool loss** -- excess cached on the dead primary is gone; the standby

@@ -9,7 +9,7 @@ behave when a large amount of power enters the system".
 :class:`PowerTrace` is such a profile -- a step function of node-level
 power demand over time.  :func:`trace_from_workload` records one by
 evaluating an app model at full power, and :func:`step_release_trace`
-builds the canonical release-event window used by the scaling benchmarks.
+builds the canonical release-event window used by the scaling study.
 """
 
 from __future__ import annotations

@@ -61,8 +61,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nominal", "--jobs", "-2"])
 
+    def test_claims_defaults_to_bench_size(self):
+        parser = build_parser()
+        assert not parser.parse_args(["claims"]).paper
+        assert parser.parse_args(["claims", "--paper"]).paper
+
 
 class TestMain:
+    def test_bad_retry_value_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--seeds", "0", "--no-cache", "--task-timeout", "-1"])
+        assert exit_info.value.code == 2
+        assert "task timeout must be positive" in capsys.readouterr().err
+
     def test_overhead_command(self, capsys):
         exit_code = main(["overhead", "--scale", "0.1"])
         assert exit_code == 0

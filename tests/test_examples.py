@@ -1,7 +1,8 @@
 """Smoke tests: every example script runs clean end to end.
 
 ``scale_stress.py`` is excluded here (it sweeps frequencies for a minute+)
-but is exercised by the scaling benchmarks, which cover the same code.
+but the scaling rows of ``repro claims`` (``fig4.*`` to ``fig8.*``) cover
+the same code.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from repro.experiments.overhead import run_overhead_experiment
 @pytest.fixture(scope="module")
 def result():
     # Three representative apps at reduced scale keep the test fast;
-    # full-scale all-app runs live in the benchmark.
+    # all-app runs are the ``overhead.*`` rows of ``repro claims``.
     return run_overhead_experiment(
         apps=("EP", "CG", "DC"), workload_scale=0.5, seed=1
     )

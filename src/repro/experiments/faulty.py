@@ -15,6 +15,7 @@ surviving nodes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple
 
@@ -37,10 +38,16 @@ from repro.power.domain import SKYLAKE_6126_NODE
 DEFAULT_FAILURE_FRACTION = 0.33
 
 
+@functools.lru_cache(maxsize=None)
 def predict_fair_runtime_s(
     pair: Tuple[str, str], cap_w_per_socket: float, workload_scale: float = 1.0
 ) -> float:
-    """Closed-form Fair makespan estimate used to place the failure."""
+    """Closed-form Fair makespan estimate used to place the failure.
+
+    A pure function of its arguments, memoized: a sweep asks once per
+    faulted system of each (pair, cap), and every replay of the sweep
+    asks again, but each distinct point builds its two apps only once.
+    """
     spec = SKYLAKE_6126_NODE
     cap = cap_w_per_socket * spec.sockets
     return max(

@@ -334,13 +334,17 @@ class ResultCache:
     without one, see :func:`~repro.experiments.serialize.split_rows`).
 
     Every method takes the spec's :func:`spec_fingerprint`, which the
-    caller has already computed.  :meth:`load` parses only the header
-    and checks the body against its digest; the recorder parses the body
-    on first use, so replaying a table that reads a run's runtime never
-    touches its event log.  A fingerprint or digest mismatch, a missing
-    body line (including the old one-line layout) or any parse/decode
-    failure of the header makes :meth:`load` report a miss, so truncated
-    or hand-edited files fall back to re-running instead of crashing.
+    caller has already computed.  :meth:`load` reads the file as bytes
+    in one call, parses only the header, and checks the digest over the
+    raw body bytes in place (no decode, no copy); the recorder gets the
+    body bytes and parses them on first use, so replaying a table that
+    reads a run's runtime never touches its event log.  :meth:`store`
+    encodes each part once and hashes the bytes it writes.  A
+    fingerprint or digest mismatch, a missing body line (including the
+    old one-line layout) or any parse/decode failure of the header
+    (a non-UTF-8 byte included) makes :meth:`load` report a miss, so
+    truncated or hand-edited files fall back to re-running instead of
+    crashing.
     """
 
     def __init__(self, root: Union[str, Path], kind: TaskKind = SINGLE_RUN) -> None:
@@ -354,17 +358,20 @@ class ResultCache:
         """The cached result under ``fingerprint``; ``None`` on miss/corruption."""
         path = self.path_for(fingerprint)
         try:
-            head, newline, body = path.read_text().partition("\n")
-            if not newline:
+            data = path.read_bytes()
+            newline = data.find(b"\n")
+            if newline < 0:
                 return None
-            header = json.loads(head)
+            header = json.loads(data[:newline].decode("utf-8"))
+            body = memoryview(data)[newline + 1 :]
             if (
                 header["fingerprint"] != path.stem
-                or header["body_sha256"] != _body_digest(body)
+                or header["body_sha256"] != hashlib.sha256(body).hexdigest()
             ):
                 return None
             return serialize.decode(
-                self.kind.result_type, serialize.join_rows(header["result"], body)
+                self.kind.result_type,
+                serialize.join_rows(header["result"], bytes(body)),
             )
         except (OSError, AttributeError, KeyError, TypeError, ValueError):
             return None
@@ -380,16 +387,15 @@ class ResultCache:
             "kind": self.kind.name,
             "spec": serialize.encode(spec),
             "result": result_dict,
-            "body_sha256": _body_digest(body),
+            "body_sha256": hashlib.sha256(body).hexdigest(),
         }
         tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-        tmp.write_text(serialize.canonical_json(header) + "\n" + body)
+        with tmp.open("wb") as out:
+            out.write(serialize.canonical_json(header).encode("utf-8"))
+            out.write(b"\n")
+            out.write(body)
         os.replace(tmp, path)
         return path
-
-
-def _body_digest(body: str) -> str:
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def run_sweep(

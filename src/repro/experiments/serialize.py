@@ -370,20 +370,21 @@ _LEAF_DECODERS: Dict[Type[Any], Callable[[Any], Any]] = {
 network_stats_to_dict = encode
 
 
-def split_rows(result: Dict[str, Any]) -> str:
+def split_rows(result: Dict[str, Any]) -> bytes:
     """Move the row tables of ``result``'s top-level recorder into a body.
 
     ``result`` is an encoded result; its ``"recorder"`` loses its row
-    tables, returned as canonical JSON.  A result without a recorder has
-    the empty body.
+    tables, returned as UTF-8 canonical JSON.  A result without a
+    recorder has the empty body.
     """
     recorder = result.get("recorder")
     if recorder is None:
-        return ""
-    return canonical_json({table: recorder.pop(table) for table in ROW_TYPES})
+        return b""
+    body = {table: recorder.pop(table) for table in ROW_TYPES}
+    return canonical_json(body).encode("utf-8")
 
 
-def join_rows(result: Dict[str, Any], body: str) -> Dict[str, Any]:
+def join_rows(result: Dict[str, Any], body: bytes) -> Dict[str, Any]:
     """Inverse of :func:`split_rows`: hand ``body``, unparsed, to the recorder."""
     recorder = result.get("recorder")
     if recorder is None:

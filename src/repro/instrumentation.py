@@ -79,8 +79,9 @@ ROW_TYPES: Dict[str, Any] = {
     "samples": LedgerSample,
 }
 
-#: Undecoded row tables: a JSON object text, or the parsed mapping.
-RowSource = Union[str, Dict[str, Any]]
+#: Undecoded row tables: a cache file's UTF-8 JSON body, or the parsed
+#: mapping.
+RowSource = Union[bytes, Dict[str, Any]]
 
 
 class MetricsRecorder:
@@ -140,11 +141,11 @@ class MetricsRecorder:
         """The row lists as field rows, keyed by :data:`ROW_TYPES` name.
 
         An undecoded recorder answers from its source rows (parsing a
-        JSON text once) and builds no row dataclass.
+        JSON body once) and builds no row dataclass.
         """
         rows = self.__dict__.get("_rows")
         if rows is not None:
-            if isinstance(rows, str):
+            if isinstance(rows, bytes):
                 rows = self._rows = json.loads(rows)
             # Ledger samples postdate the original codec; absent key means none.
             return {table: rows.get(table, []) for table in ROW_TYPES}

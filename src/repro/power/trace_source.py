@@ -12,7 +12,8 @@ RAPL convergence to model, matching the paper's simulation.
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import bisect_right
+from typing import Optional, Tuple
 
 from repro.power.domain import PowerDomainSpec
 from repro.power.rapl import PowerCapInterface
@@ -33,6 +34,11 @@ class TracePowerSource(PowerCapInterface):
         self.engine = engine
         self.spec = spec
         self.trace = trace
+        # The trace's breakpoints and levels as Python floats: one
+        # ``bisect_right`` per segment beats two scalar ``np.searchsorted``
+        # calls, and finds the same index.
+        self._times = trace.times.tolist()
+        self._watts = trace.watts.tolist()
         self._cap_w = spec.clamp_cap(
             initial_cap_w if initial_cap_w is not None else spec.max_cap_w
         )
@@ -50,14 +56,22 @@ class TracePowerSource(PowerCapInterface):
     def _consumption_at(self, demand_w: float) -> float:
         return max(self.spec.idle_w, min(demand_w, self._cap_w))
 
+    def _segment(self, t: float) -> Tuple[float, float]:
+        """The demand at ``t >= 0`` and the time of its next change (inf if
+        none): :meth:`PowerTrace.demand_at` and
+        :meth:`PowerTrace.next_change_after`, from one lookup."""
+        index = bisect_right(self._times, t)
+        end = self._times[index] if index < len(self._times) else float("inf")
+        return self._watts[index - 1], end
+
     def _advance(self, to_time: float) -> None:
         """Integrate consumption from the accumulator time to ``to_time``."""
         t = self._acc_time
         if to_time < t:  # pragma: no cover - engine time is monotone
             raise RuntimeError("clock went backwards")
         while t < to_time:
-            level = self.trace.demand_at(t)
-            segment_end = min(self.trace.next_change_after(t), to_time)
+            level, next_change = self._segment(t)
+            segment_end = min(next_change, to_time)
             self._acc_energy_j += self._consumption_at(level) * (segment_end - t)
             t = segment_end
         self._acc_time = to_time

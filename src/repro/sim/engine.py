@@ -81,8 +81,24 @@ class StopSimulation(Exception):
 #: 2, and those promotions trigger full passes over the whole universe:
 #: on the 10 000-node benchmark universe (2-vCPU VM, CPython 3.11),
 #: collection took 2.6-3.7 s of a 10-13 s slice pass.  10 000 lets most
-#: waits die young, removes every full collection from that pass and
-#: cuts its slice time by ~20%; 30 000-100 000 measured no faster.
+#: waits die young and removes every full collection from that pass.
+#: Measured with ``gc.callbacks`` over that universe's 100 slices of
+#: 0.08 sim-s (CPU time, two runs per row, same VM, CPython 3.11.7; no
+#: collection freed an object, and peak RSS was 193 MB in every run):
+#:
+#: ===============  ===================  ============  ============
+#: gen-0 threshold  gen 0/1/2 runs       collection s  slices CPU s
+#: ===============  ===================  ============  ============
+#: 700              558 / 50 / 4         3.33-3.35     10.9-11.4
+#: 10 000           37 / 3 / 0           1.25-1.38     8.5-9.7
+#: 30 000           11 / 1 / 0           0.98-1.07     7.9-10.7
+#: 100 000          3 / 0 / 0            0.44-0.45     8.3-8.9
+#: ===============  ===================  ============  ============
+#:
+#: A larger threshold thus still saves collection time (~0.9 s per 100
+#: slices at 100 000, ~10% of their CPU), but less than the slices'
+#: own run-to-run spread (EXPERIMENTS.md has the wall-time sweep); the
+#: constant stays until a ``kernel-10k`` comparison resolves it.
 _YOUNG_GC_THRESHOLD = 10_000
 
 

@@ -15,7 +15,8 @@ import pytest
 import repro.experiments.runner as runner
 from repro.cluster.faults import FaultPlan
 from repro.core.config import PenelopeConfig
-from repro.experiments import serialize
+from repro.experiments import faulty, serialize
+from repro.experiments.faulty import run_faulty_sweep
 from repro.experiments.harness import RunResult, RunSpec, run_single
 from repro.experiments.nominal import run_nominal_sweep
 from repro.experiments.runner import (
@@ -369,6 +370,13 @@ class TestBodyCorruption:
         path.write_text(path.read_text().split("\n")[0] + "\n")
         self._assert_miss_rerun_repair(tmp_path, path)
 
+    def test_non_utf8_byte_in_the_header(self, tmp_path, fresh):
+        path = primed_path(tmp_path, fresh)
+        data = bytearray(path.read_bytes())
+        data[data.index(b'"single"') + 1] = 0xFF  # inside a header string
+        path.write_bytes(bytes(data))
+        self._assert_miss_rerun_repair(tmp_path, path)
+
     def test_legacy_one_line_file_with_inline_rows(self, tmp_path, fresh):
         path = primed_path(tmp_path, fresh)
         legacy = {
@@ -379,6 +387,70 @@ class TestBodyCorruption:
         }
         path.write_text(serialize.canonical_json(legacy))
         self._assert_miss_rerun_repair(tmp_path, path)
+
+
+def text_layout(path, result) -> str:
+    """The cache file of ``result`` as text: the header line, a newline,
+    then the row body, each built from ``str`` and hashed as UTF-8."""
+    encoded = serialize.encode(result)
+    body = serialize.canonical_json(
+        {table: encoded["recorder"].pop(table) for table in ROW_TYPES}
+    )
+    header = {
+        "fingerprint": path.stem,
+        "kind": COUNTED_SINGLE.name,
+        "spec": serialize.encode(TINY),
+        "result": encoded,
+        "body_sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+    }
+    return serialize.canonical_json(header) + "\n" + body
+
+
+class TestBytesPath:
+    """A load reads the file as bytes and hands the raw body on unparsed;
+    files written as text and as bytes are the same file."""
+
+    def test_store_writes_the_text_layout(self, tmp_path, fresh):
+        path = primed_path(tmp_path, fresh)
+        assert path.read_bytes() == text_layout(path, fresh).encode("utf-8")
+
+    def test_file_written_as_text_loads_as_an_undecoded_hit(self, tmp_path, fresh):
+        path = primed_path(tmp_path, fresh)
+        path.write_text(text_layout(path, fresh))
+        loaded = ResultCache(tmp_path, COUNTED_SINGLE).load(
+            spec_fingerprint(TINY, COUNTED_SINGLE)
+        )
+        assert loaded is not None
+        assert "_rows" in vars(loaded.recorder)  # still undecoded
+        assert canonical(loaded) == canonical(fresh)
+
+    def test_warm_replay_builds_each_fault_point_once(self, tmp_path, monkeypatch):
+        kwargs = dict(
+            caps=(60.0, 80.0), pairs=[("EP", "DC"), ("CG", "LU")], n_clients=4,
+            workload_scale=0.05, cache_dir=str(tmp_path),
+        )
+        run_nominal_sweep(**kwargs)
+        run_faulty_sweep(**kwargs)
+        built = []
+        original = faulty.build_app
+
+        def counting_build_app(name, *args, **kw):
+            built.append(name)
+            return original(name, *args, **kw)
+
+        monkeypatch.setattr(faulty, "build_app", counting_build_app)
+        faulty.predict_fair_runtime_s.cache_clear()
+        events = []
+        run_nominal_sweep(**kwargs, progress=events.append)
+        run_faulty_sweep(**kwargs, progress=events.append)
+        assert events and all(e.cached for e in events)
+        # Both apps of each distinct (pair, cap, scale), once: not once
+        # per faulted system (slurm and penelope) as well.
+        points = len(kwargs["caps"]) * len(kwargs["pairs"])
+        assert 0 < len(built) <= 2 * points
+        built.clear()
+        run_faulty_sweep(**kwargs)
+        assert built == []  # a later replay builds none
 
 
 class TestLazyRecorder:

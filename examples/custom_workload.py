@@ -1,15 +1,13 @@
 #!/usr/bin/env python
-"""Extending the library: custom workloads and the PoDD-style manager.
+"""Extending the library: a custom workload under every manager.
 
-Builds a *coupled* two-stage pipeline workload (the class PoDD targets):
-a producer running simulation steps and a consumer running analysis, with
-very different power appetites.  Compares the even split (Fair / SLURM /
-Penelope start even) against PoDD's profile-proportional initial caps.
+Builds a *coupled* two-stage pipeline workload: a producer running
+simulation steps and a consumer running analysis, with very different
+power appetites.  Every manager starts from the even split; Fair keeps
+it, while SLURM and Penelope shift power from consumers to producers.
 
 Run:  python examples/custom_workload.py
 """
-
-import numpy as np
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.experiments.harness import make_manager, needs_server_node
@@ -66,10 +64,6 @@ def run(manager_name: str) -> float:
     manager.start()
     runtime = cluster.run_to_completion()
     manager.audit().check()
-    if manager_name == "podd":
-        caps = sorted(manager.initial_caps.items())
-        print("  PoDD initial caps: "
-              + ", ".join(f"n{n}={c:.0f}W" for n, c in caps))
     manager.stop()
     return runtime
 
@@ -79,14 +73,14 @@ def main() -> None:
           f"{N_CONSUMERS} consumers (cool), {CAP_W_PER_SOCKET:.0f} W/socket\n")
     fair = run("fair")
     results = {"fair": fair}
-    for manager in ("slurm", "penelope", "podd"):
+    for manager in ("slurm", "penelope"):
         results[manager] = run(manager)
     print(f"\n{'system':>10} | {'runtime s':>10} | {'vs Fair':>8}")
     print("-" * 34)
     for manager, runtime in results.items():
         print(f"{manager:>10} | {runtime:>10.2f} | {fair / runtime:>7.3f}x")
-    print("\nPoDD's profiled initial assignment removes most of the shifting")
-    print("work; the dynamic systems converge to a similar split over time.")
+    print("\nThe dynamic systems move the consumers' unused watts to the")
+    print("producers, which the static even split leaves stranded.")
 
 
 if __name__ == "__main__":

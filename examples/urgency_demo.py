@@ -12,10 +12,6 @@ couple of periods.
 Run:  python examples/urgency_demo.py
 """
 
-from dataclasses import replace
-
-import numpy as np
-
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.core import PenelopeConfig, PenelopeManager
 from repro.sim.engine import Engine

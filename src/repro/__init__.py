@@ -8,9 +8,9 @@ peer-to-peer transactions with a distributed *urgency* mechanism.
 This package contains a complete, simulator-backed implementation:
 
 * :mod:`repro.core` -- Penelope itself (Algorithms 1 and 2, urgency);
-* :mod:`repro.managers` -- the baselines: Fair, the SLURM-style
-  centralized manager (with centralized urgency), and a PoDD-style
-  hierarchical manager;
+* :mod:`repro.managers` -- the baselines: Fair and the SLURM-style
+  centralized manager (with centralized urgency, and a high-availability
+  variant with a fallback server);
 * :mod:`repro.sim`, :mod:`repro.net`, :mod:`repro.power`,
   :mod:`repro.workloads`, :mod:`repro.cluster` -- the substrates: a
   deterministic discrete-event kernel, a latency/queueing network, a
@@ -37,7 +37,6 @@ from repro.experiments.harness import RunResult, RunSpec, run_single
 from repro.managers import (
     FairManager,
     ManagerConfig,
-    PoddManager,
     PowerManager,
     SlurmConfig,
     SlurmManager,
@@ -49,7 +48,6 @@ __all__ = [
     "ManagerConfig",
     "PenelopeConfig",
     "PenelopeManager",
-    "PoddManager",
     "PowerManager",
     "PowerPool",
     "RunResult",

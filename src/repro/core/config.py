@@ -31,11 +31,6 @@ class PenelopeConfig(ManagerConfig):
     #: Ablation switches (DESIGN.md §5).
     enable_urgency: bool = True
     enable_rate_limit: bool = True
-    #: Power-discovery strategy: "random" is the paper's uniform choice;
-    #: "ring" queries peers round-robin; "sticky" returns to the last peer
-    #: that actually granted power (falling back to random when it runs
-    #: dry) -- a cheap learned-discovery extension for the ablation study.
-    discovery: str = "random"
     #: Reliable-transfer layer.  With escrow on, every positive grant is
     #: held in the donor pool's escrow until the requester's ``GrantAck``
     #: arrives; an escrow unacked by its deadline refunds to the donor, so
@@ -96,8 +91,6 @@ class PenelopeConfig(ManagerConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.discovery not in ("random", "ring", "sticky"):
-            raise ValueError(f"unknown discovery strategy {self.discovery!r}")
         if not (0.0 < self.rate <= 1.0):
             raise ValueError(f"rate out of (0, 1]: {self.rate!r}")
         if self.lower_limit_w <= 0:

@@ -155,8 +155,6 @@ class LocalDecider:
         #: Zero-delta grants received (an empty pool answering honestly --
         #: protocol-conformant, counted apart from unexpected messages).
         self.empty_grants = 0
-        self._ring_index = node_id  # offset ring starts across the cluster
-        self._sticky_peer: Optional[int] = None  # "sticky" discovery memory
         #: Suspected peers: node id -> simulated time the suspicion expires.
         self._suspicion: Dict[int, float] = {}
         #: Acks awaiting re-transmission (ack-loss hardening): list of
@@ -386,20 +384,13 @@ class LocalDecider:
     # -- peer transactions ----------------------------------------------------------
 
     def _choose_peer(self) -> Optional[int]:
-        """Power discovery (§3.1 uses uniformly random).
-
-        The alternatives exist for the discovery ablation (DESIGN.md §5):
-        ``ring`` walks peers round-robin; ``sticky`` returns to the last
-        peer that actually granted power, falling back to random once it
-        runs dry.
+        """Power discovery: one uniformly random peer (§3.1).
 
         With membership enabled the candidate set is the failure
-        detector's live view instead of the static roster: ``ring`` walks
-        the live list, ``sticky`` holds only while the sticky peer is
-        still believed alive, and random draws uniformly over live peers
-        (no redraws needed -- suspects are already excluded).  An empty
-        view returns ``None``: graceful degradation to local-pool-only
-        operation rather than an error.
+        detector's live view instead of the static roster, and the draw
+        is uniform over live peers (no redraws needed -- suspects are
+        already excluded).  An empty view returns ``None``: graceful
+        degradation to local-pool-only operation rather than an error.
 
         Without membership, random discovery is suspicion-aware: a draw
         landing on a recently-unresponsive peer is re-drawn, at most
@@ -417,13 +408,6 @@ class LocalDecider:
                 return None
         else:
             candidates = self.peers
-        if self.config.discovery == "ring":
-            peer = candidates[self._ring_index % len(candidates)]
-            self._ring_index += 1
-            return int(peer)
-        if self.config.discovery == "sticky" and self._sticky_peer is not None:
-            if membership is None or self._sticky_peer in candidates:
-                return self._sticky_peer
         rng = self._rng
         peer = int(candidates[int(rng.integers(0, len(candidates)))])
         if membership is None and self._suspicion:
@@ -442,17 +426,9 @@ class LocalDecider:
     def _suspect(self, peer: int) -> None:
         """Bias discovery away from ``peer`` until the suspicion expires.
 
-        A suspected peer also stops being the sticky-discovery target:
-        holding on to it would pin every iteration's request on a node we
-        just watched time out.  Once the suspicion expires (or membership
-        revives the peer) it re-enters the candidate set and can earn
-        stickiness back by granting.
-
         With membership enabled the detector's probe machinery is the
         liveness source of truth and the ad-hoc TTL map stays empty.
         """
-        if peer == self._sticky_peer:
-            self._sticky_peer = None
         if self._membership is not None:
             return
         ttl = self.config.suspicion_ttl_s
@@ -467,15 +443,6 @@ class LocalDecider:
         expired = [peer for peer, expiry in self._suspicion.items() if expiry <= now]
         for peer in expired:
             del self._suspicion[peer]
-
-    def _note_grant_outcome(self, peer: int, granted_w: float) -> None:
-        """Update sticky-discovery state after a transaction."""
-        if self.config.discovery != "sticky":
-            return
-        if granted_w > 0:
-            self._sticky_peer = peer
-        elif peer == self._sticky_peer:
-            self._sticky_peer = None
 
     def _request_from_peer(self, urgent: bool) -> Generator[EventBase, Any, float]:
         """Request power from peers, retrying timeouts with backoff.
@@ -617,7 +584,6 @@ class LocalDecider:
             granted_w=granted,
             timed_out=timed_out,
         )
-        self._note_grant_outcome(peer, granted)
         return granted, timed_out
 
     # -- grant acknowledgement ----------------------------------------------------

@@ -2,9 +2,10 @@
 
 The point of dynamic power management is to approximate, online and
 without global knowledge, the allocation an oracle with offline profiles
-would choose.  PoDD's water-filling assignment over the workloads' mean
-demands *is* that oracle (it is how PoDD initializes), which gives a
-yardstick for everyone else:
+would choose.  A water-filling split of the budget over the workloads'
+mean demands (:func:`proportional_caps`, the profile-proportional
+assignment of PoDD-style hierarchical managers) is that oracle, which
+gives a yardstick for everyone else:
 
 * **Fair** stays at the even split -- its distance to the oracle is the
   total mis-allocation dynamic systems can recover;
@@ -23,7 +24,6 @@ import numpy as np
 from repro.experiments.harness import RunSpec, build_run
 from repro.experiments.runner import TaskKind, raise_on_failures, run_sweep
 from repro.managers.base import ManagerConfig
-from repro.managers.podd import proportional_caps
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,52 @@ class AllocationTrace:
         )
 
 
+def proportional_caps(
+    demands_w: Dict[int, float],
+    budget_w: float,
+    min_cap_w: float,
+    max_cap_w: float,
+) -> Dict[int, float]:
+    """Split ``budget_w`` across nodes proportionally to their demand.
+
+    Uses iterative water-filling so clamping one node into the safe window
+    redistributes the difference over the others instead of violating the
+    budget or starving anyone below the safe minimum.
+    """
+    if not demands_w:
+        raise ValueError("no nodes to assign")
+    n = len(demands_w)
+    if budget_w < n * min_cap_w - 1e-9:
+        raise ValueError(
+            f"budget {budget_w:.1f} W cannot give {n} nodes the safe minimum"
+        )
+    caps = {node: min_cap_w for node in demands_w}
+    remaining = budget_w - n * min_cap_w
+    # Nodes still able to absorb more power, with their desire above the
+    # amount already assigned.
+    open_nodes = {
+        node: max(0.0, min(demands_w[node], max_cap_w) - min_cap_w)
+        for node in demands_w
+    }
+    for _ in range(n):
+        active = {node: want for node, want in open_nodes.items() if want > 1e-12}
+        if remaining <= 1e-12 or not active:
+            break
+        total_want = sum(active.values())
+        scale = min(1.0, remaining / total_want)
+        for node, want in active.items():
+            grant = want * scale
+            caps[node] += grant
+            open_nodes[node] = want - grant
+            remaining -= grant
+    # Any budget left over (everyone saturated) is simply not assigned --
+    # power management systems "do not need to fully utilize the
+    # system-wide powercap" (§2.2.2).
+    return caps
+
+
 def oracle_allocation(cluster, client_ids: Sequence[int], budget_w: float) -> Dict[int, float]:
-    """The offline-profile water-filling split (PoDD's initializer)."""
+    """The offline-profile water-filling split of ``budget_w``."""
     spec = cluster.config.spec
     demands = {
         node_id: (

@@ -226,11 +226,6 @@ def _sensitivity(paper: bool, seed: int, runner: Runner) -> Any:
     return _ablation(seed, configs, runner)
 
 
-def _discovery(paper: bool, seed: int, runner: Runner) -> Any:
-    strategies = ("random", "ring", "sticky")
-    return _ablation(seed, {s: PenelopeConfig(discovery=s) for s in strategies}, runner)
-
-
 def _switch(name: str, **kwargs: Any) -> Callable[[bool, int, Runner], Any]:
     """An ablation of one Penelope switch: runs keyed "True" and "False"."""
 
@@ -319,7 +314,6 @@ EXPERIMENTS: Dict[str, Callable[[bool, int, Runner], Any]] = {
     "scale": _scale,
     "pairs": _pairs,
     "sensitivity": _sensitivity,
-    "discovery": _discovery,
     "rate_limit": _switch("enable_rate_limit"),
     "urgency": _switch("enable_urgency", pair=("FT", "DC"), record_caps=True),
     "allocation": _allocation,
@@ -566,14 +560,6 @@ CLAIMS: Tuple[Claim, ...] = (
          lambda r: float(sum(1 for t in r["True"].recorder.grants() if t.urgent)), above(0.0)),
     ),
     # Extensions beyond the paper (EXPERIMENTS.md).
-    *_rows(
-        "discovery", "§3.1 ext.", "extension", _seeds(9, 3, 3),
-        ("ext.discovery.min_granted_w", "random discovery",
-         lambda r: min(x.recorder.total_granted_w() for x in r.values()), above(0.0)),
-        ("ext.discovery.max_runtime_dev", "random discovery",
-         lambda r: max(abs(x.runtime_s / r["random"].runtime_s - 1.0) for x in r.values()),
-         below(0.1)),
-    ),
     *_rows(
         "allocation", "§2 ext.", "extension", FIGURES,
         ("ext.allocation.fair_recovered", "dynamic > static",

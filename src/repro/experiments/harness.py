@@ -20,7 +20,6 @@ from repro.core.manager import PenelopeManager
 from repro.instrumentation import MetricsRecorder
 from repro.managers.base import BudgetAudit, ManagerConfig, PowerManager
 from repro.managers.fair import FairManager
-from repro.managers.podd import PoddManager
 from repro.managers.slurm import SlurmConfig, SlurmManager
 from repro.managers.slurm_ha import HaSlurmConfig, HaSlurmManager
 from repro.net.network import NetworkStats
@@ -41,7 +40,6 @@ MANAGER_FACTORIES: Dict[
     "fair": (FairManager, 0, ManagerConfig),
     "penelope": (PenelopeManager, 0, PenelopeConfig),
     "slurm": (SlurmManager, 1, SlurmConfig),
-    "podd": (PoddManager, 1, SlurmConfig),
     "slurm-ha": (HaSlurmManager, 2, HaSlurmConfig),
 }
 

@@ -1,6 +1,6 @@
 """Event recording shared by all power managers.
 
-Every manager (Penelope, SLURM, Fair, PoDD) records the same event
+Every manager (Penelope, SLURM, Fair) records the same event
 vocabulary into a :class:`MetricsRecorder`; the analysis layer
 (:mod:`repro.experiments.metrics`) derives the paper's metrics from it:
 

@@ -7,9 +7,8 @@
   global cache of excess power (§2.3.2), extended with the centralized
   urgency mechanism the authors implement for the comparison (§4.1) and a
   scale-aware rate limit (§4.5).
-* :class:`~repro.managers.podd.PoddManager` -- a PoDD-style hierarchical
-  manager (§2.3.3): offline-profiled initial assignment plus centralized
-  shifting.
+* :class:`~repro.managers.slurm_ha.HaSlurmManager` -- SLURM with a
+  fallback server, the high-availability extension of the §4.4 fault.
 
 Penelope itself lives in :mod:`repro.core` -- it is the paper's
 contribution, not a baseline -- but implements the same
@@ -18,7 +17,6 @@ contribution, not a baseline -- but implements the same
 
 from repro.managers.base import BudgetAudit, ManagerConfig, PowerManager
 from repro.managers.fair import FairManager
-from repro.managers.podd import PoddManager
 from repro.managers.slurm import SlurmConfig, SlurmManager
 from repro.managers.slurm_ha import HaSlurmConfig, HaSlurmManager
 
@@ -28,7 +26,6 @@ __all__ = [
     "HaSlurmConfig",
     "HaSlurmManager",
     "ManagerConfig",
-    "PoddManager",
     "PowerManager",
     "SlurmConfig",
     "SlurmManager",

@@ -26,7 +26,7 @@ instead of one (§1, benefit 3 of the peer-to-peer design).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.instrumentation import MetricsRecorder
 from repro.managers.slurm import (
@@ -192,11 +192,3 @@ class HaSlurmManager(SlurmManager):
         reported = sum(c.excess_reported_w for c in self.clients.values())
         received = sum(server.excess_received_w for server in self.servers)
         return max(0.0, granted - applied) + max(0.0, reported - received)
-
-    # -- diagnostics -----------------------------------------------------------
-
-    def failover_counts(self) -> Dict[int, int]:
-        return {
-            node_id: client.failovers  # type: ignore[union-attr]
-            for node_id, client in self.clients.items()
-        }

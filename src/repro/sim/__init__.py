@@ -8,8 +8,8 @@ simulation core.  It provides:
   interrupt support,
 * waitable events and composite conditions
   (:mod:`repro.sim.events`),
-* synchronization / queueing primitives used to model locks and bounded
-  message queues (:mod:`repro.sim.resources`),
+* the bounded message queue every inbox is built on
+  (:mod:`repro.sim.resources`),
 * named, reproducibly-seeded random streams (:mod:`repro.sim.rng`).
 
 Everything in the reproduction -- the Penelope protocol, the centralized
@@ -39,7 +39,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import InlineProcess, Interrupt, Process
-from repro.sim.resources import Gate, Lock, Store, StoreFull
+from repro.sim.resources import Store, StoreFull
 from repro.sim.rng import RngRegistry, stable_name_hash
 from repro.sim._stop import stop_process
 from repro.sim.streams import STREAM_TABLE, StreamSpec, lookup as lookup_stream
@@ -52,12 +52,10 @@ __all__ = [
     "Event",
     "EventBase",
     "FirstOf",
-    "Gate",
     "HeapScheduler",
     "InlineFirstOf",
     "InlineProcess",
     "Interrupt",
-    "Lock",
     "Process",
     "RngRegistry",
     "STREAM_TABLE",

@@ -1,23 +1,20 @@
-"""Synchronization and queueing primitives built on the event kernel.
+"""The queueing primitive built on the event kernel.
 
-Three primitives cover every coordination need of the reproduction:
+:class:`Store` is a bounded FIFO of items.  Message inboxes are Stores;
+the bounded capacity plus :meth:`Store.try_put` gives the packet-drop
+semantics that drive the paper's scaling results.  Every node owns a
+few, so a Store keeps its queues in plain lists (an empty ``list`` is
+56 bytes, an empty ``deque`` 760): see the class docstring for why
+``pop(0)`` stays cheap.
 
-* :class:`Lock` -- the mutual exclusion guarding each power pool (§3.3 of the
-  paper: "*Penelope* guarantees this through the use of a simple lock").
-* :class:`Store` -- a bounded FIFO of items.  Message inboxes are Stores;
-  the bounded capacity plus :meth:`Store.try_put` gives the packet-drop
-  semantics that drive the paper's scaling results.  Every node owns a
-  few, so a Store keeps its queues in plain lists (an empty ``list`` is
-  56 bytes, an empty ``deque`` 760): see the class docstring for why
-  ``pop(0)`` stays cheap.
-* :class:`Gate` -- a broadcast condition that many processes can wait on and
-  that can be re-armed (used for shutdown/fault signalling).
+A power pool needs no lock: each transaction runs to completion inside
+one event callback, so the event loop already serializes them (see
+:mod:`repro.core.pool`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.sim.events import Event, EventBase
 
@@ -27,57 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class StoreFull(Exception):
     """Raised by :meth:`Store.put_nowait` when the store is at capacity."""
-
-
-class Lock:
-    """A FIFO mutual-exclusion lock.
-
-    ``acquire()`` returns an event to ``yield`` on; ``release()`` hands the
-    lock to the next waiter.  The ``locked`` property and ``holder`` are
-    exposed for assertions in tests.
-    """
-
-    def __init__(self, engine: "Engine", name: Optional[str] = None) -> None:
-        self.engine = engine
-        self.name = name or "lock"
-        self._acquire_name = f"{self.name}.acquire"
-        self._waiters: Deque[Event] = deque()
-        self._locked = False
-        #: Diagnostic: how many times the lock has been acquired.
-        self.acquisitions = 0
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> EventBase:
-        """Request the lock; the returned event fires when it is granted."""
-        event = Event(self.engine, name=self._acquire_name)
-        if not self._locked:
-            self._locked = True
-            self.acquisitions += 1
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Release the lock, granting it to the oldest waiter if any."""
-        if not self._locked:
-            raise RuntimeError(f"release of unheld {self.name}")
-        if self._waiters:
-            waiter = self._waiters.popleft()
-            self.acquisitions += 1
-            waiter.succeed(self)
-        else:
-            self._locked = False
-
-    def held(self) -> Generator[EventBase, Any, Any]:
-        """Generator helper: ``yield from lock.held()`` acquires the lock.
-
-        The caller must still call :meth:`release` when done.
-        """
-        yield self.acquire()
 
 
 class Store:
@@ -223,47 +169,3 @@ class Store:
             failed += 1
         return failed
 
-
-class Gate:
-    """A broadcast, re-armable condition.
-
-    ``wait()`` returns an event shared by all current waiters; ``open()``
-    releases them all at once.  After ``reset()`` subsequent waiters block
-    again.  Used to broadcast node-failure and shutdown signals.
-    """
-
-    def __init__(self, engine: "Engine", name: Optional[str] = None) -> None:
-        self.engine = engine
-        self.name = name or "gate"
-        self._event: Optional[Event] = None
-        self._open = False
-        self._open_value: Any = None
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
-    def wait(self) -> EventBase:
-        """Event firing when the gate opens (immediately if already open)."""
-        if self._open:
-            event = Event(self.engine, name=f"{self.name}.wait")
-            event.succeed(self._open_value)
-            return event
-        if self._event is None:
-            self._event = Event(self.engine, name=f"{self.name}.broadcast")
-        return self._event
-
-    def open(self, value: Any = None) -> None:
-        """Open the gate, waking every waiter."""
-        if self._open:
-            return
-        self._open = True
-        self._open_value = value
-        if self._event is not None:
-            self._event.succeed(value)
-            self._event = None
-
-    def reset(self) -> None:
-        """Close the gate again; future waiters block until the next open."""
-        self._open = False
-        self._open_value = None

@@ -1,8 +1,6 @@
-"""Tests for the pluggable discovery strategies (random / ring / sticky)."""
+"""Tests for power discovery: uniform random over the roster or the live view."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.config import PenelopeConfig
 from repro.core.decider import LocalDecider
@@ -15,15 +13,13 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
 
-def make_decider(discovery: str, peers=(1, 2, 3), membership=False):
+def make_decider(peers=(1, 2, 3), membership=False):
     engine = Engine()
     rngs = RngRegistry(seed=5)
     network = Network(
         engine, Topology(5, latency=LatencyModel(sigma=0.0)), rngs.stream("net")
     )
-    config = PenelopeConfig(
-        stagger_start=False, discovery=discovery, enable_membership=membership
-    )
+    config = PenelopeConfig(stagger_start=False, enable_membership=membership)
     rapl = SimulatedRapl(
         engine, SKYLAKE_6126_NODE, rngs.stream("rapl"), initial_cap_w=160.0,
         enforcement_delay_s=(0.0, 0.0), reading_noise=0.0,
@@ -55,93 +51,33 @@ def mark(decider, peer, status):
     view.apply(MembershipUpdate(peer, status, incarnation), now=0.0)
 
 
-class TestConfigValidation:
-    def test_known_strategies_accepted(self):
-        for strategy in ("random", "ring", "sticky"):
-            PenelopeConfig(discovery=strategy)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="discovery"):
-            PenelopeConfig(discovery="telepathy")
-
-
-class TestRing:
-    def test_round_robin_order(self):
-        decider = make_decider("ring")
-        picks = [decider._choose_peer() for _ in range(6)]
-        assert picks == [1, 2, 3, 1, 2, 3]
-
-    def test_ring_offset_by_node_id(self):
-        a = make_decider("ring")
-        assert a._choose_peer() == 1  # node 0 starts at index 0
-
-
 class TestRandom:
     def test_uniform_coverage(self):
-        decider = make_decider("random")
+        decider = make_decider()
         picks = {decider._choose_peer() for _ in range(100)}
         assert picks == {1, 2, 3}
 
     def test_never_self(self):
-        decider = make_decider("random", peers=(0, 1, 2))
+        decider = make_decider(peers=(0, 1, 2))
         assert 0 not in decider.peers
         picks = {decider._choose_peer() for _ in range(50)}
         assert 0 not in picks
 
-
-class TestSticky:
-    def test_successful_peer_is_remembered(self):
-        decider = make_decider("sticky")
-        decider._note_grant_outcome(2, granted_w=5.0)
-        assert all(decider._choose_peer() == 2 for _ in range(5))
-
-    def test_dry_peer_is_forgotten(self):
-        decider = make_decider("sticky")
-        decider._note_grant_outcome(2, granted_w=5.0)
-        decider._note_grant_outcome(2, granted_w=0.0)
-        picks = {decider._choose_peer() for _ in range(100)}
-        assert picks == {1, 2, 3}  # back to uniform random
-
-    def test_zero_grant_from_other_peer_keeps_memory(self):
-        decider = make_decider("sticky")
-        decider._note_grant_outcome(2, granted_w=5.0)
-        decider._note_grant_outcome(3, granted_w=0.0)  # unrelated miss
-        assert decider._choose_peer() == 2
-
-    def test_random_mode_ignores_outcomes(self):
-        decider = make_decider("random")
-        decider._note_grant_outcome(2, granted_w=5.0)
-        assert decider._sticky_peer is None
-
-
-class TestSuspicionStickyInterplay:
-    def test_suspected_sticky_peer_is_dropped(self):
-        decider = make_decider("sticky")
-        decider._note_grant_outcome(2, granted_w=5.0)
-        decider._suspect(2)
-        assert decider._sticky_peer is None
-        # Discovery falls back to (suspicion-biased) random, not pinned.
-        picks = {decider._choose_peer() for _ in range(100)}
-        assert picks == {1, 2, 3}
-
     def test_expired_suspicion_restores_the_candidate(self):
-        decider = make_decider("sticky")
+        decider = make_decider()
         decider._suspect(2)
-        decider.engine.run(
-            until=decider.config.suspicion_ttl_s + 1.0
-        )
+        decider.engine.run(until=decider.config.suspicion_ttl_s + 1.0)
         decider._purge_suspicion()
         assert 2 not in decider._suspicion
-        # ...and the peer can earn stickiness back by granting.
-        decider._note_grant_outcome(2, granted_w=5.0)
-        assert decider._choose_peer() == 2
+        picks = {decider._choose_peer() for _ in range(100)}
+        assert picks == {1, 2, 3}
 
 
 class TestMembershipDiscovery:
     def test_candidates_come_from_the_live_view(self):
         from repro.net.messages import MEMBER_DEAD
 
-        decider = make_decider("random", membership=True)
+        decider = make_decider(membership=True)
         mark(decider, 2, MEMBER_DEAD)
         picks = {decider._choose_peer() for _ in range(100)}
         assert picks == {1, 3}
@@ -149,7 +85,7 @@ class TestMembershipDiscovery:
     def test_suspects_are_excluded_without_redraws(self):
         from repro.net.messages import MEMBER_SUSPECT
 
-        decider = make_decider("random", membership=True)
+        decider = make_decider(membership=True)
         mark(decider, 1, MEMBER_SUSPECT)
         picks = {decider._choose_peer() for _ in range(100)}
         assert picks == {2, 3}
@@ -158,34 +94,15 @@ class TestMembershipDiscovery:
     def test_empty_view_degrades_to_local_only(self):
         from repro.net.messages import MEMBER_DEAD
 
-        decider = make_decider("random", membership=True)
+        decider = make_decider(membership=True)
         for peer in (1, 2, 3):
             mark(decider, peer, MEMBER_DEAD)
         assert decider._choose_peer() is None
         assert decider.recorder.counters.get("decider.no_live_peers", 0) == 1
 
-    def test_sticky_holds_only_while_believed_alive(self):
-        from repro.net.messages import MEMBER_SUSPECT
 
-        decider = make_decider("sticky", membership=True)
-        decider._note_grant_outcome(2, granted_w=5.0)
-        assert decider._choose_peer() == 2
-        mark(decider, 2, MEMBER_SUSPECT)
-        picks = {decider._choose_peer() for _ in range(100)}
-        assert 2 not in picks
-
-    def test_ring_walks_the_live_list(self):
-        from repro.net.messages import MEMBER_DEAD
-
-        decider = make_decider("ring", membership=True)
-        mark(decider, 2, MEMBER_DEAD)
-        picks = [decider._choose_peer() for _ in range(4)]
-        assert picks == [1, 3, 1, 3]
-
-
-class TestEndToEndStrategies:
-    @pytest.mark.parametrize("discovery", ["random", "ring", "sticky"])
-    def test_all_strategies_shift_power_and_audit(self, discovery):
+class TestEndToEnd:
+    def test_random_discovery_shifts_power_and_audits(self):
         from repro.experiments.harness import RunSpec, run_single
 
         result = run_single(
@@ -196,7 +113,6 @@ class TestEndToEndStrategies:
                 n_clients=6,
                 workload_scale=0.15,
                 seed=6,
-                manager_config=PenelopeConfig(discovery=discovery),
             )
         )
         assert result.recorder.total_granted_w() > 0

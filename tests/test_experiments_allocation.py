@@ -11,12 +11,61 @@ from repro.experiments.allocation import (
     compare_allocation_quality,
     format_allocation,
     oracle_allocation,
+    proportional_caps,
     run_allocation_point,
 )
 
 FAST = dict(
     n_clients=6, workload_scale=0.3, observe_s=12.0, seed=3
 )
+
+
+class TestProportionalCaps:
+    def test_splits_proportionally_within_limits(self):
+        caps = proportional_caps(
+            {0: 200.0, 1: 100.0}, budget_w=240.0, min_cap_w=60.0, max_cap_w=250.0
+        )
+        assert sum(caps.values()) <= 240.0 + 1e-9
+        assert caps[0] > caps[1]
+
+    def test_everyone_gets_safe_minimum(self):
+        caps = proportional_caps(
+            {0: 500.0, 1: 1.0}, budget_w=130.0, min_cap_w=60.0, max_cap_w=250.0
+        )
+        assert caps[1] >= 60.0
+
+    def test_max_cap_respected_with_water_filling(self):
+        caps = proportional_caps(
+            {0: 1000.0, 1: 100.0}, budget_w=400.0, min_cap_w=60.0, max_cap_w=250.0
+        )
+        assert caps[0] <= 250.0
+        # The overflow moved to node 1 instead of being lost.
+        assert caps[1] > 60.0
+        assert sum(caps.values()) <= 400.0 + 1e-9
+
+    def test_budget_never_exceeded(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            n = int(rng.integers(2, 8))
+            demands = {i: float(rng.uniform(30, 260)) for i in range(n)}
+            budget = n * float(rng.uniform(120, 200))
+            caps = proportional_caps(demands, budget, 60.0, 250.0)
+            assert sum(caps.values()) <= budget + 1e-6
+            assert all(60.0 - 1e-9 <= c <= 250.0 + 1e-9 for c in caps.values())
+
+    def test_insufficient_budget_rejected(self):
+        with pytest.raises(ValueError):
+            proportional_caps({0: 100.0, 1: 100.0}, 100.0, 60.0, 250.0)
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ValueError):
+            proportional_caps({}, 100.0, 60.0, 250.0)
+
+    def test_saturated_demand_leaves_budget_unassigned(self):
+        caps = proportional_caps({0: 80.0}, budget_w=500.0, min_cap_w=60.0,
+                                 max_cap_w=250.0)
+        # §2.2.2: a manager need not use the whole system-wide cap.
+        assert caps[0] == pytest.approx(80.0)
 
 
 class TestOracle:

@@ -29,14 +29,13 @@ FAST = dict(n_clients=4, workload_scale=0.1, seed=0)
 class TestRegistry:
     def test_all_managers_registered(self):
         assert set(MANAGER_FACTORIES) == {
-            "fair", "penelope", "slurm", "podd", "slurm-ha"
+            "fair", "penelope", "slurm", "slurm-ha"
         }
 
     def test_server_requirements(self):
         assert not needs_server_node("fair")
         assert not needs_server_node("penelope")
         assert needs_server_node("slurm")
-        assert needs_server_node("podd")
         assert needs_server_node("slurm-ha")
 
     def test_extra_node_counts(self):
@@ -64,7 +63,6 @@ class TestRegistry:
         assert expected_config_type("fair") is ManagerConfig
         assert expected_config_type("penelope") is PenelopeConfig
         assert expected_config_type("slurm") is SlurmConfig
-        assert expected_config_type("podd") is SlurmConfig
         assert expected_config_type("slurm-ha") is HaSlurmConfig
 
 
@@ -149,7 +147,7 @@ class TestRunSingle:
         assert len(result.finish_times) == 4
         assert result.unfinished == ()
 
-    @pytest.mark.parametrize("manager", ["penelope", "slurm", "podd"])
+    @pytest.mark.parametrize("manager", ["penelope", "slurm"])
     def test_dynamic_managers_run_and_audit(self, manager):
         result = run_single(RunSpec(manager, ("EP", "DC"), 70.0, **FAST))
         assert result.runtime_s > 0

@@ -93,7 +93,7 @@ class TestFaultClaims:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("manager", ["fair", "penelope", "slurm", "podd"])
+    @pytest.mark.parametrize("manager", ["fair", "penelope", "slurm"])
     def test_bit_identical_reruns(self, manager):
         spec = RunSpec(manager, PAIR, 70.0, n_clients=4, workload_scale=0.1, seed=3)
         a, b = run_single(spec), run_single(spec)

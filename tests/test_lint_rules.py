@@ -275,6 +275,19 @@ class TestR10StreamGraph:
         )
         assert located(report, "R10") == [("experiments/scaling.py", 2)]
 
+    def test_ad_hoc_generators_are_invisible_to_the_stream_graph(self, tmp_path):
+        # R10 checks the names passed to RngRegistry.stream(); a generator
+        # built outside the registry has no stream name, so only R2 sees
+        # it.  Folding R2 into R10 would drop every one of these findings.
+        source = (FIXTURES / "r2_bad.py").read_text()
+        report = self.real_manifest_report(tmp_path, {"core/ad_hoc.py": source})
+        assert located(report, "R10") == []
+        both = lint_paths(
+            [tmp_path], rule_ids=["R2", "R10"], config=LintConfig(), project=True
+        )
+        assert located(both, "R2") == [("core/ad_hoc.py", n) for n in (9, 13, 17, 21, 25, 29)]
+        assert located(both, "R10") == []
+
 
 class TestR11FutureTimeouts:
     def test_bad_fixture_exact_lines(self):

@@ -72,13 +72,13 @@ class TestViewMatchesList:
             assert (value in view) == (value in reference)
 
 
-def make_decider(peers, node_id, discovery, seed):
+def make_decider(peers, node_id, seed):
     engine = Engine()
     rngs = RngRegistry(seed=seed)
     network = Network(
         engine, Topology(N_IDS, latency=LatencyModel(sigma=0.0)), rngs.stream("net")
     )
-    config = PenelopeConfig(stagger_start=False, discovery=discovery)
+    config = PenelopeConfig(stagger_start=False)
     rapl = SimulatedRapl(
         engine, SKYLAKE_6126_NODE, rngs.stream("rapl"), initial_cap_w=160.0,
         enforcement_delay_s=(0.0, 0.0), reading_noise=0.0,
@@ -97,16 +97,14 @@ def choices(decider, reference, ops):
         peer = reference[k % len(reference)]
         if op == "choose":
             picks.append(decider._choose_peer())
-        elif op == "suspect":
-            decider._suspect(peer)
         else:
-            decider._note_grant_outcome(peer, 5.0 if op == "grant" else 0.0)
+            decider._suspect(peer)
     return picks
 
 
 OPS = st.lists(
     st.tuples(
-        st.sampled_from(["choose", "choose", "suspect", "grant", "dry"]),
+        st.sampled_from(["choose", "choose", "suspect"]),
         st.integers(0, 1000),
     ),
     max_size=60,
@@ -117,10 +115,10 @@ class TestDeciderOnView:
     """A decider on the view draws exactly what one on the copied list did."""
 
     @staticmethod
-    def compare(peers, node_id, discovery, seed, ops):
+    def compare(peers, node_id, seed, ops):
         reference = [p for p in peers if p != node_id]
-        on_view = make_decider(peers, node_id, discovery, seed)
-        on_list = make_decider(peers, node_id, discovery, seed)
+        on_view = make_decider(peers, node_id, seed)
+        on_list = make_decider(peers, node_id, seed)
         on_list.peers = list(reference)
         assert isinstance(on_view.peers, RosterView)
         assert choices(on_view, reference, ops) == choices(on_list, reference, ops)
@@ -130,23 +128,20 @@ class TestDeciderOnView:
     @settings(max_examples=150, deadline=None)
     @given(
         case=rosters(),
-        discovery=st.sampled_from(["random", "ring", "sticky"]),
         seed=st.integers(0, 2**16),
         ops=OPS,
     )
-    def test_choose_peer_sequences_match(self, case, discovery, seed, ops):
+    def test_choose_peer_sequences_match(self, case, seed, ops):
         peers, node_id = case
         assume([p for p in peers if p != node_id])
-        self.compare(peers, node_id, discovery, seed, ops)
+        self.compare(peers, node_id, seed, ops)
 
-    @pytest.mark.parametrize("discovery", ["random", "sticky"])
-    def test_suspicion_redraws_match(self, discovery):
+    def test_suspicion_redraws_match(self):
         ops = (
             [("suspect", k) for k in range(4)]
-            + [("grant", 4)]
             + [("choose", 0)] * 10
             + [("suspect", 4)]
             + [("choose", 0)] * 40
         )
-        decider = self.compare([5, 0, 9, 3, 7, 1], 3, discovery, seed=11, ops=ops)
+        decider = self.compare([5, 0, 9, 3, 7, 1], 3, seed=11, ops=ops)
         assert decider.recorder.counters["decider.suspicion_redraws"] > 0

@@ -62,11 +62,6 @@ class TestBudgetInvariants:
     def test_slurm_budget_and_safety(self, spec, inspection_times):
         check_run_invariants(spec, inspection_times)
 
-    @given(spec=run_specs("podd"), inspection_times=times)
-    @settings(max_examples=10, deadline=None)
-    def test_podd_budget_and_safety(self, spec, inspection_times):
-        check_run_invariants(spec, inspection_times)
-
     @given(
         spec=run_specs("penelope"),
         kill_node=st.integers(0, 1),

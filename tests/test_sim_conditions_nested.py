@@ -1,12 +1,9 @@
-"""Edge-case tests: nested conditions, gate races, process chains."""
+"""Edge-case tests: nested conditions, process chains, store interleavings."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.sim.engine import Engine
 from repro.sim.events import AllOf, AnyOf
-from repro.sim.resources import Gate, Store
+from repro.sim.resources import Store
 
 
 class TestNestedConditions:
@@ -82,30 +79,6 @@ class TestProcessChains:
         engine.run()
         assert len(results) == 20
         assert all(value == "go" for _, value in results)
-
-
-class TestGateEdgeCases:
-    def test_reset_between_waves_of_waiters(self, engine):
-        gate = Gate(engine)
-        log = []
-
-        def waiter(tag):
-            yield gate.wait()
-            log.append((tag, engine.now))
-
-        engine.process(waiter("first"))
-
-        def script():
-            yield engine.timeout(1.0)
-            gate.open()
-            gate.reset()
-            engine.process(waiter("second"))
-            yield engine.timeout(1.0)
-            gate.open()
-        engine.process(script())
-        engine.run()
-        assert ("first", 1.0) in log
-        assert ("second", 2.0) in log
 
 
 class TestStoreInterleavings:

@@ -1,70 +1,10 @@
-"""Unit tests for Lock, Store and Gate."""
+"""Unit tests for Store."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.resources import Gate, Lock, Store, StoreFull
-
-
-class TestLock:
-    def test_uncontended_acquire_is_immediate(self, engine):
-        lock = Lock(engine)
-
-        def worker():
-            yield lock.acquire()
-            return engine.now
-        proc = engine.process(worker())
-        engine.run()
-        assert proc.value == 0.0
-        assert lock.locked
-
-    def test_fifo_handoff(self, engine):
-        lock = Lock(engine)
-        order = []
-
-        def worker(tag, hold):
-            yield lock.acquire()
-            order.append((tag, engine.now))
-            yield engine.timeout(hold)
-            lock.release()
-        engine.process(worker("a", 1.0))
-        engine.process(worker("b", 1.0))
-        engine.process(worker("c", 1.0))
-        engine.run()
-        assert order == [("a", 0.0), ("b", 1.0), ("c", 2.0)]
-        assert not lock.locked
-
-    def test_release_unheld_raises(self, engine):
-        with pytest.raises(RuntimeError):
-            Lock(engine).release()
-
-    def test_acquisition_counter(self, engine):
-        lock = Lock(engine)
-
-        def worker():
-            yield lock.acquire()
-            lock.release()
-        for _ in range(3):
-            engine.process(worker())
-        engine.run()
-        assert lock.acquisitions == 3
-
-    def test_mutual_exclusion(self, engine):
-        lock = Lock(engine)
-        inside = []
-
-        def worker(tag):
-            yield lock.acquire()
-            inside.append(tag)
-            assert len(inside) == 1  # nobody else holds the lock
-            yield engine.timeout(1.0)
-            inside.remove(tag)
-            lock.release()
-        for tag in range(5):
-            engine.process(worker(tag))
-        engine.run()
-        assert inside == []
+from repro.sim.resources import Store, StoreFull
 
 
 class TestStore:
@@ -169,78 +109,3 @@ class TestStore:
         assert store.total_put == 1
         assert store.total_dropped == 1
         assert store.is_full
-
-
-class TestGate:
-    def test_wait_blocks_until_open(self, engine):
-        gate = Gate(engine)
-
-        def waiter():
-            value = yield gate.wait()
-            return (engine.now, value)
-
-        def opener():
-            yield engine.timeout(3.0)
-            gate.open("go")
-        proc = engine.process(waiter())
-        engine.process(opener())
-        engine.run()
-        assert proc.value == (3.0, "go")
-
-    def test_open_gate_passes_immediately(self, engine):
-        gate = Gate(engine)
-        gate.open("v")
-
-        def waiter():
-            value = yield gate.wait()
-            return value
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == "v"
-
-    def test_broadcast_to_many_waiters(self, engine):
-        gate = Gate(engine)
-        results = []
-
-        def waiter(tag):
-            yield gate.wait()
-            results.append(tag)
-        for tag in range(4):
-            engine.process(waiter(tag))
-
-        def opener():
-            yield engine.timeout(1.0)
-            gate.open()
-        engine.process(opener())
-        engine.run()
-        assert sorted(results) == [0, 1, 2, 3]
-
-    def test_reset_rearms(self, engine):
-        gate = Gate(engine)
-        gate.open()
-        gate.reset()
-        assert not gate.is_open
-
-        def waiter():
-            yield gate.wait()
-            return engine.now
-
-        def opener():
-            yield engine.timeout(2.0)
-            gate.open()
-        proc = engine.process(waiter())
-        engine.process(opener())
-        engine.run()
-        assert proc.value == 2.0
-
-    def test_double_open_is_noop(self, engine):
-        gate = Gate(engine)
-        gate.open("first")
-        gate.open("second")
-
-        def waiter():
-            value = yield gate.wait()
-            return value
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == "first"

@@ -423,7 +423,7 @@ GOLDEN_FINGERPRINTS = [
             fault_plan=_every_fault_category(),
             record_caps=True,
         ),
-        "259abdb57bd19675d0b2331372a8b83fa42fc1aca307bf1476ffce50bd4d3053",
+        "3b7716c45fc7b8fb952be0d731473419aae22cb25831adc613c274f85dbfac47",
         id="run-penelope-every-fault",
     ),
     pytest.param(
@@ -463,7 +463,7 @@ GOLDEN_FINGERPRINTS = [
             fault_plan=FaultPlan().kill(0, 3.0),
             manager_config=PenelopeConfig(),
         ),
-        "071c38b613d61637e24f44d7fc4ae918d79dc8b799a01e42b92e3cec8dc2cafc",
+        "2ab6885183f7306dd60d0fa1f12e28ff55b157d9244f60b93c696c5cd6ba0107",
         id="multijob",
     ),
     pytest.param(

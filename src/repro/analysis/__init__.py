@@ -1,11 +1,5 @@
 """Statistics helpers used by the experiment harness and reports."""
 
-from repro.analysis.oscillation import (
-    OscillationStats,
-    cluster_oscillation,
-    mean_oscillation_index_w,
-    node_oscillation,
-)
 from repro.analysis.stats import (
     DistributionSummary,
     geometric_mean,
@@ -16,12 +10,8 @@ from repro.analysis.timeseries import cumulative_arrivals, time_to_fraction
 
 __all__ = [
     "DistributionSummary",
-    "OscillationStats",
-    "cluster_oscillation",
     "cumulative_arrivals",
     "geometric_mean",
-    "mean_oscillation_index_w",
-    "node_oscillation",
     "normalized_performance",
     "summarize",
     "time_to_fraction",

@@ -74,6 +74,9 @@ class Cluster:
         self.config = config
         self.rngs = rng_registry or RngRegistry(seed=0)
         self.topology = Topology(config.n_nodes, latency=config.latency)
+        self.rngs.prepare(
+            ["net.latency", *(f"node.{node_id}.rapl" for node_id in range(config.n_nodes))]
+        )
         self.network = Network(
             engine,
             self.topology,

@@ -127,6 +127,12 @@ class PenelopeManager(PowerManager):
     def _install_agents(self) -> None:
         assert self.cluster is not None
         self.roster = Roster(self.client_ids)
+        kinds = ("pool", "decider")
+        if self.config.enable_membership:
+            kinds += ("membership",)
+        self.cluster.rngs.prepare(
+            f"penelope.{kind}.{node_id}" for node_id in self.client_ids for kind in kinds
+        )
         for node_id in self.client_ids:
             self._build_agents(node_id, generation=0)
 

@@ -10,6 +10,7 @@ audits the §2.1 constraints and returns a :class:`RunResult`.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
@@ -24,7 +25,7 @@ from repro.managers.slurm import SlurmConfig, SlurmManager
 from repro.managers.slurm_ha import HaSlurmConfig, HaSlurmManager
 from repro.net.network import NetworkStats
 from repro.sim.config import SimConfig
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, raise_young_gc_threshold
 from repro.sim.rng import RngRegistry
 from repro.workloads.apps import build_app
 from repro.workloads.generator import assign_pair_to_cluster
@@ -135,6 +136,34 @@ class RunResult:
         return 1.0 / self.runtime_s
 
 
+#: Generation-0 collector threshold while :func:`build_universe` runs.
+#: A build allocates only objects that live as long as its universe, so
+#: a young collection during it frees nothing (``sim/engine.py`` has the
+#: build-phase table).
+_BUILD_GC_THRESHOLD = 100_000
+
+#: Builds of at least this many clients first run one full collection,
+#: so that a previous run's dead universe (reference cycles the young
+#: generations never reach) is freed before the next one is allocated
+#: and peak RSS stays near one universe.  Below the cut the collection
+#: would cost more than the build it precedes.  ``build_run`` of a
+#: Penelope EP:DC universe against one full collection of a heap holding
+#: one dead universe of the same size (2-vCPU VM, CPython 3.11.7, five
+#: runs each; a post-import heap alone takes ~4.5 ms):
+#:
+#: =======  ==========  ==============
+#: clients  build ms    collection ms
+#: =======  ==========  ==============
+#: 20       1.2-1.7     4.9-5.0
+#: 64       2.8-3.1     5.4
+#: 128      5.1-5.4     6.0
+#: 256      9.7-10.3    7.2-7.5
+#: 512      19.3-20.2   10.7-11.8
+#: 1 024    39.4-40.4   16.3-17.7
+#: =======  ==========  ==============
+_BUILD_COLLECT_MIN_CLIENTS = 256
+
+
 #: Draws a universe's client workloads (node id -> workload) from its RNGs.
 WorkloadDraw = Callable[[RngRegistry], Mapping[int, Workload]]
 
@@ -178,29 +207,35 @@ def build_universe(
     study).  Nothing is started: each caller starts the universe in its
     own order.
     """
-    engine = Engine(sim=sim)
-    rngs = RngRegistry(seed=seed)
-    extra = extra_nodes(manager_name)
-    manager = make_manager(
-        manager_name,
-        config=manager_config,
-        recorder=MetricsRecorder(record_caps=record_caps),
+    saved = raise_young_gc_threshold(
+        _BUILD_GC_THRESHOLD, collect_first=n_clients >= _BUILD_COLLECT_MIN_CLIENTS
     )
-    if system_budget_w is None:
-        system_budget_w = budget_w * (n_clients + extra) / n_clients
-    cluster_config = ClusterConfig(
-        n_nodes=n_clients + extra,
-        system_power_budget_w=system_budget_w,
-        message_loss_probability=loss,
-    )
-    cluster = Cluster(engine, cluster_config, rngs, traces=traces)
-    overhead = manager.config.overhead_factor
-    for node_id, workload in workloads(rngs).items():
-        cluster.nodes[node_id].assign_workload(workload, overhead_factor=overhead)
-    manager.install(cluster, client_ids=list(range(n_clients)), budget_w=budget_w)
-    if fault_plan is not None:
-        fault_plan.install(cluster, manager)
-    return engine, cluster, manager
+    try:
+        engine = Engine(sim=sim)
+        rngs = RngRegistry(seed=seed)
+        extra = extra_nodes(manager_name)
+        manager = make_manager(
+            manager_name,
+            config=manager_config,
+            recorder=MetricsRecorder(record_caps=record_caps),
+        )
+        if system_budget_w is None:
+            system_budget_w = budget_w * (n_clients + extra) / n_clients
+        cluster_config = ClusterConfig(
+            n_nodes=n_clients + extra,
+            system_power_budget_w=system_budget_w,
+            message_loss_probability=loss,
+        )
+        cluster = Cluster(engine, cluster_config, rngs, traces=traces)
+        overhead = manager.config.overhead_factor
+        for node_id, workload in workloads(rngs).items():
+            cluster.nodes[node_id].assign_workload(workload, overhead_factor=overhead)
+        manager.install(cluster, client_ids=list(range(n_clients)), budget_w=budget_w)
+        if fault_plan is not None:
+            fault_plan.install(cluster, manager)
+        return engine, cluster, manager
+    finally:
+        gc.set_threshold(*saved)
 
 
 def build_run(spec: RunSpec, sim: Optional[SimConfig] = None):

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import IO, Any, Dict, List, Optional
 
-from repro.lint.config import LintConfig, discover_pyproject, load_config
+from repro.lint.config import discover_pyproject, load_config
 from repro.lint.registry import all_rules
 from repro.lint.runner import LintReport, lint_paths
 

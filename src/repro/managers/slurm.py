@@ -522,6 +522,9 @@ class SlurmManager(PowerManager):
         assert self.cluster is not None
         cluster = self.cluster
         server_node = self._pick_server_node()
+        cluster.rngs.prepare(
+            ["slurm.server", *(f"slurm.client.{node_id}" for node_id in self.client_ids)]
+        )
         self.server = SlurmServer(
             cluster.engine,
             cluster.network,

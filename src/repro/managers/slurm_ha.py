@@ -138,6 +138,13 @@ class HaSlurmManager(SlurmManager):
         assert self.cluster is not None
         cluster = self.cluster
         primary_node, standby_node = self._pick_server_nodes()
+        cluster.rngs.prepare(
+            [
+                "slurm-ha.server.0",
+                "slurm-ha.server.1",
+                *(f"slurm.client.{node_id}" for node_id in self.client_ids),
+            ]
+        )
         for index, node_id in enumerate((primary_node, standby_node)):
             server = SlurmServer(
                 cluster.engine,

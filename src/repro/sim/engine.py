@@ -32,8 +32,10 @@ thresholds.  The previous triple is restored in a ``finally`` on every
 exit (horizon, drained queue, ``until=<event>``, errors and
 ``KeyboardInterrupt``), so nested runs unwind correctly, a caller's larger
 threshold is kept, and a collector the caller disabled stays disabled and
-untouched.  The reason: most objects a run allocates are queued waits
-that live around one sim-second.  The default threshold (700) promotes
+untouched.  :func:`raise_young_gc_threshold` is that policy, and
+``harness.build_universe`` builds a universe under it too.  The reason:
+most objects a run allocates are queued waits that live around one
+sim-second.  The default threshold (700) promotes
 them all into the oldest generation, whose growth then triggers full
 collections over every live object of the universe.  Collection never
 changes what is simulated: nothing in the kernel depends on finalizers,
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import gc
 from itertools import count
-from typing import Any, Callable, Generator, List, Optional, Union
+from typing import Any, Callable, Generator, List, Optional, Tuple, Union
 
 from repro.sim.config import DEFAULT_TICK_SLOTS, SimConfig, default_batched_ticks
 from repro.sim.events import (
@@ -99,7 +101,53 @@ class StopSimulation(Exception):
 #: slices at 100 000, ~10% of their CPU), but less than the slices'
 #: own run-to-run spread (EXPERIMENTS.md has the wall-time sweep); the
 #: constant stays until a ``kernel-10k`` comparison resolves it.
+#:
+#: Building a universe has the opposite profile: nearly everything it
+#: allocates lives as long as the universe, so at 700 the collector
+#: re-scans the growing universe over and over and frees nothing.
+#: ``harness.build_universe`` therefore builds under
+#: :func:`raise_young_gc_threshold` with a threshold of 100 000 (after one
+#: full collection for large builds; the size cut is tabled there).  The
+#: ``kernel-10k`` universe, ``build_run`` + ``manager.start`` +
+#: ``cluster.start_workloads`` and then the same 100 slices (wall time,
+#: five or six runs per row at seeds 7 and 2022, same VM; outputs identical):
+#:
+#: =========  ===============  ==========  =========  ===============  ==========  =========
+#: build at   build gen 0/1/2  build gc s  build s    slice gen 0/1/2  slice gc s  total s
+#: =========  ===============  ==========  =========  ===============  ==========  =========
+#: 700        1153 / 104 / 8   0.52-0.62   1.30-1.41  37 / 4 / 0       0.53-0.57   5.75-5.91
+#: 100 000    280 / 25 / 2     0.24-0.26   0.73-0.75  38 / 3 / 1       0.71-0.73   5.38-5.53
+#: =========  ===============  ==========  =========  ===============  ==========  =========
+#:
+#: All but seven of the 280 young collections left in that phase
+#: run in ``manager.start`` and ``start_workloads``, after the threshold
+#: is restored.  The universe still has to be promoted to the oldest
+#: generation once, and one full collection of it now falls in the
+#: slices, so ~0.17 s of the ~0.58 s the build saves reappears there.
 _YOUNG_GC_THRESHOLD = 10_000
+
+
+def raise_young_gc_threshold(threshold: int, collect_first: bool = False) -> Tuple[int, int, int]:
+    """Raise the collector's generation-0 threshold to at least ``threshold``.
+
+    Returns the previous thresholds, which the caller restores with
+    ``gc.set_threshold(*saved)`` in a ``finally``.  Generations 1 and 2
+    keep their thresholds, a caller's larger threshold is kept, and a
+    disabled collector stays disabled and untouched: ``collect_first``
+    (one full collection before raising) then does nothing either.
+
+    This is a call, not a context manager, on purpose: a context manager
+    is a GC-tracked object allocated while the caller's threshold still
+    holds, so each :meth:`Engine.run` of a sliced run would open with a
+    young collection (85 instead of 37 per 100 ``kernel-10k`` slices).
+    """
+    saved = gc.get_threshold()
+    if gc.isenabled():
+        if collect_first:
+            gc.collect()
+        if saved[0] < threshold:
+            gc.set_threshold(threshold, *saved[1:])
+    return saved
 
 
 class Engine:
@@ -258,13 +306,11 @@ class Engine:
         is at least :data:`_YOUNG_GC_THRESHOLD` (see the module's hot-path
         notes); the previous thresholds are restored on every exit.
         """
-        thresholds = gc.get_threshold()
-        if gc.isenabled() and thresholds[0] < _YOUNG_GC_THRESHOLD:
-            gc.set_threshold(_YOUNG_GC_THRESHOLD, *thresholds[1:])
+        saved = raise_young_gc_threshold(_YOUNG_GC_THRESHOLD)
         try:
             return self._dispatch(until)
         finally:
-            gc.set_threshold(*thresholds)
+            gc.set_threshold(*saved)
 
     def _dispatch(self, until: Union[None, float, int, EventBase]) -> Any:
         """The event loop behind :meth:`run`."""

@@ -1,16 +1,117 @@
-"""Tests for the physical-consumption analysis."""
+"""Cluster-level consumption analysis from per-node meter traces.
+
+The budget audit in :mod:`repro.managers.base` checks the *cap*
+accounting (§2.1 constraint 1 on assignments).  These tests check the
+physical side: the cluster's **actual total draw** over time, rebuilt
+from every node's energy-meter trace.  Under correct capping the total
+draw can exceed the instantaneous sum of enforced caps only during RAPL's
+convergence window, and never exceeds the system budget by more than the
+enforcement transients allow.
+
+Only these tests use the analysis, so it lives here.
+"""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import pytest
 
-from repro.analysis.consumption import (
-    analyze_consumption,
-    cluster_consumption_curve,
-    enable_power_tracing,
-    total_consumption_curve,
-)
+from repro.cluster.cluster import Cluster
+
+
+def enable_power_tracing(cluster: Cluster) -> None:
+    """Turn on per-node power-breakpoint recording (call before running)."""
+    for node in cluster.nodes:
+        node.rapl.meter.enable_trace()
+
+
+def total_consumption_curve(
+    traces: Sequence[List[Tuple[float, float]]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum per-node piecewise-constant power traces into a cluster curve.
+
+    Each trace is a list of ``(time, watts)`` breakpoints (right-
+    continuous).  Returns ``(times, total_watts)`` with a breakpoint at
+    every instant any node's draw changed.
+    """
+    if not traces:
+        raise ValueError("no traces given")
+    breakpoints = np.unique(
+        np.concatenate([[t for t, _ in trace] for trace in traces])
+    )
+    total = np.zeros_like(breakpoints)
+    for trace in traces:
+        times = np.array([t for t, _ in trace])
+        watts = np.array([w for _, w in trace])
+        index = np.searchsorted(times, breakpoints, side="right") - 1
+        valid = index >= 0
+        total[valid] += watts[index[valid]]
+    return breakpoints, total
+
+
+def cluster_consumption_curve(cluster: Cluster) -> Tuple[np.ndarray, np.ndarray]:
+    """The cluster's total actual draw over time (tracing must be on)."""
+    return total_consumption_curve([node.rapl.meter.trace for node in cluster.nodes])
+
+
+@dataclass(frozen=True)
+class ConsumptionReport:
+    """Summary of a run's physical power behaviour."""
+
+    budget_w: float
+    peak_w: float
+    mean_w: float
+    #: Longest contiguous stretch with total draw above the budget --
+    #: bounded by the RAPL enforcement window under correct operation.
+    longest_over_budget_s: float
+    over_budget_fraction: float
+
+    @property
+    def peak_utilization(self) -> float:
+        return self.peak_w / self.budget_w
+
+
+def analyze_consumption(
+    times: np.ndarray,
+    watts: np.ndarray,
+    budget_w: float,
+    horizon_s: float,
+) -> ConsumptionReport:
+    """Check a total-draw curve against the system budget.
+
+    ``horizon_s`` closes the final segment (curves are right-open).
+    """
+    if budget_w <= 0:
+        raise ValueError("budget must be positive")
+    if times.size == 0:
+        raise ValueError("empty curve")
+    edges = np.append(times, horizon_s)
+    durations = np.clip(np.diff(edges), 0.0, None)
+    span = durations.sum()
+    if span <= 0:
+        raise ValueError("horizon before first breakpoint")
+    mean = float(np.dot(watts, durations) / span)
+    over = watts > budget_w + 1e-9
+    over_time = float(durations[over].sum())
+    # Longest contiguous over-budget stretch.
+    longest = 0.0
+    current = 0.0
+    for is_over, duration in zip(over, durations):
+        if is_over:
+            current += duration
+            longest = max(longest, current)
+        else:
+            current = 0.0
+    return ConsumptionReport(
+        budget_w=budget_w,
+        peak_w=float(watts.max()),
+        mean_w=mean,
+        longest_over_budget_s=longest,
+        over_budget_fraction=over_time / span,
+    )
 
 
 class TestTotalConsumptionCurve:

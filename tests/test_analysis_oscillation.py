@@ -1,15 +1,110 @@
-"""Unit tests for power-oscillation analysis."""
+"""Power-oscillation analysis (§3.2).
+
+The paper's rate limit exists partly to damp *power oscillation*: a node
+that receives too much power in one transaction cannot use it all, gets
+classified as having excess next period, releases, turns hungry again,
+and so on -- "the powercap on a node [can] oscillate wildly".
+
+The metrics below quantify that from a run's cap samples:
+
+* **total movement** -- sum of absolute cap changes (watt-steps a node's
+  cap took);
+* **net change** -- |final - initial|;
+* **oscillation index** -- the wasted movement, ``(total - net) / 2``:
+  how many watts were raised only to be lowered again (or vice versa).
+  Zero for a monotone trajectory.
+
+Only these tests read the metrics, so they live here.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
+
 import pytest
 
-from repro.analysis.oscillation import (
-    cluster_oscillation,
-    mean_oscillation_index_w,
-    node_oscillation,
-)
 from repro.instrumentation import MetricsRecorder
+
+
+@dataclass(frozen=True)
+class OscillationStats:
+    """Cap-trajectory churn for one node."""
+
+    node: int
+    samples: int
+    initial_cap_w: float
+    final_cap_w: float
+    total_movement_w: float
+
+    @property
+    def net_change_w(self) -> float:
+        return abs(self.final_cap_w - self.initial_cap_w)
+
+    @property
+    def oscillation_index_w(self) -> float:
+        """Watts moved back and forth to no net effect."""
+        return max(0.0, (self.total_movement_w - self.net_change_w) / 2.0)
+
+    @property
+    def churn_ratio(self) -> float:
+        """Total movement per watt of net change (1.0 = perfectly direct;
+        large = oscillatory).  ``inf`` when the cap ends where it began
+        but moved in between."""
+        if self.net_change_w == 0:
+            return float("inf") if self.total_movement_w > 0 else 1.0
+        return self.total_movement_w / self.net_change_w
+
+
+def node_oscillation(
+    recorder: MetricsRecorder, node: int, initial_cap_w: Optional[float] = None
+) -> OscillationStats:
+    """Oscillation statistics for one node's recorded cap trajectory.
+
+    ``initial_cap_w`` anchors the trajectory's start; when omitted the
+    first recorded sample is used (cap recording must be enabled).
+    """
+    trajectory: List[Tuple[float, float]] = recorder.caps_of(node)
+    if not trajectory and initial_cap_w is None:
+        raise ValueError(
+            f"no cap samples for node {node}; was record_caps enabled?"
+        )
+    caps = [cap for _, cap in trajectory]
+    start = initial_cap_w if initial_cap_w is not None else caps[0]
+    series = [start] + caps
+    movement = sum(abs(b - a) for a, b in zip(series, series[1:]))
+    return OscillationStats(
+        node=node,
+        samples=len(caps),
+        initial_cap_w=start,
+        final_cap_w=series[-1],
+        total_movement_w=movement,
+    )
+
+
+def cluster_oscillation(
+    recorder: MetricsRecorder,
+    node_ids: Iterable[int],
+    initial_caps: Optional[Dict[int, float]] = None,
+) -> Dict[int, OscillationStats]:
+    """Per-node oscillation stats for all of ``node_ids``."""
+    initial_caps = initial_caps or {}
+    return {
+        node: node_oscillation(recorder, node, initial_caps.get(node))
+        for node in node_ids
+    }
+
+
+def mean_oscillation_index_w(
+    recorder: MetricsRecorder,
+    node_ids: Iterable[int],
+    initial_caps: Optional[Dict[int, float]] = None,
+) -> float:
+    """Average wasted cap movement across nodes (the §3.2 damping target)."""
+    stats = cluster_oscillation(recorder, node_ids, initial_caps)
+    if not stats:
+        raise ValueError("no nodes given")
+    return sum(s.oscillation_index_w for s in stats.values()) / len(stats)
 
 
 def recorder_for(node: int, caps):

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster.node import SimNode, WorkloadExecutor
+from repro.cluster.node import SimNode
 from repro.power.domain import SKYLAKE_6126_NODE
-from repro.power.rapl import SimulatedRapl
 from repro.sim.events import Timeout
 from repro.workloads.performance import runtime_at_constant_cap
 from repro.workloads.phases import Phase, Workload

@@ -7,8 +7,6 @@ without ever violating the §2.1 constraints on its own node.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import PenelopeConfig
 from repro.core.decider import LocalDecider
 from repro.core.pool import PowerPool

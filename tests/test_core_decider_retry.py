@@ -7,8 +7,6 @@ response timeout to leave room for in-period retries.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import PenelopeConfig
 from repro.core.decider import LocalDecider
 from repro.core.pool import PowerPool

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cluster.faults import FaultPlan
 from repro.experiments.multijob import (
-    MultiJobComparison,
     MultiJobSpec,
     build_sequences,
     format_multijob,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.stats import summarize
 from repro.experiments.faulty import FaultyResult
 from repro.experiments.nominal import NominalResult

@@ -9,6 +9,7 @@ affected attempts, never the campaign.  The harness-fault shim
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +60,12 @@ def attempts_recorded(spec: FlakySpec) -> int:
 
 def run_flaky(spec: FlakySpec) -> dict:
     attempt = attempts_recorded(spec)
-    _marker(spec).write_text(str(attempt + 1))
+    # Write-then-rename: a worker terminated mid-write (an interrupted
+    # parallel sweep) must not leave a truncated marker behind.
+    marker = _marker(spec)
+    scratch = marker.with_name(f"{marker.name}.{os.getpid()}.tmp")
+    scratch.write_text(str(attempt + 1))
+    os.replace(scratch, marker)
     if attempt < spec.fail_until:
         raise RuntimeError(f"flaky: attempt {attempt} of spec {spec.value}")
     return {"value": spec.value, "attempts": attempt + 1}

@@ -11,7 +11,6 @@ from repro.experiments.scaling import (
     sweep_pairs,
 )
 from repro.power.domain import SKYLAKE_6126_NODE
-from repro.workloads.apps import get_app_model
 
 SPEC = SKYLAKE_6126_NODE
 

@@ -4,8 +4,6 @@ would fully halt any power shifting" under a central server)."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cluster.faults import FaultPlan
 from repro.experiments.harness import RunSpec, run_single
 

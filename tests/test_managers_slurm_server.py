@@ -16,8 +16,6 @@ from repro.net.messages import (
 )
 from repro.net.network import Network
 from repro.net.topology import LatencyModel, Topology
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 
 
 @pytest.fixture

@@ -7,10 +7,16 @@ import gc
 import pytest
 
 from repro.cluster.faults import FaultPlan
-from repro.experiments.harness import RunSpec, run_single
+from repro.experiments.harness import (
+    _BUILD_COLLECT_MIN_CLIENTS,
+    _BUILD_GC_THRESHOLD,
+    RunSpec,
+    build_universe,
+    run_single,
+)
 from repro.experiments.serialize import canonical_json, encode
 from repro.sim.engine import _YOUNG_GC_THRESHOLD, Engine, SimulationError, run_callable_at
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 
 
 class TestClock:
@@ -378,6 +384,83 @@ class TestCollectorScope:
         engine.run()
         assert seen == [(True, (50_000, 7, 5))]
         assert gc.get_threshold() == (50_000, 7, 5)
+
+
+# -- the same policy around harness.build_universe --------------------------------
+
+
+class _BuildProbe:
+    """A workload draw that records the collector state inside the build."""
+
+    def __init__(self, fail=False):
+        self.fail = fail
+        self.inside = None
+        self.full_collections = 0
+
+    def __enter__(self):
+        # Zeroed generation counts: no automatic full collection can fall
+        # between here and the draw, so every one counted is the build's.
+        gc.collect()
+        gc.callbacks.append(self._count)
+        return self
+
+    def __exit__(self, *exc_info):
+        gc.callbacks.remove(self._count)
+
+    def _count(self, phase, info):
+        if phase == "start" and info["generation"] == 2:
+            self.full_collections += 1
+
+    def __call__(self, rngs):
+        self.inside = (gc.isenabled(), gc.get_threshold(), self.full_collections)
+        if self.fail:
+            raise RuntimeError("draw failed")
+        return {}
+
+
+def _build(draw, n_clients=4):
+    return build_universe("fair", n_clients, 160.0 * n_clients, 0, draw)
+
+
+@pytest.mark.usefixtures("collector")
+class TestBuildCollectorPolicy:
+    def test_build_sees_its_threshold_and_restores_the_callers(self):
+        with _BuildProbe() as probe:
+            _build(probe)
+        assert probe.inside == (True, (_BUILD_GC_THRESHOLD, 7, 5), 0)
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+        assert gc.isenabled()
+
+    def test_thresholds_restored_when_the_build_raises(self):
+        with _BuildProbe(fail=True) as probe, pytest.raises(RuntimeError, match="draw failed"):
+            _build(probe)
+        assert probe.inside[1] == (_BUILD_GC_THRESHOLD, 7, 5)
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+
+    def test_larger_caller_threshold_is_kept(self):
+        gc.set_threshold(_BUILD_GC_THRESHOLD * 2, 7, 5)
+        with _BuildProbe() as probe:
+            _build(probe)
+        assert probe.inside[1] == (_BUILD_GC_THRESHOLD * 2, 7, 5)
+        assert gc.get_threshold() == (_BUILD_GC_THRESHOLD * 2, 7, 5)
+
+    def test_disabled_collector_stays_disabled_and_never_collects(self):
+        gc.disable()
+        with _BuildProbe() as probe:
+            _build(probe, n_clients=_BUILD_COLLECT_MIN_CLIENTS)
+        assert probe.inside == (False, CALLER_THRESHOLDS, 0)
+        assert probe.full_collections == 0
+        assert not gc.isenabled()
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+
+    @pytest.mark.parametrize(
+        "n_clients, collections",
+        [(_BUILD_COLLECT_MIN_CLIENTS - 1, 0), (_BUILD_COLLECT_MIN_CLIENTS, 1)],
+    )
+    def test_full_collection_first_only_from_the_cut(self, n_clients, collections):
+        with _BuildProbe() as probe:
+            _build(probe, n_clients=n_clients)
+        assert probe.inside[2] == collections
 
 
 # -- collection timing never changes what is simulated ---------------------------

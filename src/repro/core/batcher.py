@@ -18,8 +18,10 @@ cap trajectories and ledger balances as the per-node loop (the
 differential rig in ``tests/test_sim_batched_equivalence.py``).  The
 mechanism is *send-order preservation*: the shared ``net.latency``
 stream is consumed in message-send order, so outcomes match exactly when
-sends happen in the same order in both modes.  Three rules keep them
-aligned:
+sends happen in the same order in both modes.  The kernel's in-place
+hand-offs (a put into an idle inbox, a reply ending a ``FirstOf`` wait,
+an interrupt) resume their waiter the same way on both paths, and three
+rules keep the rest aligned:
 
 * A node's request body runs *inline* at the node's position in the
   batch loop (:class:`~repro.sim.process.InlineProcess` advances the
@@ -31,12 +33,13 @@ aligned:
   node's next wake-up event (at its tick, at a mid-period grant
   completion, at registration).  Sorting by key before each batch
   reproduces the per-node processing order.
-* A request resolving exactly at the node's next tick instant resumes
-  *after* that instant's batch (``FirstOf`` re-schedules the resume
-  with a fresh sequence number at fire time), so the batch skips the
-  still-requesting member and the continuation runs the missed tick
-  inline -- reproducing the per-node loop's catch-up tick, which fires
-  after every batch-ticked node, in deadline order among catch-ups.
+* A request timing out exactly at the node's next tick instant resumes
+  *after* that instant's batch (``FirstOf`` re-schedules a deadline's
+  resume with a fresh sequence number at fire time; only a reply
+  resumes in place), so the batch skips the still-requesting member and
+  the continuation runs the missed tick inline -- reproducing the
+  per-node loop's catch-up tick, which fires after every batch-ticked
+  node, in deadline order among catch-ups.
 
 Nodes whose request deadline would outlive the period cannot keep this
 alignment (the per-node loop ticks them late and catches up), so the
@@ -198,15 +201,10 @@ class TickBatcher:
         slot.dirty = True
         self._members[node_id] = member
         decider._batcher = self
-        # Grant hand-offs resume the request continuation in place (see
-        # Store.inline_handoff / InlineFirstOf) -- one queue hop saved
-        # per granted request.
-        decider.inbox.inline_handoff = True
 
     def remove(self, decider: "LocalDecider") -> None:
         """Deregister ``decider`` (kill/stop path); lazily purged."""
         decider._batcher = None
-        decider.inbox.inline_handoff = False
         member = self._members.pop(decider.node_id, None)
         if member is None:
             return
@@ -234,7 +232,6 @@ class TickBatcher:
         for member in self._members.values():
             member.dead = True
             member.decider._batcher = None
-            member.decider.inbox.inline_handoff = False
             request = member.request
             member.request = None
             if request is not None and request.is_alive:
@@ -360,9 +357,9 @@ class TickBatcher:
         if self.engine.now >= member.due:
             # The request resolved at the member's next tick instant --
             # after this instant's batch, which skipped the member as
-            # still-requesting (FirstOf re-schedules the resume with a
-            # fresh sequence number at fire time, so a same-instant
-            # resolution always lands behind the batch event).  The
+            # still-requesting (FirstOf re-schedules a deadline's resume
+            # with a fresh sequence number at fire time, so a same-instant
+            # timeout always lands behind the batch event).  The
             # per-node loop runs its catch-up tick inline right here,
             # after every batch-ticked node, in deadline order among
             # fellow catch-ups -- do exactly that.

@@ -72,7 +72,6 @@ from repro.sim import (
     Engine,
     EventBase,
     FirstOf,
-    InlineFirstOf,
     Interrupt,
     Process,
     Store,
@@ -519,16 +518,10 @@ class LocalDecider:
         batcher = self._batcher
         if batcher is not None:
             deadline = batcher.request_deadline(self.config.timeout_s)
-            # Batched continuations resume in place when the grant's
-            # hand-off event processes (see InlineFirstOf): the hand-off
-            # already carries the sequence number fixing member order,
-            # so the queued completion hop is pure churn.
-            wait_cls: type = InlineFirstOf
         else:
             # Drifted deciders are never batched (the manager unbatches
             # them), so only this per-node path scales the timeout.
             deadline = engine.timeout(self.config.timeout_s * self.clock_scale)
-            wait_cls = FirstOf
         granted = 0.0
         timed_out = False
         try:
@@ -536,8 +529,9 @@ class LocalDecider:
                 get_event = self.inbox.get()
                 # Lean two-event wait: same wake-up/failure semantics as
                 # any_of([get_event, deadline]) without the condition
-                # bookkeeping (this wait happens once per request).
-                yield wait_cls(engine, get_event, deadline)
+                # bookkeeping (this wait happens once per request); a
+                # grant resumes it in place.
+                yield FirstOf(engine, get_event, deadline)
                 if not get_event.triggered:
                     # Timeout: withdraw the getter so it cannot swallow a late
                     # grant that the next iteration should absorb instead.

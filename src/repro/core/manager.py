@@ -229,14 +229,6 @@ class PenelopeManager(PowerManager):
         """
         if self._batcher is not None and decider.clock_scale == 1.0:
             self._batcher.add(decider)
-            # The co-located pool server is idle whenever a request
-            # lands (service times are short against the period), so
-            # nearly every delivery pays a wake-up queue hop; resume it
-            # in place instead (see Store.inline_handoff).  The server
-            # draws its service time from its own per-node stream and
-            # replies at continuous instants, so the early resume
-            # changes no processing order the trajectory depends on.
-            decider.pool.server.inbox.inline_handoff = True
         else:
             decider.start()
 

@@ -169,6 +169,9 @@ def run_allocation_point(spec: AllocationSpec) -> AllocationTrace:
         )
         times.append(t)
         deviations.append(deviation)
+    # Each sample pauses the run, which keeps the collector policy held
+    # between samples; observation is over, so give it back.
+    engine.release_gc_hold()
     manager.audit().check()
     return AllocationTrace(
         manager=spec.manager,

@@ -464,6 +464,8 @@ def run_chaos_single(
     manager.start()
     auditor.start()
     engine.run(until=spec.duration_s)
+    # The storm stops at its horizon with events still queued, and is over.
+    engine.release_gc_hold()
     # One last probe at the horizon: the interval grid need not land on it.
     final = auditor.probe()
     detector_report = (

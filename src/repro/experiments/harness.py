@@ -25,7 +25,7 @@ from repro.managers.slurm import SlurmConfig, SlurmManager
 from repro.managers.slurm_ha import HaSlurmConfig, HaSlurmManager
 from repro.net.network import NetworkStats
 from repro.sim.config import SimConfig
-from repro.sim.engine import Engine, raise_young_gc_threshold
+from repro.sim.engine import _YOUNG_GC_THRESHOLD, Engine, raise_young_gc_threshold
 from repro.sim.rng import RngRegistry
 from repro.workloads.apps import build_app
 from repro.workloads.generator import assign_pair_to_cluster
@@ -136,12 +136,6 @@ class RunResult:
         return 1.0 / self.runtime_s
 
 
-#: Generation-0 collector threshold while :func:`build_universe` runs.
-#: A build allocates only objects that live as long as its universe, so
-#: a young collection during it frees nothing (``sim/engine.py`` has the
-#: build-phase table).
-_BUILD_GC_THRESHOLD = 100_000
-
 #: Builds of at least this many clients first run one full collection,
 #: so that a previous run's dead universe (reference cycles the young
 #: generations never reach) is freed before the next one is allocated
@@ -207,8 +201,11 @@ def build_universe(
     study).  Nothing is started: each caller starts the universe in its
     own order.
     """
+    # A build allocates only objects that live as long as its universe,
+    # so a young collection during it frees nothing (``sim/engine.py``
+    # has the build-phase table).
     saved = raise_young_gc_threshold(
-        _BUILD_GC_THRESHOLD, collect_first=n_clients >= _BUILD_COLLECT_MIN_CLIENTS
+        _YOUNG_GC_THRESHOLD, collect_first=n_clients >= _BUILD_COLLECT_MIN_CLIENTS
     )
     try:
         engine = Engine(sim=sim)

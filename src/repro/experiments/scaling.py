@@ -270,6 +270,8 @@ def run_scaling_point(spec: ScalingSpec) -> ScalingResult:
 
     run_callable_at(engine, spec.release_at_s, _snapshot_available)
     engine.run(until=spec.horizon_s)
+    # The run stops at its horizon with events still queued, and is over.
+    engine.release_gc_hold()
     manager.audit().check()
     manager.stop()
 

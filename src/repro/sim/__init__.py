@@ -35,7 +35,6 @@ from repro.sim.events import (
     Event,
     EventBase,
     FirstOf,
-    InlineFirstOf,
     Timeout,
 )
 from repro.sim.process import InlineProcess, Interrupt, Process
@@ -53,7 +52,6 @@ __all__ = [
     "EventBase",
     "FirstOf",
     "HeapScheduler",
-    "InlineFirstOf",
     "InlineProcess",
     "Interrupt",
     "Process",

@@ -25,22 +25,31 @@ never reach the dispatch loop and never count toward
 ``processed_events``.
 
 ``run`` also sizes the cyclic garbage collector's young generation for a
-discrete-event loop.  For the length of each call, when the collector is
-enabled, the generation-0 threshold is raised to
-``max(current, _YOUNG_GC_THRESHOLD)``; generations 1 and 2 keep their
-thresholds.  The previous triple is restored in a ``finally`` on every
-exit (horizon, drained queue, ``until=<event>``, errors and
-``KeyboardInterrupt``), so nested runs unwind correctly, a caller's larger
-threshold is kept, and a collector the caller disabled stays disabled and
-untouched.  :func:`raise_young_gc_threshold` is that policy, and
-``harness.build_universe`` builds a universe under it too.  The reason:
-most objects a run allocates are queued waits that live around one
-sim-second.  The default threshold (700) promotes
-them all into the oldest generation, whose growth then triggers full
-collections over every live object of the universe.  Collection never
-changes what is simulated: nothing in the kernel depends on finalizers,
-weak references or ``id()`` order (``tests/test_sim_engine.py`` runs
-whole scenarios with and without the collector and compares the bytes).
+discrete-event loop.  Most objects a run allocates are queued waits that
+live around one sim-second; at CPython's default generation-0 threshold
+(700) they are all promoted into the oldest generation, whose growth
+then triggers full collections over every live object of the universe.
+So while an engine runs, and while the collector is enabled, it *holds*
+the generation-0 threshold at ``max(current, _YOUNG_GC_THRESHOLD)``;
+generations 1 and 2 keep their thresholds, a caller's larger threshold
+is kept, and a collector the caller disabled stays disabled and
+untouched.  The hold outlives a call that pauses the simulation --
+``run(until=<number>)`` returning with events still queued -- because a
+sliced run resumes a moment later: restoring 700 in between made the
+first allocation after every slice collect the whole young generation,
+and those collections cascaded into middle and full ones (EXPERIMENTS.md
+has the counts).  The caller's exact thresholds come back when the
+engine's last hold ends: a later run that drains the queue, stops on its
+``until`` event or raises (``KeyboardInterrupt`` included), an explicit
+:meth:`Engine.release_gc_hold`, or the engine being freed.  Several
+paused engines share one hold, which ends with the last of them; a
+caller that sets new thresholds while an engine holds gets those back
+instead.  :func:`raise_young_gc_threshold` is the same policy as a
+plain save-and-restore call, and ``harness.build_universe`` builds a
+universe under it.  Collection never changes what is simulated: nothing
+in the kernel depends on finalizers, weak references or ``id()`` order
+(``tests/test_sim_engine.py`` runs whole scenarios with and without the
+collector and compares the bytes).
 """
 
 from __future__ import annotations
@@ -75,18 +84,18 @@ class StopSimulation(Exception):
         self.value = value
 
 
-#: Generation-0 collection threshold while :meth:`Engine.run` dispatches.
-#: A queued wait (its ``Timeout``, heap-entry tuple, callbacks list and
-#: bound ``Process._resume``) lives about one sim-second, i.e. many
-#: thousands of allocations.  At CPython's default of 700 every one of
-#: them survives two young collections and is promoted into generation
-#: 2, and those promotions trigger full passes over the whole universe:
-#: on the 10 000-node benchmark universe (2-vCPU VM, CPython 3.11),
-#: collection took 2.6-3.7 s of a 10-13 s slice pass.  10 000 lets most
-#: waits die young and removes every full collection from that pass.
-#: Measured with ``gc.callbacks`` over that universe's 100 slices of
-#: 0.08 sim-s (CPU time, two runs per row, same VM, CPython 3.11.7; no
-#: collection freed an object, and peak RSS was 193 MB in every run):
+#: Generation-0 collection threshold while an engine runs or is paused
+#: (see the module's hot-path notes), and while ``harness.build_universe``
+#: builds.  A queued wait (its ``Timeout``, heap-entry tuple, callbacks
+#: list and bound ``Process._resume``) lives about one sim-second, i.e.
+#: many thousands of allocations; a build allocates almost only objects
+#: that live as long as its universe.  Either way a young collection
+#: frees next to nothing, and at 700 its survivors are promoted into
+#: generation 2, whose growth triggers full passes over the universe.
+#: Measured with ``gc.callbacks`` over the 10 000-node benchmark
+#: universe's 100 slices of 0.08 sim-s run as one loop (CPU time, two
+#: runs per row, 2-vCPU VM, CPython 3.11.7; no collection freed an
+#: object, and peak RSS was 193 MB in every run):
 #:
 #: ===============  ===================  ============  ============
 #: gen-0 threshold  gen 0/1/2 runs       collection s  slices CPU s
@@ -97,34 +106,38 @@ class StopSimulation(Exception):
 #: 100 000          3 / 0 / 0            0.44-0.45     8.3-8.9
 #: ===============  ===================  ============  ============
 #:
-#: A larger threshold thus still saves collection time (~0.9 s per 100
-#: slices at 100 000, ~10% of their CPU), but less than the slices'
-#: own run-to-run spread (EXPERIMENTS.md has the wall-time sweep); the
-#: constant stays until a ``kernel-10k`` comparison resolves it.
+#: That loop never allocates between slices.  The benchmark's does (its
+#: stopwatch records every slice), and while each return restored the
+#: caller's 700, the first allocation after every slice collected the
+#: whole young generation.  One ``kernel-10k`` pass of the benchmark,
+#: counted between its stopwatch's ``begin`` and ``end`` (raw wall time,
+#: two runs per row, seed 2022, same VM; queued hand-offs in both rows):
 #:
-#: Building a universe has the opposite profile: nearly everything it
-#: allocates lives as long as the universe, so at 700 the collector
-#: re-scans the growing universe over and over and frees nothing.
-#: ``harness.build_universe`` therefore builds under
-#: :func:`raise_young_gc_threshold` with a threshold of 100 000 (after one
-#: full collection for large builds; the size cut is tabled there).  The
-#: ``kernel-10k`` universe, ``build_run`` + ``manager.start`` +
-#: ``cluster.start_workloads`` and then the same 100 slices (wall time,
-#: five or six runs per row at seeds 7 and 2022, same VM; outputs identical):
+#: ===============================  ===============  ============  =========
+#: policy                           gen 0/1/2 runs   collection s  section s
+#: ===============================  ===============  ============  =========
+#: 10 000 per call, 700 between     67-74 / 6-7 / 1  2.24-2.36     12.5-12.9
+#: 100 000, held while paused       3 / 0 / 0        0.54-0.59     10.6-10.8
+#: ===============================  ===============  ============  =========
 #:
-#: =========  ===============  ==========  =========  ===============  ==========  =========
-#: build at   build gen 0/1/2  build gc s  build s    slice gen 0/1/2  slice gc s  total s
-#: =========  ===============  ==========  =========  ===============  ==========  =========
-#: 700        1153 / 104 / 8   0.52-0.62   1.30-1.41  37 / 4 / 0       0.53-0.57   5.75-5.91
-#: 100 000    280 / 25 / 2     0.24-0.26   0.73-0.75  38 / 3 / 1       0.71-0.73   5.38-5.53
-#: =========  ===============  ==========  =========  ===============  ==========  =========
+#: Building a universe, ``build_run`` + ``manager.start`` +
+#: ``cluster.start_workloads`` on the same universe (wall time, five or
+#: six runs per row at seeds 7 and 2022, same VM; outputs identical):
 #:
-#: All but seven of the 280 young collections left in that phase
-#: run in ``manager.start`` and ``start_workloads``, after the threshold
-#: is restored.  The universe still has to be promoted to the oldest
-#: generation once, and one full collection of it now falls in the
-#: slices, so ~0.17 s of the ~0.58 s the build saves reappears there.
-_YOUNG_GC_THRESHOLD = 10_000
+#: =========  ===============  ==========  =========
+#: build at   build gen 0/1/2  build gc s  build s
+#: =========  ===============  ==========  =========
+#: 700        1153 / 104 / 8   0.52-0.62   1.30-1.41
+#: 100 000    280 / 25 / 2     0.24-0.26   0.73-0.75
+#: =========  ===============  ==========  =========
+#:
+#: All but seven of the 280 young collections left in that phase run in
+#: ``manager.start`` and ``start_workloads``, which start the universe
+#: at the caller's threshold.  Holding the policy for an engine's whole
+#: lifetime would spare them, but finished universes then wait for a
+#: rare full collection, and ``campaign-cold``'s peak RSS grew from 49
+#: to 56-61 MB (EXPERIMENTS.md).
+_YOUNG_GC_THRESHOLD = 100_000
 
 
 def raise_young_gc_threshold(threshold: int, collect_first: bool = False) -> Tuple[int, int, int]:
@@ -138,8 +151,7 @@ def raise_young_gc_threshold(threshold: int, collect_first: bool = False) -> Tup
 
     This is a call, not a context manager, on purpose: a context manager
     is a GC-tracked object allocated while the caller's threshold still
-    holds, so each :meth:`Engine.run` of a sliced run would open with a
-    young collection (85 instead of 37 per 100 ``kernel-10k`` slices).
+    holds (EXPERIMENTS.md measures the young collections that cost).
     """
     saved = gc.get_threshold()
     if gc.isenabled():
@@ -148,6 +160,53 @@ def raise_young_gc_threshold(threshold: int, collect_first: bool = False) -> Tup
         if saved[0] < threshold:
             gc.set_threshold(threshold, *saved[1:])
     return saved
+
+
+class _YoungGcHold:
+    """The hold every running or paused engine takes on the collector.
+
+    ``holders`` counts the engines holding; ``callers`` are the
+    thresholds to give back when the count drops to zero, and ``ours``
+    the triple the hold left in force.  A triple other than ``ours``
+    seen while engines hold was set by the caller, which then owns it:
+    the next acquire raises from it and gives it back, and a release
+    leaves it alone.
+    """
+
+    __slots__ = ("holders", "callers", "ours")
+
+    def __init__(self) -> None:
+        self.holders = 0
+        self.callers: Optional[Tuple[int, int, int]] = None
+        self.ours: Optional[Tuple[int, int, int]] = None
+
+    def acquire(self, engine: "Engine") -> None:
+        current = gc.get_threshold()
+        if current != self.ours:
+            # The first hold, or the caller re-set the thresholds since.
+            self.callers = current
+            if gc.isenabled() and current[0] < _YOUNG_GC_THRESHOLD:
+                current = (_YOUNG_GC_THRESHOLD, current[1], current[2])
+                gc.set_threshold(*current)
+            self.ours = current
+        if not engine._holds_young_gc:
+            engine._holds_young_gc = True
+            self.holders += 1
+
+    def release(self, engine: "Engine") -> None:
+        if not engine._holds_young_gc:
+            return
+        engine._holds_young_gc = False
+        self.holders -= 1
+        if self.holders:
+            return
+        if gc.get_threshold() == self.ours and self.ours != self.callers:
+            assert self.callers is not None
+            gc.set_threshold(*self.callers)
+        self.callers = self.ours = None
+
+
+_YOUNG_GC_HOLD = _YoungGcHold()
 
 
 class Engine:
@@ -168,6 +227,10 @@ class Engine:
     ``sim`` carries the kernel knobs (:class:`~repro.sim.config.SimConfig`);
     ``None`` uses the ambient defaults.
     """
+
+    #: Whether this engine holds the young-generation policy (a class
+    #: default, so ``__del__`` of a half-built engine finds it).
+    _holds_young_gc = False
 
     def __init__(
         self, start_time: float = 0.0, sim: Optional[SimConfig] = None
@@ -302,15 +365,34 @@ class Engine:
         * ``until=<event>`` -- run until that event is processed and return
           its value (raising if it failed).
 
-        For the length of the call the collector's generation-0 threshold
-        is at least :data:`_YOUNG_GC_THRESHOLD` (see the module's hot-path
-        notes); the previous thresholds are restored on every exit.
+        While the engine runs the collector's generation-0 threshold is
+        at least :data:`_YOUNG_GC_THRESHOLD`.  A numeric ``until`` that
+        returns with events still queued keeps that hold for the next
+        call; every other exit, an error included, ends it (see the
+        module's hot-path notes).
         """
-        saved = raise_young_gc_threshold(_YOUNG_GC_THRESHOLD)
+        _YOUNG_GC_HOLD.acquire(self)
         try:
-            return self._dispatch(until)
-        finally:
-            gc.set_threshold(*saved)
+            result = self._dispatch(until)
+        except BaseException:
+            _YOUNG_GC_HOLD.release(self)
+            raise
+        if until is None or isinstance(until, EventBase) or not len(self._scheduler):
+            _YOUNG_GC_HOLD.release(self)
+        return result
+
+    def release_gc_hold(self) -> None:
+        """End this engine's hold on the collector policy, if it has one.
+
+        For drivers that stop a simulation at a numeric horizon and are
+        done with it: the hold would otherwise last until the engine is
+        freed.  Running the engine again takes the hold again.
+        """
+        _YOUNG_GC_HOLD.release(self)
+
+    def __del__(self) -> None:
+        if self._holds_young_gc:
+            _YOUNG_GC_HOLD.release(self)
 
     def _dispatch(self, until: Union[None, float, int, EventBase]) -> Any:
         """The event loop behind :meth:`run`."""

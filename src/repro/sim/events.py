@@ -294,10 +294,23 @@ class FirstOf(EventBase):
     grant-or-deadline wait, once per request cluster-wide) save the
     condition bookkeeping on every wait.
 
+    When the *first* sub-event succeeds first -- a reply's hand-off --
+    the waiter resumes in place instead of via a queued completion
+    event, saving one queue round-trip per answered request.  Processing
+    order is a function of sequence numbers assigned at creation, so the
+    early resume cannot move any already-queued event, and the waiter's
+    continuation is its own.  The *second* sub-event (the deadline)
+    keeps the queued path: its re-enqueue with a fresh sequence number
+    is what makes a timeout resolving exactly at a tick instant resume
+    *after* that instant's batch (see :mod:`repro.core.batcher`), so
+    catch-up ticks stay ordered behind batch ticks exactly like the
+    per-node loop.  Sub-event failures also stay queued (rare, and
+    failure surfacing relies on the engine's processing pass).
+
     Both sub-events must be unprocessed at construction.
     """
 
-    __slots__ = ()
+    __slots__ = ("_first",)
 
     def __init__(
         self, engine: "Engine", first: EventBase, second: EventBase
@@ -312,6 +325,7 @@ class FirstOf(EventBase):
         self._ok = True
         self._defused = False
         self._cancelled = False
+        self._first = first
         first.callbacks.append(self._on_sub)
         second.callbacks.append(self._on_sub)
 
@@ -321,55 +335,17 @@ class FirstOf(EventBase):
             if not event._ok:
                 event._defused = True
             return
-        if event._ok:
-            self.succeed(None)
-        else:
+        if not event._ok:
             event._defused = True
             self.fail(event._value)
-
-
-class InlineFirstOf(FirstOf):
-    """A :class:`FirstOf` that wakes its waiter synchronously on success
-    of its *first* sub-event, instead of via a queued completion event.
-
-    Used by the batched tick driver's request wait (grant-or-deadline):
-    the grant path -- a message hand-off whose event already carries the
-    sequence number fixing its position -- resumes the continuation in
-    place, saving one queue round-trip per granted request at scale.
-    Equivalence holds because processing order is a function of sequence
-    numbers assigned at *creation*: resuming early cannot move any
-    already-queued event, and the continuation's own state is node-local.
-
-    The *second* sub-event (the shared deadline) keeps the queued path:
-    its re-enqueue with a fresh sequence number is what makes a timeout
-    resolving exactly at a tick instant resume *after* that instant's
-    batch (see :mod:`repro.core.batcher`), so catch-up ticks stay ordered
-    behind batch ticks exactly like the per-node loop.  Sub-event
-    failures also stay queued (rare, and failure surfacing relies on the
-    engine's processing pass).
-    """
-
-    __slots__ = ("_first",)
-
-    def __init__(
-        self, engine: "Engine", first: EventBase, second: EventBase
-    ) -> None:
-        FirstOf.__init__(self, engine, first, second)
-        self._first = first
-
-    def _on_sub(self, event: EventBase) -> None:
-        if self._value is not _PENDING:
-            if not event._ok:
-                event._defused = True
-            return
-        if event is not self._first or not event._ok:
-            FirstOf._on_sub(self, event)
-            return
-        self._value = None
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None, "event processed twice"
-        for callback in callbacks:
-            callback(self)
+        elif event is self._first:
+            self._value = None
+            callbacks, self.callbacks = self.callbacks, None
+            assert callbacks is not None, "event processed twice"
+            for callback in callbacks:
+                callback(self)
+        else:
+            self.succeed(None)
 
 
 class ConditionValue:

@@ -45,45 +45,35 @@ class _Initialize(EventBase):
 
 
 class _Interruption(EventBase):
-    """Internal event carrying an :class:`Interrupt` into a process."""
+    """Internal event carrying an :class:`Interrupt` into a process.
 
-    __slots__ = ("process",)
+    It is delivered in place, at construction: a queued delivery would
+    be a same-instant urgent hop whose only effect is deferring the
+    resume behind other urgent events created in the same processing
+    step, and every interrupted body (workload re-phase, continuation
+    teardown) is node-local, so the earlier resume changes no
+    cross-node ordering.  That saves one hop per enforced cap change.
+    """
+
+    __slots__ = ()
 
     def __init__(self, process: "Process", cause: Any) -> None:
         if process.processed:
             raise RuntimeError(f"{process!r} has already terminated")
         if process.is_initializing:
             raise RuntimeError(f"{process!r} has not started yet")
-        # Inlined EventBase.__init__ + Engine._schedule: every enforced cap
-        # change interrupts the workload executor, so interruptions are a
-        # per-iteration cost at scale.
-        engine = process.engine
-        self.engine = engine
+        if process._generator.gi_running:
+            raise RuntimeError(f"{process!r} cannot interrupt itself")
+        # Inlined EventBase.__init__: every enforced cap change interrupts
+        # the workload executor, so interruptions are a per-iteration cost
+        # at scale.
+        self.engine = process.engine
         self.name = None
+        self.callbacks = None
         self._value = Interrupt(cause)
         self._ok = False
         self._defused = True
         self._cancelled = False
-        self.process = process
-        if engine.batched_ticks:
-            # Batched runs deliver the interrupt in place: the queued
-            # hand-off is a same-instant urgent hop whose only effect is
-            # deferring the resume behind other urgent events created in
-            # the same processing step -- and every interrupted body
-            # (workload re-phase, continuation teardown) is node-local,
-            # so the earlier resume changes no cross-node ordering.  One
-            # hop saved per enforced cap change at sweep scale.
-            self.callbacks = None
-            self._deliver(self)
-            return
-        self.callbacks = [self._deliver]
-        engine._push((engine._now, PRIORITY_URGENT, next(engine._sequence), self))
-
-    def _deliver(self, event: EventBase) -> None:
-        process = self.process
-        if process.processed:
-            # Terminated between scheduling and delivery: drop silently.
-            return
         # Detach the process from whatever it was waiting on ...
         target = process._target
         if target is not None and target.callbacks is not None:
@@ -147,9 +137,11 @@ class Process(EventBase):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current instant.
 
-        The process is detached from whatever event it was waiting on; that
-        event remains valid and may still fire later (its value is then
-        simply not delivered to this process).
+        The process runs up to its next ``yield`` (or its end) before this
+        call returns.  It is detached from whatever event it was waiting
+        on; that event remains valid and may still fire later (its value
+        is then simply not delivered to this process).  A process cannot
+        interrupt itself.
         """
         _Interruption(self, cause)
 

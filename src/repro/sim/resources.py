@@ -34,6 +34,17 @@ class Store:
     * :meth:`get` -- returns an event that fires with the oldest item as
       soon as one is available.
 
+    A put that finds a getter waiting completes the getter's event in
+    place: its callbacks (typically the owning loop's resume) run inside
+    the put instead of behind a queued event.  The queue hop would only
+    defer the resume behind events already queued for the same instant,
+    and puts come from message deliveries, which land at continuous
+    instants; the pinned fixtures and golden fingerprints are unchanged
+    by it.  One hop per message delivered to an idle loop -- nearly
+    every message -- is measurable at sweep scale.  A getter served from
+    queued items (:meth:`get` on a non-empty store) and a failed getter
+    stay queued.
+
     Items and waiting getters sit in plain lists and leave from the front
     with ``pop(0)``.  That shift is O(len), but every store a run builds is
     small: message inboxes are capped at ``pool_inbox_capacity`` /
@@ -53,7 +64,6 @@ class Store:
         "_get_name",
         "_items",
         "_getters",
-        "inline_handoff",
         "total_put",
         "total_dropped",
     )
@@ -73,16 +83,6 @@ class Store:
         self._get_name = f"{self.name}.get"
         self._items: List[Any] = []
         self._getters: List[Event] = []
-        #: When set, a put that finds a waiting getter completes the
-        #: getter's event synchronously instead of enqueueing it.  The
-        #: batched tick driver flags decider inboxes this way: the
-        #: hand-off event's queue hop is pure churn there (the waiting
-        #: continuation resumes with node-local work whose position is
-        #: already fixed by the delivering event), and one hop per grant
-        #: is measurable at sweep scale.  Default off: ordinary stores
-        #: keep the queued hand-off, which preserves the engine's
-        #: process-after-everything-already-queued semantics.
-        self.inline_handoff = False
         #: Counters for observability (drop rate is central to Fig. 5/7).
         self.total_put = 0
         self.total_dropped = 0
@@ -105,22 +105,19 @@ class Store:
         A failed ``try_put`` counts as a dropped packet.
         """
         # A waiting getter means the store is logically empty: hand over
-        # directly (capacity cannot be exceeded in that case).
+        # directly (capacity cannot be exceeded in that case), completing
+        # the getter in place (see the class docstring).  It was created
+        # untriggered, so only the succeed bookkeeping is needed, minus
+        # the queue round-trip.
         if self._getters:
             getter = self._getters.pop(0)
             self.total_put += 1
-            if self.inline_handoff:
-                # Complete in place (see the attribute docstring): the
-                # getter was created untriggered, so only the succeed
-                # bookkeeping is needed, minus the queue round-trip.
-                getter._value = item
-                callbacks = getter.callbacks
-                getter.callbacks = None
-                assert callbacks is not None, "event processed twice"
-                for callback in callbacks:
-                    callback(getter)
-            else:
-                getter.succeed(item)
+            getter._value = item
+            callbacks = getter.callbacks
+            getter.callbacks = None
+            assert callbacks is not None, "event processed twice"
+            for callback in callbacks:
+                callback(getter)
             return True
         if len(self._items) >= self.capacity:
             self.total_dropped += 1

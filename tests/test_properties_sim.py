@@ -140,7 +140,6 @@ store_ops = st.lists(
         st.tuples(st.just("cancel_get"), st.integers(0, 30)),
         st.tuples(st.just("drain"), st.just(0)),
         st.tuples(st.just("cancel_getters"), st.just(0)),
-        st.tuples(st.just("inline_handoff"), st.booleans()),
     ),
     max_size=60,
 )
@@ -195,12 +194,11 @@ class TestStoreMatchesDequeModel:
                     )
             elif op == "drain":
                 assert store.drain() == model.drain()
-            elif op == "cancel_getters":
-                assert store.cancel_getters(ConnectionError()) == model.cancel_getters()
             else:
-                store.inline_handoff = arg
-            # Queued hand-offs process at this instant; inline ones already
-            # ran.  Either way the wake log matches the model's, in order.
+                assert store.cancel_getters(ConnectionError()) == model.cancel_getters()
+            # A put completes a waiting getter in place; a getter served
+            # from queued items, or failed, processes at this instant.
+            # Either way the wake log matches the model's, in order.
             engine.run()
             assert woken == model.woken
             assert list(store._items) == list(model.items)

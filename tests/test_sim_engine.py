@@ -7,15 +7,24 @@ import gc
 import pytest
 
 from repro.cluster.faults import FaultPlan
+from repro.experiments.allocation import AllocationSpec, run_allocation_point
+from repro.experiments.chaos import ChaosSpec, run_chaos_single
 from repro.experiments.harness import (
     _BUILD_COLLECT_MIN_CLIENTS,
-    _BUILD_GC_THRESHOLD,
     RunSpec,
+    build_run,
     build_universe,
     run_single,
 )
+from repro.experiments.scaling import ScalingSpec, run_scaling_point
 from repro.experiments.serialize import canonical_json, encode
-from repro.sim.engine import _YOUNG_GC_THRESHOLD, Engine, SimulationError, run_callable_at
+from repro.sim.engine import (
+    _YOUNG_GC_HOLD,
+    _YOUNG_GC_THRESHOLD,
+    Engine,
+    SimulationError,
+    run_callable_at,
+)
 from repro.sim.events import Event
 
 
@@ -260,19 +269,28 @@ class TestRunUntilHorizon:
         assert engine.now == 6.0
 
 
-# -- the collector scope of Engine.run ----------------------------------------
+# -- the collector policy Engine.run holds ----------------------------------------
 
 #: A distinctive caller triple, so restoring "the default" by accident fails.
 CALLER_THRESHOLDS = (123, 7, 5)
+HELD = (_YOUNG_GC_THRESHOLD, 7, 5)
 
 
 @pytest.fixture
 def collector():
-    """Pin the caller's collector state for a test, and put it back after."""
+    """Pin the caller's collector state for a test, and put it back after.
+
+    A collection first frees any engine an earlier test left paused, so
+    no stale hold outlives its test; the one after frees this test's.
+    """
+    gc.collect()
+    assert _YOUNG_GC_HOLD.holders == 0, "an engine outside this test holds the policy"
     enabled, thresholds = gc.isenabled(), gc.get_threshold()
     gc.set_threshold(*CALLER_THRESHOLDS)
     gc.enable()
     yield
+    gc.collect()
+    assert _YOUNG_GC_HOLD.holders == 0, "the test left an engine holding the policy"
     gc.set_threshold(*thresholds)
     (gc.enable if enabled else gc.disable)()
 
@@ -285,9 +303,17 @@ def _probe(engine, seen, delay=1.0):
     return engine.process(body())
 
 
+def _paused(engine=None):
+    """An engine stopped at a horizon with one event still queued."""
+    engine = engine or Engine()
+    engine.timeout(0.25)
+    engine.run(until=engine.now + 0.1)
+    return engine
+
+
 def _already_processed(engine):
     done = engine.timeout(0.0)
-    engine.run(until=0.1)
+    engine.run(until=engine.now + 0.1)
     assert engine.run(until=done) is None
 
 
@@ -318,7 +344,8 @@ def _keyboard_interrupt(engine):
         engine.run()
 
 
-#: Every way out of ``Engine.run``.
+#: Every way out of ``Engine.run`` that ends its hold.  ``horizon`` is
+#: reached after the queue drained (the probe's wait is its last event).
 EXIT_PATHS = {
     "horizon": lambda engine: engine.run(until=5.0),
     "drained queue": lambda engine: engine.run(),
@@ -339,7 +366,7 @@ class TestCollectorScope:
         seen = []
         proc = _probe(engine, seen)
         engine.run(until=proc if until == "event" else until)
-        assert seen == [(True, (_YOUNG_GC_THRESHOLD, 7, 5))]
+        assert seen == [(True, HELD)]
 
     @pytest.mark.parametrize("path", sorted(EXIT_PATHS))
     def test_thresholds_restored_on_every_exit(self, engine, path):
@@ -348,7 +375,51 @@ class TestCollectorScope:
         EXIT_PATHS[path](engine)
         assert gc.get_threshold() == CALLER_THRESHOLDS
         assert gc.isenabled()
-        assert all(inside == (True, (_YOUNG_GC_THRESHOLD, 7, 5)) for inside in seen)
+        assert all(inside == (True, HELD) for inside in seen)
+
+    def test_a_paused_run_keeps_the_hold(self):
+        engine = _paused()
+        assert gc.get_threshold() == HELD
+        engine.run(until=0.2)
+        assert gc.get_threshold() == HELD
+        engine.run()
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+
+    @pytest.mark.parametrize("path", sorted(set(EXIT_PATHS) - {"horizon"}))
+    def test_a_paused_hold_ends_on_every_other_exit(self, path):
+        engine = _paused()
+        EXIT_PATHS[path](engine)
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+        assert gc.isenabled()
+
+    def test_release_ends_the_hold_and_a_later_run_retakes_it(self):
+        engine = _paused()
+        engine.release_gc_hold()
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+        engine.release_gc_hold()
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+        engine.run(until=0.2)
+        assert gc.get_threshold() == HELD
+        engine.run()
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+
+    def test_a_freed_engine_releases_its_hold(self):
+        engine = _paused()
+        del engine
+        assert gc.get_threshold() == HELD  # its queue holds a reference cycle
+        gc.collect()
+        assert gc.get_threshold() == CALLER_THRESHOLDS
+        assert _YOUNG_GC_HOLD.holders == 0
+
+    def test_two_paused_engines_release_only_after_both(self):
+        first, second = _paused(), _paused()
+        first.run()
+        assert gc.get_threshold() == HELD
+        first.run(until=1.0)  # drained: takes no new hold
+        assert gc.get_threshold() == HELD
+        del second
+        gc.collect()
+        assert gc.get_threshold() == CALLER_THRESHOLDS
 
     def test_nested_runs_restore_each_level(self, engine):
         inner_engine = Engine()
@@ -362,28 +433,137 @@ class TestCollectorScope:
 
         engine.process(outer())
         engine.run()
-        assert seen == [
-            (True, (_YOUNG_GC_THRESHOLD, 7, 5)),
-            ("after inner", (_YOUNG_GC_THRESHOLD, 7, 5)),
-        ]
+        assert seen == [(True, HELD), ("after inner", HELD)]
         assert gc.get_threshold() == CALLER_THRESHOLDS
 
     def test_disabled_collector_stays_disabled_and_untouched(self, engine):
+        self._disabled_collector_stays_disabled_and_untouched(engine, pause=False)
+
+    def test_disabled_collector_stays_untouched_while_paused(self, engine):
+        self._disabled_collector_stays_disabled_and_untouched(engine, pause=True)
+
+    def _disabled_collector_stays_disabled_and_untouched(self, engine, pause):
         gc.disable()
         seen = []
         _probe(engine, seen)
+        if pause:
+            engine.run(until=0.5)
+            assert gc.get_threshold() == CALLER_THRESHOLDS
         engine.run()
         assert seen == [(False, CALLER_THRESHOLDS)]
         assert not gc.isenabled()
         assert gc.get_threshold() == CALLER_THRESHOLDS
 
     def test_larger_caller_threshold_is_kept(self, engine):
-        gc.set_threshold(50_000, 7, 5)
+        self._larger_caller_threshold_is_kept(engine, pause=False)
+
+    def test_larger_caller_threshold_is_kept_while_paused(self, engine):
+        self._larger_caller_threshold_is_kept(engine, pause=True)
+
+    def _larger_caller_threshold_is_kept(self, engine, pause):
+        larger = (_YOUNG_GC_THRESHOLD * 2, 7, 5)
+        gc.set_threshold(*larger)
         seen = []
         _probe(engine, seen)
+        if pause:
+            engine.run(until=0.5)
+            assert gc.get_threshold() == larger
         engine.run()
-        assert seen == [(True, (50_000, 7, 5))]
-        assert gc.get_threshold() == (50_000, 7, 5)
+        assert seen == [(True, larger)]
+        assert gc.get_threshold() == larger
+
+    @pytest.mark.parametrize("ending", ["drained", "released", "freed"])
+    def test_thresholds_set_while_paused_come_back(self, ending):
+        engine = _paused()
+        seen = []
+        _probe(engine, seen, delay=0.5)
+        gc.set_threshold(500, 3, 2)
+        if ending == "drained":
+            engine.run()
+            assert seen == [(True, (_YOUNG_GC_THRESHOLD, 3, 2))]
+        elif ending == "released":
+            engine.release_gc_hold()
+        else:
+            del engine
+            gc.collect()
+        assert gc.get_threshold() == (500, 3, 2)
+        assert _YOUNG_GC_HOLD.holders == 0
+
+    def test_thresholds_set_while_two_engines_pause_come_back(self):
+        first, second = _paused(), _paused()
+        gc.set_threshold(500, 3, 2)
+        first.run(until=0.2)  # re-raises from the caller's new triple
+        assert gc.get_threshold() == (_YOUNG_GC_THRESHOLD, 3, 2)
+        second.run()
+        assert gc.get_threshold() == (_YOUNG_GC_THRESHOLD, 3, 2)
+        first.run()
+        assert gc.get_threshold() == (500, 3, 2)
+
+
+#: The drivers that stop a simulation at a numeric horizon, at toy sizes.
+HORIZON_DRIVERS = {
+    "chaos": lambda: run_chaos_single(
+        ChaosSpec(n_clients=4, seed=3, duration_s=5.0, workload_scale=0.1, kills=1)
+    ),
+    "scaling": lambda: run_scaling_point(
+        ScalingSpec(manager="penelope", n_clients=8, observe_for_s=5.0, seed=2)
+    ),
+    "allocation": lambda: run_allocation_point(
+        AllocationSpec("penelope", n_clients=4, workload_scale=0.3, observe_s=3.0, seed=3)
+    ),
+}
+
+
+@pytest.mark.usefixtures("collector")
+@pytest.mark.parametrize("driver", sorted(HORIZON_DRIVERS))
+def test_horizon_drivers_end_the_hold_when_they_return(driver):
+    # The result is kept and nothing is collected: the finished engine,
+    # still queued in a reference cycle, is not yet freed.
+    result = HORIZON_DRIVERS[driver]()
+    assert _YOUNG_GC_HOLD.holders == 0
+    assert gc.get_threshold() == CALLER_THRESHOLDS
+    del result
+
+
+def _slice_collections(slices):
+    """Collections per generation while a 256-node Penelope universe runs
+    to 30 sim-s in ``slices`` equal calls, with one tracked allocation
+    between calls (as a caller recording each slice makes)."""
+    spec = RunSpec("penelope", ("EP", "DC"), 80.0, n_clients=256, seed=2022)
+    engine, cluster, manager = build_run(spec)
+    manager.start()
+    cluster.start_workloads()
+    runs = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            runs[info["generation"]] += 1
+
+    marks = []
+    gc.set_threshold(700, 10, 10)
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        for k in range(1, slices + 1):
+            engine.run(until=30.0 * k / slices)
+            marks.append([k])
+    finally:
+        gc.callbacks.remove(count)
+        engine.release_gc_hold()
+    return runs
+
+
+@pytest.mark.usefixtures("collector")
+def test_a_sliced_run_collects_its_older_generations_no_more_than_one_call():
+    """Pausing between slices must not hand the young generation back to
+    CPython's default threshold: at 700, the first allocation after each
+    slice collected it, and those collections cascaded into the older
+    generations a single call never reaches (11 young collections and
+    one middle-generation one over these 50 slices, none in one call)."""
+    whole = _slice_collections(1)
+    sliced = _slice_collections(50)
+    assert sliced[1] <= whole[1], (sliced, whole)
+    assert sliced[2] <= whole[2], (sliced, whole)
 
 
 # -- the same policy around harness.build_universe --------------------------------
@@ -427,22 +607,22 @@ class TestBuildCollectorPolicy:
     def test_build_sees_its_threshold_and_restores_the_callers(self):
         with _BuildProbe() as probe:
             _build(probe)
-        assert probe.inside == (True, (_BUILD_GC_THRESHOLD, 7, 5), 0)
+        assert probe.inside == (True, (_YOUNG_GC_THRESHOLD, 7, 5), 0)
         assert gc.get_threshold() == CALLER_THRESHOLDS
         assert gc.isenabled()
 
     def test_thresholds_restored_when_the_build_raises(self):
         with _BuildProbe(fail=True) as probe, pytest.raises(RuntimeError, match="draw failed"):
             _build(probe)
-        assert probe.inside[1] == (_BUILD_GC_THRESHOLD, 7, 5)
+        assert probe.inside[1] == (_YOUNG_GC_THRESHOLD, 7, 5)
         assert gc.get_threshold() == CALLER_THRESHOLDS
 
     def test_larger_caller_threshold_is_kept(self):
-        gc.set_threshold(_BUILD_GC_THRESHOLD * 2, 7, 5)
+        gc.set_threshold(_YOUNG_GC_THRESHOLD * 2, 7, 5)
         with _BuildProbe() as probe:
             _build(probe)
-        assert probe.inside[1] == (_BUILD_GC_THRESHOLD * 2, 7, 5)
-        assert gc.get_threshold() == (_BUILD_GC_THRESHOLD * 2, 7, 5)
+        assert probe.inside[1] == (_YOUNG_GC_THRESHOLD * 2, 7, 5)
+        assert gc.get_threshold() == (_YOUNG_GC_THRESHOLD * 2, 7, 5)
 
     def test_disabled_collector_stays_disabled_and_never_collects(self):
         gc.disable()

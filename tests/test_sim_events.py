@@ -255,6 +255,27 @@ class TestFirstOf:
         engine.run()
         assert proc.value == "boom"
 
+    @pytest.mark.parametrize("first_wins, in_place", [(True, True), (False, False)])
+    def test_only_the_first_subevent_resumes_in_place(self, engine, first_wins, in_place):
+        # The reply (first) resumes the waiter while its own event
+        # processes; the deadline (second) queues the completion behind
+        # the same-instant event queued after it.
+        first, second = engine.event(), engine.event()
+        log = []
+
+        def waiter():
+            yield FirstOf(engine, first, second)
+            log.append("resumed")
+
+        engine.process(waiter())
+        engine.run()
+        (first if first_wins else second).succeed()
+        engine.call_later(0.0, log.append, "same instant")
+        engine.run()
+        assert log == (
+            ["resumed", "same instant"] if in_place else ["same instant", "resumed"]
+        )
+
     def test_late_subevent_failure_is_defused(self, engine):
         a = engine.timeout(1.0)
         b = engine.event()

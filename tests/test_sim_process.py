@@ -176,6 +176,34 @@ class TestInterrupt:
         engine.run(until=proc)
         assert log == [("interrupted", 1.0), ("done", 6.0)]
 
+    def test_interrupt_runs_the_target_before_returning(self, engine):
+        log = []
+
+        def sleeper():
+            try:
+                yield engine.timeout(100.0)
+            except Interrupt:
+                log.append("interrupted")
+        proc = engine.process(sleeper())
+
+        def killer():
+            yield engine.timeout(1.0)
+            proc.interrupt()
+            log.append("interrupt returned")
+        engine.process(killer())
+        engine.run()
+        assert log == ["interrupted", "interrupt returned"]
+
+    def test_a_process_cannot_interrupt_itself(self, engine):
+        def selfish():
+            yield engine.timeout(1.0)
+            with pytest.raises(RuntimeError, match="itself"):
+                proc.interrupt()
+            return "still running"
+        proc = engine.process(selfish())
+        engine.run()
+        assert proc.value == "still running"
+
     def test_interrupt_cause_default_none(self, engine):
         assert Interrupt().cause is None
         assert Interrupt("x").cause == "x"

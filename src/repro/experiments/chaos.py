@@ -352,16 +352,16 @@ def compute_detector_report(
         for node_id in manager.client_ids
         if manager.cluster.node(node_id).alive
     ]
+    # One scan of each live view's status column, not a status_of per
+    # pair of live nodes.
+    live = set(alive_ids)
     unrefuted = 0
     converged = True
     for observer in alive_ids:
-        view = manager.detectors[observer].view
-        for subject in alive_ids:
-            if subject == observer:
-                continue
-            if view.status_of(subject) != "alive":
+        for subject, status in manager.detectors[observer].view.not_alive():
+            if subject in live and subject != observer:
                 converged = False
-                if view.status_of(subject) == "dead":
+                if status == "dead":
                     unrefuted += 1
     heals = plan.heal_times(horizon)
     last_heal = heals[-1] if heals else None

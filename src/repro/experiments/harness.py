@@ -25,9 +25,9 @@ from repro.managers.slurm import SlurmConfig, SlurmManager
 from repro.managers.slurm_ha import HaSlurmConfig, HaSlurmManager
 from repro.net.network import NetworkStats
 from repro.sim.config import SimConfig
-from repro.sim.engine import _YOUNG_GC_THRESHOLD, Engine, raise_young_gc_threshold
+from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.workloads.apps import build_app
+from repro.workloads.apps import build_apps
 from repro.workloads.generator import assign_pair_to_cluster
 from repro.workloads.phases import Workload
 from repro.workloads.traces import PowerTrace
@@ -172,10 +172,9 @@ def pair_workloads(pair: Tuple[str, str], n_clients: int, scale: float) -> Workl
 
 def app_workloads(app: str, n_clients: int, scale: float) -> WorkloadDraw:
     """Every client runs its own jittered instance of ``app``."""
-    return lambda rngs: {
-        node_id: build_app(app, rng=rngs.stream("workload.jitter"), scale=scale)
-        for node_id in range(n_clients)
-    }
+    return lambda rngs: dict(
+        enumerate(build_apps([app] * n_clients, rng=rngs.stream("workload.jitter"), scale=scale))
+    )
 
 
 def build_universe(
@@ -200,15 +199,22 @@ def build_universe(
     in ``traces`` play back those power profiles (the §4.5 scaling
     study).  Nothing is started: each caller starts the universe in its
     own order.
+
+    The engine comes back holding the collector policy
+    (:meth:`Engine.acquire_gc_hold`), so the caller's start runs under
+    it too.  Its first run that drains, stops on its event or raises
+    ends the hold; a caller that stops at a numeric horizon, or never
+    runs the universe, ends it with :meth:`Engine.release_gc_hold` (or
+    by dropping the engine).
     """
-    # A build allocates only objects that live as long as its universe,
-    # so a young collection during it frees nothing (``sim/engine.py``
-    # has the build-phase table).
-    saved = raise_young_gc_threshold(
-        _YOUNG_GC_THRESHOLD, collect_first=n_clients >= _BUILD_COLLECT_MIN_CLIENTS
-    )
+    # A build and the universe's start allocate almost only objects that
+    # live as long as the universe, so a young collection during them
+    # frees nothing (``sim/engine.py`` has the build-phase table).
+    if n_clients >= _BUILD_COLLECT_MIN_CLIENTS and gc.isenabled():
+        gc.collect()
+    engine = Engine(sim=sim)
+    engine.acquire_gc_hold()
     try:
-        engine = Engine(sim=sim)
         rngs = RngRegistry(seed=seed)
         extra = extra_nodes(manager_name)
         manager = make_manager(
@@ -230,9 +236,10 @@ def build_universe(
         manager.install(cluster, client_ids=list(range(n_clients)), budget_w=budget_w)
         if fault_plan is not None:
             fault_plan.install(cluster, manager)
-        return engine, cluster, manager
-    finally:
-        gc.set_threshold(*saved)
+    except BaseException:
+        engine.release_gc_hold()
+        raise
+    return engine, cluster, manager
 
 
 def build_run(spec: RunSpec, sim: Optional[SimConfig] = None):

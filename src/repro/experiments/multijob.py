@@ -26,7 +26,7 @@ from repro.experiments.runner import TaskKind, raise_on_failures, run_sweep
 from repro.instrumentation import MetricsRecorder
 from repro.managers.base import ManagerConfig
 from repro.sim.rng import RngRegistry
-from repro.workloads.apps import build_app
+from repro.workloads.apps import build_apps
 from repro.workloads.phases import Workload, concatenate
 
 #: The default contrasting schedule: half the nodes run hungry-then-donor,
@@ -50,7 +50,7 @@ def build_sequences(
     workloads: Dict[int, Workload] = {}
     for node_id in range(n_clients):
         sequence = sequences[node_id % len(sequences)]
-        jobs = [build_app(app, rng=jitter, scale=workload_scale) for app in sequence]
+        jobs = build_apps(sequence, rng=jitter, scale=workload_scale)
         workloads[node_id] = concatenate("+".join(sequence), jobs)
     return workloads
 

@@ -50,7 +50,7 @@ from repro.net.messages import (
     MEMBER_SUSPECT as SUSPECT,
     MembershipUpdate,
 )
-from repro.net.roster import RosterView
+from repro.net.roster import Roster, RosterView
 
 __all__ = [
     "ALIVE",
@@ -85,16 +85,16 @@ class MembershipTransition:
     incarnation: int
 
 
-def _shared_index(node_id: int, peers: Sequence[int]) -> Optional[Mapping[object, int]]:
-    """The roster's position index when ``peers`` is its roster minus
-    ``node_id`` (every slot then belongs to a peer or to ``node_id``);
-    ``None`` for any other sequence."""
+def _shared_roster(node_id: int, peers: Sequence[int]) -> Optional[Roster]:
+    """The roster whose slots the view can share when ``peers`` is that
+    roster minus ``node_id`` (every slot then belongs to a peer or to
+    ``node_id``); ``None`` for any other sequence."""
     if not isinstance(peers, RosterView) or node_id in peers:
         return None
     roster = peers.roster
     if len(peers) != len(roster) - (node_id in roster):
         return None
-    return roster.positions
+    return roster
 
 
 class MemberView:
@@ -132,17 +132,23 @@ class MemberView:
         self.node_id = node_id
         self.incarnation = initial_incarnation
         self._gossip_budget = gossip_budget
-        index = _shared_index(node_id, peers)
-        if index is None:
+        roster = _shared_roster(node_id, peers)
+        members: Sequence[int]
+        if roster is None:
             members = sorted({*peers, node_id})
-            index = {member: slot for slot, member in enumerate(members)}
+            index: Mapping[object, int] = {
+                member: slot for slot, member in enumerate(members)
+            }
             alive = [member for member in members if member != node_id]
         else:
+            members, index = roster.members, roster.positions
             alive = sorted(peers)
-        #: Member id -> slot in every column below.  The index holds the
-        #: peers and at most ``node_id``, whose member slot stays alive
-        #: at incarnation 0: self-updates never reach :meth:`apply`.
+        #: Member id -> slot in every column below, and slot -> member id.
+        #: The index holds the peers and at most ``node_id``, whose member
+        #: slot stays alive at incarnation 0: self-updates never reach
+        #: :meth:`apply`.
         self._index = index
+        self._members = members
         size = len(index)
         self._status = bytearray(size)
         self._incarnation = array("q", [0]) * size
@@ -184,6 +190,26 @@ class MemberView:
     def status_of(self, peer: int) -> str:
         slot = self._index.get(peer)
         return ALIVE if slot is None else _STATUSES[self._status[slot]]
+
+    def not_alive(self) -> List[Tuple[int, str]]:
+        """``(member, status)`` for every member not held alive, in slot order.
+
+        Byte searches over the status column visit only the accused
+        slots, so a converged view costs two searches: the chaos report
+        checks every live view this way rather than with a
+        :meth:`status_of` per pair of live nodes.
+        """
+        status = self._status
+        find = status.find
+        slots = []
+        for code in (_SUSPECT, _DEAD):
+            slot = find(code)
+            while slot >= 0:
+                slots.append(slot)
+                slot = find(code, slot + 1)
+        slots.sort()
+        members = self._members
+        return [(members[slot], _STATUSES[status[slot]]) for slot in slots]
 
     def incarnation_of(self, peer: int) -> int:
         slot = self._index.get(peer)

@@ -112,9 +112,18 @@ class RequestServer:
     # -- the loop ----------------------------------------------------------------
 
     def _sample_service_time(self) -> float:
-        if self._service_hi == self._service_lo:
-            return self._service_lo
-        return float(self._rng.uniform(self._service_lo, self._service_hi))
+        """One service time, uniform in ``[lo, hi)``.
+
+        ``lo + (hi - lo) * u`` is how numpy's ``uniform(lo, hi)`` maps
+        the same ``next_double`` draw, so values and stream position are
+        ``uniform``'s at a third of its cost (every served request draws
+        one).
+        """
+        lo = self._service_lo
+        hi = self._service_hi
+        if hi == lo:
+            return lo
+        return lo + (hi - lo) * self._rng.random()
 
     def _serve(self) -> Generator[EventBase, Any, None]:
         # Hoist per-request constants: this loop resumes once per message

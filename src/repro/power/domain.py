@@ -62,7 +62,18 @@ class PowerDomainSpec:
 
     def clamp_cap(self, cap_w: float) -> float:
         """Clamp a requested node-level cap into the safe window."""
-        return min(max(cap_w, self.min_cap_w), self.max_cap_w)
+        # min(max(cap_w, min_cap_w), max_cap_w) with the two properties
+        # and builtins inlined: every cap write clamps, twice per node at
+        # build.  The comparisons are the ones min/max make, so ties and
+        # NaN come out the same.
+        sockets = self.sockets
+        low = self.min_cap_w_per_socket * sockets
+        if low > cap_w:
+            cap_w = low
+        high = self.max_cap_w_per_socket * sockets
+        if high < cap_w:
+            return high
+        return cap_w
 
     def is_safe_cap(self, cap_w: float, tolerance: float = 1e-9) -> bool:
         """Whether ``cap_w`` lies within the safe node-level window."""

@@ -128,11 +128,12 @@ class SimulatedRapl(PowerCapInterface):
         self._requested_cap_w = clamped
         self._set_version += 1
         self.cap_writes += 1
-        delay = (
-            self._delay_lo
-            if self._delay_hi == self._delay_lo
-            else float(self._rng.uniform(self._delay_lo, self._delay_hi))
-        )
+        # lo + (hi - lo) * u is how numpy's uniform(lo, hi) maps the
+        # same next_double draw, so values and stream position are
+        # uniform's, without its argument conversion.
+        lo = self._delay_lo
+        hi = self._delay_hi
+        delay = lo if hi == lo else lo + (hi - lo) * self._rng.random()
         if delay == 0.0:
             self._enforce(clamped, self._set_version)
         else:

@@ -44,9 +44,10 @@ engine's last hold ends: a later run that drains the queue, stops on its
 :meth:`Engine.release_gc_hold`, or the engine being freed.  Several
 paused engines share one hold, which ends with the last of them; a
 caller that sets new thresholds while an engine holds gets those back
-instead.  :func:`raise_young_gc_threshold` is the same policy as a
-plain save-and-restore call, and ``harness.build_universe`` builds a
-universe under it.  Collection never changes what is simulated: nothing
+instead.  A builder takes the same hold before the engine first runs
+(:meth:`Engine.acquire_gc_hold`): ``harness.build_universe`` does, so a
+universe is built, started and run to its first ending exit under one
+policy.  Collection never changes what is simulated: nothing
 in the kernel depends on finalizers, weak references or ``id()`` order
 (``tests/test_sim_engine.py`` runs whole scenarios with and without the
 collector and compares the bytes).
@@ -85,9 +86,10 @@ class StopSimulation(Exception):
 
 
 #: Generation-0 collection threshold while an engine runs or is paused
-#: (see the module's hot-path notes), and while ``harness.build_universe``
-#: builds.  A queued wait (its ``Timeout``, heap-entry tuple, callbacks
-#: list and bound ``Process._resume``) lives about one sim-second, i.e.
+#: (see the module's hot-path notes), and from the moment
+#: ``harness.build_universe`` starts building one.  A queued wait (its
+#: ``Timeout``, heap-entry tuple, callbacks list and bound
+#: ``Process._resume``) lives about one sim-second, i.e.
 #: many thousands of allocations; a build allocates almost only objects
 #: that live as long as its universe.  Either way a young collection
 #: frees next to nothing, and at 700 its survivors are promoted into
@@ -121,45 +123,28 @@ class StopSimulation(Exception):
 #: ===============================  ===============  ============  =========
 #:
 #: Building a universe, ``build_run`` + ``manager.start`` +
-#: ``cluster.start_workloads`` on the same universe (wall time, five or
-#: six runs per row at seeds 7 and 2022, same VM; outputs identical):
+#: ``cluster.start_workloads`` of the benchmark's 10 000-node universe,
+#: by how much of that phase the threshold covers (wall time, one fresh
+#: process per run, three runs per row at seeds 7 and 2022 each, same
+#: VM; outputs identical; the build code is the same in every row):
 #:
-#: =========  ===============  ==========  =========
-#: build at   build gen 0/1/2  build gc s  build s
-#: =========  ===============  ==========  =========
-#: 700        1153 / 104 / 8   0.52-0.62   1.30-1.41
-#: 100 000    280 / 25 / 2     0.24-0.26   0.73-0.75
-#: =========  ===============  ==========  =========
+#: ========================  ===============  ==========  =========
+#: threshold                 build gen 0/1/2  build gc s  build s
+#: ========================  ===============  ==========  =========
+#: 700 throughout            1113 / 101 / 8   0.66-0.78   1.24-1.46
+#: 100 000 for build_run     280 / 25 / 2     0.37-0.42   0.94-1.03
+#: 100 000 through start     8 / 0 / 1        0.08-0.10   0.64-0.75
+#: ========================  ===============  ==========  =========
 #:
-#: All but seven of the 280 young collections left in that phase run in
-#: ``manager.start`` and ``start_workloads``, which start the universe
-#: at the caller's threshold.  Holding the policy for an engine's whole
-#: lifetime would spare them, but finished universes then wait for a
-#: rare full collection, and ``campaign-cold``'s peak RSS grew from 49
-#: to 56-61 MB (EXPERIMENTS.md).
+#: The middle row is ``build_run`` at 100 000 with the caller's 700 back
+#: for the start: all but seven of its young collections, and the
+#: promotions of the ~850 000-object universe, fall in the start.  So
+#: ``build_universe`` hands the engine its hold (the last row), which
+#: the universe's first run ends as any run's would.  Holding the policy
+#: for an engine's whole lifetime instead, until it is freed, made
+#: finished universes wait for a rare full collection: ``campaign-cold``'s
+#: peak RSS grew from 49 to 56-61 MB (EXPERIMENTS.md).
 _YOUNG_GC_THRESHOLD = 100_000
-
-
-def raise_young_gc_threshold(threshold: int, collect_first: bool = False) -> Tuple[int, int, int]:
-    """Raise the collector's generation-0 threshold to at least ``threshold``.
-
-    Returns the previous thresholds, which the caller restores with
-    ``gc.set_threshold(*saved)`` in a ``finally``.  Generations 1 and 2
-    keep their thresholds, a caller's larger threshold is kept, and a
-    disabled collector stays disabled and untouched: ``collect_first``
-    (one full collection before raising) then does nothing either.
-
-    This is a call, not a context manager, on purpose: a context manager
-    is a GC-tracked object allocated while the caller's threshold still
-    holds (EXPERIMENTS.md measures the young collections that cost).
-    """
-    saved = gc.get_threshold()
-    if gc.isenabled():
-        if collect_first:
-            gc.collect()
-        if saved[0] < threshold:
-            gc.set_threshold(threshold, *saved[1:])
-    return saved
 
 
 class _YoungGcHold:
@@ -380,6 +365,18 @@ class Engine:
         if until is None or isinstance(until, EventBase) or not len(self._scheduler):
             _YOUNG_GC_HOLD.release(self)
         return result
+
+    def acquire_gc_hold(self) -> None:
+        """Take this engine's hold on the collector policy before it runs.
+
+        For builders: allocating and starting a universe creates almost
+        only objects that live as long as the universe, so the hold pays
+        off before the first event.  It ends on the exits that end a
+        run's hold -- the first run that drains the queue, stops on its
+        event or raises -- or on :meth:`release_gc_hold`, or when the
+        engine is freed.
+        """
+        _YOUNG_GC_HOLD.acquire(self)
 
     def release_gc_hold(self) -> None:
         """End this engine's hold on the collector policy, if it has one.

@@ -9,6 +9,7 @@ other.
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.sim.events import PRIORITY_URGENT, _PENDING, EventBase
@@ -27,21 +28,17 @@ class Interrupt(Exception):
 
 
 class _Initialize(EventBase):
-    """Internal event that starts a freshly created process."""
+    """Internal event that starts a freshly created process.
+
+    :class:`Process` builds it in place (no ``__init__`` call): a
+    10 000-node universe starts 30 000 processes, and request/response
+    protocols spawn them freely.
+    """
 
     __slots__ = ()
 
-    def __init__(self, engine: "Engine", process: "Process") -> None:
-        # Inlined EventBase.__init__ + Engine._schedule: one _Initialize per
-        # process, and request/response protocols spawn processes freely.
-        self.engine = engine
-        self.name = None
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        self._cancelled = False
-        engine._push((engine._now, PRIORITY_URGENT, next(engine._sequence), self))
+
+_new_initialize = object.__new__
 
 
 class _Interruption(EventBase):
@@ -101,14 +98,32 @@ class Process(EventBase):
         generator: Generator[EventBase, Any, Any],
         name: Optional[str] = None,
     ) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and (
+            not hasattr(generator, "send") or not hasattr(generator, "throw")
+        ):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(engine, name=name or getattr(generator, "__name__", None))
+        # Inlined EventBase.__init__, and the _Initialize event built and
+        # scheduled in place (see _Initialize).
+        self.engine = engine
+        self.name = name or getattr(generator, "__name__", None)
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
+        self._cancelled = False
         self._generator = generator
+        initialize = _new_initialize(_Initialize)
+        initialize.engine = engine
+        initialize.name = None
+        initialize.callbacks = [self._resume]
+        initialize._value = None
+        initialize._ok = True
+        initialize._defused = False
+        initialize._cancelled = False
+        engine._push((engine._now, PRIORITY_URGENT, next(engine._sequence), initialize))
         #: The event this process is currently waiting on (None while
         #: executing).  Before the first resume it is the initialize event.
-        self._target: Optional[EventBase] = None
-        self._target = _Initialize(engine, self)
+        self._target: Optional[EventBase] = initialize
 
     # -- inspection --------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,12 +29,22 @@ from repro.workloads.phases import Phase, Workload
 
 @dataclass(frozen=True)
 class PhaseTemplate:
-    """One phase of an app's repeating cycle."""
+    """One phase of an app's repeating cycle.
+
+    Checked once, at construction, by :class:`Phase`'s own rules with
+    the runtime fraction standing in for the work.  An instance's phase
+    scales the work by a positive factor and jitters work and demand by
+    a few percent, so :func:`build_apps` builds phases without checking
+    each again.
+    """
 
     name: str
     runtime_fraction: float
     demand_w_per_socket: float
     beta: float
+
+    def __post_init__(self) -> None:
+        Phase(self.name, self.runtime_fraction, self.demand_w_per_socket, self.beta)
 
 
 @dataclass(frozen=True)
@@ -213,39 +223,97 @@ def build_app(
         ``jitter=False``) builds the deterministic nominal instance.
     scale:
         Multiplies the runtime (e.g. 0.1 for quick tests).
+    """
+    return build_apps((name,), rng=rng, scale=scale, jitter=jitter)[0]
 
-    The jitter takes two doubles per phase, work then demand, in one
-    ``rng.random`` call, and maps each as ``low + (high - low) * u``:
-    the arithmetic ``rng.uniform(low, high)`` applies to the same
-    ``next_double`` sequence, so the phases and the stream position are
-    bit-identical to drawing one scalar ``uniform`` per factor.
+
+#: ``Phase``'s slot setters, which bypass its frozen ``__setattr__``.
+_PHASE_SETTERS = tuple(
+    Phase.__dict__[field].__set__
+    for field in ("name", "work_s", "demand_w_per_socket", "beta", "imbalance")
+)
+
+
+def build_apps(
+    names: Sequence[str],
+    rng: Optional[np.random.Generator] = None,
+    scale: float = 1.0,
+    jitter: bool = True,
+) -> List[Workload]:
+    """One :func:`build_app` instance per entry of ``names``, in order.
+
+    The jitter takes two doubles per phase, work then demand, for all
+    instances in one ``rng.random`` call, and maps each as
+    ``low + (high - low) * u``: the arithmetic ``rng.uniform(low, high)``
+    applies to the same ``next_double`` sequence, so the phases and the
+    stream position are bit-identical to building the instances one by
+    one with one scalar ``uniform`` per factor.  The arithmetic runs
+    elementwise over all phases at once, in the scalar order.
+
+    The templates were checked when they were defined and the scale is
+    checked here, once per app, so the phases are built through their
+    slots, without :class:`Phase`'s per-instance checks (a 10 000-node
+    universe builds ~95 000 of them).
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    model = get_app_model(name)
-    names = _phase_names(model.name)
-    cycle_work = model.nominal_runtime_s * scale / model.n_cycles
-    templates = model.cycle * model.n_cycles
+    models = [get_app_model(name) for name in names]
+    if not models:
+        return []
+    shapes: Dict[str, _Shape] = {}
+    for model in models:
+        if model.name not in shapes:
+            shapes[model.name] = _shape(model, scale)
+    # Work and demand of every phase of every instance, interleaved as
+    # the jitter draws are.
+    values = np.concatenate([shapes[model.name][2] for model in models])
     if jitter and rng is not None:
-        draws = rng.random(2 * len(templates)).tolist()
-    else:
-        draws = None
-    # high - low of the symmetric ranges, exactly as uniform() forms it.
-    work_span = 2 * _WORK_JITTER
-    demand_span = 2 * _DEMAND_JITTER
-    phases = []
-    for index, template in enumerate(templates):
-        work = cycle_work * template.runtime_fraction
-        demand = template.demand_w_per_socket
-        if draws is not None:
-            work *= 1.0 + (-_WORK_JITTER + work_span * draws[2 * index])
-            demand *= 1.0 + (-_DEMAND_JITTER + demand_span * draws[2 * index + 1])
-        phases.append(
-            Phase(
-                name=names[index],
-                work_s=work,
-                demand_w_per_socket=demand,
-                beta=template.beta,
-            )
-        )
-    return Workload(app=model.name, phases=tuple(phases))
+        draws = rng.random(len(values))
+        # high - low of the symmetric ranges, exactly as uniform() forms it.
+        values[0::2] *= 1.0 + (-_WORK_JITTER + (2 * _WORK_JITTER) * draws[0::2])
+        values[1::2] *= 1.0 + (-_DEMAND_JITTER + (2 * _DEMAND_JITTER) * draws[1::2])
+    pairs = iter(values.tolist())
+    new = object.__new__
+    set_name, set_work, set_demand, set_beta, set_imbalance = _PHASE_SETTERS
+    workloads = []
+    for model in models:
+        phase_names, betas, _ = shapes[model.name]
+        phases = []
+        # zip reads ``pairs`` only after ``phase_names`` yields a name, so
+        # each instance consumes exactly its own 2 * n_phases values.
+        for name, beta, work, demand in zip(phase_names, betas, pairs, pairs):
+            phase = new(Phase)
+            set_name(phase, name)
+            set_work(phase, work)
+            set_demand(phase, demand)
+            set_beta(phase, beta)
+            set_imbalance(phase, 0.0)
+            phases.append(phase)
+        workloads.append(Workload(app=model.name, phases=tuple(phases)))
+    return workloads
+
+
+#: One app's phases at one scale, before jitter: their names, their
+#: betas, and ``[work, demand, work, demand, ...]``.
+_Shape = Tuple[Tuple[str, ...], Tuple[float, ...], "np.ndarray[Any, Any]"]
+
+
+def _shape(model: AppModel, scale: float) -> _Shape:
+    """``model``'s phases at ``scale``.
+
+    Raises ``ValueError`` when the scale leaves a phase no work (a
+    subnormal scale underflows): jitter keeps a positive work positive,
+    so this is the one check a phase built from the shape still needs.
+    """
+    cycle_work = model.nominal_runtime_s * scale / model.n_cycles
+    cycle = [
+        (cycle_work * template.runtime_fraction, template.demand_w_per_socket)
+        for template in model.cycle
+    ]
+    if any(work <= 0 for work, _ in cycle):
+        raise ValueError(f"scale {scale!r} leaves {model.name}'s phases no work")
+    return (
+        _phase_names(model.name),
+        tuple(template.beta for template in model.cycle) * model.n_cycles,
+        np.array(cycle * model.n_cycles, dtype=np.float64).ravel(),
+    )

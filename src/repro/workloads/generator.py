@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.workloads.apps import APP_NAMES, build_app
+from repro.workloads.apps import APP_NAMES, build_apps
 from repro.workloads.phases import Workload
 
 
@@ -53,15 +53,14 @@ def assign_pair_to_cluster(
 
     Each node receives its own jittered workload instance -- nodes running
     the same app do not finish at exactly the same instant, just like the
-    real benchmark runs.
+    real benchmark runs.  All of them draw their jitter in one call
+    (:func:`~repro.workloads.apps.build_apps`), in node order.
     """
     ids = list(node_ids)
     if len(ids) < 2:
         raise ValueError("need at least two nodes to run a pair")
     first, second = pair
     half = (len(ids) + 1) // 2
-    workloads: Dict[int, Workload] = {}
-    for position, node_id in enumerate(ids):
-        app = first if position < half else second
-        workloads[node_id] = build_app(app, rng=rng, scale=scale)
+    apps = [first] * half + [second] * (len(ids) - half)
+    workloads = dict(zip(ids, build_apps(apps, rng=rng, scale=scale)))
     return PairAssignment(pair=(first.upper(), second.upper()), workloads=workloads)

@@ -12,6 +12,8 @@ import json
 
 import pytest
 
+from repro.cluster.faults import FaultPlan
+from repro.core.config import PenelopeConfig
 from repro.core.manager import ConservationLedger
 from repro.experiments.chaos import (
     BudgetAuditor,
@@ -19,10 +21,12 @@ from repro.experiments.chaos import (
     ChaosResult,
     build_chaos_plan,
     chaos_specs,
+    compute_detector_report,
     format_chaos,
     run_chaos_single,
     run_chaos_sweep,
 )
+from repro.experiments.harness import build_universe, pair_workloads
 from repro.experiments.serialize import canonical_json, decode, encode
 from repro.sim.config import SimConfig
 
@@ -342,6 +346,84 @@ class TestDetectorMetrics:
         text = format_chaos([membership_result])
         assert "Failure detector (SWIM)" in text
         assert "detect" in text
+
+
+def _storm_views(horizon_s, restart=True):
+    """A 12-node membership universe run to ``horizon_s`` through a storm
+    of one kill at 2 s (restarted at 4 s unless not ``restart``) and one
+    partition of three nodes (1-7 s)."""
+    spec = ChaosSpec(
+        n_clients=12, seed=4, duration_s=horizon_s, workload_scale=0.2,
+        kills=0, flaps=0, bursts=0, enable_membership=True,
+        membership_probe_period_s=0.5,
+    )
+    plan = FaultPlan().partition([0, 1, 2], 1.0, heal_after_s=6.0).kill(7, 2.0)
+    if restart:
+        plan.restart(7, 4.0)
+    engine, cluster, manager = build_universe(
+        "penelope", spec.n_clients, spec.budget_w, spec.seed,
+        pair_workloads(spec.pair, spec.n_clients, spec.workload_scale),
+        manager_config=PenelopeConfig(
+            enable_membership=True, membership_probe_period_s=0.5
+        ),
+        fault_plan=plan,
+        system_budget_w=spec.budget_w,
+    )
+    cluster.start_workloads()
+    manager.start()
+    engine.run(until=horizon_s)
+    engine.release_gc_hold()
+    return spec, plan, manager
+
+
+def _per_pair_convergence(manager):
+    """The report's convergence fields by their definition: every live
+    observer asked about every live peer."""
+    alive = [n for n in manager.client_ids if manager.cluster.node(n).alive]
+    converged, unrefuted = True, 0
+    for observer in alive:
+        view = manager.detectors[observer].view
+        for subject in alive:
+            if subject != observer and view.status_of(subject) != "alive":
+                converged = False
+                unrefuted += view.status_of(subject) == "dead"
+    return converged, unrefuted
+
+
+class TestDetectorReportConvergence:
+    @pytest.mark.parametrize(
+        "horizon_s, restart, converged, confirmed",
+        [
+            (3.5, True, False, False),
+            (5.0, True, False, True),
+            (6.5, True, False, True),
+            (20.0, True, True, False),
+            (20.0, False, True, False),
+        ],
+        ids=["killed", "partitioned", "restarted", "healed", "healed-one-dead"],
+    )
+    def test_one_scan_per_view_matches_the_per_pair_definition(
+        self, horizon_s, restart, converged, confirmed
+    ):
+        # Views accuse the dead node 7 ("killed", "healed-one-dead"), which
+        # the report must skip; live peers held dead must be counted.
+        spec, plan, manager = _storm_views(horizon_s, restart)
+        report = compute_detector_report(spec, plan, manager)
+        expected = _per_pair_convergence(manager)
+        assert (report["view_converged"], report["unrefuted_false_confirms"]) == expected
+        assert expected[0] is converged
+        assert (expected[1] > 0) is confirmed
+
+    def test_not_alive_lists_each_accused_member_once(self):
+        _, _, manager = _storm_views(5.0)
+        for observer, detector in manager.detectors.items():
+            view = detector.view
+            accused = view.not_alive()
+            assert accused == [
+                (member, view.status_of(member))
+                for member in manager.client_ids
+                if view.status_of(member) != "alive"
+            ]
 
 
 class TestChaosSweep:

@@ -318,6 +318,17 @@ class ViewMatchesReference(RuleBasedStateMachine):
                 if node not in self.ref.members:
                     assert view.status_of(node) == ALIVE
                     assert view.incarnation_of(node) == 0
+            # The one-scan listing of accused members, each once, in the
+            # view's slot order.
+            accused = view.not_alive()
+            assert sorted(accused) == sorted(
+                (node, status)
+                for node, (status, _) in self.ref.members.items()
+                if status != ALIVE
+            )
+            assert [view._index[node] for node, _ in accused] == sorted(
+                view._index[node] for node, _ in accused
+            )
 
     @invariant()
     def every_pending_node_sits_in_its_budget_bucket(self):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.config import PenelopeConfig
+from repro.managers.slurm import SlurmConfig
 from repro.net.messages import PORT_DECIDER, PORT_SERVER, Addr, PowerGrant, PowerRequest
 from repro.net.network import Network
 from repro.net.server import RequestServer
@@ -101,6 +104,29 @@ class TestServiceLoop:
     def test_invalid_service_time(self, engine, net, rngs):
         with pytest.raises(ValueError):
             make_server(engine, net, rngs, service_time=(2.0, 1.0))
+
+
+class TestServiceTimeDraw:
+    """``lo + (hi - lo) * random()`` must be numpy's ``uniform(lo, hi)``."""
+
+    @pytest.mark.parametrize(
+        "service_time",
+        [PenelopeConfig().pool_service_time_s, SlurmConfig().server_service_time_s],
+        ids=["pool", "slurm-server"],
+    )
+    @pytest.mark.parametrize("seed", [0, 2022])
+    def test_draws_and_stream_position_equal_uniforms(self, engine, net, service_time, seed):
+        lo, hi = service_time
+        server = RequestServer(
+            engine, net, Addr(3, PORT_SERVER), lambda message: (),
+            np.random.default_rng(seed), service_time=service_time,
+        )
+        reference = np.random.default_rng(seed)
+        drawn = [server._sample_service_time() for _ in range(20_000)]
+        expected = [float(reference.uniform(lo, hi)) for _ in range(20_000)]
+        assert [value.hex() for value in drawn] == [value.hex() for value in expected]
+        assert all(type(value) is float for value in drawn)
+        assert server._rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestLifecycle:

@@ -29,6 +29,17 @@ class TestClamping:
     def test_clamp_cap(self, requested, expected):
         assert SKYLAKE_6126_NODE.clamp_cap(requested) == expected
 
+    @pytest.mark.parametrize(
+        "requested",
+        [-0.0, 0.0, 59.999999, 60.0, 60.5, 249.99, 250.0, 1e300,
+         float("inf"), float("-inf"), float("nan")],
+    )
+    def test_clamp_cap_is_min_of_max(self, requested):
+        spec = PowerDomainSpec(sockets=3, min_cap_w_per_socket=20.1, max_cap_w_per_socket=83.3)
+        for domain in (SKYLAKE_6126_NODE, spec):
+            expected = min(max(requested, domain.min_cap_w), domain.max_cap_w)
+            assert repr(domain.clamp_cap(requested)) == repr(expected)
+
     def test_is_safe_cap(self):
         spec = SKYLAKE_6126_NODE
         assert spec.is_safe_cap(60.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.power.domain import SKYLAKE_6126_NODE
@@ -81,6 +82,25 @@ class TestCaps:
             SimulatedRapl(
                 engine, SKYLAKE_6126_NODE, rng, enforcement_delay_s=(0.5, 0.2)
             )
+
+
+class TestEnforcementDelayDraw:
+    def test_delays_and_stream_position_equal_uniforms(self, engine):
+        # ``lo + (hi - lo) * random()`` is numpy's uniform(lo, hi).
+        lo, hi = 0.2, 0.5
+        rapl = SimulatedRapl(
+            engine, SKYLAKE_6126_NODE, np.random.default_rng(7),
+            enforcement_delay_s=(lo, hi),
+        )
+        reference = np.random.default_rng(7)
+        for cap in np.linspace(60.0, 250.0, 2_000):
+            rapl.set_cap(float(cap))
+        expected = sorted(float(reference.uniform(lo, hi)) for _ in range(2_000))
+        queued = []
+        while (item := engine.scheduler.pop()) is not None:
+            queued.append(item[0])  # due time = now (0) + delay
+        assert queued == expected
+        assert rapl._rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestReadings:

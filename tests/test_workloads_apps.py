@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.power.domain import SKYLAKE_6126_NODE
-from repro.workloads.apps import APP_MODELS, APP_NAMES, build_app, get_app_model
+from repro.workloads.apps import (
+    APP_MODELS,
+    APP_NAMES,
+    AppModel,
+    PhaseTemplate,
+    _shape,
+    build_app,
+    build_apps,
+    get_app_model,
+)
+from repro.workloads.generator import assign_pair_to_cluster
+from repro.workloads.phases import Phase, Workload
 
 SPEC = SKYLAKE_6126_NODE
 
@@ -98,3 +111,105 @@ class TestBuildApp:
             for phase in workload.phases:
                 demand = phase.demand_w(SPEC)
                 assert SPEC.idle_w <= demand <= SPEC.max_cap_w
+
+
+def checked_app(name, rng, scale):
+    """An instance built phase by phase through ``Phase(...)`` and its
+    checks, drawing one scalar ``uniform`` per factor: the reference the
+    trusted, one-draw builder must reproduce."""
+    model = get_app_model(name)
+    cycle_work = model.nominal_runtime_s * scale / model.n_cycles
+    phases = []
+    for cycle_index in range(model.n_cycles):
+        for template in model.cycle:
+            work = cycle_work * template.runtime_fraction
+            demand = template.demand_w_per_socket
+            if rng is not None:
+                work *= 1.0 + float(rng.uniform(-0.05, 0.05))
+                demand *= 1.0 + float(rng.uniform(-0.02, 0.02))
+            phases.append(
+                Phase(
+                    name=f"{template.name}[{cycle_index}]",
+                    work_s=work,
+                    demand_w_per_socket=demand,
+                    beta=template.beta,
+                )
+            )
+    return Workload(app=model.name, phases=tuple(phases))
+
+
+def fields_of(workload):
+    """Every phase field as ``(type, repr)``: floats compare bit for bit."""
+    return [
+        [(type(getattr(phase, f.name)), repr(getattr(phase, f.name))) for f in dataclasses.fields(phase)]
+        for phase in workload.phases
+    ]
+
+
+class TestTrustedPhases:
+    """``build_apps`` skips ``Phase``'s per-instance checks and draws all
+    jitter at once; the phases must still be ``Phase(...)``'s."""
+
+    @pytest.mark.parametrize("app", APP_NAMES)
+    @pytest.mark.parametrize("scale", [1.0, 0.25, 0.05, 3.7, 1e-9])
+    @pytest.mark.parametrize("seed", [7, 2022])
+    def test_phases_equal_checked_construction(self, app, scale, seed):
+        rng = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        built = build_app(app, rng=rng, scale=scale)
+        expected = checked_app(app, reference, scale)
+        assert built == expected
+        assert fields_of(built) == fields_of(expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_nominal_phases_equal_checked_construction(self, scale):
+        for app in APP_NAMES:
+            assert fields_of(build_app(app, scale=scale)) == fields_of(checked_app(app, None, scale))
+
+    @pytest.mark.parametrize("seed", [7, 2022])
+    def test_a_pair_drawn_at_once_equals_node_by_node(self, seed):
+        rng = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        assignment = assign_pair_to_cluster(("UA", "DC"), range(7), rng=rng, scale=0.5)
+        apps = ["UA"] * 4 + ["DC"] * 3
+        for node_id, app in enumerate(apps):
+            expected = checked_app(app, reference, 0.5)
+            assert fields_of(assignment.workloads[node_id]) == fields_of(expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_mixed_sequence_and_empty_sequence(self):
+        rng = np.random.default_rng(3)
+        reference = np.random.default_rng(3)
+        names = ["ep", "MG", "EP", "bt"]
+        built = build_apps(names, rng=rng, scale=0.2)
+        assert [fields_of(w) for w in built] == [
+            fields_of(checked_app(name, reference, 0.2)) for name in names
+        ]
+        assert build_apps([], rng=rng) == []
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, -1e-300])
+    def test_a_bad_scale_still_raises(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            build_app("EP", rng=np.random.default_rng(0), scale=scale)
+        with pytest.raises(ValueError, match="scale"):
+            assign_pair_to_cluster(("EP", "DC"), range(4), scale=scale)
+
+    def test_a_scale_that_underflows_a_phase_raises(self):
+        model = AppModel(
+            name="TINY", description="", nominal_runtime_s=1.0, n_cycles=1,
+            cycle=(PhaseTemplate("short", 1e-300, 50.0, 0.5),
+                   PhaseTemplate("long", 1.0 - 1e-300, 50.0, 0.5)),
+        )
+        assert 1.0 * 1e-30 / 1 * 1e-300 == 0.0  # a work Phase(...) rejects
+        with pytest.raises(ValueError, match="no work"):
+            _shape(model, 1e-30)
+
+    @pytest.mark.parametrize(
+        "template",
+        [("x", 0.0, 50.0, 0.5), ("x", 0.5, 0.0, 0.5), ("x", 0.5, 50.0, 0.0), ("x", 0.5, 50.0, 2.5)],
+    )
+    def test_templates_are_checked_when_defined(self, template):
+        with pytest.raises(ValueError):
+            PhaseTemplate(*template)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -15,15 +15,10 @@ from repro.power.sockets import (
 )
 from repro.power.trace_source import TracePowerSource
 from repro.sim.engine import Engine
-from repro.sim.events import Event, EventBase, Timeout
-from repro.sim.process import Interrupt, Process
+from repro.sim.events import PRIORITY_URGENT, Callback, Event
 from repro.workloads.performance import consumed_power_w, speed_under_cap
 from repro.workloads.phases import Phase, Workload
 from repro.workloads.traces import PowerTrace
-
-#: Interrupt causes understood by the executor.
-_CAUSE_RECOMPUTE = "recompute"
-_CAUSE_KILL = "kill"
 
 
 class WorkloadExecutor:
@@ -63,36 +58,47 @@ class WorkloadExecutor:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.killed = False
-        self._process: Optional[Process] = None
+        #: True from the first step until the workload finishes or dies.
+        self._running = False
         self._phase_index = 0
+        #: The queued end of the running segment, and what it was
+        #: computed from: its start time, speed and the phase's
+        #: remaining work at that start.
+        self._segment: Optional[Callback] = None
+        self._segment_start = 0.0
+        self._speed = 0.0
+        self._remaining = 0.0
         rapl.on_cap_enforced.append(self._on_cap_enforced)
 
     # -- lifecycle ------------------------------------------------------------
 
-    def start(self) -> Process:
-        if self._process is not None:
+    def start(self) -> None:
+        """Begin executing one urgent zero-delay hop from now."""
+        if self.started_at is not None:
             raise RuntimeError(f"{self.name} already started")
         self.started_at = self.engine.now
-        self._process = self.engine.process(self._run(), name=self.name)
-        return self._process
+        self._running = True
+        Callback(
+            self.engine, 0.0, self._begin, name="exec.start", priority=PRIORITY_URGENT
+        )
 
     def kill(self) -> None:
         """Abort execution (node crash): draw drops to zero, no completion."""
         self.killed = True
-        if self._process is not None and self._process.is_alive:
-            if self._process.is_initializing:
-                self._process.cancel()
-                self.rapl.set_consumption(0.0)
-            else:
-                self._process.interrupt(_CAUSE_KILL)
-        else:
-            self.rapl.set_consumption(0.0)
+        self._running = False
+        segment = self._segment
+        if segment is not None:
+            # The executor is the segment's only owner: cancel it rather
+            # than leave a dead entry queued for up to a whole segment.
+            self._segment = None
+            segment.cancel()
+        self.rapl.set_consumption(0.0)
         if not self.settled.triggered:
             self.settled.succeed(None)
 
     @property
     def is_running(self) -> bool:
-        return self._process is not None and self._process.is_alive
+        return self._running
 
     @property
     def is_done(self) -> bool:
@@ -106,9 +112,24 @@ class WorkloadExecutor:
     # -- cap notifications ----------------------------------------------------
 
     def _on_cap_enforced(self, cap_w: float) -> None:
+        """Re-time the running segment under the newly enforced cap.
+
+        The segment's queued end is cancelled and the phase's remaining
+        work rescheduled at the new speed, in place.  A cap enforced
+        before the first step needs nothing: that step reads the cap.
+        """
         del cap_w
-        if self._process is not None and self._process.is_alive:
-            self._process.interrupt(_CAUSE_RECOMPUTE)
+        segment = self._segment
+        if segment is None:
+            return
+        self._segment = None
+        segment.cancel()
+        elapsed = self.engine.now - self._segment_start
+        self._remaining -= elapsed * self._speed
+        if self._remaining > 1e-12:
+            self._run_segment()
+        else:
+            self._run_phases(self._phase_index + 1)
 
     # -- main loop ----------------------------------------------------------------
 
@@ -134,42 +155,50 @@ class WorkloadExecutor:
             draw = consumed_power_w(cap, demand, spec.idle_w)
         return speed * (1.0 - self.overhead_factor), draw
 
-    def _run(self) -> Generator[EventBase, Any, None]:
-        spec = self.rapl.spec
-        engine = self.engine
-        set_consumption = self.rapl.set_consumption
-        try:
-            for self._phase_index, phase in enumerate(self.workload.phases):
-                remaining_work = phase.work_s
-                while remaining_work > 1e-12:
-                    speed, draw = self._phase_speed_and_draw(phase)
-                    set_consumption(draw)
-                    segment_start = engine._now
-                    segment = Timeout(engine, remaining_work / speed)
-                    try:
-                        yield segment
-                        remaining_work = 0.0
-                    except Interrupt as interrupt:
-                        # The executor is the segment's only owner: cancel
-                        # it rather than leave a dead entry queued for up
-                        # to a whole segment.
-                        segment.cancel()
-                        elapsed = engine._now - segment_start
-                        remaining_work -= elapsed * speed
-                        if interrupt.cause == _CAUSE_KILL:
-                            raise
-                        # else: recompute with the new enforced cap
-            self._phase_index = self.workload.n_phases
-            self.finished_at = self.engine.now
-            self.rapl.set_consumption(spec.idle_w)
-            self.done.succeed(self.finished_at)
-            if not self.settled.triggered:
-                self.settled.succeed(self.finished_at)
-        except Interrupt as interrupt:
-            if interrupt.cause == _CAUSE_KILL:
-                self.rapl.set_consumption(0.0)
+    # The executor is a state machine on queue callbacks: one queued entry
+    # per segment, the start hop a generator process would take, and a cap
+    # change handled in place.
+
+    def _begin(self) -> None:
+        if self._running:  # else killed before its first step
+            self._run_phases(0)
+
+    def _run_phases(self, index: int) -> None:
+        """Run phase ``index`` or the first later one with work left;
+        finish when none is left."""
+        phases = self.workload.phases
+        while index < len(phases):
+            self._phase_index = index
+            self._remaining = phases[index].work_s
+            if self._remaining > 1e-12:
+                self._run_segment()
                 return
-            raise  # pragma: no cover - only kill escapes the loop
+            index += 1
+        self._finish()
+
+    def _run_segment(self) -> None:
+        """Draw the phase's power and queue the end of its remaining work."""
+        speed, draw = self._phase_speed_and_draw(self.workload.phases[self._phase_index])
+        self.rapl.set_consumption(draw)
+        engine = self.engine
+        self._speed = speed
+        self._segment_start = engine.now
+        self._segment = Callback(
+            engine, self._remaining / speed, self._segment_done, name="exec.segment"
+        )
+
+    def _segment_done(self) -> None:
+        self._segment = None
+        self._run_phases(self._phase_index + 1)
+
+    def _finish(self) -> None:
+        self._running = False
+        self._phase_index = self.workload.n_phases
+        self.finished_at = self.engine.now
+        self.rapl.set_consumption(self.rapl.spec.idle_w)
+        self.done.succeed(self.finished_at)
+        if not self.settled.triggered:
+            self.settled.succeed(self.finished_at)
 
 
 class SimNode:
@@ -266,8 +295,8 @@ class SimNode:
         self.on_kill.clear()
         old = self.executor
         if old is not None:
-            # The dead executor's cap listener would interrupt a process
-            # that no longer exists; drop it before rebuilding.
+            # The dead executor's cap listener would re-time a workload
+            # that no longer runs; drop it before rebuilding.
             try:
                 self.rapl.on_cap_enforced.remove(old._on_cap_enforced)
             except ValueError:  # pragma: no cover - defensive

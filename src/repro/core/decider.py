@@ -61,9 +61,9 @@ from repro.net.messages import (
     PORT_DECIDER,
     PORT_POOL,
     Addr,
-    GrantAck,
     PowerGrant,
-    PowerRequest,
+    grant_ack,
+    power_request,
 )
 from repro.net.network import Network
 from repro.net.roster import roster_of
@@ -497,12 +497,8 @@ class LocalDecider:
         if peer is None:
             return 0.0, False
         alpha = max(0.0, self.initial_cap_w - self.cap_w) if urgent else 0.0
-        request = PowerRequest(
-            src=self.addr,
-            dst=Addr(peer, PORT_POOL),
-            urgent=urgent,
-            alpha=alpha,
-            iteration=self.iterations,
+        request = power_request(
+            self.addr, Addr(peer, PORT_POOL), urgent, alpha, self.iterations
         )
         self.requests_sent += 1
         if urgent:
@@ -593,14 +589,7 @@ class LocalDecider:
         if grant.delta <= 0 or not self.config.enable_escrow:
             return
         self.network.send(
-            self._stamp(
-                GrantAck(
-                    src=self.addr,
-                    dst=grant.src,
-                    reply_to=grant.msg_id,
-                    delta=grant.delta,
-                )
-            )
+            self._stamp(grant_ack(self.addr, grant.src, grant.msg_id, grant.delta))
         )
         if self.config.grant_ack_retries > 0:
             self._pending_acks.append(
@@ -616,9 +605,7 @@ class LocalDecider:
         for entry in self._pending_acks:
             dst, grant_id, delta, resends = entry
             send(
-                self._stamp(
-                    GrantAck(src=self.addr, dst=dst, reply_to=grant_id, delta=delta)
-                )
+                self._stamp(grant_ack(self.addr, dst, grant_id, delta))
             )
             self.recorder.bump("decider.ack_resends")
             if resends > 1:

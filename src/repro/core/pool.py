@@ -44,8 +44,8 @@ from repro.net.messages import (
     Addr,
     GrantAck,
     Message,
-    PowerGrant,
     PowerRequest,
+    power_grant,
 )
 from repro.net.network import Network
 from repro.net.server import RequestServer
@@ -259,19 +259,15 @@ class PowerPool:
             self.local_urgency = True
         if delta > 0:
             self.recorder.transaction(
-                time=self.engine.now,
-                kind="grant",
-                src=self.node_id,
-                dst=message.src.node,
-                watts=delta,
-                urgent=message.urgent,
+                self.engine.now,
+                "grant",
+                self.node_id,
+                message.src.node,
+                delta,
+                message.urgent,
             )
-        reply = PowerGrant(
-            src=self.addr,
-            dst=message.src,
-            delta=delta,
-            reply_to=message.msg_id,
-            urgent=message.urgent,
+        reply = power_grant(
+            self.addr, message.src, delta, message.msg_id, message.urgent
         )
         if delta > 0 and self.config.enable_escrow:
             self._open_escrow(reply.msg_id, delta, message.src.node)

@@ -30,8 +30,9 @@ universe.  :func:`run_sweep` is the one funnel they all go through now:
   SIGKILL at any point.
 
 * **Caching.**  With a ``cache_dir``, each finished run is written as one
-  two-line JSON file (a small header, then the recorder's rows) keyed by
-  a stable content hash of (spec, task kind, code version, salt).
+  file (a small JSON header line, then the recorder's rows as a packed
+  body) keyed by a stable content hash of (spec, task kind, code
+  version, salt).
   Re-running an interrupted or overlapping sweep only executes the
   missing specs; corrupted or stale cache files are treated as misses,
   never as errors.
@@ -327,23 +328,25 @@ def spec_fingerprint(spec: Any, kind: TaskKind = SINGLE_RUN, salt: str = "") -> 
 class ResultCache:
     """One-file-per-run JSON cache under ``root/<kind>/<fingerprint>.json``.
 
-    Each file is two lines.  Line 1 is a small canonical-JSON header:
-    ``fingerprint``, ``kind``, ``spec``, the ``result`` without its
-    recorder's row tables, and ``body_sha256``.  Line 2 is the body: the
-    row tables of the result's top-level ``recorder`` (empty for kinds
-    without one, see :func:`~repro.experiments.serialize.split_rows`).
+    Each file is a small canonical-JSON header line -- ``fingerprint``,
+    ``kind``, ``spec``, the ``result`` without its recorder's row tables,
+    and ``body_sha256`` -- then, after the newline, the body: the row
+    tables of the result's top-level ``recorder`` as packed columns
+    (empty for kinds without one, see
+    :func:`~repro.experiments.serialize.split_rows`).
 
     Every method takes the spec's :func:`spec_fingerprint`, which the
     caller has already computed.  :meth:`load` reads the file as bytes
     in one call, parses only the header, and checks the digest over the
     raw body bytes in place (no decode, no copy); the recorder gets the
-    body bytes and parses them on first use, so replaying a table that
+    body bytes and unpacks them on first use, so replaying a table that
     reads a run's runtime never touches its event log.  :meth:`store`
     encodes each part once and hashes the bytes it writes.  A
-    fingerprint or digest mismatch, a missing body line (including the
-    old one-line layout) or any parse/decode failure of the header
-    (a non-UTF-8 byte included) makes :meth:`load` report a miss, so
-    truncated or hand-edited files fall back to re-running instead of
+    fingerprint or digest mismatch, a missing body (including the old
+    one-line layout), a body that is not packed (the older JSON-text
+    body) or any parse/decode failure of the header (a non-UTF-8 byte
+    included) makes :meth:`load` report a miss, so truncated,
+    hand-edited or older files fall back to re-running instead of
     crashing.
     """
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.cluster.faults import FaultPlan
 from repro.core.config import PenelopeConfig
-from repro.instrumentation import ROW_TYPES, MetricsRecorder
+from repro.instrumentation import PACKED_PREFIX, ROW_TYPES, MetricsRecorder, pack_rows
 from repro.managers.base import ManagerConfig
 from repro.managers.slurm import SlurmConfig
 from repro.managers.slurm_ha import HaSlurmConfig
@@ -332,9 +332,11 @@ def _decode_network_stats(data: Dict[str, Any]) -> NetworkStats:
 _network_stats_fields = _dataclass_decoder(NetworkStats)
 
 
-# Events are stored as flat rows (lists) rather than objects: a paper-sized
+# Events are stored as flat rows (arrays) rather than objects: a paper-sized
 # run records tens of thousands of them, and the field names would dominate
-# the file size.  The rows are decoded lazily (see ``MetricsRecorder``).
+# the file size.  A cache file packs them into columns instead (see
+# ``split_rows``); either way they are decoded lazily (see
+# ``MetricsRecorder``).
 
 
 def _encode_recorder(recorder: MetricsRecorder) -> Dict[str, Any]:
@@ -347,7 +349,7 @@ def _encode_recorder(recorder: MetricsRecorder) -> Dict[str, Any]:
 
 def _decode_recorder(data: Dict[str, Any]) -> MetricsRecorder:
     # The rows are either inline (e.g. a journal record) or, from a cache
-    # file, the verified body's unparsed JSON under "rows" (see join_rows).
+    # file, the verified packed body under "rows" (see join_rows).
     return MetricsRecorder.from_rows(
         record_caps=data["record_caps"],
         counters={str(k): int(v) for k, v in data["counters"].items()},
@@ -374,22 +376,29 @@ def split_rows(result: Dict[str, Any]) -> bytes:
     """Move the row tables of ``result``'s top-level recorder into a body.
 
     ``result`` is an encoded result; its ``"recorder"`` loses its row
-    tables, returned as UTF-8 canonical JSON.  A result without a
+    tables, returned as a packed body (:func:`~repro.instrumentation.pack_rows`:
+    a JSON head line, then little-endian columns).  A result without a
     recorder has the empty body.
     """
     recorder = result.get("recorder")
     if recorder is None:
         return b""
-    body = {table: recorder.pop(table) for table in ROW_TYPES}
-    return canonical_json(body).encode("utf-8")
+    return pack_rows({table: recorder.pop(table) for table in ROW_TYPES})
 
 
 def join_rows(result: Dict[str, Any], body: bytes) -> Dict[str, Any]:
-    """Inverse of :func:`split_rows`: hand ``body``, unparsed, to the recorder."""
+    """Inverse of :func:`split_rows`: hand ``body``, unparsed, to the recorder.
+
+    A body that is not a packed one -- the JSON-text layout earlier
+    cache files used included -- raises ``ValueError``, so the cache
+    reports a miss and the re-run rewrites the file.
+    """
     recorder = result.get("recorder")
     if recorder is None:
         if body:
             raise ValueError("row body for a result without a recorder")
+    elif not body.startswith(PACKED_PREFIX):
+        raise ValueError("row body is not in the packed layout")
     else:
         recorder["rows"] = body
     return result

@@ -217,6 +217,8 @@ class ProjectContext:
         self.import_edges: List[ImportEdge] = []
         # -- protocol surface ----------------------------------------------
         self.message_classes: Dict[str, MessageClass] = {}
+        #: Builder function name -> the message class it returns.
+        self.message_builders: Dict[str, str] = {}
         self.construction_sites: Dict[str, List[Site]] = {}
         self.handling_sites: Dict[str, List[Site]] = {}
         self.kind_literal_sites: List[Tuple[Site, str]] = []
@@ -227,6 +229,7 @@ class ProjectContext:
 
         self._collect_import_edges()
         self._collect_message_classes()
+        self._collect_message_builders()
         self._collect_protocol_sites()
         self._collect_stream_facts()
 
@@ -309,6 +312,42 @@ class ProjectContext:
                         break
         self.message_classes = known
 
+    def _collect_message_builders(self) -> None:
+        """Module-level functions of ``messages.py`` modules annotated to
+        return a message class (``def power_grant(...) -> PowerGrant``).
+
+        A call to one is a construction of that class, like a call to
+        the class itself: hot paths build messages through such
+        positional builders.
+        """
+        for ctx in self._message_modules():
+            for node in ctx.tree.body:
+                if isinstance(node, ast.FunctionDef) and node.returns is not None:
+                    returns = node.returns
+                    name: Optional[str] = None
+                    if isinstance(returns, ast.Name):
+                        name = returns.id
+                    elif isinstance(returns, ast.Constant) and isinstance(
+                        returns.value, str
+                    ):
+                        name = returns.value
+                    cls = self.message_classes.get(name) if name else None
+                    if cls is not None and not cls.base:
+                        self.message_builders[node.name] = cls.name
+
+    def _resolve_constructed_name(
+        self, ctx: FileContext, node: ast.expr
+    ) -> Optional[str]:
+        """The message class a call of ``node`` constructs, if any."""
+        name = self._resolve_message_name(ctx, node)
+        if name is not None:
+            return name
+        if isinstance(node, ast.Name):
+            return self.message_builders.get(node.id)
+        if isinstance(node, ast.Attribute):
+            return self.message_builders.get(node.attr)
+        return None
+
     def _resolve_message_name(self, ctx: FileContext, node: ast.expr) -> Optional[str]:
         """The message-class name ``node`` refers to, if any."""
         name: Optional[str] = None
@@ -335,7 +374,7 @@ class ProjectContext:
         for ctx in self.files.values():
             for node in ast.walk(ctx.tree):
                 if isinstance(node, ast.Call):
-                    name = self._resolve_message_name(ctx, node.func)
+                    name = self._resolve_constructed_name(ctx, node.func)
                     if (
                         name is not None
                         and ctx.display_path != self.message_classes[name].path

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,19 +40,14 @@ from repro.net.messages import (
     PowerGrant,
     PowerRequest,
     ReleaseDirective,
+    excess_report,
+    power_grant,
+    power_request,
 )
 from repro.net.network import Network
 from repro.net.server import RequestServer
 from repro.power.rapl import PowerCapInterface
-from repro.sim import (
-    Engine,
-    EventBase,
-    FirstOf,
-    Interrupt,
-    Process,
-    Store,
-    stop_process,
-)
+from repro.sim import PRIORITY_URGENT, Callback, Engine, EventBase, Store
 
 
 @dataclass(frozen=True)
@@ -215,22 +210,11 @@ class SlurmServer:
         self.granted_out_w += delta
         if delta > 0:
             self.recorder.transaction(
-                time=self.engine.now,
-                kind="grant",
-                src=self.node_id,
-                dst=requester,
-                watts=delta,
-                urgent=message.urgent,
+                self.engine.now, "grant", self.node_id, requester, delta, message.urgent
             )
         replies.insert(
             0,
-            PowerGrant(
-                src=self.addr,
-                dst=message.src,
-                delta=delta,
-                reply_to=message.msg_id,
-                urgent=message.urgent,
-            ),
+            power_grant(self.addr, message.src, delta, message.msg_id, message.urgent),
         )
         return tuple(replies)
 
@@ -283,25 +267,57 @@ class SlurmClient:
         self.applied_grants_w = 0.0
         self.iterations = 0
         self._release_pending = False
-        self._process: Optional[Process] = None
+        #: The running loop's number (0 while stopped); queued ticks of a
+        #: stopped loop carry an old one and do nothing.
+        self._run = 0
+        self._runs = 0
+        #: When the next fixed-cadence tick is due.
+        self._next_tick = 0.0
+        #: The request awaiting the server's answer, with its send time,
+        #: deadline and the inbox getter the reply arrives through.
+        self._request: Optional[PowerRequest] = None
+        self._sent_at = 0.0
+        self._deadline: Optional[Callback] = None
+        self._get_event: Optional[EventBase] = None
 
     # -- lifecycle -------------------------------------------------------------
 
-    def start(self) -> Process:
-        if self._process is not None and self._process.is_alive:
+    def start(self) -> None:
+        """Start the control loop one urgent zero-delay hop from now."""
+        if self._run:
             raise RuntimeError(f"client {self.node_id} already running")
-        self._process = self.engine.process(
-            self._loop(), name=f"slurm-client@{self.node_id}"
+        self._runs += 1
+        self._run = self._runs
+        Callback(
+            self.engine,
+            0.0,
+            self._begin,
+            self._run,
+            name="slurm.client.start",
+            priority=PRIORITY_URGENT,
         )
-        return self._process
 
     def stop(self) -> None:
-        if self._process is not None:
-            stop_process(self._process)
+        """Halt the loop, abandoning a request in flight."""
+        self._run = 0
+        request = self._request
+        if request is None:
+            return
+        self._request = None
+        get_event, self._get_event = self._get_event, None
+        deadline, self._deadline = self._deadline, None
+        assert get_event is not None and deadline is not None
+        # Withdraw the getter, or a restart's first message would be
+        # handed to this dead wait and lost; the client is the
+        # deadline's only owner, so an armed one is cancelled rather
+        # than left to fire as a no-op later.
+        self.inbox.cancel_get(get_event)
+        if deadline.callbacks is not None:
+            deadline.cancel()
 
     @property
     def is_running(self) -> bool:
-        return self._process is not None and self._process.is_alive
+        return self._run != 0
 
     # -- cap manipulation -----------------------------------------------------------
 
@@ -314,15 +330,9 @@ class SlurmClient:
         """Lower the cap by ``delta_w`` and mail it to the server."""
         self._set_cap(self.cap_w - delta_w)
         self.excess_reported_w += delta_w
-        self.network.send(
-            ExcessReport(src=self.addr, dst=self.server_addr, delta=delta_w)
-        )
+        self.network.send(excess_report(self.addr, self.server_addr, delta_w))
         self.recorder.transaction(
-            time=self.engine.now,
-            kind=kind,
-            src=self.node_id,
-            dst=self.server_addr.node,
-            watts=delta_w,
+            self.engine.now, kind, self.node_id, self.server_addr.node, delta_w
         )
 
     def _apply_grant(self, delta_w: float) -> None:
@@ -340,114 +350,167 @@ class SlurmClient:
         leftover = delta_w - usable
         if leftover > 0:
             self.excess_reported_w += leftover
-            self.network.send(
-                ExcessReport(src=self.addr, dst=self.server_addr, delta=leftover)
-            )
+            self.network.send(excess_report(self.addr, self.server_addr, leftover))
             self.recorder.transaction(
-                time=self.engine.now,
-                kind="release",
-                src=self.node_id,
-                dst=self.server_addr.node,
-                watts=leftover,
+                self.engine.now, "release", self.node_id, self.server_addr.node, leftover
             )
             self.recorder.bump("slurm.client.grant_overflow_returned")
 
     # -- the control loop ----------------------------------------------------------
 
-    def _loop(self) -> Generator[EventBase, Any, None]:
-        config = self.config
-        try:
-            stagger = config.effective_stagger_s
-            if stagger > 0:
-                yield self.engine.timeout(float(self._rng.uniform(0.0, stagger)))
-            # Fixed-cadence ticks, like Penelope's decider: iteration k
-            # fires at start + k*T even if the previous response wait ran
-            # long -- which is what keeps a large cluster's request bursts
-            # aligned and the central server queueing (§4.5).
-            next_tick = self.engine.now
-            while True:
-                next_tick += config.period_s
-                if next_tick > self.engine.now:
-                    yield self.engine.timeout(next_tick - self.engine.now)
-                self.iterations += 1
-                self._drain_inbox()
+    # The loop is a state machine on queue callbacks rather than a
+    # generator process: every SLURM request passes through it.  It
+    # queues what the generator loop did, in the same order -- the
+    # urgent start hop, the stagger, one entry per tick, the request's
+    # deadline and, when the deadline fires, a fresh-sequence wake-up
+    # (the one a ``FirstOf`` wait queues) -- and takes replies in place
+    # on delivery, so every simulated byte is the same.
 
-                urgent_now = config.enable_urgency and self.cap_w < self.initial_cap_w
-                if self._release_pending:
-                    self._release_pending = False
-                    if not urgent_now and self.cap_w > self.initial_cap_w:
-                        self._report_excess(
-                            self.cap_w - self.initial_cap_w, kind="induced-release"
-                        )
-
-                power_w = self.rapl.read_power()
-                cap_w = self.cap_w
-                if power_w < cap_w - config.epsilon_w:
-                    delta = cap_w - power_w
-                    delta = min(delta, cap_w - self.rapl.spec.min_cap_w)
-                    if delta > 0:
-                        self._report_excess(delta, kind="release")
-                else:
-                    headroom = self.rapl.spec.max_cap_w - cap_w
-                    if headroom > 0:
-                        granted = yield from self._request_power(urgent_now)
-                        if granted > 0:
-                            self._apply_grant(granted)
-        except Interrupt:
+    def _begin(self, run: int) -> None:
+        if run != self._run:
             return
+        stagger = self.config.effective_stagger_s
+        if stagger > 0:
+            Callback(
+                self.engine,
+                float(self._rng.uniform(0.0, stagger)),
+                self._staggered,
+                run,
+                name="slurm.client.stagger",
+            )
+        else:
+            self._staggered(run)
 
-    def _request_power(self, urgent: bool) -> Generator[EventBase, Any, float]:
+    def _staggered(self, run: int) -> None:
+        if run == self._run:
+            self._next_tick = self.engine.now
+            self._schedule_tick()
+
+    def _schedule_tick(self) -> None:
+        """Queue the next tick, or run it now if it is already due.
+
+        Fixed-cadence ticks, like Penelope's decider: iteration k fires
+        at start + k*T even if the previous response wait ran long --
+        which is what keeps a large cluster's request bursts aligned
+        and the central server queueing (§4.5).
+        """
+        engine = self.engine
+        period = self.config.period_s
+        while True:
+            self._next_tick += period
+            now = engine.now
+            if self._next_tick > now:
+                Callback(
+                    engine,
+                    self._next_tick - now,
+                    self._on_tick,
+                    self._run,
+                    name="slurm.client.tick",
+                )
+                return
+            if self._iterate():
+                return
+
+    def _on_tick(self, run: int) -> None:
+        if run == self._run and not self._iterate():
+            self._schedule_tick()
+
+    def _iterate(self) -> bool:
+        """One decider iteration; True if it left a request awaiting the
+        server (whose outcome then continues the loop)."""
+        config = self.config
+        self.iterations += 1
+        self._drain_inbox()
+
+        urgent_now = config.enable_urgency and self.cap_w < self.initial_cap_w
+        if self._release_pending:
+            self._release_pending = False
+            if not urgent_now and self.cap_w > self.initial_cap_w:
+                self._report_excess(
+                    self.cap_w - self.initial_cap_w, kind="induced-release"
+                )
+
+        power_w = self.rapl.read_power()
+        cap_w = self.cap_w
+        if power_w < cap_w - config.epsilon_w:
+            delta = cap_w - power_w
+            delta = min(delta, cap_w - self.rapl.spec.min_cap_w)
+            if delta > 0:
+                self._report_excess(delta, kind="release")
+        elif self.rapl.spec.max_cap_w - cap_w > 0:
+            self._request_power(urgent_now)
+            return True
+        return False
+
+    def _request_power(self, urgent: bool) -> None:
         alpha = max(0.0, self.initial_cap_w - self.cap_w) if urgent else 0.0
-        request = PowerRequest(
-            src=self.addr,
-            dst=self.server_addr,
-            urgent=urgent,
-            alpha=alpha,
-            iteration=self.iterations,
+        request = power_request(
+            self.addr, self.server_addr, urgent, alpha, self.iterations
         )
         engine = self.engine
-        sent_at = engine.now
+        self._sent_at = engine.now
         self.network.send(request)
-        deadline = engine.timeout(self.config.timeout_s)
-        granted = 0.0
-        timed_out = False
-        try:
-            while True:
-                get_event = self.inbox.get()
-                # Lean two-event wait, as in the Penelope decider: same
-                # wake-up as any_of([get_event, deadline]) without the
-                # condition bookkeeping.
-                yield FirstOf(engine, get_event, deadline)
-                if not get_event.triggered:
-                    self.inbox.cancel_get(get_event)
-                    timed_out = True
-                    self.recorder.bump("slurm.client.request_timeouts")
-                    break
-                message = get_event.value
-                if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
-                    granted = message.delta
-                    break
-                self._handle_async(message)
-        except Interrupt:
-            # Stopped mid-wait: withdraw the getter, or a restart's first
-            # message would be handed to this dead wait and lost.
+        self._request = request
+        self._deadline = Callback(
+            engine, self.config.timeout_s, self._on_deadline, name="slurm.client.deadline"
+        )
+        self._await_reply()
+
+    def _await_reply(self) -> None:
+        get_event = self.inbox.get()
+        assert get_event.callbacks is not None
+        get_event.callbacks.append(self._on_reply)
+        self._get_event = get_event
+
+    def _on_reply(self, get_event: EventBase) -> None:
+        """A message for the waiting request: its grant ends the wait."""
+        request, deadline = self._request, self._deadline
+        if get_event is not self._get_event or request is None or deadline is None:
+            return  # handed over after a stop
+        if deadline.callbacks is None:
+            return  # the deadline fired: its wake-up takes this message
+        message = get_event.value
+        if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
+            # A grant that beats the deadline leaves it armed: disarm it.
+            deadline.cancel()
+            self._end_request(message.delta, timed_out=False)
+        else:
+            self._handle_async(message)
+            self._await_reply()
+
+    def _on_deadline(self) -> None:
+        # Wake one fresh-sequence step later, exactly as a FirstOf wait
+        # on the deadline did: a reply delivered in between still counts.
+        Callback(self.engine, 0.0, self._on_wake, self._request, name="slurm.client.wake")
+
+    def _on_wake(self, request: PowerRequest) -> None:
+        if request is not self._request:
+            return  # stopped since the deadline fired
+        get_event = self._get_event
+        assert get_event is not None
+        if get_event.triggered:
+            message = get_event.value
+            if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
+                self._end_request(message.delta, timed_out=False)
+                return
+            # Any other message is handled; the request has timed out.
+            self._handle_async(message)
+        else:
             self.inbox.cancel_get(get_event)
-            raise
-        finally:
-            # The client is the deadline's only owner.  A grant that beat
-            # it, or a stop mid-wait, leaves it armed: cancel it rather
-            # than let it fire as a no-op later.
-            if not deadline.processed:
-                deadline.cancel()
+        self.recorder.bump("slurm.client.request_timeouts")
+        self._end_request(0.0, timed_out=True)
+
+    def _end_request(self, granted: float, timed_out: bool) -> None:
+        """Record the request's turnaround, apply its grant, go on ticking."""
+        engine = self.engine
+        self._request = self._get_event = self._deadline = None
         self.recorder.turnaround(
-            time=engine.now,
-            node=self.node_id,
-            wait_s=engine.now - sent_at,
-            granted_w=granted,
-            timed_out=timed_out,
+            engine.now, self.node_id, engine.now - self._sent_at, granted, timed_out
         )
         self._on_request_outcome(timed_out)
-        return granted
+        if granted > 0:
+            self._apply_grant(granted)
+        self._schedule_tick()
 
     def _on_request_outcome(self, timed_out: bool) -> None:
         """Hook for subclasses (e.g. failover logic in the HA variant)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import Dict, NamedTuple, Optional, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Type, TypeVar
 
 _MESSAGE_COUNTER = itertools.count(1)
 
@@ -222,6 +222,97 @@ class ReleaseDirective(Message):
     on_behalf_of: int = -1
 
 
+# -- positional builders ---------------------------------------------------------
+#
+# Every request, grant, ack and excess report of a run is built on a hot
+# path.  The dataclass ``__init__`` binds keyword arguments, calls the
+# ``msg_id`` default factory and stores each field through
+# ``object.__setattr__`` (the frozen path), ~3 us per message; these
+# builders store the slots through their descriptors instead, at about a
+# third of that.  The result is the same frozen instance: ``msg_id`` is
+# drawn from the same counter at the same point, ``gossip`` is empty and
+# the class's ``__post_init__`` checks still run.
+
+_new_message = object.__new__
+
+
+def _slot_setters(cls: type, names: str) -> Tuple[Callable[[Any, Any], None], ...]:
+    return tuple(getattr(cls, name).__set__ for name in names.split())
+
+
+_SET_SRC, _SET_DST, _SET_MSG_ID, _SET_GOSSIP = _slot_setters(
+    Message, "src dst msg_id gossip"
+)
+_REQUEST_URGENT, _REQUEST_ALPHA, _REQUEST_ITERATION = _slot_setters(
+    PowerRequest, "urgent alpha iteration"
+)
+_GRANT_DELTA, _GRANT_REPLY_TO, _GRANT_URGENT = _slot_setters(
+    PowerGrant, "delta reply_to urgent"
+)
+_ACK_REPLY_TO, _ACK_DELTA = _slot_setters(GrantAck, "reply_to delta")
+(_EXCESS_DELTA,) = _slot_setters(ExcessReport, "delta")
+
+
+def power_request(
+    src: Addr, dst: Addr, urgent: bool, alpha: float, iteration: int
+) -> PowerRequest:
+    """``PowerRequest(src=src, dst=dst, urgent=urgent, alpha=alpha,
+    iteration=iteration)``, built positionally."""
+    message: PowerRequest = _new_message(PowerRequest)
+    _SET_SRC(message, src)
+    _SET_DST(message, dst)
+    _SET_MSG_ID(message, next(_MESSAGE_COUNTER))
+    _SET_GOSSIP(message, ())
+    _REQUEST_URGENT(message, urgent)
+    _REQUEST_ALPHA(message, alpha)
+    _REQUEST_ITERATION(message, iteration)
+    message.__post_init__()
+    return message
+
+
+def power_grant(
+    src: Addr, dst: Addr, delta: float, reply_to: Optional[int], urgent: bool
+) -> PowerGrant:
+    """``PowerGrant(src=src, dst=dst, delta=delta, reply_to=reply_to,
+    urgent=urgent)``, built positionally."""
+    message: PowerGrant = _new_message(PowerGrant)
+    _SET_SRC(message, src)
+    _SET_DST(message, dst)
+    _SET_MSG_ID(message, next(_MESSAGE_COUNTER))
+    _SET_GOSSIP(message, ())
+    _GRANT_DELTA(message, delta)
+    _GRANT_REPLY_TO(message, reply_to)
+    _GRANT_URGENT(message, urgent)
+    message.__post_init__()
+    return message
+
+
+def grant_ack(src: Addr, dst: Addr, reply_to: Optional[int], delta: float) -> GrantAck:
+    """``GrantAck(src=src, dst=dst, reply_to=reply_to, delta=delta)``,
+    built positionally."""
+    message: GrantAck = _new_message(GrantAck)
+    _SET_SRC(message, src)
+    _SET_DST(message, dst)
+    _SET_MSG_ID(message, next(_MESSAGE_COUNTER))
+    _SET_GOSSIP(message, ())
+    _ACK_REPLY_TO(message, reply_to)
+    _ACK_DELTA(message, delta)
+    message.__post_init__()
+    return message
+
+
+def excess_report(src: Addr, dst: Addr, delta: float) -> ExcessReport:
+    """``ExcessReport(src=src, dst=dst, delta=delta)``, built positionally."""
+    message: ExcessReport = _new_message(ExcessReport)
+    _SET_SRC(message, src)
+    _SET_DST(message, dst)
+    _SET_MSG_ID(message, next(_MESSAGE_COUNTER))
+    _SET_GOSSIP(message, ())
+    _EXCESS_DELTA(message, delta)
+    message.__post_init__()
+    return message
+
+
 __all__ = [
     "Addr",
     "ExcessReport",
@@ -238,5 +329,9 @@ __all__ = [
     "PowerGrant",
     "PowerRequest",
     "ReleaseDirective",
+    "excess_report",
+    "grant_ack",
     "next_message_id",
+    "power_grant",
+    "power_request",
 ]

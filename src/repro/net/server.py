@@ -10,16 +10,14 @@ load stays bounded (§1, benefit 2).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.net.messages import Addr, Message
 from repro.net.network import Network
 from repro.sim.engine import Engine
-from repro.sim.events import EventBase, Timeout
-from repro.sim._stop import stop_process
-from repro.sim.process import Interrupt, Process
+from repro.sim.events import PRIORITY_URGENT, Callback, EventBase
 from repro.sim.resources import Store
 
 #: A handler consumes a request and returns zero or more reply messages.
@@ -72,33 +70,60 @@ class RequestServer:
         #: Observability counters.
         self.requests_served = 0
         self.busy_time = 0.0
-        self._process: Optional[Process] = None
+        #: The running loop's number (0 while stopped).  Each start
+        #: takes a fresh one, so a start hop queued before a stop stays
+        #: a no-op after a restart.
+        self._run = 0
+        self._runs = 0
+        #: The inbox hand-off of the request in hand: the getter the
+        #: loop waits on, then the request's token while it is served.
+        #: ``None`` when stopped, so entries a stopped loop left queued
+        #: do nothing when they surface.
+        self._get_event: Optional[EventBase] = None
 
     # -- lifecycle ------------------------------------------------------------
 
-    def start(self) -> Process:
-        """Launch the service loop."""
-        if self._process is not None and self._process.is_alive:
+    def start(self) -> None:
+        """Launch the service loop.
+
+        Its first inbox wait runs one urgent zero-delay hop later, as a
+        generator process's first step would.
+        """
+        if self._run:
             raise RuntimeError(f"{self.name} already running")
         # A stopped server detached its endpoint; re-attach on restart.
         if self.network.inbox_of(self.addr) is not self.inbox:
             self.network.attach(self.addr, self.inbox)
-        self._process = self.engine.process(self._serve(), name=self.name)
-        return self._process
+        self._runs += 1
+        self._run = self._runs
+        Callback(
+            self.engine,
+            0.0,
+            self._begin,
+            self._run,
+            name="server.start",
+            priority=PRIORITY_URGENT,
+        )
 
     def stop(self) -> None:
         """Kill the service loop (e.g. node failure).  Queued and future
-        messages are lost, matching a crashed daemon.  The endpoint is
-        detached so a restarted replacement server can re-attach at the
-        same address (crash-restart)."""
-        if self._process is not None:
-            stop_process(self._process, "server stopped")
+        messages are lost, matching a crashed daemon; a request in
+        service is never handled.  The endpoint is detached so a
+        restarted replacement server can re-attach at the same address
+        (crash-restart)."""
+        self._run = 0
+        get_event = self._get_event
+        if get_event is not None:
+            self._get_event = None
+            # Withdraw a pending get: left registered, it would take the
+            # first request delivered after a restart, for a dead loop.
+            self.inbox.cancel_get(get_event)
         self.inbox.drain()
         self.network.detach(self.addr)
 
     @property
     def is_running(self) -> bool:
-        return self._process is not None and self._process.is_alive
+        return self._run != 0
 
     @property
     def queue_depth(self) -> int:
@@ -125,27 +150,42 @@ class RequestServer:
             return lo
         return lo + (hi - lo) * self._rng.random()
 
-    def _serve(self) -> Generator[EventBase, Any, None]:
-        # Hoist per-request constants: this loop resumes once per message
-        # cluster-wide, making it one of the hottest generators in a run.
-        engine = self.engine
-        inbox = self.inbox
-        handler = self.handler
+    # The loop is a state machine on queue callbacks rather than a
+    # generator process: it resumes once per message cluster-wide, and a
+    # callback costs no generator frame switch.  It queues exactly what
+    # the generator loop did -- the urgent start hop, a queued hand-off
+    # for a request already waiting in the inbox, one entry per service
+    # -- so every simulated byte is the same.
+
+    def _begin(self, run: int) -> None:
+        if run == self._run:
+            self._wait()
+
+    def _wait(self) -> None:
+        """Take the next request: in place on its delivery, or queued."""
+        get_event = self.inbox.get()
+        assert get_event.callbacks is not None
+        get_event.callbacks.append(self._on_request)
+        self._get_event = get_event
+
+    def _on_request(self, get_event: EventBase) -> None:
+        if get_event is not self._get_event:
+            return  # handed over after a stop
+        cost = self._sample_service_time()
+        if cost > 0.0:
+            Callback(
+                self.engine, cost, self._served, get_event, cost, name="server.serve"
+            )
+        else:
+            self._served(get_event, cost)
+
+    def _served(self, get_event: EventBase, cost: float) -> None:
+        if get_event is not self._get_event:
+            return  # the server stopped mid-service
+        self.busy_time += cost
+        self.requests_served += 1
         send = self.network.send
-        sample = self._sample_service_time
-        try:
-            while True:
-                get_event = inbox.get()
-                message = yield get_event
-                cost = sample()
-                if cost > 0.0:
-                    yield Timeout(engine, cost)
-                self.busy_time += cost
-                self.requests_served += 1
-                for reply in handler(message):
-                    send(reply)
-        except Interrupt:
-            # Withdraw a pending get: left registered, it would take the
-            # first request delivered after a restart, for a dead loop.
-            inbox.cancel_get(get_event)
-            return
+        for reply in self.handler(get_event._value):
+            send(reply)
+        if get_event is self._get_event:  # the handler may stop its server
+            self._wait()

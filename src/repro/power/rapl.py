@@ -180,5 +180,10 @@ class SimulatedRapl(PowerCapInterface):
         self._last_read_time = self.engine._now
         self._last_read_energy = self.meter.energy_j()
         if self._noise > 0.0:
-            average *= 1.0 + float(self._rng.normal(0.0, self._noise))
+            # numpy's ``normal(0.0, s)`` is ``0.0 + s * z`` for the same
+            # ziggurat draw ``z``; the sum only turns ``-0.0`` into
+            # ``0.0``, which ``1.0 +`` cannot tell apart.  So this is the
+            # same factor and stream position, without the argument
+            # handling of ``normal`` (every power read draws one).
+            average *= 1.0 + self._noise * self._rng.standard_normal()
         return max(average, 0.0)

@@ -29,6 +29,7 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Engine, SimulationError, StopSimulation
 from repro.sim.schedulers import HeapScheduler
 from repro.sim.events import (
+    PRIORITY_URGENT,
     AllOf,
     AnyOf,
     Callback,
@@ -44,6 +45,7 @@ from repro.sim._stop import stop_process
 from repro.sim.streams import STREAM_TABLE, StreamSpec, lookup as lookup_stream
 
 __all__ = [
+    "PRIORITY_URGENT",
     "AllOf",
     "AnyOf",
     "Callback",

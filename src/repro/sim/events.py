@@ -223,7 +223,12 @@ class Callback(EventBase):
     (initialize, timeout, completion) plus a generator frame, while a
     ``Callback`` is a single queue entry whose processing is one direct
     call.  Message delivery and RAPL cap enforcement -- the simulation's
-    hottest paths -- run on these.
+    hottest paths -- run on these.  So do the long-lived actors every
+    SLURM or pool request passes through (the request server, the SLURM
+    client, the workload executor): each is a state machine whose steps
+    are callbacks, queuing one entry where its generator version waited
+    on one event -- a start hop at ``PRIORITY_URGENT``, a service, tick,
+    segment or deadline -- without a generator resume per step.
 
     The event triggers successfully with ``None``; waiters registered via
     ``callbacks`` are notified after ``fn`` returns, so a ``Callback`` can

@@ -47,9 +47,11 @@ class _Interruption(EventBase):
     It is delivered in place, at construction: a queued delivery would
     be a same-instant urgent hop whose only effect is deferring the
     resume behind other urgent events created in the same processing
-    step, and every interrupted body (workload re-phase, continuation
-    teardown) is node-local, so the earlier resume changes no
-    cross-node ordering.  That saves one hop per enforced cap change.
+    step, and every interrupted body (a stopped daemon's teardown, a
+    batched request continuation's) is node-local, so the earlier
+    resume changes no cross-node ordering.  The workload executor is no
+    longer interrupted: it runs on queue callbacks, and a cap change
+    cancels and reschedules its segment in place.
     """
 
     __slots__ = ()
@@ -61,9 +63,8 @@ class _Interruption(EventBase):
             raise RuntimeError(f"{process!r} has not started yet")
         if process._generator.gi_running:
             raise RuntimeError(f"{process!r} cannot interrupt itself")
-        # Inlined EventBase.__init__: every enforced cap change interrupts
-        # the workload executor, so interruptions are a per-iteration cost
-        # at scale.
+        # Inlined EventBase.__init__ (every stop of a daemon process
+        # interrupts it).
         self.engine = process.engine
         self.name = None
         self.callbacks = None

@@ -97,23 +97,42 @@ def spawn_states(seed: int, keys: np.ndarray[Any, Any]) -> np.ndarray[Any, Any]:
 
 
 @functools.lru_cache(maxsize=None)
-def _prepared_seed_type() -> type:
-    """A minimal ``ISeedSequence`` that hands PCG64 a precomputed state.
+def _prepared_seed() -> Any:
+    """The one ``ISeedSequence`` every prepared PCG64 is seeded through.
 
-    Defined on first use so that importing this module does not import
+    PCG64 keeps its seed object for ``spawn`` (which only a
+    ``SeedSequence`` supports, and nothing here calls), so a seed object
+    per stream -- holding a row view of the :func:`spawn_states` array --
+    would live as long as its generator: 30 002 of each in a 10 000-node
+    universe.  This one object hands each new PCG64 its precomputed state
+    and then lets go of it (see :func:`_prepared_pcg64`).  Defined on
+    first use so that importing this module does not import
     ``numpy.random``.
     """
 
     class PreparedSeed(np.random.bit_generator.ISeedSequence):
-        def __init__(self, state: np.ndarray[Any, Any]) -> None:
-            self.state = state
+        def __init__(self) -> None:
+            self.state: Any = None
 
         def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray[Any, Any]:
             if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
                 raise ValueError("a prepared stream seeds PCG64 only (4 uint64 words)")
-            return self.state
+            if self.state is None:
+                raise ValueError("a prepared seed is spent once its stream exists")
+            state: np.ndarray[Any, Any] = self.state
+            return state
 
-    return PreparedSeed
+    return PreparedSeed()
+
+
+def _prepared_pcg64(state: np.ndarray[Any, Any]) -> Any:
+    """A PCG64 seeded with a precomputed :func:`spawn_states` row."""
+    seed = _prepared_seed()
+    seed.state = state
+    try:
+        return np.random.PCG64(seed)
+    finally:
+        seed.state = None
 
 
 class RngRegistry:
@@ -149,12 +168,14 @@ class RngRegistry:
         if generator is None:
             state = self._prepared.pop(name, None)
             if state is None:
-                seed_seq = np.random.SeedSequence(
-                    entropy=self.seed, spawn_key=(stable_name_hash(name),)
+                bit_generator = np.random.PCG64(
+                    np.random.SeedSequence(
+                        entropy=self.seed, spawn_key=(stable_name_hash(name),)
+                    )
                 )
             else:
-                seed_seq = _prepared_seed_type()(state)
-            generator = np.random.Generator(np.random.PCG64(seed_seq))
+                bit_generator = _prepared_pcg64(state)
+            generator = np.random.Generator(bit_generator)
             self._streams[name] = generator
         return generator
 

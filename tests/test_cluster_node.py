@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.node import SimNode
 from repro.power.domain import SKYLAKE_6126_NODE
-from repro.sim.events import Timeout
+from repro.sim.events import Callback
 from repro.workloads.performance import runtime_at_constant_cap
 from repro.workloads.phases import Phase, Workload
 
@@ -119,19 +119,48 @@ class TestExecutor:
         node.start_workload()
         engine.run(until=5.0)
         cancelled_before = engine.cancelled_events
-        node.rapl.set_cap(140.0)  # enforced at once: interrupts the segment
+        node.rapl.set_cap(140.0)  # enforced at once: re-times the segment
         engine.run(until=6.0)
         assert engine.cancelled_events > cancelled_before
-        # Drain the queue: no live timeout may be left that nobody waits on.
-        orphans = []
+        # Drain the queue: the only live segment end is the one the
+        # executor runs on; no other is left that nobody waits on.
+        executor = node.executor
+        live = []
         while (item := engine._scheduler.pop()) is not None:
             event = item[3]
-            if isinstance(event, Timeout) and not event._cancelled and not event.callbacks:
-                orphans.append(event)
-        assert orphans == []
+            if isinstance(event, Callback) and event.name == "exec.segment":
+                live.append(event)
+        assert live == [executor._segment]
 
 
 class TestKill:
+    def test_kill_before_the_first_step(self, engine, node):
+        node.assign_workload(workload(demand=110.0, work=10.0))
+        node.start_workload()  # its first step is one queued hop away
+        node.kill()
+        engine.run(until=20.0)
+        executor = node.executor
+        assert not executor.is_running
+        assert executor.finished_at is None and not executor.done.triggered
+        assert executor.settled.triggered
+        assert executor.progress_fraction == 0.0
+        assert node.rapl.instantaneous_power_w == 0.0
+        assert engine.cancelled_events == 0  # no segment was ever queued
+
+    def test_kill_mid_segment_cancels_it(self, engine, node):
+        node.assign_workload(workload(demand=110.0, work=10.0))
+        node.start_workload()
+        engine.run(until=5.0)
+        cancelled_before = engine.cancelled_events
+        node.kill()
+        assert engine.cancelled_events == cancelled_before + 1
+        node.rapl.set_cap(140.0)  # a later cap change resumes nothing
+        engine.run(until=200.0)
+        executor = node.executor
+        assert not executor.is_running and executor.killed
+        assert executor.finished_at is None and not executor.done.triggered
+        assert node.rapl.instantaneous_power_w == 0.0
+
     def test_kill_stops_execution_and_zeroes_power(self, engine, node):
         node.assign_workload(workload(demand=110.0, work=100.0))
         node.start_workload()

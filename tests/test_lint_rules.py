@@ -212,6 +212,74 @@ class TestR9Protocol:
             assert "Raw" not in finding.message
 
 
+    def test_builder_calls_count_as_constructions(self, tmp_path):
+        # A messages.py function annotated to return a message class
+        # builds one: Built is live through its builder alone (its
+        # isinstance arm is not dead), and Stray, built the same way but
+        # never handled, is flagged at the builder call.
+        for package in ("repro", "repro/core", "repro/net"):
+            (tmp_path / package).mkdir(parents=True)
+            (tmp_path / package / "__init__.py").write_text("")
+        (tmp_path / "repro/net/messages.py").write_text(R9_BUILDER_MESSAGES)
+        (tmp_path / "repro/core/node.py").write_text(R9_BUILDER_NODE)
+        report = lint_paths(
+            [tmp_path / "repro"], rule_ids=["R9"], config=LintConfig(), project=True
+        )
+        assert located(report, "R9") == [("core/node.py", 8)]
+        assert "Stray" in report.findings[0].message
+
+
+R9_BUILDER_MESSAGES = '''"""Protocol surface built through positional builders."""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Message:
+    src: int = 0
+    dst: int = 0
+
+
+@dataclass(frozen=True)
+class Built(Message):
+    """Constructed only through its builder, and handled: fully live."""
+
+
+@dataclass(frozen=True)
+class Stray(Message):
+    """Constructed only through its builder, never handled."""
+
+
+def built(src: int, dst: int) -> Built:
+    return Built(src, dst)
+
+
+def stray(src: int, dst: int) -> "Stray":
+    return Stray(src, dst)
+
+
+def describe(message: Message) -> str:
+    return type(message).__name__
+'''
+
+R9_BUILDER_NODE = '''"""Sends through the builders; handles Built only."""
+
+from repro.net.messages import Built, built, describe, stray
+
+
+def send(network):
+    network.send(built(0, 1))
+    network.send(stray(0, 1))
+    return describe(built(1, 0))
+
+
+def handle(message):
+    if isinstance(message, Built):
+        return True
+    return False
+'''
+
+
 class TestR10StreamGraph:
     def test_bad_tree_exact_locations(self):
         report = project_report("project_r10", ["R10"])

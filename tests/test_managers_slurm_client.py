@@ -258,21 +258,39 @@ class TestLifecycle:
         assert rig.client.cap_w == pytest.approx(INITIAL + 12.0)
 
 
+def spy_deadlines(rig):
+    """Every request deadline the client arms from now on, in order."""
+    deadlines = []
+    push = rig.engine._push
+
+    def spying_push(entry):
+        if getattr(entry[3], "name", None) == "slurm.client.deadline":
+            deadlines.append(entry[3])
+        push(entry)
+
+    rig.engine._push = spying_push
+    return deadlines
+
+
+def spy_requests(rig):
+    """Every PowerRequest the client sends from now on."""
+    requests = []
+    send = rig.network.send
+
+    def spying_send(message):
+        if isinstance(message, PowerRequest):
+            requests.append(message)
+        return send(message)
+
+    rig.network.send = spying_send
+    return requests
+
+
 class TestDeadlines:
     def test_granted_request_cancels_its_deadline(self):
-        # A response timeout unlike the tick period tells deadlines apart.
         config = SlurmConfig(stagger_start=False, response_timeout_s=0.9)
         rig = Rig(grant_w=12.0, config=config)
-        deadlines = []
-        make_timeout = rig.engine.timeout
-
-        def spy(delay, value=None):
-            timeout = make_timeout(delay, value)
-            if delay == config.timeout_s:
-                deadlines.append(timeout)
-            return timeout
-
-        rig.engine.timeout = spy
+        deadlines = spy_deadlines(rig)
         rig.set_draw(INITIAL)
         cancelled_before = rig.engine.cancelled_events
         rig.run_periods(1)
@@ -289,31 +307,72 @@ class TestDeadlines:
         config = SlurmConfig(stagger_start=False, response_timeout_s=0.9)
         rig = Rig(grant_w=12.0, config=config)
         rig.network.mark_dead(SERVER.node)
-        deadlines = []
-        make_timeout = rig.engine.timeout
-
-        def spy(delay, value=None):
-            timeout = make_timeout(delay, value)
-            if delay == config.timeout_s:
-                deadlines.append(timeout)
-            return timeout
-
-        rig.engine.timeout = spy
+        deadlines = spy_deadlines(rig)
         rig.set_draw(INITIAL)
         rig.engine.run(until=config.period_s + 0.5)
         assert len(deadlines) == 1 and not deadlines[0].processed
         rig.client.stop()
-        rig.engine.run(until=rig.engine.now + 0.1)  # deliver the interrupt
         assert not rig.client.is_running
         assert deadlines[0]._cancelled
+        rig.engine.run(until=rig.engine.now + 2 * config.period_s)
+        # Nothing of the abandoned wait acts later: no timeout is counted.
+        assert "slurm.client.request_timeouts" not in rig.client.recorder.counters
+
+    def test_reply_between_deadline_and_wake_up_counts_as_the_grant(self):
+        # The deadline fires, and a grant lands at that same instant
+        # before the wake-up the deadline queues.  A FirstOf wait took
+        # that grant as the answer; so must the client.
+        config = SlurmConfig(stagger_start=False, response_timeout_s=0.9)
+        rig = Rig(config=config, server_running=False)
+        deadlines = spy_deadlines(rig)
+        requests = spy_requests(rig)
+        rig.set_draw(INITIAL)
+        rig.engine.run(until=config.period_s + 0.5)
+        assert len(deadlines) == 1 and len(requests) == 1
+        request = requests[0]
+        fired_at = []
+
+        def late_grant(deadline):
+            fired_at.append(rig.engine.now)
+            rig.client.inbox.try_put(
+                PowerGrant(
+                    src=SERVER, dst=request.src, delta=12.0, reply_to=request.msg_id
+                )
+            )
+
+        deadlines[0].callbacks.append(late_grant)
+        rig.engine.run(until=config.period_s + 0.95)  # before the next tick
+        assert fired_at == [pytest.approx(config.period_s + config.timeout_s)]
+        turnaround = rig.client.recorder.turnarounds[-1]
+        assert not turnaround.timed_out
+        assert turnaround.granted_w == pytest.approx(12.0)
+        assert turnaround.wait_s == pytest.approx(config.timeout_s)
+        assert rig.client.applied_grants_w == pytest.approx(12.0)
+        assert rig.client.cap_w == pytest.approx(INITIAL + 12.0)
+        assert "slurm.client.request_timeouts" not in rig.client.recorder.counters
+
+    def test_deadline_without_a_reply_times_out_at_its_wake_up(self):
+        config = SlurmConfig(stagger_start=False, response_timeout_s=0.9)
+        rig = Rig(config=config, server_running=False)
+        deadlines = spy_deadlines(rig)
+        rig.set_draw(INITIAL)
+        rig.engine.run(until=config.period_s + 0.95)  # before the next tick
+        assert len(deadlines) == 1 and deadlines[0].processed
+        turnaround = rig.client.recorder.turnarounds[-1]
+        assert turnaround.timed_out and turnaround.granted_w == 0.0
+        assert rig.client.recorder.counters["slurm.client.request_timeouts"] == 1
+        # The abandoned getter left with the timeout: the next message
+        # goes to the inbox, where the next tick drains it.
+        assert rig.client.inbox._getters == []
 
 
 class TestLeanWait:
     def test_no_condition_built_while_a_run_dispatches(self, monkeypatch):
-        # Every server wait is a FirstOf: a full AnyOf/AllOf condition
-        # built inside the event loop means a client fell back to
-        # engine.any_of.  (run_to_completion builds its own AnyOf before
-        # the loop starts, which this count leaves out.)
+        # Every server wait is a plain queue callback: a full AnyOf/AllOf
+        # condition (or even a FirstOf) built inside the event loop means
+        # a client fell back to a composite wait.  (run_to_completion
+        # builds its own AnyOf before the loop starts, which this count
+        # leaves out.)
         from repro.experiments.harness import RunSpec, run_single
         from repro.sim import events
 
@@ -343,7 +402,7 @@ class TestLeanWait:
         monkeypatch.setattr(Engine, "_dispatch", counting_dispatch)
         monkeypatch.setattr(events._Condition, "__init__", counting_condition)
         monkeypatch.setattr(events.FirstOf, "__init__", counting_first_of)
-        run_single(
+        result = run_single(
             RunSpec(
                 manager="slurm",
                 pair=("EP", "DC"),
@@ -352,5 +411,7 @@ class TestLeanWait:
                 workload_scale=0.05,
             )
         )
-        assert counts["first_of"] > 0
-        assert counts["conditions"] == 0
+        # The clients did wait on the server ...
+        assert result.recorder.turnarounds
+        # ... and none of those waits built a composite event.
+        assert counts == {"conditions": 0, "first_of": 0}

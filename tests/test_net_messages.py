@@ -4,15 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+import dataclasses
+
 from repro.net.messages import (
     PORT_DECIDER,
     PORT_POOL,
     Addr,
     ExcessReport,
+    GrantAck,
     PowerGrant,
     PowerRequest,
     ReleaseDirective,
+    excess_report,
+    grant_ack,
     next_message_id,
+    power_grant,
+    power_request,
 )
 
 
@@ -92,3 +99,59 @@ class TestReleaseDirective:
         directive = ReleaseDirective(src=addr(9), dst=addr(0), on_behalf_of=4)
         assert directive.kind == "ReleaseDirective"
         assert directive.on_behalf_of == 4
+
+
+class TestPositionalBuilders:
+    """Each builder is its class's keyword constructor, built faster."""
+
+    CASES = [
+        (
+            lambda: power_request(addr(0), addr(1, PORT_POOL), True, 12.5, 7),
+            lambda: PowerRequest(
+                src=addr(0), dst=addr(1, PORT_POOL), urgent=True, alpha=12.5, iteration=7
+            ),
+        ),
+        (
+            lambda: power_grant(addr(1, PORT_POOL), addr(0), 3.0, 41, True),
+            lambda: PowerGrant(
+                src=addr(1, PORT_POOL), dst=addr(0), delta=3.0, reply_to=41, urgent=True
+            ),
+        ),
+        (
+            lambda: grant_ack(addr(0), addr(1, PORT_POOL), 41, 3.0),
+            lambda: GrantAck(src=addr(0), dst=addr(1, PORT_POOL), reply_to=41, delta=3.0),
+        ),
+        (
+            lambda: excess_report(addr(0), addr(1), 9.0),
+            lambda: ExcessReport(src=addr(0), dst=addr(1), delta=9.0),
+        ),
+    ]
+
+    @pytest.mark.parametrize("build, reference", CASES, ids=["request", "grant", "ack", "excess"])
+    def test_same_fields_and_next_id(self, build, reference):
+        expected = reference()
+        built = build()
+        assert type(built) is type(expected)
+        assert built.msg_id == expected.msg_id + 1  # drawn from the same counter
+        for field in dataclasses.fields(expected):
+            if field.name != "msg_id":
+                assert getattr(built, field.name) == getattr(expected, field.name)
+        assert built.gossip == ()
+        assert built == dataclasses.replace(expected, msg_id=built.msg_id)
+
+    @pytest.mark.parametrize("build, reference", CASES, ids=["request", "grant", "ack", "excess"])
+    def test_built_messages_stay_frozen(self, build, reference):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            build().msg_id = 0
+
+    def test_post_init_checks_still_run(self):
+        with pytest.raises(ValueError):
+            power_request(addr(0), addr(1), False, 1.0, 0)
+        with pytest.raises(ValueError):
+            power_request(addr(0), addr(1), True, -1.0, 0)
+        with pytest.raises(ValueError):
+            power_grant(addr(1), addr(0), -1.0, None, False)
+        with pytest.raises(ValueError):
+            grant_ack(addr(0), addr(1), 3, -1.0)
+        with pytest.raises(ValueError):
+            excess_report(addr(0), addr(1), 0.0)

@@ -185,6 +185,60 @@ class TestLifecycle:
         engine.run()
         assert server.requests_served == 2
 
+    def test_stop_mid_service_never_handles_that_request(self, engine, net, rngs):
+        seen = []
+        server = make_server(
+            engine, net, rngs, handler=lambda m: (seen.append(m), ())[1],
+            service_time=(1.0, 1.0),
+        )
+        server.start()
+        send_request(net, 0)
+        engine.run(until=0.5)  # in service until ~1.0
+        server.stop()
+        engine.run()  # the service's queued end surfaces and does nothing
+        assert seen == []
+        assert server.requests_served == 0 and server.busy_time == 0.0
+        # A crash-restart serves the next request normally.
+        server.start()
+        request = send_request(net, 1)
+        engine.run()
+        assert seen == [request]
+        assert server.requests_served == 1 and server.busy_time == 1.0
+
+    def test_restart_mid_service_serves_only_new_requests(self, engine, net, rngs):
+        # A standby taking over at the same address the instant the old
+        # loop dies (HA failover): the dead loop's queued service end must
+        # neither run the handler nor end the new loop's service early.
+        seen = []
+        server = make_server(
+            engine, net, rngs, handler=lambda m: (seen.append(m), ())[1],
+            service_time=(1.0, 1.0),
+        )
+        server.start()
+        send_request(net, 0)
+        engine.run(until=0.5)
+        server.stop()
+        server.start()
+        request = send_request(net, 1)
+        engine.run(until=1.2)  # past the dead loop's service end
+        assert seen == [] and server.requests_served == 0
+        engine.run()
+        assert seen == [request]
+        assert server.requests_served == 1
+        assert engine.now == pytest.approx(0.5 + 120e-6 + 1.0)
+
+    def test_stop_before_the_first_step(self, engine, net, rngs):
+        server = make_server(engine, net, rngs)
+        server.start()
+        server.stop()  # the start hop is still queued
+        assert not server.is_running
+        engine.run()
+        assert server.inbox._getters == []
+        server.start()
+        send_request(net)
+        engine.run()
+        assert server.requests_served == 1
+
     def test_utilization(self, engine, net, rngs):
         server = make_server(engine, net, rngs, service_time=(0.5, 0.5))
         server.start()

@@ -11,8 +11,11 @@ import pickle
 from dataclasses import dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.experiments.runner as runner
+import repro.instrumentation as instrumentation
 from repro.cluster.faults import FaultPlan
 from repro.core.config import PenelopeConfig
 from repro.experiments import faulty, serialize
@@ -27,6 +30,8 @@ from repro.experiments.runner import (
     spec_fingerprint,
 )
 from repro.instrumentation import (
+    PACKED_LAYOUT,
+    PACKED_PREFIX,
     ROW_TYPES,
     CapSample,
     LedgerSample,
@@ -286,15 +291,19 @@ def canonical(result) -> str:
 
 @pytest.fixture
 def row_constructions(monkeypatch):
-    """Count every row dataclass built while the test runs, by class name."""
+    """Count every recorder row built while the test runs, by class name.
+
+    The recorder builds rows through ``instrumentation._new_row``
+    (recording and lazy decoding alike), so counting there sees them all.
+    """
     counts = {cls.__name__: 0 for cls in ROW_TYPES.values()}
-    for cls in ROW_TYPES.values():
+    new_row = instrumentation._new_row
 
-        def init(self, *args, _cls=cls, _original=cls.__init__, **kwargs):
-            counts[_cls.__name__] += 1
-            _original(self, *args, **kwargs)
+    def counting_new_row(cls, fields):
+        counts[cls.__name__] += 1
+        return new_row(cls, fields)
 
-        monkeypatch.setattr(cls, "__init__", init)
+    monkeypatch.setattr(instrumentation, "_new_row", counting_new_row)
     return counts
 
 
@@ -304,16 +313,35 @@ def primed_path(tmp_path, result):
     return ResultCache(tmp_path, COUNTED_SINGLE).store(fingerprint, TINY, result)
 
 
+def split_file(path):
+    """A cache file's header (parsed), its body bytes, and the body's
+    packed head line (parsed)."""
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    header = json.loads(data[:newline])
+    body = data[newline + 1 :]
+    return header, body, json.loads(body[: body.index(b"\n")])
+
+
 class TestHeaderBodyLayout:
-    def test_two_lines_header_then_row_body(self, tmp_path, fresh):
+    def test_header_line_then_packed_body(self, tmp_path, fresh):
         path = primed_path(tmp_path, fresh)
-        head, body = path.read_text().split("\n")
-        header = json.loads(head)
+        header, body, head = split_file(path)
         assert set(header) == {"fingerprint", "kind", "spec", "result", "body_sha256"}
         assert header["fingerprint"] == path.stem
         assert set(header["result"]["recorder"]) == {"record_caps", "counters"}
-        assert set(json.loads(body)) == set(ROW_TYPES)
-        assert header["body_sha256"] == hashlib.sha256(body.encode()).hexdigest()
+        assert header["body_sha256"] == hashlib.sha256(body).hexdigest()
+        assert body.startswith(PACKED_PREFIX)
+        assert head["layout"] == PACKED_LAYOUT
+        assert set(head["tables"]) == set(ROW_TYPES)
+        for table, (count, specs) in head["tables"].items():
+            assert count == len(getattr(fresh.recorder, table)) > 0
+            assert len(specs) == len(ROW_TYPES[table]._fields)
+        # Numeric and bool columns are packed bytes, not JSON text; the
+        # kinds and names of the rows sit in the head's string tables.
+        assert head["tables"]["transactions"][1] == [
+            "d", ["s", "B", head["tables"]["transactions"][1][1][2]], "q", "q", "d", "?",
+        ]
 
     def test_kind_without_recorder_has_an_empty_body(self, tmp_path):
         run_sweep([StubSpec(3)], kind=STUB, cache_dir=tmp_path)
@@ -327,6 +355,14 @@ class TestHeaderBodyLayout:
         results = run_sweep([TINY], kind=COUNTED_SINGLE, cache_dir=tmp_path)
         assert CALLS == []
         assert canonical(results[0]) == canonical(fresh)
+
+
+def assert_good_file(path):
+    """``path`` is a whole cache file: its body matches its digest and
+    unpacks."""
+    header, body, _ = split_file(path)
+    assert header["body_sha256"] == hashlib.sha256(body).hexdigest()
+    instrumentation.unpack_columns(body)
 
 
 class TestBodyCorruption:
@@ -343,31 +379,33 @@ class TestBodyCorruption:
         CALLS.clear()
         run_sweep([TINY], kind=COUNTED_SINGLE, cache_dir=tmp_path)
         assert CALLS == []  # and the rewritten entry is good again
-        assert path.read_text().count("\n") == 1
+        assert_good_file(path)
 
     def test_truncated_body(self, tmp_path, fresh):
         path = primed_path(tmp_path, fresh)
-        text = path.read_text()
-        head_len = text.index("\n") + 1
-        path.write_text(text[: head_len + (len(text) - head_len) // 2])
+        data = path.read_bytes()
+        head_len = data.index(b"\n") + 1
+        path.write_bytes(data[: head_len + (len(data) - head_len) // 2])
         self._assert_miss_rerun_repair(tmp_path, path)
 
     def test_one_flipped_byte_in_the_body(self, tmp_path, fresh):
         path = primed_path(tmp_path, fresh)
         data = bytearray(path.read_bytes())
         at = data.index(b"\n") + 1 + (len(data) - data.index(b"\n")) // 2
-        data[at] = ord("7") if data[at] != ord("7") else ord("8")
+        data[at] ^= 0x01
         path.write_bytes(bytes(data))
         self._assert_miss_rerun_repair(tmp_path, path)
 
     def test_missing_body_line(self, tmp_path, fresh):
         path = primed_path(tmp_path, fresh)
-        path.write_text(path.read_text().split("\n")[0])
+        data = path.read_bytes()
+        path.write_bytes(data[: data.index(b"\n")])
         self._assert_miss_rerun_repair(tmp_path, path)
 
     def test_empty_body_line(self, tmp_path, fresh):
         path = primed_path(tmp_path, fresh)
-        path.write_text(path.read_text().split("\n")[0] + "\n")
+        data = path.read_bytes()
+        path.write_bytes(data[: data.index(b"\n") + 1])
         self._assert_miss_rerun_repair(tmp_path, path)
 
     def test_non_utf8_byte_in_the_header(self, tmp_path, fresh):
@@ -388,10 +426,19 @@ class TestBodyCorruption:
         path.write_text(serialize.canonical_json(legacy))
         self._assert_miss_rerun_repair(tmp_path, path)
 
+    def test_json_text_body_of_the_earlier_layout(self, tmp_path, fresh):
+        # Header, newline, then the rows as one canonical-JSON line, with
+        # a matching digest: whole, but in the layout earlier versions
+        # wrote.  It loads as a miss; the re-run rewrites it packed.
+        path = primed_path(tmp_path, fresh)
+        path.write_text(json_text_layout(path, fresh))
+        self._assert_miss_rerun_repair(tmp_path, path)
+        assert split_file(path)[1].startswith(PACKED_PREFIX)
 
-def text_layout(path, result) -> str:
-    """The cache file of ``result`` as text: the header line, a newline,
-    then the row body, each built from ``str`` and hashed as UTF-8."""
+
+def json_text_layout(path, result) -> str:
+    """The cache file of ``result`` in the earlier JSON-text layout: the
+    header line, a newline, then the row tables as canonical JSON."""
     encoded = serialize.encode(result)
     body = serialize.canonical_json(
         {table: encoded["recorder"].pop(table) for table in ROW_TYPES}
@@ -406,17 +453,34 @@ def text_layout(path, result) -> str:
     return serialize.canonical_json(header) + "\n" + body
 
 
+def packed_layout(path, result) -> bytes:
+    """The cache file of ``result`` built from its parts: the header
+    line, a newline, then the packed body."""
+    encoded = serialize.encode(result)
+    body = instrumentation.pack_rows(
+        {table: encoded["recorder"].pop(table) for table in ROW_TYPES}
+    )
+    header = {
+        "fingerprint": path.stem,
+        "kind": COUNTED_SINGLE.name,
+        "spec": serialize.encode(TINY),
+        "result": encoded,
+        "body_sha256": hashlib.sha256(body).hexdigest(),
+    }
+    return serialize.canonical_json(header).encode("utf-8") + b"\n" + body
+
+
 class TestBytesPath:
-    """A load reads the file as bytes and hands the raw body on unparsed;
-    files written as text and as bytes are the same file."""
+    """A load reads the file as bytes and hands the raw body on unpacked;
+    a file built from its parts is the file the cache writes."""
 
-    def test_store_writes_the_text_layout(self, tmp_path, fresh):
+    def test_store_writes_the_packed_layout(self, tmp_path, fresh):
         path = primed_path(tmp_path, fresh)
-        assert path.read_bytes() == text_layout(path, fresh).encode("utf-8")
+        assert path.read_bytes() == packed_layout(path, fresh)
 
-    def test_file_written_as_text_loads_as_an_undecoded_hit(self, tmp_path, fresh):
+    def test_file_built_from_parts_loads_as_an_undecoded_hit(self, tmp_path, fresh):
         path = primed_path(tmp_path, fresh)
-        path.write_text(text_layout(path, fresh))
+        path.write_bytes(packed_layout(path, fresh))
         loaded = ResultCache(tmp_path, COUNTED_SINGLE).load(
             spec_fingerprint(TINY, COUNTED_SINGLE)
         )
@@ -538,3 +602,89 @@ class TestLazyRecorder:
             assert type(vars(recorder)[table]) is list
             assert table not in vars(MetricsRecorder)  # no property in the way
         assert "_rows" not in vars(recorder)
+
+
+# -- the packed body codec -------------------------------------------------------
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_INTS = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
+_NAMES = st.text(max_size=12)
+#: Any JSON scalar a column may hold when its values mix types.
+_MIXED = st.one_of(_FLOATS.filter(lambda x: x == x), _INTS, st.booleans(), _NAMES)
+
+
+def _exact(value):
+    """A value with its type and, for floats, its bits spelled out."""
+    if type(value) is float:
+        return ("float", value.hex())
+    return (type(value).__name__, value)
+
+
+class TestPackedRows:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        transactions=st.lists(
+            st.tuples(_FLOATS, _NAMES, _INTS, _INTS, _FLOATS, st.booleans()), max_size=12
+        ),
+        turnarounds=st.lists(
+            st.tuples(_FLOATS, _INTS, _FLOATS, _FLOATS, st.booleans()), max_size=12
+        ),
+        caps=st.lists(st.tuples(_MIXED, _INTS, _MIXED), max_size=12),
+        samples=st.lists(st.tuples(_FLOATS, _NAMES, _FLOATS), max_size=12),
+    )
+    def test_round_trip_keeps_float_bits_ints_bools_and_strings(
+        self, transactions, turnarounds, caps, samples
+    ):
+        tables = {
+            "transactions": transactions,
+            "turnarounds": turnarounds,
+            "caps": caps,
+            "samples": samples,
+        }
+        body = instrumentation.pack_rows(tables)
+        assert body.startswith(PACKED_PREFIX)
+        columns = instrumentation.unpack_columns(body)
+        for table, rows in tables.items():
+            decoded = list(zip(*columns[table]))
+            assert [[_exact(v) for v in row] for row in decoded] == [
+                [_exact(v) for v in row] for row in rows
+            ]
+        recorder = MetricsRecorder.from_rows(True, {}, body)
+        for table, rows in tables.items():
+            assert [
+                [_exact(v) for v in row] for row in getattr(recorder, table)
+            ] == [[_exact(v) for v in row] for row in rows]
+            assert all(type(row) is ROW_TYPES[table] for row in getattr(recorder, table))
+
+    def test_a_column_mixing_ints_and_floats_keeps_each_type(self):
+        body = instrumentation.pack_rows({"caps": [(0.0, 1, 160), (1.0, 1, 150.5)]})
+        head = json.loads(body[: body.index(b"\n")])
+        assert head["tables"]["caps"][1] == ["d", "q", ["j", [160, 150.5]]]
+        caps = MetricsRecorder.from_rows(True, {}, body).caps
+        assert [type(c.cap_w) for c in caps] == [int, float]
+
+    @pytest.mark.parametrize("cut", [1, 8, 9])
+    def test_a_short_body_does_not_unpack(self, fresh, cut):
+        body = instrumentation.pack_rows(fresh.recorder.row_tables())
+        with pytest.raises(ValueError):
+            instrumentation.unpack_columns(body[:-cut])
+        with pytest.raises(ValueError):
+            instrumentation.unpack_columns(body + b"\0" * cut)
+
+    def test_warm_hit_builds_no_rows_until_a_row_list_is_read(
+        self, tmp_path, fresh, row_constructions
+    ):
+        primed_path(tmp_path, fresh)
+        results = run_sweep([TINY], kind=COUNTED_SINGLE, cache_dir=tmp_path)
+        assert CALLS == []
+        recorder = results[0].recorder
+        assert results[0].runtime_s == fresh.runtime_s
+        assert recorder.counters == fresh.recorder.counters
+        assert sum(row_constructions.values()) == 0
+        assert "_rows" in vars(recorder)
+        transactions = recorder.transactions
+        assert transactions == fresh.recorder.transactions
+        assert row_constructions == {
+            cls.__name__: len(getattr(fresh.recorder, table))
+            for table, cls in ROW_TYPES.items()
+        }

@@ -120,6 +120,18 @@ class TestPrepare:
                 assert np.array_equal(got, want)
         assert prepared._prepared == {}
 
+    def test_prepared_streams_hold_no_seed_state(self):
+        # One shared seed object, emptied once each PCG64 is seeded: no
+        # per-stream seed object or spawn_states row outlives the build.
+        registry = RngRegistry(seed=2022)
+        registry.prepare(NAMES)
+        streams = [registry.stream(name) for name in NAMES]
+        seeds = {id(stream.bit_generator.seed_seq) for stream in streams}
+        assert len(seeds) == 1
+        assert streams[0].bit_generator.seed_seq.state is None
+        with pytest.raises(ValueError):
+            streams[0].bit_generator.seed_seq.generate_state(4, np.uint64)
+
     def test_restart_stream_created_later_draws_like_unprepared(self):
         prepared = RngRegistry(seed=2022)
         prepared.prepare(["penelope.pool.3"])

@@ -7,7 +7,8 @@ and the band the float must land in.  :func:`run_claims` runs each
 experiment once per (size, seed), reduces every row reading it, and
 judges each row's *mean* over its seeds against its band; the seed
 range is reported beside it.  ``python -m repro claims`` prints the
-table and exits 1 on any FAIL.
+table and exits 1 on any FAIL.  Every experiment runs through
+:func:`run_sweep`, so a warm cache replays the table without simulating.
 
 Two sizes exist.  ``bench`` runs the whole table in minutes on one
 core (10 clients, 6 pairs, 3 caps, quarter-length workloads; 256 nodes
@@ -40,7 +41,7 @@ from repro.experiments.harness import RunResult, RunSpec, build_universe
 from repro.experiments.multijob import run_multijob_comparison
 from repro.experiments.nominal import PAPER_CAPS_W_PER_SOCKET, run_nominal_sweep
 from repro.experiments.overhead import run_overhead_experiment
-from repro.experiments.runner import raise_on_failures, run_sweep
+from repro.experiments.runner import SINGLE_RUN, TaskKind, raise_on_failures, run_sweep
 from repro.experiments.scaling import (
     PAPER_FREQUENCIES_HZ,
     PAPER_SCALES,
@@ -151,7 +152,7 @@ def _faulty(paper: bool, seed: int, runner: Runner) -> Any:
 
 
 def _overhead(paper: bool, seed: int, runner: Runner) -> Any:
-    return run_overhead_experiment(workload_scale=1.0 if paper else 0.5, seed=seed)
+    return run_overhead_experiment(workload_scale=1.0 if paper else 0.5, seed=seed, **runner)
 
 
 def _frequency(paper: bool, seed: int, runner: Runner) -> Any:
@@ -193,8 +194,8 @@ def _pairs(paper: bool, seed: int, runner: Runner) -> Any:
     }
 
 
-def _runs(specs: Mapping[str, RunSpec], runner: Runner) -> Dict[str, RunResult]:
-    results = raise_on_failures(run_sweep(list(specs.values()), **runner), "claims")
+def _runs(specs: Mapping[Any, Any], runner: Runner, kind: TaskKind = SINGLE_RUN) -> Dict[Any, Any]:
+    results = raise_on_failures(run_sweep(list(specs.values()), kind, **runner), "claims")
     return dict(zip(specs, results))
 
 
@@ -261,12 +262,12 @@ def _ha(paper: bool, seed: int, runner: Runner) -> Any:
 
 def _hardware(paper: bool, seed: int, runner: Runner) -> Any:
     """app -> manager -> throughput on 21 nodes at a tight 45 W/socket."""
-    managers, scale = ("penelope", "slurm", "slurm-ha"), 1.0 if paper else 0.3
+    size = dict(total_nodes=21, budget_w=21 * 2 * 45.0, workload_scale=1.0 if paper else 0.3)
     return {
         app: {
             manager: result.throughput
             for manager, result in compare_hardware_efficiency(
-                managers, app=app, workload_scale=scale, budget_w=21 * 2 * 45.0, seed=seed
+                app=app, seed=seed, **size, **runner
             ).items()
         }
         for app in ("CG", "EP")
@@ -280,30 +281,52 @@ def _multijob(paper: bool, seed: int, runner: Runner) -> Any:
     )
 
 
-def _numa_workload(imbalance: float, scale: float) -> Workload:
-    """Eight lockstep phases whose demand leans ``imbalance`` to one socket."""
-    return Workload("NUMA", tuple(
-        Phase(f"solve[{i}]", 12.0 * scale, 105.0, beta=0.85, imbalance=imbalance)
-        for i in range(8)
+@dataclass(frozen=True)
+class SocketSplitSpec:
+    """Penelope on 8 nodes, each running eight lockstep phases whose demand
+    leans ``imbalance`` to one socket, split between sockets by ``policy``."""
+
+    imbalance: float
+    policy: str
+    seed: int = 0
+    workload_scale: float = 1.0
+
+
+@dataclass(frozen=True)
+class SocketSplitResult:
+    runtime_s: float
+
+
+def run_socket_split(spec: SocketSplitSpec) -> SocketSplitResult:
+    """Run ``spec`` to completion at 70 W/socket and audit it."""
+    scale, imbalance = spec.workload_scale, spec.imbalance
+    workload = Workload("NUMA", tuple(
+        Phase(f"solve[{i}]", 12.0 * scale, 105.0, beta=0.85, imbalance=imbalance) for i in range(8)
     ))
+    _, cluster, manager = build_universe(
+        "penelope", 8, 8 * 2 * 70.0, spec.seed, lambda rngs: dict.fromkeys(range(8), workload)
+    )
+    for node in cluster.compute_nodes():
+        node.rapl.socket_split_policy = spec.policy
+    manager.start()
+    runtime = cluster.run_to_completion()
+    manager.audit().check()
+    manager.stop()
+    return SocketSplitResult(runtime)
+
+
+#: :func:`run_socket_split` as a sweep-runner task kind.
+SOCKET_SPLIT_RUN = TaskKind("socket-split", run_socket_split, SocketSplitSpec, SocketSplitResult)
 
 
 def _socket_split(paper: bool, seed: int, runner: Runner) -> Any:
-    """(imbalance, split policy) -> Penelope runtime on 8 lockstep nodes."""
-    n_nodes, scale = 8, 1.0 if paper else 0.4
-    runtimes = {}
-    for imbalance in (0.0, 0.3):
-        for policy in ("even", "proportional"):
-            _, cluster, manager = build_universe(
-                "penelope", n_nodes, n_nodes * 2 * 70.0, seed,
-                lambda rngs: {n: _numa_workload(imbalance, scale) for n in range(n_nodes)},
-            )
-            for node in cluster.compute_nodes():
-                node.rapl.socket_split_policy = policy
-            manager.start()
-            runtimes[(imbalance, policy)] = cluster.run_to_completion()
-            manager.audit().check()
-    return runtimes
+    """(imbalance, split policy) -> Penelope runtime."""
+    specs = {
+        (imbalance, policy): SocketSplitSpec(imbalance, policy, seed, 1.0 if paper else 0.4)
+        for imbalance in (0.0, 0.3)
+        for policy in ("even", "proportional")
+    }
+    return {key: r.runtime_s for key, r in _runs(specs, runner, SOCKET_SPLIT_RUN).items()}
 
 
 EXPERIMENTS: Dict[str, Callable[[bool, int, Runner], Any]] = {

@@ -25,9 +25,11 @@ regimes shows when benefit 3 is worth real throughput and when it is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Any, Dict, Sequence
 
-from repro.experiments.harness import app_workloads, build_universe, extra_nodes
+from repro.experiments.harness import RunSpec, extra_nodes, pair_workloads
+from repro.experiments.runner import raise_on_failures, run_sweep
+from repro.sim.rng import RngRegistry
 
 
 @dataclass(frozen=True)
@@ -46,57 +48,42 @@ class ThroughputResult:
         return self.compute_nodes * self.work_per_client_s / self.makespan_s
 
 
-def run_hardware_efficiency(
-    manager_name: str,
+def compare_hardware_efficiency(
+    managers: Sequence[str] = ("penelope", "slurm", "slurm-ha"),
     total_nodes: int = 21,
     budget_w: float = 21 * 2 * 70.0,
     app: str = "EP",
     workload_scale: float = 0.5,
     seed: int = 0,
-) -> ThroughputResult:
-    """Throughput of ``manager_name`` on fixed hardware and budget.
-
-    The manager's coordinator needs (0 / 1 / 2 nodes) come out of the
-    compute pool; the whole ``budget_w`` is divided among the remaining
-    clients.
-    """
-    withheld = extra_nodes(manager_name)
-    n_clients = total_nodes - withheld
-    if n_clients < 2:
-        raise ValueError("not enough hardware left to compute on")
-    _, cluster, manager = build_universe(
-        manager_name,
-        n_clients,
-        budget_w,
-        seed,
-        app_workloads(app, n_clients, workload_scale),
-        record_caps=True,
-    )
-    work_total = sum(
-        cluster.nodes[node_id].executor.workload.total_work_s
-        for node_id in range(n_clients)
-    )
-    manager.start()
-    makespan = cluster.run_to_completion()
-    manager.audit().check()
-    manager.stop()
-    return ThroughputResult(
-        manager=manager_name,
-        total_nodes=total_nodes,
-        compute_nodes=n_clients,
-        makespan_s=makespan,
-        work_per_client_s=work_total / n_clients,
-    )
-
-
-def compare_hardware_efficiency(
-    managers: Sequence[str] = ("penelope", "slurm", "slurm-ha"),
-    **kwargs,
+    **runner_kwargs: Any,
 ) -> Dict[str, ThroughputResult]:
-    return {
-        manager: run_hardware_efficiency(manager, **kwargs)
-        for manager in managers
-    }
+    """Throughput of each of ``managers`` on fixed hardware and budget.
+
+    Each manager's coordinator needs (0 / 1 / 2 nodes) come out of the
+    compute pool; the whole ``budget_w`` is divided among the remaining
+    clients.  ``runner_kwargs`` (``jobs``, ``cache_dir``, ...) pass
+    through to :func:`run_sweep`.
+    """
+    clients = {manager: total_nodes - extra_nodes(manager) for manager in managers}
+    if any(n < 2 for n in clients.values()):
+        raise ValueError("not enough hardware left to compute on")
+    specs = [
+        RunSpec(
+            manager, (app, app), budget_w / (2 * n), n_clients=n, seed=seed,
+            workload_scale=workload_scale, record_caps=True,
+        )
+        for manager, n in clients.items()
+    ]
+    results = raise_on_failures(run_sweep(specs, **runner_kwargs), "hardware")
+    throughputs = {}
+    for spec, result in zip(specs, results):
+        # Redrawn from the seed: the very workloads the run's clients got.
+        draw = pair_workloads(spec.pair, spec.n_clients, workload_scale)(RngRegistry(seed))
+        work = sum(workload.total_work_s for workload in draw.values())
+        throughputs[spec.manager] = ThroughputResult(
+            spec.manager, total_nodes, spec.n_clients, result.runtime_s, work / spec.n_clients
+        )
+    return throughputs
 
 
 def format_hardware_efficiency(results: Dict[str, ThroughputResult]) -> str:

@@ -1,9 +1,10 @@
-"""The one universe builder, and the single-run driver of Figs. 2 and 3.
+"""The one universe builder, and the single-run driver.
 
 :func:`build_universe` builds every simulated :class:`Cluster` universe
 the experiments run; they differ only in the workloads, manager config,
 loss rate, cap recording and power traces they pass it.  A
-:class:`RunSpec` fully describes one Fig. 2/3 measurement;
+:class:`RunSpec` fully describes one run of an application pair -- a
+Fig. 2/3 cell, a §4.2 overhead run, a benefit-3 throughput run;
 :func:`run_single` builds it with :func:`build_run`, runs to completion,
 audits the §2.1 constraints and returns a :class:`RunResult`.
 """
@@ -27,7 +28,6 @@ from repro.net.network import NetworkStats
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.workloads.apps import build_apps
 from repro.workloads.generator import assign_pair_to_cluster
 from repro.workloads.phases import Workload
 from repro.workloads.traces import PowerTrace
@@ -104,8 +104,8 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.manager not in MANAGER_FACTORIES:
             raise ValueError(f"unknown manager {self.manager!r}")
-        if self.n_clients < 2:
-            raise ValueError("need at least two client nodes for a pair")
+        if self.n_clients < 2 and not (self.n_clients == 1 and self.pair[0] == self.pair[1]):
+            raise ValueError("need at least two client nodes for a pair of different apps")
         if self.cap_w_per_socket <= 0:
             raise ValueError("cap must be positive")
         _check_config(self.manager, self.manager_config)
@@ -164,17 +164,11 @@ WorkloadDraw = Callable[[RngRegistry], Mapping[int, Workload]]
 
 def pair_workloads(pair: Tuple[str, str], n_clients: int, scale: float) -> WorkloadDraw:
     """§4.1's split: the first half of the clients runs ``pair[0]``, the
-    rest ``pair[1]``, each node its own jittered instance."""
+    rest ``pair[1]``, each node its own jittered instance.  A pair of one
+    app, ``(app, app)``, runs ``app`` on every client."""
     return lambda rngs: assign_pair_to_cluster(
         pair, range(n_clients), rng=rngs.stream("workload.jitter"), scale=scale
     ).workloads
-
-
-def app_workloads(app: str, n_clients: int, scale: float) -> WorkloadDraw:
-    """Every client runs its own jittered instance of ``app``."""
-    return lambda rngs: dict(
-        enumerate(build_apps([app] * n_clients, rng=rngs.stream("workload.jitter"), scale=scale))
-    )
 
 
 def build_universe(

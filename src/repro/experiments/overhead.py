@@ -15,12 +15,13 @@ expected end-to-end slowdown and nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import PenelopeConfig
-from repro.experiments.harness import app_workloads, build_universe
+from repro.experiments.harness import RunSpec
+from repro.experiments.runner import raise_on_failures, run_sweep
 from repro.workloads.apps import APP_NAMES
 
 
@@ -50,28 +51,21 @@ def run_overhead_experiment(
     seed: int = 0,
     workload_scale: float = 1.0,
     config: Optional[PenelopeConfig] = None,
+    **runner_kwargs: Any,
 ) -> OverheadResult:
     """Measure Penelope-on vs static-cap runtimes for every app (§4.2).
 
     The static cap is a one-node Fair run: Fair sets the cap once and runs
-    no daemons, so it adds no overhead.
+    no daemons, so it adds no overhead.  ``runner_kwargs`` (``jobs``,
+    ``cache_dir``, ...) pass through to :func:`run_sweep`.
     """
-
-    def runtime(manager_name: str, app: str, config: Optional[PenelopeConfig] = None) -> float:
-        _, cluster, manager = build_universe(
-            manager_name,
-            1,
-            cap_w_per_socket * 2,
-            seed,
-            app_workloads(app, 1, workload_scale),
-            manager_config=config,
-            record_caps=True,
+    size = dict(n_clients=1, seed=seed, workload_scale=workload_scale, record_caps=True)
+    specs = [
+        spec for app in apps for spec in (
+            RunSpec("fair", (app, app), cap_w_per_socket, **size),
+            RunSpec("penelope", (app, app), cap_w_per_socket, manager_config=config, **size),
         )
-        manager.start()
-        makespan = cluster.run_to_completion()
-        manager.audit().check()
-        manager.stop()
-        return makespan
-
-    runtimes = {app: (runtime("fair", app), runtime("penelope", app, config)) for app in apps}
-    return OverheadResult(cap_w_per_socket=cap_w_per_socket, runtimes=runtimes)
+    ]
+    runs = raise_on_failures(run_sweep(specs, **runner_kwargs), "overhead")
+    runtimes = [run.runtime_s for run in runs]
+    return OverheadResult(cap_w_per_socket, dict(zip(apps, zip(runtimes[::2], runtimes[1::2]))))

@@ -50,6 +50,7 @@ def assign_pair_to_cluster(
 ) -> PairAssignment:
     """Split ``node_ids`` in half: the first half runs ``pair[0]``, the
     second half ``pair[1]`` (first half gets the extra node when odd).
+    A pair whose halves are the same app may run on one node.
 
     Each node receives its own jittered workload instance -- nodes running
     the same app do not finish at exactly the same instant, just like the
@@ -57,9 +58,9 @@ def assign_pair_to_cluster(
     (:func:`~repro.workloads.apps.build_apps`), in node order.
     """
     ids = list(node_ids)
-    if len(ids) < 2:
-        raise ValueError("need at least two nodes to run a pair")
     first, second = pair
+    if len(ids) < 2 and not (ids and first.upper() == second.upper()):
+        raise ValueError("need at least two nodes to run a pair")
     half = (len(ids) + 1) // 2
     apps = [first] * half + [second] * (len(ids) - half)
     workloads = dict(zip(ids, build_apps(apps, rng=rng, scale=scale)))

@@ -1,8 +1,9 @@
 """The paper-claims table: its tier-1 rows, its shape and ``repro claims``.
 
 The tier-1 rows (§4.2 and Figs. 2/3) run here at the bench size on every
-seed they name; the whole table runs in CI (``repro claims --no-cache``),
-which also diffs its output against the copy in EXPERIMENTS.md.
+seed they name; the whole table runs in CI (``repro claims``, cold into a
+cache and then warm from it), which also diffs both outputs against the
+copy in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from repro.experiments.claims import (
     Claim,
     run_claims,
 )
+from repro.sim.config import BATCHED_TICKS_ENV
+from repro.sim.engine import Engine
 
 EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
 TIER1 = [claim for claim in CLAIMS if claim.tier1]
@@ -37,7 +40,10 @@ def published_table():
 
 @pytest.fixture(scope="module")
 def tier1_verdicts():
-    return run_claims("bench", TIER1)
+    # The published lines encode per-node decider ticks.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv(BATCHED_TICKS_ENV, raising=False)
+        return run_claims("bench", TIER1)
 
 
 class TestTier1Rows:
@@ -135,3 +141,25 @@ class TestCommand:
         monkeypatch.setattr(claims, "CLAIMS", (seed_claim("t.fail", Band(5.0, 6.0)),))
         assert main(["claims", "--no-cache"]) == 1
         assert capsys.readouterr().out.splitlines()[-1].endswith("FAIL")
+
+
+class TestCacheReplay:
+    @pytest.mark.parametrize(("experiment", "seed"), [
+        ("overhead", 0), ("hardware", 0), ("socket_split", 6),
+    ])
+    def test_a_warm_run_builds_no_engine(self, experiment, seed, monkeypatch, tmp_path):
+        built = 0
+        init = Engine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "__init__", counting_init)
+        runner = {"cache_dir": tmp_path}
+        cold = EXPERIMENTS[experiment](False, seed, runner)
+        assert built > 0
+        built = 0
+        assert EXPERIMENTS[experiment](False, seed, runner) == cold
+        assert built == 0

@@ -109,6 +109,11 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             RunSpec("fair", ("EP", "DC"), 0.0)
 
+    def test_one_client_runs_a_pair_of_one_app(self):
+        assert RunSpec("fair", ("EP", "EP"), 80.0, n_clients=1).budget_w == 160.0
+        with pytest.raises(ValueError):
+            RunSpec("fair", ("EP", "EP"), 80.0, n_clients=0)
+
 
 class TestBuildRun:
     def test_fair_uses_exactly_n_clients(self):

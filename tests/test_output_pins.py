@@ -33,6 +33,14 @@ from repro.experiments.hardware_efficiency import (
 )
 from repro.experiments.scaling import ScalingSpec, run_scaling_point
 from repro.experiments.serialize import canonical_json, encode
+from repro.sim.config import BATCHED_TICKS_ENV
+
+
+@pytest.fixture(autouse=True)
+def per_node_ticks(monkeypatch):
+    """The pins encode per-node decider ticks: run them with the
+    batched-ticks default off, whatever the environment says."""
+    monkeypatch.delenv(BATCHED_TICKS_ENV, raising=False)
 
 
 def _sha256(text: str) -> str:

@@ -60,6 +60,13 @@ class TestAssignment:
         with pytest.raises(ValueError):
             assign_pair_to_cluster(("EP", "DC"), [0])
 
+    def test_one_node_runs_a_pair_of_one_app(self):
+        assignment = assign_pair_to_cluster(("EP", "ep"), [3])
+        assert list(assignment.workloads) == [3]
+        assert assignment.nodes_running("EP") == [3]
+        with pytest.raises(ValueError):
+            assign_pair_to_cluster(("EP", "EP"), [])
+
     def test_all_paper_pairs_assignable(self):
         for pair in unique_pairs(APP_NAMES):
             assignment = assign_pair_to_cluster(pair, range(4))

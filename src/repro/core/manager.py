@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.core.batcher import TickBatcher
@@ -13,7 +12,7 @@ from repro.core.pool import PowerPool
 from repro.instrumentation import MetricsRecorder
 from repro.managers.base import PowerManager
 from repro.membership.detector import FailureDetector
-from repro.membership.view import MembershipTransition
+from repro.membership.view import TransitionLog
 from repro.net.roster import Roster
 
 
@@ -96,9 +95,9 @@ class PenelopeManager(PowerManager):
         self.deciders: Dict[int, LocalDecider] = {}
         #: Per-node failure detectors (populated when ``enable_membership``).
         self.detectors: Dict[int, FailureDetector] = {}
-        #: Transitions recorded by detector generations replaced via
-        #: revive (merged into :meth:`membership_transitions`).
-        self._retired_transitions: List[MembershipTransition] = []
+        #: Transition logs of detector generations replaced via revive
+        #: (the live ones are ``detectors[n].view.log``).
+        self.retired_logs: List[TransitionLog] = []
         #: Outstanding dead-node write-offs: node id -> watts (frozen cap
         #: + forfeited pool balance, recorded at kill, spent at revive).
         self.write_offs: Dict[int, float] = {}
@@ -149,10 +148,10 @@ class PenelopeManager(PowerManager):
             if previous is not None:
                 # Crash-restart: rejoin one incarnation past the dead
                 # generation so peers holding a ``dead`` entry accept the
-                # fresh ``alive`` announcement; keep the old view's
-                # transitions for the merged metrics timeline.
+                # fresh ``alive`` announcement; keep only the old view's
+                # transition log, for the chaos report.
                 incarnation = previous.view.incarnation + 1
-                self._retired_transitions.extend(previous.view.transitions)
+                self.retired_logs.append(previous.view.log)
             detector = FailureDetector(
                 cluster.engine,
                 cluster.network,
@@ -336,18 +335,6 @@ class PenelopeManager(PowerManager):
             decider._batcher.remove(decider)
             decider.start()
         self.recorder.bump("manager.clock_drifts")
-
-    # -- membership ---------------------------------------------------------------
-
-    def membership_transitions(self) -> List[MembershipTransition]:
-        """All membership state changes seen anywhere in the cluster,
-        across revive generations, in a deterministic global order (the
-        chaos detector-metrics input)."""
-        merged = list(self._retired_transitions)
-        for detector in self.detectors.values():
-            merged.extend(detector.view.transitions)
-        merged.sort(key=attrgetter("time", "observer", "subject"))
-        return merged
 
     # -- accounting --------------------------------------------------------------
 

@@ -53,7 +53,6 @@ from repro.sim import Callback, Engine
 
 if TYPE_CHECKING:  # pragma: no cover - break the core <-> membership cycle
     from repro.membership.detector import FailureDetector
-    from repro.membership.view import MembershipTransition
 
 
 def clamp_transaction(pool_w: float, rate: float, lower_w: float, upper_w: float) -> float:
@@ -367,7 +366,7 @@ class PowerPool:
         else:
             self.recorder.bump("pool.unknown_acks")
 
-    def _on_membership_transition(self, transition: "MembershipTransition") -> None:
+    def _on_membership_transition(self, subject: int, status: str, incarnation: int) -> None:
         """Escrow hook on the local membership view (membership mode only).
 
         A *confirm* (dead) is the detector's definitive verdict: every
@@ -377,12 +376,12 @@ class PowerPool:
         grant that was in fact applied is later reconciled by the
         late-ack reclaim path like any other refund.
         """
-        if transition.status != MEMBER_DEAD:
+        if status != MEMBER_DEAD:
             return
         doomed = [
             grant_id
             for grant_id, (_, requester, _) in self._escrow.items()
-            if requester == transition.subject
+            if requester == subject
         ]
         for grant_id in doomed:
             _, _, timer = self._escrow[grant_id]

@@ -22,6 +22,7 @@ own streams): same spec, same storm, same trajectory.
 
 from __future__ import annotations
 
+import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from repro.experiments.invariants import (
 )
 from repro.experiments.runner import TaskKind, run_sweep
 from repro.instrumentation import MetricsRecorder
+from repro.membership.view import STATUSES
 from repro.net.network import NetworkStats
 from repro.sim._stop import stop_process
 from repro.sim.config import SimConfig
@@ -314,33 +316,45 @@ def compute_detector_report(
       the last corrective transition bounds the re-convergence delay.
     """
     assert manager.cluster is not None
-    transitions = manager.membership_transitions()
     horizon = spec.duration_s
     intervals = plan.dead_intervals(horizon)
+    heals = plan.heal_times(horizon)
+    last_heal = heals[-1] if heals else None
 
-    # Index both sides by subject once.  ``transitions`` is time-sorted,
-    # so each subject's accusation times come out ascending.
+    # One pass over each observer's log, retired generations included,
+    # with no merge.  Each victim's accusation times are sorted at the end.
     dead_spans: Dict[int, List[Tuple[float, float]]] = {}
     for victim, start, end in intervals:
         dead_spans.setdefault(victim, []).append((start, end))
-    accused_at: Dict[int, List[float]] = {}
+    alive, suspect = STATUSES.index("alive"), STATUSES.index("suspect")
+    accused_at: Dict[int, List[float]] = {victim: [] for victim in dead_spans}
     false_suspects = 0
     false_confirms = 0
-    for t in transitions:
-        if t.status == "alive":
-            continue
-        accused_at.setdefault(t.subject, []).append(t.time)
-        if any(start <= t.time < end for start, end in dead_spans.get(t.subject, ())):
-            continue
-        if t.status == "suspect":
-            false_suspects += 1
-        elif t.status == "dead":
-            false_confirms += 1
+    n_transitions = 0
+    latest = -math.inf  # the latest transition anywhere
+    logs = [*manager.retired_logs, *(d.view.log for d in manager.detectors.values())]
+    for log in logs:
+        n_transitions += len(log)
+        latest = max(latest, max(log.times, default=latest))
+        for time, subject, code in zip(log.times, log.subjects, log.codes):
+            if code == alive:
+                continue
+            spans = dead_spans.get(subject)
+            if spans is not None:
+                accused_at[subject].append(time)
+                if any(start <= time < end for start, end in spans):
+                    continue
+            if code == suspect:
+                false_suspects += 1
+            else:
+                false_confirms += 1
+    for times in accused_at.values():
+        times.sort()
 
     latencies: List[float] = []
     missed = 0
     for victim, start, end in intervals:
-        times = accused_at.get(victim, [])
+        times = accused_at[victim]
         first = bisect_left(times, start)
         if first == len(times):
             missed += 1
@@ -363,19 +377,15 @@ def compute_detector_report(
                 converged = False
                 if status == "dead":
                     unrefuted += 1
-    heals = plan.heal_times(horizon)
-    last_heal = heals[-1] if heals else None
     convergence_after_heal_s: Optional[float] = None
     if last_heal is not None and converged:
-        corrective = [t.time for t in transitions if t.time >= last_heal]
-        convergence_after_heal_s = (
-            (max(corrective) - last_heal) if corrective else 0.0
-        )
+        # The latest transition at or after the heal, if any.
+        convergence_after_heal_s = latest - last_heal if latest >= last_heal else 0.0
     period = spec.membership_probe_period_s
     median_latency = statistics.median(latencies) if latencies else None
     return {
         "probe_period_s": period,
-        "n_transitions": len(transitions),
+        "n_transitions": n_transitions,
         "detections": len(latencies),
         "missed_detections": missed,
         "detection_latencies_s": latencies,

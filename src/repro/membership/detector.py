@@ -51,14 +51,8 @@ from repro.membership.messages import (
     MembershipPing,
     MembershipPingReq,
 )
-from repro.membership.view import (
-    ALIVE,
-    DEAD,
-    SUSPECT,
-    MemberView,
-    MembershipTransition,
-)
-from repro.net.messages import PORT_MEMBERSHIP, Addr, MembershipUpdate, Message
+from repro.membership.view import ALIVE, DEAD, SUSPECT, MemberView
+from repro.net.messages import PORT_MEMBERSHIP, Addr, MembershipUpdate, Message, membership_update
 from repro.net.network import Network
 from repro.net.roster import roster_of
 from repro.sim import (
@@ -177,9 +171,9 @@ class FailureDetector:
     def stop(self) -> None:
         """Crash/stop the detector (node kill or shutdown).
 
-        The view and its transition log survive -- the manager reads
-        them for metrics, and a crash-restart seeds the replacement
-        detector's incarnation from them.
+        The view survives until a crash-restart replaces this detector:
+        the replacement takes its incarnation from it, and the manager
+        keeps only the view's transition log (the chaos report's input).
         """
         if self._process is not None:
             stop_process(self._process)
@@ -384,7 +378,7 @@ class FailureDetector:
         # A fresher incarnation overrides a same-or-lower suspicion via
         # the normal rules; equal-incarnation suspicions are cleared by
         # the direct-contact path below.
-        self._apply_update(MembershipUpdate(subject, ALIVE, incarnation))
+        self._apply_update(membership_update(subject, ALIVE, incarnation))
         self._observe_alive(subject)
 
     # -- state-machine plumbing --------------------------------------------------
@@ -413,7 +407,7 @@ class FailureDetector:
             MembershipGossip(
                 src=self.addr,
                 dst=Addr(node, PORT_MEMBERSHIP),
-                gossip=(MembershipUpdate(node, status, incarnation),),
+                gossip=(membership_update(node, status, incarnation),),
             )
         )
         self.recorder.bump("membership.accusation_echoes")
@@ -422,27 +416,24 @@ class FailureDetector:
         self.recorder.bump("membership.probe_failures")
         if self.view.status_of(target) == ALIVE:
             self._apply_update(
-                MembershipUpdate(
-                    target, SUSPECT, self.view.incarnation_of(target)
-                )
+                membership_update(target, SUSPECT, self.view.incarnation_of(target))
             )
 
-    def _on_transition(self, transition: MembershipTransition) -> None:
-        subject = transition.subject
+    def _on_transition(self, subject: int, status: str, incarnation: int) -> None:
         timer = self._confirm_timers.pop(subject, None)
         if timer is not None and not timer.processed:
             timer.cancel()
-        if transition.status == SUSPECT:
+        if status == SUSPECT:
             self.recorder.bump("membership.suspects")
             self._confirm_timers[subject] = Callback(
                 self.engine,
                 self.config.membership_suspect_timeout_s * self.clock_scale,
                 self._confirm,
                 subject,
-                transition.incarnation,
+                incarnation,
                 name=f"membership.confirm[{self.node_id}->{subject}]",
             )
-        elif transition.status == DEAD:
+        elif status == DEAD:
             self.recorder.bump("membership.confirms")
         else:
             self.recorder.bump("membership.revivals")
@@ -454,4 +445,4 @@ class FailureDetector:
             self.view.status_of(subject) == SUSPECT
             and self.view.incarnation_of(subject) == incarnation
         ):
-            self._apply_update(MembershipUpdate(subject, DEAD, incarnation))
+            self._apply_update(membership_update(subject, DEAD, incarnation))

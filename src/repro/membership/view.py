@@ -34,7 +34,10 @@ flat columns indexed by slot -- a ``bytearray`` of status codes and an
 from a :class:`~repro.net.roster.RosterView` takes its slots from the
 roster's position index, built once per universe, instead of building
 its own.  The gossip buffer keeps its pending status, incarnation and
-remaining budget in columns over the same slots.
+remaining budget in columns over the same slots.  The transition log is
+columns too (:class:`TransitionLog`, ~25 bytes per accepted change): a
+storm of 512 nodes records ~170k changes, and a crash-restarted
+generation leaves behind its log and nothing else.
 """
 
 from __future__ import annotations
@@ -42,28 +45,31 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.messages import (
     MEMBER_ALIVE as ALIVE,
     MEMBER_DEAD as DEAD,
     MEMBER_SUSPECT as SUSPECT,
     MembershipUpdate,
+    membership_update,
 )
 from repro.net.roster import Roster, RosterView
 
 __all__ = [
     "ALIVE",
     "DEAD",
+    "STATUSES",
     "SUSPECT",
     "MemberView",
     "MembershipTransition",
+    "TransitionLog",
 ]
 
-#: Status names by column code.  ALIVE is code 0, so a zeroed column is
-#: the optimistic initial view.
-_STATUSES = (ALIVE, SUSPECT, DEAD)
-_CODES = {status: code for code, status in enumerate(_STATUSES)}
+#: Status names by column code (view and transition log).  ALIVE is code
+#: 0, so a zeroed column is the optimistic initial view.
+STATUSES = (ALIVE, SUSPECT, DEAD)
+_CODES = {status: code for code, status in enumerate(STATUSES)}
 _ALIVE, _SUSPECT, _DEAD = 0, 1, 2
 
 
@@ -76,13 +82,39 @@ def _code(status: str) -> int:
 
 @dataclass(frozen=True, slots=True)
 class MembershipTransition:
-    """One state change in one observer's view (the metrics unit)."""
+    """One state change in one observer's view, as a record (tests and
+    tools; the view itself logs columns)."""
 
     time: float
     observer: int
     subject: int
     status: str
     incarnation: int
+
+
+class TransitionLog:
+    """One observer's accepted state changes, in order, as four columns:
+    time, subject, status code and incarnation (25 bytes per change).
+    Iterating builds the :class:`MembershipTransition` records."""
+
+    __slots__ = ("observer", "times", "subjects", "codes", "incarnations")
+
+    def __init__(self, observer: int) -> None:
+        self.observer = observer
+        self.times = array("d")
+        self.subjects = array("q")
+        self.codes = bytearray()
+        self.incarnations = array("q")
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[MembershipTransition]:
+        observer = self.observer
+        for time, subject, code, incarnation in zip(
+            self.times, self.subjects, self.codes, self.incarnations
+        ):
+            yield MembershipTransition(time, observer, subject, STATUSES[code], incarnation)
 
 
 def _shared_roster(node_id: int, peers: Sequence[int]) -> Optional[Roster]:
@@ -176,10 +208,10 @@ class MemberView:
         self._extra_slots: Dict[int, int] = {}
         self._buckets: List[List[int]] = [[] for _ in range(gossip_budget + 1)]
         #: Every accepted state change, in order (chaos metrics input).
-        self.transitions: List[MembershipTransition] = []
-        #: Called with each transition as it happens (detector timers,
-        #: pool escrow hooks).
-        self.listeners: List[Callable[[MembershipTransition], None]] = []
+        self.log = TransitionLog(node_id)
+        #: Called with ``(subject, status, incarnation)`` of each change
+        #: as it happens (detector timers, pool escrow hooks).
+        self.listeners: List[Callable[[int, str, int], None]] = []
         #: Suspicions about *us* that we refuted by bumping incarnation.
         self.refutations = 0
         if initial_incarnation > 0:
@@ -189,7 +221,7 @@ class MemberView:
 
     def status_of(self, peer: int) -> str:
         slot = self._index.get(peer)
-        return ALIVE if slot is None else _STATUSES[self._status[slot]]
+        return ALIVE if slot is None else STATUSES[self._status[slot]]
 
     def not_alive(self) -> List[Tuple[int, str]]:
         """``(member, status)`` for every member not held alive, in slot order.
@@ -209,7 +241,7 @@ class MemberView:
                 slot = find(code, slot + 1)
         slots.sort()
         members = self._members
-        return [(members[slot], _STATUSES[status[slot]]) for slot in slots]
+        return [(members[slot], STATUSES[status[slot]]) for slot in slots]
 
     def incarnation_of(self, peer: int) -> int:
         slot = self._index.get(peer)
@@ -233,13 +265,16 @@ class MemberView:
     def has_pending_updates(self) -> bool:
         return self._pending_count > 0
 
+    @property
+    def transitions(self) -> List[MembershipTransition]:
+        """The log as records, built on each call (tests and tools)."""
+        return list(self.log)
+
     # -- state machine -------------------------------------------------------
 
-    def apply(
-        self, update: MembershipUpdate, now: float
-    ) -> Optional[MembershipTransition]:
-        """Merge one gossiped fact about a *peer*; returns the transition
-        if the fact was fresh enough to change the view.
+    def apply(self, update: MembershipUpdate, now: float) -> bool:
+        """Merge one gossiped fact about a *peer*; returns whether the
+        fact was fresh enough to change the view (and was logged).
 
         Facts about the view's own node are the detector's business
         (refutation) and must not reach this method.
@@ -249,7 +284,7 @@ class MemberView:
             raise ValueError("self-updates are handled by the detector")
         slot = self._index.get(node)
         if slot is None:
-            return None
+            return False
         code = _code(update.status)
         incarnation = update.incarnation
         current = self._status[slot]
@@ -264,11 +299,12 @@ class MemberView:
         else:
             accepted = current != _DEAD and incarnation >= known
         if not accepted:
-            return None
+            return False
         self._set_status(node, slot, code)
         self._incarnation[slot] = incarnation
         self._enqueue(node, slot, code, incarnation)
-        return self._record(node, update.status, incarnation, now)
+        self._record(node, code, incarnation, now)
+        return True
 
     def observe_contact(self, peer: int, now: float) -> Optional[Tuple[str, int]]:
         """Direct liveness evidence (a message arrived from ``peer``).
@@ -288,8 +324,8 @@ class MemberView:
             return None
         incarnation = self._incarnation[slot]
         self._set_status(peer, slot, _ALIVE)
-        self._record(peer, ALIVE, incarnation, now)
-        return _STATUSES[code], incarnation
+        self._record(peer, _ALIVE, incarnation, now)
+        return STATUSES[code], incarnation
 
     def refute(self, accused_incarnation: int) -> int:
         """Refute a suspicion/death claim about *this* node.
@@ -314,16 +350,15 @@ class MemberView:
             insort(self._alive, peer)
         self._alive_cache = None
 
-    def _record(
-        self, subject: int, status: str, incarnation: int, now: float
-    ) -> MembershipTransition:
-        transition = MembershipTransition(
-            now, self.node_id, subject, status, incarnation
-        )
-        self.transitions.append(transition)
+    def _record(self, subject: int, code: int, incarnation: int, now: float) -> None:
+        log = self.log
+        log.times.append(now)
+        log.subjects.append(subject)
+        log.codes.append(code)
+        log.incarnations.append(incarnation)
+        status = STATUSES[code]
         for listener in self.listeners:
-            listener(transition)
-        return transition
+            listener(subject, status, incarnation)
 
     # -- dissemination buffer -------------------------------------------------
 
@@ -390,7 +425,7 @@ class MemberView:
                 if slot is None:
                     slot = extra_slots[node]
                 picked.append(
-                    MembershipUpdate(node, _STATUSES[statuses[slot]], incarnations[slot])
+                    membership_update(node, STATUSES[statuses[slot]], incarnations[slot])
                 )
                 budgets[slot] = remaining - 1
                 if remaining > 1:

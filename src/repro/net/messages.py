@@ -251,6 +251,9 @@ _GRANT_DELTA, _GRANT_REPLY_TO, _GRANT_URGENT = _slot_setters(
 )
 _ACK_REPLY_TO, _ACK_DELTA = _slot_setters(GrantAck, "reply_to delta")
 (_EXCESS_DELTA,) = _slot_setters(ExcessReport, "delta")
+_UPDATE_NODE, _UPDATE_STATUS, _UPDATE_INCARNATION = _slot_setters(
+    MembershipUpdate, "node status incarnation"
+)
 
 
 def power_request(
@@ -313,6 +316,16 @@ def excess_report(src: Addr, dst: Addr, delta: float) -> ExcessReport:
     return message
 
 
+def membership_update(node: int, status: str, incarnation: int) -> MembershipUpdate:
+    """``MembershipUpdate(node, status, incarnation)``, built positionally
+    (every gossip selection builds a few)."""
+    update: MembershipUpdate = _new_message(MembershipUpdate)
+    _UPDATE_NODE(update, node)
+    _UPDATE_STATUS(update, status)
+    _UPDATE_INCARNATION(update, incarnation)
+    return update
+
+
 __all__ = [
     "Addr",
     "ExcessReport",
@@ -331,6 +344,7 @@ __all__ = [
     "ReleaseDirective",
     "excess_report",
     "grant_ack",
+    "membership_update",
     "next_message_id",
     "power_grant",
     "power_request",

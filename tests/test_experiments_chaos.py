@@ -9,6 +9,9 @@ the CI chaos-smoke job.
 from __future__ import annotations
 
 import json
+import statistics
+from bisect import bisect_left
+from operator import attrgetter
 
 import pytest
 
@@ -348,18 +351,21 @@ class TestDetectorMetrics:
         assert "detect" in text
 
 
-def _storm_views(horizon_s, restart=True):
+def _storm_views(horizon_s, restart=True, lives=None):
     """A 12-node membership universe run to ``horizon_s`` through a storm
     of one kill at 2 s (restarted at 4 s unless not ``restart``) and one
-    partition of three nodes (1-7 s)."""
+    partition of three nodes (1-7 s).  ``lives`` replaces the kill with
+    node 7's ``(killed_s, restarted_s)`` pairs."""
     spec = ChaosSpec(
         n_clients=12, seed=4, duration_s=horizon_s, workload_scale=0.2,
         kills=0, flaps=0, bursts=0, enable_membership=True,
         membership_probe_period_s=0.5,
     )
-    plan = FaultPlan().partition([0, 1, 2], 1.0, heal_after_s=6.0).kill(7, 2.0)
-    if restart:
-        plan.restart(7, 4.0)
+    plan = FaultPlan().partition([0, 1, 2], 1.0, heal_after_s=6.0)
+    for killed_s, restarted_s in lives or [(2.0, 4.0 if restart else None)]:
+        plan.kill(7, killed_s)
+        if restarted_s is not None:
+            plan.restart(7, restarted_s)
     engine, cluster, manager = build_universe(
         "penelope", spec.n_clients, spec.budget_w, spec.seed,
         pair_workloads(spec.pair, spec.n_clients, spec.workload_scale),
@@ -424,6 +430,107 @@ class TestDetectorReportConvergence:
                 for member in manager.client_ids
                 if view.status_of(member) != "alive"
             ]
+
+
+def _merge_and_sort_report(spec, plan, manager):
+    """The detector report the way it was first written: every observer's
+    transitions, retired generations included, merged into one list and
+    sorted by ``(time, observer, subject)``, then scored.  The oracle of
+    the per-log report."""
+    transitions = [t for log in manager.retired_logs for t in log]
+    for detector in manager.detectors.values():
+        transitions.extend(detector.view.transitions)
+    transitions.sort(key=attrgetter("time", "observer", "subject"))
+    horizon = spec.duration_s
+    intervals = plan.dead_intervals(horizon)
+    dead_spans = {}
+    for victim, start, end in intervals:
+        dead_spans.setdefault(victim, []).append((start, end))
+    accused_at = {}
+    false_suspects = 0
+    false_confirms = 0
+    for t in transitions:
+        if t.status == "alive":
+            continue
+        accused_at.setdefault(t.subject, []).append(t.time)
+        if any(start <= t.time < end for start, end in dead_spans.get(t.subject, ())):
+            continue
+        if t.status == "suspect":
+            false_suspects += 1
+        elif t.status == "dead":
+            false_confirms += 1
+    latencies = []
+    missed = 0
+    for victim, start, end in intervals:
+        times = accused_at.get(victim, [])
+        first = bisect_left(times, start)
+        if first == len(times):
+            missed += 1
+        else:
+            latencies.append(times[first] - start)
+    converged, unrefuted = _per_pair_convergence(manager)
+    heals = plan.heal_times(horizon)
+    last_heal = heals[-1] if heals else None
+    convergence_after_heal_s = None
+    if last_heal is not None and converged:
+        corrective = [t.time for t in transitions if t.time >= last_heal]
+        convergence_after_heal_s = (max(corrective) - last_heal) if corrective else 0.0
+    period = spec.membership_probe_period_s
+    median_latency = statistics.median(latencies) if latencies else None
+    return {
+        "probe_period_s": period,
+        "n_transitions": len(transitions),
+        "detections": len(latencies),
+        "missed_detections": missed,
+        "detection_latencies_s": latencies,
+        "median_detection_latency_s": median_latency,
+        "median_detection_latency_periods": (
+            median_latency / period if median_latency is not None else None
+        ),
+        "false_suspects": false_suspects,
+        "false_confirms": false_confirms,
+        "unrefuted_false_confirms": unrefuted,
+        "view_converged": converged,
+        "last_heal_s": last_heal,
+        "convergence_after_heal_s": convergence_after_heal_s,
+        "refutations": sum(
+            detector.view.refutations for detector in manager.detectors.values()
+        ),
+    }
+
+
+def _assert_same_report(report, expected):
+    # Key for key, in order; floats exact (repr round-trips the bits),
+    # lists in the same order, ints not turned into floats.
+    assert list(report) == list(expected)
+    for key, value in expected.items():
+        assert repr(report[key]) == repr(value), key
+
+
+class TestDetectorReportDifferential:
+    @pytest.mark.parametrize(
+        "horizon_s, restart",
+        [(3.5, True), (5.0, True), (6.5, True), (20.0, True), (20.0, False)],
+        ids=["killed", "partitioned", "restarted", "healed", "healed-one-dead"],
+    )
+    def test_per_log_report_equals_the_merge_and_sort_report(self, horizon_s, restart):
+        spec, plan, manager = _storm_views(horizon_s, restart)
+        _assert_same_report(
+            compute_detector_report(spec, plan, manager),
+            _merge_and_sort_report(spec, plan, manager),
+        )
+
+    def test_retired_logs_of_a_node_restarted_twice_are_scored(self):
+        spec, plan, manager = _storm_views(20.0, lives=[(5.0, 6.0), (9.0, 11.0)])
+        retired = manager.retired_logs
+        assert [log.observer for log in retired] == [7, 7]
+        assert all(len(log) > 0 for log in retired)
+        report = compute_detector_report(spec, plan, manager)
+        _assert_same_report(report, _merge_and_sort_report(spec, plan, manager))
+        assert report["detections"] == 2
+        assert report["n_transitions"] == sum(map(len, retired)) + sum(
+            len(detector.view.log) for detector in manager.detectors.values()
+        )
 
 
 class TestChaosSweep:

@@ -25,42 +25,41 @@ class TestPrecedenceRules:
 
     def test_alive_needs_strictly_higher_incarnation(self):
         view = make_view()
-        assert view.apply(MembershipUpdate(1, ALIVE, 0), now=1.0) is None
-        assert view.apply(MembershipUpdate(1, ALIVE, 1), now=1.0) is not None
+        assert view.apply(MembershipUpdate(1, ALIVE, 0), now=1.0) is False
+        assert view.apply(MembershipUpdate(1, ALIVE, 1), now=1.0) is True
         assert view.incarnation_of(1) == 1
 
     def test_equal_incarnation_suspect_overrides_alive(self):
         view = make_view()
-        transition = view.apply(MembershipUpdate(1, SUSPECT, 0), now=1.0)
-        assert transition is not None
+        assert view.apply(MembershipUpdate(1, SUSPECT, 0), now=1.0) is True
         assert view.status_of(1) == SUSPECT
 
     def test_suspect_does_not_override_suspect_at_same_incarnation(self):
         view = make_view()
         view.apply(MembershipUpdate(1, SUSPECT, 0), now=1.0)
-        assert view.apply(MembershipUpdate(1, SUSPECT, 0), now=2.0) is None
+        assert view.apply(MembershipUpdate(1, SUSPECT, 0), now=2.0) is False
 
     def test_suspect_never_overrides_dead(self):
         view = make_view()
         view.apply(MembershipUpdate(1, DEAD, 0), now=1.0)
-        assert view.apply(MembershipUpdate(1, SUSPECT, 5), now=2.0) is None
+        assert view.apply(MembershipUpdate(1, SUSPECT, 5), now=2.0) is False
         assert view.status_of(1) == DEAD
 
     def test_dead_overrides_equal_incarnation_and_sticks(self):
         view = make_view()
-        assert view.apply(MembershipUpdate(1, DEAD, 0), now=1.0) is not None
-        assert view.apply(MembershipUpdate(1, DEAD, 7), now=2.0) is None
+        assert view.apply(MembershipUpdate(1, DEAD, 0), now=1.0) is True
+        assert view.apply(MembershipUpdate(1, DEAD, 7), now=2.0) is False
 
     def test_fresher_alive_revives_the_dead(self):
         view = make_view()
         view.apply(MembershipUpdate(1, DEAD, 0), now=1.0)
-        assert view.apply(MembershipUpdate(1, ALIVE, 1), now=2.0) is not None
+        assert view.apply(MembershipUpdate(1, ALIVE, 1), now=2.0) is True
         assert view.status_of(1) == ALIVE
 
     def test_stale_alive_does_not_revive(self):
         view = make_view()
         view.apply(MembershipUpdate(1, SUSPECT, 3), now=1.0)
-        assert view.apply(MembershipUpdate(1, ALIVE, 3), now=2.0) is None
+        assert view.apply(MembershipUpdate(1, ALIVE, 3), now=2.0) is False
         assert view.status_of(1) == SUSPECT
 
     def test_self_updates_are_rejected(self):
@@ -70,7 +69,7 @@ class TestPrecedenceRules:
 
     def test_unknown_peer_is_ignored(self):
         view = make_view()
-        assert view.apply(MembershipUpdate(99, SUSPECT, 0), now=1.0) is None
+        assert view.apply(MembershipUpdate(99, SUSPECT, 0), now=1.0) is False
 
 
 class TestDirectContact:
@@ -156,13 +155,19 @@ class TestAliveCache:
     def test_transitions_and_listeners_fire(self):
         seen = []
         view = make_view()
-        view.listeners.append(seen.append)
+        view.listeners.append(lambda *fields: seen.append(fields))
         view.apply(MembershipUpdate(1, SUSPECT, 0), now=1.0)
         view.apply(MembershipUpdate(1, DEAD, 0), now=2.0)
-        assert [t.status for t in seen] == [SUSPECT, DEAD]
-        assert [t.subject for t in seen] == [1, 1]
-        assert view.transitions == seen
-        assert [view.status_of(peer) for peer in (1, 2, 3)] == [DEAD, ALIVE, ALIVE]
+        view.observe_contact(1, now=3.0)
+        assert seen == [(1, SUSPECT, 0), (1, DEAD, 0), (1, ALIVE, 0)]
+        assert view.transitions == [
+            MembershipTransition(1.0, 0, 1, SUSPECT, 0),
+            MembershipTransition(2.0, 0, 1, DEAD, 0),
+            MembershipTransition(3.0, 0, 1, ALIVE, 0),
+        ]
+        log = view.log
+        assert (log.observer, len(log), log.codes) == (0, 3, bytearray([1, 2, 0]))
+        assert [view.status_of(peer) for peer in (1, 2, 3)] == [ALIVE, ALIVE, ALIVE]
 
 
 class _ReferenceView:
@@ -270,10 +275,11 @@ class ViewMatchesReference(RuleBasedStateMachine):
             return
         accepted = self.ref.apply(node, status, incarnation)
         for view in self.views:
-            transition = view.apply(update, self.now)
-            assert (transition is not None) == accepted
+            logged = len(view.log)
+            assert view.apply(update, self.now) is accepted
+            assert len(view.log) == logged + accepted
             if accepted:
-                assert transition == MembershipTransition(
+                assert view.transitions[-1] == MembershipTransition(
                     self.now, NODE, node, status, incarnation
                 )
 

@@ -5,7 +5,9 @@ per node, so these tests pin the fixed costs a node brings: an upper bound
 on the traced bytes of a built and started Penelope universe, and on the
 emptiest per-node container, an inbox :class:`Store` with nothing in it.
 The SWIM membership plane is the one O(N^2) structure (every node's view
-holds every peer), so it is held to a budget per observer-peer pair.
+holds every peer), so it is held to a budget per observer-peer pair, and
+its transition log, which grows with nodes x faults, to a budget per
+recorded change.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import tracemalloc
 
 from repro.core.config import PenelopeConfig
 from repro.experiments import harness
-from repro.membership.view import ALIVE, MembershipTransition
+from repro.experiments.chaos import ChaosSpec, run_chaos_single
+from repro.membership.view import ALIVE, SUSPECT, MemberView, MembershipTransition
+from repro.net.messages import MembershipUpdate
 from repro.sim.engine import Engine
 from repro.sim.resources import Store
 
@@ -38,6 +42,13 @@ EMPTY_STORE_BUDGET_B = 300
 #: fixed cost.  The build that kept one ``MemberState`` and one dict slot
 #: per peer traced 103.0 B.
 MEMBER_PAIR_BUDGET_B = 40
+
+#: Traced bytes per transition a view records.  The log's four columns
+#: (time, subject, status code, incarnation) take 25 B per change plus
+#: the arrays' over-allocation: 26.4 B measured on CPython 3.11.  One
+#: slotted ``MembershipTransition`` (72 B) and list slot per change
+#: measured 104 B.
+TRANSITION_BUDGET_B = 32
 
 
 def _universe(n_clients: int, **config):
@@ -104,6 +115,46 @@ def test_membership_view_bytes_per_pair_within_budget():
     assert per_pair <= MEMBER_PAIR_BUDGET_B, f"{per_pair:.1f} B per observer-peer pair"
 
 
-def test_membership_transition_is_slotted():
-    transition = MembershipTransition(1.0, 0, 1, ALIVE, 0)
-    assert not hasattr(transition, "__dict__")
+def test_membership_log_bytes_per_transition_within_budget():
+    peers = range(1, 65)
+    view = MemberView(0, list(peers))
+    # Each round suspects every peer, then revives it one incarnation up:
+    # two accepted changes per peer per round.
+    updates = [
+        MembershipUpdate(peer, status, incarnation + (status == ALIVE))
+        for incarnation in range(32)
+        for status in (SUSPECT, ALIVE)
+        for peer in peers
+    ]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for now, update in enumerate(updates):
+            view.apply(update, float(now))
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(view.log) == len(updates) == 4096
+    per_transition = (traced - before) / len(updates)
+    assert per_transition <= TRANSITION_BUDGET_B, f"{per_transition:.1f} B per transition"
+
+
+def test_detector_report_builds_no_transition_records(monkeypatch):
+    built = []
+    init = MembershipTransition.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MembershipTransition, "__init__", counted)
+    spec = ChaosSpec(
+        n_clients=8, seed=7, duration_s=10.0, workload_scale=0.1, kills=1,
+        flaps=1, bursts=0, partitions=1, enable_membership=True,
+        membership_probe_period_s=0.5,
+    )
+    result = run_chaos_single(spec)  # the storm, then its detector report
+    assert result.detector is not None and result.detector["n_transitions"] > 0
+    assert built == []
+    MembershipTransition(1.0, 0, 1, ALIVE, 0)
+    assert len(built) == 1  # the wrapper does count constructions

@@ -7,16 +7,19 @@ import pytest
 import dataclasses
 
 from repro.net.messages import (
+    MEMBER_SUSPECT,
     PORT_DECIDER,
     PORT_POOL,
     Addr,
     ExcessReport,
     GrantAck,
+    MembershipUpdate,
     PowerGrant,
     PowerRequest,
     ReleaseDirective,
     excess_report,
     grant_ack,
+    membership_update,
     next_message_id,
     power_grant,
     power_request,
@@ -143,6 +146,14 @@ class TestPositionalBuilders:
     def test_built_messages_stay_frozen(self, build, reference):
         with pytest.raises(dataclasses.FrozenInstanceError):
             build().msg_id = 0
+
+    def test_membership_update_is_its_keyword_constructor(self):
+        built = membership_update(3, MEMBER_SUSPECT, 5)
+        assert type(built) is MembershipUpdate
+        assert built == MembershipUpdate(node=3, status=MEMBER_SUSPECT, incarnation=5)
+        assert hash(built) == hash(MembershipUpdate(3, MEMBER_SUSPECT, 5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.node = 0
 
     def test_post_init_checks_still_run(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from repro.power.sockets import (
 )
 from repro.power.trace_source import TracePowerSource
 from repro.sim.engine import Engine
-from repro.sim.events import PRIORITY_URGENT, Callback, Event
+from repro.sim.events import PRIORITY_URGENT, Event, Handle
 from repro.workloads.performance import consumed_power_w, speed_under_cap
 from repro.workloads.phases import Phase, Workload
 from repro.workloads.traces import PowerTrace
@@ -64,7 +64,7 @@ class WorkloadExecutor:
         #: The queued end of the running segment, and what it was
         #: computed from: its start time, speed and the phase's
         #: remaining work at that start.
-        self._segment: Optional[Callback] = None
+        self._segment: Optional[Handle] = None
         self._segment_start = 0.0
         self._speed = 0.0
         self._remaining = 0.0
@@ -78,8 +78,8 @@ class WorkloadExecutor:
             raise RuntimeError(f"{self.name} already started")
         self.started_at = self.engine.now
         self._running = True
-        Callback(
-            self.engine, 0.0, self._begin, name="exec.start", priority=PRIORITY_URGENT
+        self.engine.call_later(
+            0.0, self._begin, name="exec.start", priority=PRIORITY_URGENT
         )
 
     def kill(self) -> None:
@@ -183,8 +183,8 @@ class WorkloadExecutor:
         engine = self.engine
         self._speed = speed
         self._segment_start = engine.now
-        self._segment = Callback(
-            engine, self._remaining / speed, self._segment_done, name="exec.segment"
+        self._segment = engine.call_cancellable(
+            self._remaining / speed, self._segment_done, name="exec.segment"
         )
 
     def _segment_done(self) -> None:

@@ -1,12 +1,10 @@
 """Batched decider ticks: one engine event per period per stagger slot.
 
-The per-node decider loop costs one generator resume, one ``Timeout``
-allocation and one scheduler round-trip per node per period -- O(nodes)
-engine events for a control plane that, in the common sweep
+The per-node decider loop queues one tick entry per node per period --
+O(nodes) engine entries for a control plane that, in the common sweep
 configuration, fires every node at the same cadence anyway.  The
-:class:`TickBatcher` replaces all of it with a single
-:class:`~repro.sim.events.Callback` per period (per stagger slot) whose
-handler runs every node's tick body -- hoisted into
+:class:`TickBatcher` replaces them with a single queued call per period
+(per stagger slot) whose handler runs every node's tick body --
 :meth:`~repro.core.decider.LocalDecider.tick_start` /
 :meth:`~repro.core.decider.LocalDecider.tick_end` -- as a plain call
 over a flat member list.
@@ -18,28 +16,28 @@ cap trajectories and ledger balances as the per-node loop (the
 differential rig in ``tests/test_sim_batched_equivalence.py``).  The
 mechanism is *send-order preservation*: the shared ``net.latency``
 stream is consumed in message-send order, so outcomes match exactly when
-sends happen in the same order in both modes.  The kernel's in-place
-hand-offs (a put into an idle inbox, a reply ending a ``FirstOf`` wait,
-an interrupt) resume their waiter the same way on both paths, and three
-rules keep the rest aligned:
+sends happen in the same order in both modes.  A request runs on the
+decider's own state machine in both modes -- a reply is taken in place
+on delivery, a fired deadline queues a wake-up -- and three rules keep
+the rest aligned:
 
-* A node's request body runs *inline* at the node's position in the
-  batch loop (:class:`~repro.sim.process.InlineProcess` advances the
-  continuation synchronously), so its request send interleaves with the
-  other nodes' tick sends exactly like the per-node resumes did.
+* A node's request starts *inline* at the node's position in the batch
+  loop (:meth:`~repro.core.decider.LocalDecider.request_power`), so its
+  request send interleaves with the other nodes' tick sends exactly like
+  the per-node ticks did.
 * Same-instant member order mirrors the engine's sequence-number
   semantics: each member carries an order key re-assigned from a
-  monotone counter whenever the per-node loop would have created that
-  node's next wake-up event (at its tick, at a mid-period grant
-  completion, at registration).  Sorting by key before each batch
-  reproduces the per-node processing order.
+  monotone counter whenever the per-node loop would have queued that
+  node's next tick (at its tick, at a mid-period grant completion, at
+  registration).  Sorting by key before each batch reproduces the
+  per-node processing order.
 * A request timing out exactly at the node's next tick instant resumes
-  *after* that instant's batch (``FirstOf`` re-schedules a deadline's
-  resume with a fresh sequence number at fire time; only a reply
-  resumes in place), so the batch skips the still-requesting member and
-  the continuation runs the missed tick inline -- reproducing the
-  per-node loop's catch-up tick, which fires after every batch-ticked
-  node, in deadline order among catch-ups.
+  *after* that instant's batch (a fired deadline queues its wake-up
+  with a fresh sequence number; only a reply is taken in place), so the
+  batch skips the still-requesting member and the request's end runs
+  the missed tick inline -- reproducing the per-node loop's catch-up
+  tick, which fires after every batch-ticked node, in deadline order
+  among catch-ups.
 
 Nodes whose request deadline would outlive the period cannot keep this
 alignment (the per-node loop ticks them late and catches up), so the
@@ -57,17 +55,9 @@ and the pinned fixtures never enable it.
 from __future__ import annotations
 
 from itertools import count
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.sim import (
-    Callback,
-    EventBase,
-    InlineProcess,
-    Interrupt,
-    Process,
-    Timeout,
-    stop_process,
-)
+from repro.sim import EventBase, Handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import PenelopeConfig
@@ -78,7 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class _Member:
     """One batched decider plus its ordering/lifecycle bookkeeping."""
 
-    __slots__ = ("decider", "slot", "order", "due", "requesting", "request", "dead")
+    __slots__ = ("decider", "slot", "order", "due", "requesting", "dead")
 
     def __init__(
         self, decider: "LocalDecider", slot: "_Slot", order: int, due: float
@@ -86,31 +76,58 @@ class _Member:
         self.decider = decider
         self.slot = slot
         #: Same-instant ordering key (see module docstring): stands in
-        #: for the sequence number of the wake-up event the per-node
-        #: loop would have created for this node.
+        #: for the sequence number of the tick entry the per-node loop
+        #: would have queued for this node.
         self.order = order
         #: First instant this member may tick (guards members that join
-        #: a slot while its batch callback is already pending).
+        #: a slot while its batch call is already pending).
         self.due = due
-        #: True while a peer-request continuation is in flight.
+        #: True while the decider's peer request is in flight.
         self.requesting = False
-        self.request: Optional[Process] = None
         #: Lazily-deleted (killed/stopped) members are purged at the
         #: next batch.
         self.dead = False
 
 
 class _Slot:
-    """All members sharing one tick phase, plus their batch event."""
+    """All members sharing one tick phase, plus their queued batch call."""
 
     __slots__ = ("next_time", "members", "event", "dirty")
 
     def __init__(self, next_time: float) -> None:
         self.next_time = next_time
         self.members: List[_Member] = []
-        self.event: Optional[Callback] = None
+        self.event: Optional[Handle] = None
         #: Membership or order keys changed since the last batch ran.
         self.dirty = False
+
+
+class SharedDeadline:
+    """One request deadline for every request armed at one instant.
+
+    ``waiters`` lists ``(decider, inbox getter)`` for every wait started
+    on it, in order; when it fires, each decider still waiting through
+    that getter queues its wake-up, in that order.
+    """
+
+    __slots__ = ("handle", "waiters")
+
+    def __init__(self, engine: "Engine", timeout_s: float) -> None:
+        self.waiters: List[Tuple["LocalDecider", EventBase]] = []
+        self.handle = engine.call_cancellable(
+            timeout_s, self._fire, name="decider.shared-deadline"
+        )
+
+    @property
+    def pending(self) -> bool:
+        """True until the deadline fires (or the batcher stops)."""
+        return self.handle.pending
+
+    def _fire(self) -> None:
+        for decider, get_event in self.waiters:
+            if decider._get_event is get_event:
+                decider._on_deadline()
+        self.waiters = []
 
 
 class TickBatcher:
@@ -140,9 +157,9 @@ class TickBatcher:
         #: The member whose tick body is currently executing (so a
         #: request that resolves synchronously keeps its position).
         self._current: Optional[_Member] = None
-        #: Shared request-deadline event (see :meth:`request_deadline`)
-        #: plus the instant it fires at (the cache key).
-        self._deadline: Optional[Timeout] = None
+        #: Shared request deadline (see :meth:`request_deadline`) plus
+        #: the instant it fires at (the cache key).
+        self._deadline: Optional[SharedDeadline] = None
         self._deadline_at = 0.0
 
     @staticmethod
@@ -192,8 +209,8 @@ class TickBatcher:
                 break
         if slot is None:
             slot = _Slot(next_time=first)
-            slot.event = Callback(
-                engine, first - now, self._run_slot, slot, name="tick-batch"
+            slot.event = engine.call_cancellable(
+                first - now, self._run_slot, slot, name="decider.batch"
             )
             self._slots.append(slot)
         member = _Member(decider, slot, next(self._order), first)
@@ -210,32 +227,27 @@ class TickBatcher:
             return
         member.dead = True
         member.slot.dirty = True
-        request = member.request
-        member.request = None
-        if request is not None and request.is_alive:
-            stop_process(request)
+        if member.requesting:
+            member.requesting = False
+            decider.abandon_request()
 
     def stop(self) -> None:
-        """Tear down every slot event and in-flight continuation."""
-        deadline = self._deadline
-        if deadline is not None and deadline.callbacks is not None:
-            if not deadline._cancelled:
-                deadline.cancel()
+        """Tear down every slot's batch call and request in flight."""
+        if self._deadline is not None:
+            self._deadline.handle.cancel()
         self._deadline = None
         for slot in self._slots:
-            event = slot.event
-            if event is not None and event.callbacks is not None:
-                event.cancel()
+            if slot.event is not None:
+                slot.event.cancel()
             slot.event = None
             slot.members = []
         self._slots = []
         for member in self._members.values():
             member.dead = True
             member.decider._batcher = None
-            request = member.request
-            member.request = None
-            if request is not None and request.is_alive:
-                stop_process(request)
+            if member.requesting:
+                member.requesting = False
+                member.decider.abandon_request()
         self._members.clear()
 
     @property
@@ -244,36 +256,31 @@ class TickBatcher:
 
     # -- shared request deadlines -------------------------------------------
 
-    def request_deadline(self, timeout_s: float) -> Timeout:
-        """One deadline event for every request armed at this instant.
+    def request_deadline(self, timeout_s: float) -> SharedDeadline:
+        """One deadline for every request armed at this instant.
 
         All requests sent from one batch share the same deadline instant
-        (``now + timeout_s``), so a single :class:`Timeout` can wake
-        every still-waiting ``FirstOf`` -- in member order, which is
-        exactly the processing order N per-member deadline events would
-        have had (their sequence numbers are handed out in member order,
-        and their ``_process`` bodies are node-local).  This replaces
-        one Timeout allocation + queue entry + cancellation per request
+        (``now + timeout_s``), so one queued call can wake every
+        still-waiting request -- in the order the waits started, which
+        is exactly the order N per-request deadlines would have queued
+        their wake-ups (their sequence numbers are handed out in member
+        order, and firing one is node-local).  This replaces one
+        cancellable handle, queue entry and cancellation per request
         with one queue entry per batch.
 
         The cache key is the *fire instant*: a catch-up tick or an
         in-period retry arms its deadline at a different ``now``, so it
-        gets (and possibly starts) a fresh shared event.  The shared
-        deadline is never cancelled -- grants that beat it leave their
-        ``FirstOf`` resolved, whose ``_on_sub`` ignores the late firing
-        -- so the per-batch event simply fires once, mostly into
-        already-settled waiters.
+        gets (and possibly starts) a fresh shared deadline.  A shared
+        deadline is never cancelled while the batcher runs -- a grant
+        that beats it only ends its own wait -- so it fires once,
+        mostly into already-settled waits.
         """
         engine = self.engine
         when = engine.now + timeout_s
         shared = self._deadline
-        if (
-            shared is not None
-            and self._deadline_at == when
-            and shared.callbacks is not None
-        ):
+        if shared is not None and self._deadline_at == when and shared.pending:
             return shared
-        shared = Timeout(engine, timeout_s, name="batched-deadline")
+        shared = SharedDeadline(engine, timeout_s)
         self._deadline = shared
         self._deadline_at = when
         return shared
@@ -304,17 +311,18 @@ class TickBatcher:
             # Skipped members kept keys older than the ones just handed
             # out; re-sort before the next batch.
             slot.dirty = True
-        # Re-schedule at the END of the handler so this event's sequence
-        # number exceeds every request deadline created above -- those
-        # deadlines must process (node-local bookkeeping only, no sends)
-        # before the next batch, exactly like they beat per-node resumes.
+        # Re-schedule at the END of the handler so this entry's sequence
+        # number exceeds every request deadline queued above -- those
+        # deadlines must fire (node-local bookkeeping only, no sends)
+        # before the next batch, exactly like they beat per-node ticks.
         slot.next_time = now + period
-        slot.event = Callback(engine, period, self._run_slot, slot, name="tick-batch")
+        slot.event = engine.call_cancellable(
+            period, self._run_slot, slot, name="decider.batch"
+        )
 
     def _tick_member(self, member: _Member) -> None:
         """Run one member's tick body at the current instant."""
-        engine = self.engine
-        member.due = engine.now + self.period_s
+        member.due = self.engine.now + self.period_s
         member.order = next(self._order)
         decider = member.decider
         current = self._current
@@ -324,32 +332,13 @@ class TickBatcher:
             decider.tick_end(False, 0.0)
         else:
             member.requesting = True
-            request = InlineProcess(
-                engine,
-                self._run_request(member, urgency),
-                name=f"batched-request@{decider.node_id}",
-            )
-            if member.requesting:
-                member.request = request
+            decider.request_power(urgency)
         self._current = current
 
-    def _run_request(
-        self, member: _Member, urgency: bool
-    ) -> Generator[EventBase, Any, None]:
-        """Continuation finishing one member's request-carrying tick."""
-        decider = member.decider
-        try:
-            granted = yield from decider._request_from_peer(urgency)
-        except Interrupt:
-            member.requesting = False
-            member.request = None
-            return
-        decider.tick_end(urgency, granted)
-        self._request_done(member)
-
-    def _request_done(self, member: _Member) -> None:
+    def request_done(self, decider: "LocalDecider") -> None:
+        """``decider``'s request ended (its ``tick_end`` has run)."""
+        member = self._members[decider.node_id]
         member.requesting = False
-        member.request = None
         if member is self._current:
             # Resolved synchronously inside its own tick (e.g. empty
             # membership view skips the request): position unchanged.
@@ -357,18 +346,18 @@ class TickBatcher:
         if self.engine.now >= member.due:
             # The request resolved at the member's next tick instant --
             # after this instant's batch, which skipped the member as
-            # still-requesting (FirstOf re-schedules a deadline's resume
-            # with a fresh sequence number at fire time, so a same-instant
-            # timeout always lands behind the batch event).  The
-            # per-node loop runs its catch-up tick inline right here,
-            # after every batch-ticked node, in deadline order among
-            # fellow catch-ups -- do exactly that.
+            # still-requesting (a fired deadline queues its wake-up
+            # with a fresh sequence number, so a same-instant timeout
+            # always lands behind the batch call).  The per-node loop
+            # runs its catch-up tick inline right here, after every
+            # batch-ticked node, in deadline order among fellow
+            # catch-ups -- do exactly that.
             self._tick_member(member)
         else:
-            # Grant resolved mid-period: the per-node loop would create
-            # the node's next tick timeout *now*, sequencing it behind
-            # every node whose wake-up already exists -- mirror that by
-            # re-keying the member to the back.
+            # Grant resolved mid-period: the per-node loop would queue
+            # the node's next tick *now*, sequencing it behind every node
+            # whose tick is already queued -- mirror that by re-keying
+            # the member to the back.
             member.order = next(self._order)
             member.slot.dirty = True
 

@@ -34,22 +34,20 @@ piggyback pending membership gossip, and incoming grants feed direct
 liveness evidence back into the view.  A node whose view empties (e.g.
 full partition) degrades to local-pool-only operation instead of
 erroring.
+
+The loop is a state machine on queued calls, not a generator process.
+Its start hop, stagger, ticks, retry backoffs and the wake-up a fired
+deadline queues are bare entries; the request deadline is a handle, or
+under batched ticks shared (:mod:`repro.core.batcher`).  A reply is
+taken in place on delivery.  A message landing between a fired deadline
+and its wake-up is the wake-up's: the matching grant still counts, and
+anything else is absorbed and the request times out.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Generator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,25 +60,17 @@ from repro.net.messages import (
     PORT_POOL,
     Addr,
     PowerGrant,
+    PowerRequest,
     grant_ack,
     power_request,
 )
 from repro.net.network import Network
 from repro.net.roster import roster_of
 from repro.power.rapl import PowerCapInterface
-from repro.sim import (
-    Engine,
-    EventBase,
-    FirstOf,
-    Interrupt,
-    Process,
-    Store,
-    Timeout,
-    stop_process,
-)
+from repro.sim import PRIORITY_URGENT, Engine, EventBase, Handle, Store
 
 if TYPE_CHECKING:  # pragma: no cover - break the core <-> membership cycle
-    from repro.core.batcher import TickBatcher
+    from repro.core.batcher import SharedDeadline, TickBatcher
     from repro.membership.detector import FailureDetector
     from repro.net.messages import Message
 
@@ -111,6 +101,18 @@ class LocalDecider:
         The node's failure detector when ``enable_membership`` is on;
         ``None`` keeps the legacy ad-hoc suspicion behaviour bit-exact.
     """
+
+    # Ten thousand deciders live in the largest universes: slots keep
+    # each one free of a per-instance dict.
+    __slots__ = (
+        "engine", "network", "node_id", "rapl", "pool", "peers", "initial_cap_w",
+        "config", "recorder", "_rng", "addr", "inbox", "cap_w", "applied_grants_w",
+        "iterations", "requests_sent", "urgent_requests_sent", "empty_grants",
+        "_suspicion", "_pending_acks", "_membership", "_batcher", "clock_scale",
+        "_seen_grants", "dead_grant_hook", "_run", "_runs", "_next_tick",
+        "_urgent", "_scale", "_retry_by", "_attempts", "_backoff", "_peer",
+        "_request", "_sent_at", "_deadline", "_get_event",
+    )
 
     def __init__(
         self,
@@ -160,7 +162,6 @@ class LocalDecider:
         #: ``[donor addr, grant id, delta, resends left]``.
         self._pending_acks: List[List[Any]] = []
         self._membership = membership
-        self._process: Optional[Process] = None
         #: Set while this decider is driven by a
         #: :class:`~repro.core.batcher.TickBatcher` instead of its own
         #: per-node loop (the batcher assigns/clears it).
@@ -179,6 +180,24 @@ class LocalDecider:
         #: whenever a grant is accepted from a peer the local membership
         #: view still holds confirmed-dead *after* ingesting the message.
         self.dead_grant_hook: Optional[Callable[[int, int, float], None]] = None
+        #: The per-node loop's number (0 while not running; entries of a
+        #: stopped loop carry an old one) and its next tick instant.
+        self._run = 0
+        self._runs = 0
+        self._next_tick = 0.0
+        #: The iteration's peer request: urgency, clock scale, retry budget
+        #: and the attempt in flight -- its request (the token of entries
+        #: queued for it; ``None`` between requests), deadline and getter.
+        self._urgent = False
+        self._scale = 1.0
+        self._retry_by = 0.0
+        self._attempts = 0
+        self._backoff = 0.0
+        self._peer = 0
+        self._request: Optional[PowerRequest] = None
+        self._sent_at = 0.0
+        self._deadline: Union[Handle, "SharedDeadline", None] = None
+        self._get_event: Optional[EventBase] = None
 
     #: How many applied grant ids to remember for duplicate suppression
     #: (matches the donor pool's settled-escrow history depth).
@@ -194,34 +213,31 @@ class LocalDecider:
 
     @property
     def is_running(self) -> bool:
-        if self._batcher is not None:
-            return True
-        return self._process is not None and self._process.is_alive
+        return self._batcher is not None or self._run != 0
 
     # -- lifecycle ------------------------------------------------------------
 
-    def start(self) -> Process:
-        if self._process is not None and self._process.is_alive:
+    def start(self) -> None:
+        """Start the per-node loop one urgent zero-delay hop from now."""
+        if self._run:
             raise RuntimeError(f"decider {self.node_id} already running")
         # A stopped decider detached its endpoint; re-attach on restart.
         if self.network.inbox_of(self.addr) is not self.inbox:
             self.network.attach(self.addr, self.inbox)
-        self._process = self.engine.process(
-            self._loop(), name=f"decider@{self.node_id}"
+        self._runs += 1
+        self._run = self._runs
+        self.engine.call_later(
+            0.0, self._begin, self._run, name="decider.start", priority=PRIORITY_URGENT
         )
-        return self._process
 
     def stop(self) -> None:
-        """Stop the control loop and detach the decider endpoint.
-
-        Detaching lets a crash-restarted replacement decider attach the
-        same address; messages already in flight to a dead node are
-        dropped at delivery time by the network's dead check regardless.
-        """
+        """Stop the control loop, abandon a request in flight and detach
+        the endpoint (so a crash-restarted replacement can attach it)."""
         if self._batcher is not None:
             self._batcher.remove(self)
-        if self._process is not None:
-            stop_process(self._process)
+        if self._run:
+            self._run = 0
+            self.abandon_request()
         self.network.detach(self.addr)
 
     # -- cap helpers -----------------------------------------------------------
@@ -250,38 +266,60 @@ class LocalDecider:
 
     # -- the control loop (Algorithm 1) ------------------------------------------
 
-    def _loop(self) -> Generator[EventBase, Any, None]:
-        # This generator resumes once per node per period for the whole
-        # run; the tick body itself lives in :meth:`tick_start` /
-        # :meth:`tick_end` so the batched driver (repro.core.batcher) can
-        # run it as a plain call without a generator resume.
-        config = self.config
-        engine = self.engine
-        period_s = config.period_s
-        try:
-            stagger = config.effective_stagger_s
-            if stagger > 0:
-                yield engine.timeout(float(self._rng.uniform(0.0, stagger)))
-            # Fixed-cadence ticks ("iterates once every second", §4.5): the
-            # next iteration lands at start + k*T regardless of how long a
-            # response wait took, like a real timer-driven daemon.
-            next_tick = engine.now
-            while True:
-                # clock_scale is re-read every iteration so a drift fault
-                # landing mid-run takes effect on the very next tick.
-                next_tick += period_s * self.clock_scale
-                if next_tick > engine.now:
-                    # Direct construction (== engine.timeout) on the
-                    # once-per-node-per-period path.
-                    yield Timeout(engine, next_tick - engine.now)
-                urgency = self.tick_start()
-                if urgency is None:
-                    self.tick_end(False, 0.0)
-                else:
-                    granted = yield from self._request_from_peer(urgency)
-                    self.tick_end(urgency, granted)
-        except Interrupt:
+    def _begin(self, run: int) -> None:
+        if run != self._run:
             return
+        stagger = self.config.effective_stagger_s
+        if stagger > 0:
+            self.engine.call_later(
+                float(self._rng.uniform(0.0, stagger)),
+                self._staggered,
+                run,
+                name="decider.stagger",
+            )
+        else:
+            self._staggered(run)
+
+    def _staggered(self, run: int) -> None:
+        if run == self._run:
+            self._next_tick = self.engine.now
+            self._schedule_tick()
+
+    def _schedule_tick(self) -> None:
+        """Queue the next tick, or run it now if it is already due.
+
+        Fixed-cadence ticks ("iterates once every second", §4.5): the
+        next iteration lands at start + k*T regardless of how long a
+        response wait took, like a real timer-driven daemon.
+        ``clock_scale`` is re-read every iteration so a drift fault
+        landing mid-run takes effect on the very next tick.
+        """
+        engine = self.engine
+        period_s = self.config.period_s
+        while True:
+            self._next_tick += period_s * self.clock_scale
+            now = engine.now
+            if self._next_tick > now:
+                engine.call_later(
+                    self._next_tick - now, self._on_tick, self._run, name="decider.tick"
+                )
+                return
+            if self._tick():
+                return
+
+    def _on_tick(self, run: int) -> None:
+        if run == self._run and not self._tick():
+            self._schedule_tick()
+
+    def _tick(self) -> bool:
+        """One iteration; True when it issued a peer request, whose end
+        continues the loop (:meth:`_finish_request`)."""
+        urgency = self.tick_start()
+        if urgency is None:
+            self.tick_end(False, 0.0)
+            return False
+        self.request_power(urgency)
+        return True
 
     def tick_start(self) -> Optional[bool]:
         """The synchronous head of one iteration (Algorithm 1).
@@ -443,15 +481,17 @@ class LocalDecider:
         for peer in expired:
             del self._suspicion[peer]
 
-    def _request_from_peer(self, urgent: bool) -> Generator[EventBase, Any, float]:
+    def request_power(self, urgent: bool) -> None:
         """Request power from peers, retrying timeouts with backoff.
 
-        Returns the granted watts (0 when every attempt timed out or the
-        answering pool was empty).  Each retry waits an exponentially
-        growing backoff stretched by seeded jitter, then re-draws a peer
-        (the timed-out one is now suspected, so discovery steers away
-        from it).  A zero-delta grant is a definitive answer, not a
-        failure -- it is never retried.
+        The iteration ends -- ``tick_end`` with the granted watts (0 when
+        every attempt timed out or the answering pool was empty), then
+        the next tick -- when the request resolves, possibly before this
+        call returns.  Each retry waits an exponentially growing backoff
+        stretched by seeded jitter, then re-draws a peer (the timed-out
+        one is now suspected, so discovery steers away from it).  A
+        zero-delta grant is a definitive answer, not a failure -- it is
+        never retried.
 
         Retries only spend what remains of the current iteration's
         period: a retry whose worst-case backoff-plus-timeout would
@@ -461,41 +501,29 @@ class LocalDecider:
         behavior is exactly the paper's one-request-per-iteration;
         configs with a shorter response timeout get in-period retries.
         """
-        config = self.config
-        engine = self.engine
         scale = self.clock_scale
-        deadline = engine.now + config.period_s * scale
-        granted, timed_out = yield from self._attempt_request(urgent)
-        attempts = 0
-        backoff = config.retry_backoff_s * scale
-        while timed_out and attempts < config.request_retries:
-            worst_wait = backoff * (1.0 + config.retry_jitter)
-            if engine.now + worst_wait + config.timeout_s * scale > deadline:
-                break
-            attempts += 1
-            jitter = 1.0 + config.retry_jitter * float(self._rng.random())
-            yield Timeout(engine, backoff * jitter)
-            backoff *= config.retry_backoff_factor
-            self.recorder.bump("decider.request_retries")
-            granted, timed_out = yield from self._attempt_request(urgent)
-        return granted
+        self._urgent = urgent
+        self._scale = scale
+        self._retry_by = self.engine.now + self.config.period_s * scale
+        self._attempts = 0
+        self._backoff = self.config.retry_backoff_s * scale
+        self._attempt()
 
-    def _attempt_request(
-        self, urgent: bool
-    ) -> Generator[EventBase, Any, Tuple[float, bool]]:
+    def _attempt(self) -> None:
         """Send one request and wait (bounded) for its grant.
 
-        Returns ``(granted watts, timed out)``.  A grant that arrives
-        *after* the timeout is not lost: the next iteration's
-        :meth:`_absorb_stale_grants` deposits it into the local pool.
-
-        When discovery yields no candidate (membership view empty) the
-        attempt is skipped entirely -- no request, no timeout -- and the
-        node runs on its local pool until the view repopulates.
+        A grant that arrives *after* the timeout is not lost: the next
+        iteration's :meth:`_absorb_stale_grants` deposits it into the
+        local pool.  When discovery yields no candidate (membership view
+        empty) the attempt is skipped entirely -- no request, no timeout
+        -- and the node runs on its local pool until the view
+        repopulates.
         """
         peer = self._choose_peer()
         if peer is None:
-            return 0.0, False
+            self._attempt_done(0.0, False)
+            return
+        urgent = self._urgent
         alpha = max(0.0, self.initial_cap_w - self.cap_w) if urgent else 0.0
         request = power_request(
             self.addr, Addr(peer, PORT_POOL), urgent, alpha, self.iterations
@@ -503,78 +531,157 @@ class LocalDecider:
         self.requests_sent += 1
         if urgent:
             self.urgent_requests_sent += 1
-        engine = self.engine
-        sent_at = engine.now
+        self._sent_at = self.engine.now
         self.network.send(self._stamp(request))
-
-        # Under the batched tick driver every request armed at this
-        # instant shares one deadline event (the batcher never cancels
-        # it); per-node loops arm their own and cancel it when a grant
-        # beats it.
+        self._peer = peer
+        self._request = request
+        # Batched requests armed at this instant share one deadline;
+        # per-node loops arm their own.  Drifted deciders are never
+        # batched, so only the per-node path scales the timeout.
         batcher = self._batcher
         if batcher is not None:
-            deadline = batcher.request_deadline(self.config.timeout_s)
+            self._deadline = batcher.request_deadline(self.config.timeout_s)
         else:
-            # Drifted deciders are never batched (the manager unbatches
-            # them), so only this per-node path scales the timeout.
-            deadline = engine.timeout(self.config.timeout_s * self.clock_scale)
-        granted = 0.0
-        timed_out = False
-        try:
-            while True:
-                get_event = self.inbox.get()
-                # Lean two-event wait: same wake-up/failure semantics as
-                # any_of([get_event, deadline]) without the condition
-                # bookkeeping (this wait happens once per request); a
-                # grant resumes it in place.
-                yield FirstOf(engine, get_event, deadline)
-                if not get_event.triggered:
-                    # Timeout: withdraw the getter so it cannot swallow a late
-                    # grant that the next iteration should absorb instead.
-                    self.inbox.cancel_get(get_event)
-                    timed_out = True
-                    self._suspect(peer)
-                    self.recorder.bump("decider.request_timeouts")
-                    break
-                message = get_event.value
-                if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
-                    self._suspicion.pop(peer, None)
-                    self._ingest(message)
-                    self._check_grant_source(message)
-                    self._acknowledge_grant(message)
-                    granted = message.delta
-                    if granted > 0:
-                        self._register_grant(message.msg_id)
-                        self.applied_grants_w += granted
-                    else:
-                        self.empty_grants += 1
-                        self.recorder.bump("decider.empty_grants")
-                    break
-                # A stale grant from an earlier timed-out request: bank it.
-                self._absorb_grant(message)
-        except Interrupt:
-            # Stopped mid-wait: withdraw the getter, or a restart's first
-            # grant would be handed to this dead wait and lost.
+            self._deadline = self.engine.call_cancellable(
+                self.config.timeout_s * self.clock_scale,
+                self._on_deadline,
+                name="decider.deadline",
+            )
+        self._await_reply()
+
+    def _await_reply(self) -> None:
+        get_event = self.inbox.get()
+        assert get_event.callbacks is not None
+        get_event.callbacks.append(self._on_reply)
+        self._get_event = get_event
+        deadline = self._deadline
+        if deadline is not None and not isinstance(deadline, Handle):
+            deadline.waiters.append((self, get_event))
+
+    def _on_reply(self, get_event: EventBase) -> None:
+        """A message for the waiting request, handed over in place."""
+        if get_event is not self._get_event:
+            return  # handed over after the request was abandoned
+        request, deadline = self._request, self._deadline
+        assert request is not None and deadline is not None
+        if not deadline.pending:
+            return  # the deadline fired: its wake-up takes this message
+        message = get_event.value
+        if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
+            self._take_grant(message)
+        else:
+            # A stale grant from an earlier timed-out request: bank it.
+            self._absorb_grant(message)
+            self._await_reply()
+
+    def _on_deadline(self) -> None:
+        # Wake one fresh-sequence step later: a reply delivered in
+        # between still counts, and a wake-up at a tick instant lands
+        # behind that instant's batch (see repro.core.batcher).
+        self.engine.call_later(0.0, self._on_wake, self._request, name="decider.wake")
+
+    def _on_wake(self, request: PowerRequest) -> None:
+        if request is not self._request:
+            return  # abandoned since the deadline fired
+        get_event = self._get_event
+        assert get_event is not None
+        if get_event.triggered:
+            message = get_event.value
+            if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
+                self._take_grant(message)
+                return
+            # Anything else is banked; the request has timed out.
+            self._absorb_grant(message)
+        else:
+            # Withdraw the getter so it cannot swallow a late grant that
+            # the next iteration should absorb instead.
             self.inbox.cancel_get(get_event)
-            raise
-        finally:
-            # A grant that beat the deadline leaves the deadline armed; an
-            # orphaned deadline would still surface from the heap, churn the
-            # event loop, and inflate processed_events at scale.  Defuse it
-            # (lazy deletion).  The finally also covers the decider being
-            # interrupted mid-wait (node kill / shutdown).  A *shared*
-            # deadline stays armed -- other members may still be waiting
-            # on it, and a resolved FirstOf ignores its late firing.
-            if batcher is None and not deadline.processed:
-                deadline.cancel()
+        self._get_event = None
+        self._suspect(self._peer)
+        self.recorder.bump("decider.request_timeouts")
+        self._record_turnaround(0.0, True)
+        self._attempt_done(0.0, True)
+
+    def _take_grant(self, message: PowerGrant) -> None:
+        """The answer to the attempt in flight: apply it and end the wait."""
+        self._get_event = None
+        self._suspicion.pop(self._peer, None)
+        self._ingest(message)
+        self._check_grant_source(message)
+        self._acknowledge_grant(message)
+        granted = message.delta
+        if granted > 0:
+            self._register_grant(message.msg_id)
+            self.applied_grants_w += granted
+        else:
+            self.empty_grants += 1
+            self.recorder.bump("decider.empty_grants")
+        deadline = self._deadline
+        if isinstance(deadline, Handle):
+            # Disarm the deadline this grant beat; a shared one stays
+            # armed for the other requests waiting on it.
+            deadline.cancel()
+        self._record_turnaround(granted, False)
+        self._attempt_done(granted, False)
+
+    def _record_turnaround(self, granted: float, timed_out: bool) -> None:
+        engine = self.engine
         self.recorder.turnaround(
             time=engine.now,
             node=self.node_id,
-            wait_s=engine.now - sent_at,
+            wait_s=engine.now - self._sent_at,
             granted_w=granted,
             timed_out=timed_out,
         )
-        return granted, timed_out
+
+    def _attempt_done(self, granted: float, timed_out: bool) -> None:
+        """Retry a timed-out attempt if the period allows, else finish."""
+        config = self.config
+        if timed_out and self._attempts < config.request_retries:
+            backoff = self._backoff
+            worst_wait = backoff * (1.0 + config.retry_jitter)
+            now = self.engine.now
+            if now + worst_wait + config.timeout_s * self._scale <= self._retry_by:
+                self._attempts += 1
+                jitter = 1.0 + config.retry_jitter * float(self._rng.random())
+                self.engine.call_later(
+                    backoff * jitter, self._on_retry, self._request, name="decider.retry"
+                )
+                return
+        self._finish_request(granted)
+
+    def _on_retry(self, request: Optional[PowerRequest]) -> None:
+        if request is not self._request:
+            return  # abandoned during the backoff
+        self._backoff *= self.config.retry_backoff_factor
+        self.recorder.bump("decider.request_retries")
+        self._attempt()
+
+    def _finish_request(self, granted: float) -> None:
+        """End the iteration's request and continue the loop."""
+        self._request = None
+        self._deadline = None
+        self.tick_end(self._urgent, granted)
+        batcher = self._batcher
+        if batcher is not None:
+            batcher.request_done(self)
+        else:
+            self._schedule_tick()
+
+    def abandon_request(self) -> None:
+        """Drop the request in flight (the decider stops or leaves the
+        batcher): nothing queued for it acts later."""
+        get_event = self._get_event
+        if get_event is not None:
+            # Withdraw the getter, or a restart's first grant would be
+            # handed to this dead wait and lost.
+            self.inbox.cancel_get(get_event)
+            self._get_event = None
+            deadline = self._deadline
+            if isinstance(deadline, Handle):
+                deadline.cancel()
+        self._request = None
+        self._deadline = None
 
     # -- grant acknowledgement ----------------------------------------------------
 

@@ -49,7 +49,7 @@ from repro.net.messages import (
 )
 from repro.net.network import Network
 from repro.net.server import RequestServer
-from repro.sim import Callback, Engine
+from repro.sim import Engine, Handle
 
 if TYPE_CHECKING:  # pragma: no cover - break the core <-> membership cycle
     from repro.membership.detector import FailureDetector
@@ -132,7 +132,7 @@ class PowerPool:
         self.requests_handled = 0
         self.urgent_requests_handled = 0
         #: Open escrow: grant msg_id -> (delta, requester node, refund timer).
-        self._escrow: Dict[int, Tuple[float, int, Callback]] = {}
+        self._escrow: Dict[int, Tuple[float, int, Handle]] = {}
         self._escrow_w = 0.0
         #: Refunded-but-unacked grants (id -> delta): a late ack reclaims.
         self._refunded: "OrderedDict[int, float]" = OrderedDict()
@@ -279,12 +279,11 @@ class PowerPool:
     # -- escrow lifecycle --------------------------------------------------------
 
     def _open_escrow(self, grant_id: int, delta: float, requester: int) -> None:
-        timer = Callback(
-            self.engine,
+        timer = self.engine.call_cancellable(
             self.config.effective_escrow_timeout_s,
             self._expire_escrow,
             grant_id,
-            name=f"escrow[{self.node_id}->{requester}#{grant_id}]",
+            name="pool.escrow",
         )
         self._escrow[grant_id] = (delta, requester, timer)
         self._escrow_w += delta
@@ -304,12 +303,11 @@ class PowerPool:
             # a confirm writes them off via the membership listener, a
             # refutation lets the next expiry refund normally, and a late
             # ack still settles at any point.
-            timer = Callback(
-                self.engine,
+            timer = self.engine.call_cancellable(
                 self.config.effective_escrow_timeout_s,
                 self._expire_escrow,
                 grant_id,
-                name=f"escrow[{self.node_id}->{requester}#{grant_id}]",
+                name="pool.escrow",
             )
             self._escrow[grant_id] = (delta, requester, timer)
             self.recorder.bump("pool.escrow_deferrals")
@@ -334,8 +332,7 @@ class PowerPool:
         if entry is not None:
             delta, _, timer = entry
             self._escrow_w -= delta
-            if not timer.processed:
-                timer.cancel()
+            timer.cancel()
             self._remember(self._settled, grant_id, True)
             self.recorder.bump("pool.escrow_settled")
             return
@@ -384,9 +381,7 @@ class PowerPool:
             if requester == subject
         ]
         for grant_id in doomed:
-            _, _, timer = self._escrow[grant_id]
-            if not timer.processed:
-                timer.cancel()
+            self._escrow[grant_id][2].cancel()
             self.recorder.bump("pool.escrow_confirm_writeoffs")
             self._expire_escrow(grant_id)
 
@@ -418,7 +413,6 @@ class PowerPool:
         """
         self.server.stop()
         for _, _, timer in self._escrow.values():
-            if not timer.processed:
-                timer.cancel()
+            timer.cancel()
         self._escrow.clear()
         self._escrow_w = 0.0

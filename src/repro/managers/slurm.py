@@ -47,7 +47,7 @@ from repro.net.messages import (
 from repro.net.network import Network
 from repro.net.server import RequestServer
 from repro.power.rapl import PowerCapInterface
-from repro.sim import PRIORITY_URGENT, Callback, Engine, EventBase, Store
+from repro.sim import PRIORITY_URGENT, Engine, EventBase, Handle, Store
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,7 @@ class SlurmClient:
         #: deadline and the inbox getter the reply arrives through.
         self._request: Optional[PowerRequest] = None
         self._sent_at = 0.0
-        self._deadline: Optional[Callback] = None
+        self._deadline: Optional[Handle] = None
         self._get_event: Optional[EventBase] = None
 
     # -- lifecycle -------------------------------------------------------------
@@ -288,8 +288,7 @@ class SlurmClient:
             raise RuntimeError(f"client {self.node_id} already running")
         self._runs += 1
         self._run = self._runs
-        Callback(
-            self.engine,
+        self.engine.call_later(
             0.0,
             self._begin,
             self._run,
@@ -312,8 +311,7 @@ class SlurmClient:
         # deadline's only owner, so an armed one is cancelled rather
         # than left to fire as a no-op later.
         self.inbox.cancel_get(get_event)
-        if deadline.callbacks is not None:
-            deadline.cancel()
+        deadline.cancel()
 
     @property
     def is_running(self) -> bool:
@@ -358,21 +356,19 @@ class SlurmClient:
 
     # -- the control loop ----------------------------------------------------------
 
-    # The loop is a state machine on queue callbacks rather than a
+    # The loop is a state machine on queued calls rather than a
     # generator process: every SLURM request passes through it.  It
-    # queues what the generator loop did, in the same order -- the
-    # urgent start hop, the stagger, one entry per tick, the request's
-    # deadline and, when the deadline fires, a fresh-sequence wake-up
-    # (the one a ``FirstOf`` wait queues) -- and takes replies in place
-    # on delivery, so every simulated byte is the same.
+    # queues bare entries for the urgent start hop, the stagger, each
+    # tick and the wake-up a fired deadline queues at a fresh sequence
+    # number, and a cancellable handle for the request's deadline; it
+    # takes replies in place on delivery.
 
     def _begin(self, run: int) -> None:
         if run != self._run:
             return
         stagger = self.config.effective_stagger_s
         if stagger > 0:
-            Callback(
-                self.engine,
+            self.engine.call_later(
                 float(self._rng.uniform(0.0, stagger)),
                 self._staggered,
                 run,
@@ -400,8 +396,7 @@ class SlurmClient:
             self._next_tick += period
             now = engine.now
             if self._next_tick > now:
-                Callback(
-                    engine,
+                engine.call_later(
                     self._next_tick - now,
                     self._on_tick,
                     self._run,
@@ -451,8 +446,8 @@ class SlurmClient:
         self._sent_at = engine.now
         self.network.send(request)
         self._request = request
-        self._deadline = Callback(
-            engine, self.config.timeout_s, self._on_deadline, name="slurm.client.deadline"
+        self._deadline = engine.call_cancellable(
+            self.config.timeout_s, self._on_deadline, name="slurm.client.deadline"
         )
         self._await_reply()
 
@@ -467,7 +462,7 @@ class SlurmClient:
         request, deadline = self._request, self._deadline
         if get_event is not self._get_event or request is None or deadline is None:
             return  # handed over after a stop
-        if deadline.callbacks is None:
+        if not deadline.pending:
             return  # the deadline fired: its wake-up takes this message
         message = get_event.value
         if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
@@ -479,9 +474,9 @@ class SlurmClient:
             self._await_reply()
 
     def _on_deadline(self) -> None:
-        # Wake one fresh-sequence step later, exactly as a FirstOf wait
-        # on the deadline did: a reply delivered in between still counts.
-        Callback(self.engine, 0.0, self._on_wake, self._request, name="slurm.client.wake")
+        # Wake one fresh-sequence step later: a reply delivered in
+        # between still counts as the grant.
+        self.engine.call_later(0.0, self._on_wake, self._request, name="slurm.client.wake")
 
     def _on_wake(self, request: PowerRequest) -> None:
         if request is not self._request:

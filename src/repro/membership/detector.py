@@ -21,7 +21,7 @@ still converge.
 Determinism: all randomness (probe order, relay and gossip fan-out
 choice, start stagger) comes from the single named stream the manager
 passes in (``penelope.membership.<node>[.gen<k>]``); timers are named
-:class:`~repro.sim.events.Callback` events (lint R6); the subsystem
+cancellable queued calls (:class:`~repro.sim.events.Handle`); the subsystem
 never touches the power path's RNG streams, so runs with the detector
 disabled replay byte-identically.
 """
@@ -56,9 +56,9 @@ from repro.net.messages import PORT_MEMBERSHIP, Addr, MembershipUpdate, Message,
 from repro.net.network import Network
 from repro.net.roster import roster_of
 from repro.sim import (
-    Callback,
     Engine,
     EventBase,
+    Handle,
     Interrupt,
     Process,
     Timeout,
@@ -141,7 +141,7 @@ class FailureDetector:
         #: (origin node, target node).
         self._relay: "OrderedDict[int, Tuple[int, int]]" = OrderedDict()
         #: Pending suspect -> confirm timers, by subject.
-        self._confirm_timers: Dict[int, Callback] = {}
+        self._confirm_timers: Dict[int, Handle] = {}
         self._process: Optional[Process] = None
         #: Local-clock scale factor (1.0 = nominal); stretches the probe
         #: period, indirect-probe timeout and suspect-confirm timer of a
@@ -180,8 +180,7 @@ class FailureDetector:
             self._process = None
         self.network.detach(self.addr)
         for timer in self._confirm_timers.values():
-            if not timer.processed:
-                timer.cancel()
+            timer.cancel()
         self._confirm_timers.clear()
 
     # -- integration surface (pool / decider) ---------------------------------
@@ -421,17 +420,16 @@ class FailureDetector:
 
     def _on_transition(self, subject: int, status: str, incarnation: int) -> None:
         timer = self._confirm_timers.pop(subject, None)
-        if timer is not None and not timer.processed:
+        if timer is not None:
             timer.cancel()
         if status == SUSPECT:
             self.recorder.bump("membership.suspects")
-            self._confirm_timers[subject] = Callback(
-                self.engine,
+            self._confirm_timers[subject] = self.engine.call_cancellable(
                 self.config.membership_suspect_timeout_s * self.clock_scale,
                 self._confirm,
                 subject,
                 incarnation,
-                name=f"membership.confirm[{self.node_id}->{subject}]",
+                name="membership.confirm",
             )
         elif status == DEAD:
             self.recorder.bump("membership.confirms")

@@ -10,7 +10,6 @@ import numpy as np
 from repro.net.messages import Addr, Message
 from repro.net.topology import Topology
 from repro.sim.engine import Engine
-from repro.sim.events import Callback
 from repro.sim.resources import Store
 
 
@@ -282,8 +281,8 @@ class Network:
         draw-for-draw -- the property that makes nominal-vs-faulty result
         pairing meaningful.
 
-        Delivery is a single :class:`~repro.sim.events.Callback` event
-        scheduled directly on the engine queue; the arrival-time checks
+        Delivery is one bare queue entry
+        (:meth:`~repro.sim.engine.Engine.call_later`); the arrival-time checks
         live in :meth:`_deliver`.  The receiver gets the sender's
         instance itself: messages are frozen (lint R4), so there is
         nothing to copy.
@@ -348,10 +347,8 @@ class Network:
             stats.reordered_by_kind[kind] = (
                 stats.reordered_by_kind.get(kind, 0) + 1
             )
-        # Direct Callback construction (== engine.call_later) saves a call
-        # per message on the simulation's hottest path; constant tiebreak
-        # key for the same reason.
-        Callback(self.engine, delay, self._deliver, message, name="net.deliver")
+        # A bare entry: the simulation's hottest path builds no event.
+        self.engine.call_later(delay, self._deliver, message, name="net.deliver")
         if self._duplicate_probability > 0.0:
             assert self._duplicate_rng is not None
             if float(self._duplicate_rng.random()) < self._duplicate_probability:
@@ -364,12 +361,8 @@ class Network:
                 echo_delay = delay * (
                     1.0 + float(self._duplicate_rng.random())
                 )
-                Callback(
-                    self.engine,
-                    echo_delay,
-                    self._deliver,
-                    message,
-                    name="net.deliver.dup",
+                self.engine.call_later(
+                    echo_delay, self._deliver, message, name="net.deliver.dup"
                 )
 
     def _deliver(self, message: Message) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from repro.net.messages import Addr, Message
 from repro.net.network import Network
 from repro.sim.engine import Engine
-from repro.sim.events import PRIORITY_URGENT, Callback, EventBase
+from repro.sim.events import PRIORITY_URGENT, EventBase
 from repro.sim.resources import Store
 
 #: A handler consumes a request and returns zero or more reply messages.
@@ -96,13 +96,8 @@ class RequestServer:
             self.network.attach(self.addr, self.inbox)
         self._runs += 1
         self._run = self._runs
-        Callback(
-            self.engine,
-            0.0,
-            self._begin,
-            self._run,
-            name="server.start",
-            priority=PRIORITY_URGENT,
+        self.engine.call_later(
+            0.0, self._begin, self._run, name="server.start", priority=PRIORITY_URGENT
         )
 
     def stop(self) -> None:
@@ -173,8 +168,8 @@ class RequestServer:
             return  # handed over after a stop
         cost = self._sample_service_time()
         if cost > 0.0:
-            Callback(
-                self.engine, cost, self._served, get_event, cost, name="server.serve"
+            self.engine.call_later(
+                cost, self._served, get_event, cost, name="server.serve"
             )
         else:
             self._served(get_event, cost)

@@ -52,7 +52,7 @@ class EnergyMeter:
             raise ValueError(f"power cannot be negative, got {power_w!r}")
         # Inlined _integrate_to_now: the executor calls this on every phase
         # change and cap enforcement.
-        now = self.engine._now
+        now = self.engine.now
         dt = now - self._last_update
         if dt > 0:
             self._energy_j += self._power_w * dt
@@ -62,7 +62,7 @@ class EnergyMeter:
             self._trace.append((now, power_w))
 
     def _integrate_to_now(self) -> None:
-        now = self.engine._now
+        now = self.engine.now
         dt = now - self._last_update
         if dt > 0:
             self._energy_j += self._power_w * dt
@@ -82,7 +82,7 @@ class EnergyMeter:
 
         Returns the instantaneous power when the window is empty.
         """
-        now = self.engine._now
+        now = self.engine.now
         window = now - t0
         if window <= 0:
             return self._power_w

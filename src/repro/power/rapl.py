@@ -17,7 +17,6 @@ import numpy as np
 from repro.power.domain import PowerDomainSpec
 from repro.power.meter import EnergyMeter
 from repro.sim.engine import Engine
-from repro.sim.events import Callback
 
 
 class PowerCapInterface(abc.ABC):
@@ -137,17 +136,11 @@ class SimulatedRapl(PowerCapInterface):
         if delay == 0.0:
             self._enforce(clamped, self._set_version)
         else:
-            # A single callback event, not a process: cap writes happen on
-            # nearly every decider iteration, making enforcement one of the
-            # kernel's hottest paths -- the tiebreak key is a constant, not
-            # a per-write f-string.
-            Callback(
-                self.engine,
-                delay,
-                self._enforce,
-                clamped,
-                self._set_version,
-                name="rapl.enforce",
+            # A bare queue entry: cap writes happen on nearly every
+            # decider iteration, making enforcement one of the kernel's
+            # hottest paths.
+            self.engine.call_later(
+                delay, self._enforce, clamped, self._set_version, name="rapl.enforce"
             )
         return clamped
 
@@ -177,7 +170,7 @@ class SimulatedRapl(PowerCapInterface):
         """
         self.power_reads += 1
         average = self.meter.average_since(self._last_read_time, self._last_read_energy)
-        self._last_read_time = self.engine._now
+        self._last_read_time = self.engine.now
         self._last_read_energy = self.meter.energy_j()
         if self._noise > 0.0:
             # numpy's ``normal(0.0, s)`` is ``0.0 + s * z`` for the same

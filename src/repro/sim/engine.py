@@ -1,28 +1,36 @@
 """The simulation event loop and clock.
 
-The engine owns a queue of triggered events keyed by ``(time, priority,
-sequence)``.  The sequence number makes simultaneous events process in
-trigger order, which (together with seeded RNG streams) makes every
-simulation fully deterministic.
+The engine owns a queue of entries keyed by ``(time, priority,
+sequence)``.  The sequence number makes simultaneous entries process in
+the order they were queued, which (together with seeded RNG streams)
+makes every simulation fully deterministic.
 
 The queue is a :class:`~repro.sim.schedulers.HeapScheduler`, which
 surfaces live entries in exactly that key order
 (``tests/test_sim_scheduler_equivalence.py`` checks it against a
-brute-force model).
+brute-force model).  Every entry is ``(time, priority, sequence, fn,
+args)`` and processing it is one call, ``fn(*args)``: a bare call
+queued by :meth:`Engine.call_later`, a cancellable
+:class:`~repro.sim.events.Handle` queued by
+:meth:`Engine.call_cancellable`, or a triggered event, which is its own
+``fn`` (:mod:`repro.sim.events`).
 
 Hot-path notes
 --------------
-``run`` inlines the pop/process cycle instead of calling :meth:`step`
-per event: at paper scale the loop dispatches hundreds of thousands of
-events per wall-second, and the per-event call overhead is measurable
-(see ``python -m bench --workload kernel-10k``).  Event constructors
-push onto the queue through the pre-bound ``engine._push`` rather than a
-scheduler method lookup.  Cancelled events (lazy deletion,
-:meth:`repro.sim.events.Timeout.cancel`) are counted eagerly at cancel
-time -- :meth:`Engine._note_cancelled` -- and the scheduler drops their
-queue entries internally (at surfacing or in bulk compaction), so they
-never reach the dispatch loop and never count toward
-``processed_events``.
+``run`` inlines the pop/call cycle instead of calling :meth:`step` per
+entry: at paper scale the loop dispatches hundreds of thousands of
+entries per wall-second, and the per-entry overhead is measurable (see
+``python -m bench --workload kernel-10k``).  The loop stores each
+entry's time into the plain attribute :attr:`Engine.now`, which every
+layer reads directly -- no property call per read.  Entries are pushed
+through the pre-bound ``engine._push`` rather than a scheduler method
+lookup, and a call nobody waits on or cancels allocates no event object
+at all.  Cancelled entries (lazy deletion, :meth:`Handle.cancel
+<repro.sim.events.Handle.cancel>`, :meth:`repro.sim.events.Timeout.cancel`)
+are counted eagerly at cancel time -- :meth:`Engine._note_cancelled` --
+and the scheduler drops them internally (at surfacing or in bulk
+compaction), so they never reach the dispatch loop and never count
+toward ``processed_events``.
 
 ``run`` also sizes the cyclic garbage collector's young generation for a
 discrete-event loop.  Most objects a run allocates are queued waits that
@@ -64,17 +72,14 @@ from repro.sim.events import (
     PRIORITY_NORMAL,
     AllOf,
     AnyOf,
-    Callback,
     Event,
     EventBase,
+    Handle,
+    SimulationError,
     Timeout,
 )
 from repro.sim.process import Process
 from repro.sim.schedulers import HeapScheduler
-
-
-class SimulationError(RuntimeError):
-    """An unhandled event failure surfaced at the top of the event loop."""
 
 
 class StopSimulation(Exception):
@@ -88,8 +93,8 @@ class StopSimulation(Exception):
 #: Generation-0 collection threshold while an engine runs or is paused
 #: (see the module's hot-path notes), and from the moment
 #: ``harness.build_universe`` starts building one.  A queued wait (its
-#: ``Timeout``, heap-entry tuple, callbacks list and bound
-#: ``Process._resume``) lives about one sim-second, i.e.
+#: queue-entry tuple, bound method and arguments, plus an event and its
+#: callbacks list where a process waits) lives about one sim-second, i.e.
 #: many thousands of allocations; a build allocates almost only objects
 #: that live as long as its universe.  Either way a young collection
 #: frees next to nothing, and at 700 its survivors are promoted into
@@ -220,7 +225,10 @@ class Engine:
     def __init__(
         self, start_time: float = 0.0, sim: Optional[SimConfig] = None
     ) -> None:
-        self._now = float(start_time)
+        #: Current simulated time in seconds.  A plain attribute: every
+        #: layer reads it, and only the dispatch loop (and a numeric
+        #: ``run`` horizon) writes it.
+        self.now = float(start_time)
         self._scheduler = HeapScheduler()
         #: Kernel execution-mode flags, read by agent builders (the
         #: Penelope manager checks them to decide whether to drive its
@@ -242,13 +250,6 @@ class Engine:
         self.processed_events = 0
         #: Events cancelled while queued, counted at cancel time.
         self.cancelled_events = 0
-
-    # -- clock -------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -276,14 +277,40 @@ class Engine:
         fn: Callable[..., Any],
         *args: Any,
         name: Optional[str] = None,
-    ) -> Callback:
-        """Run ``fn(*args)`` after ``delay`` as a single queue event.
+        priority: int = PRIORITY_NORMAL,
+    ) -> None:
+        """Queue ``fn(*args)`` to run after ``delay`` as a bare entry.
 
-        The lightweight replacement for spawning a process that sleeps
-        once and acts: one queue entry, no generator.  Used by the network
-        (message delivery) and RAPL (cap enforcement) hot paths.
+        The entry is the tuple ``(time, priority, sequence, fn, args)``
+        and nothing else: nobody can wait on or cancel it, so no event
+        object is built.  ``name`` is the call site's constant label
+        (lint R6); a bare entry does not keep it -- ``fn`` identifies
+        the site.
         """
-        return Callback(self, delay, fn, *args, name=name)
+        if delay < 0:
+            raise ValueError(f"negative callback delay: {delay!r}")
+        self._push((self.now + delay, priority, next(self._sequence), fn, args))
+
+    def call_cancellable(
+        self,
+        delay: float,
+        fn: Callable[..., Any],
+        *args: Any,
+        name: Optional[str] = None,
+        priority: int = PRIORITY_NORMAL,
+    ) -> Handle:
+        """Queue ``fn(*args)`` after ``delay`` behind a cancellable handle.
+
+        Like :meth:`call_later`, but the entry's ``fn`` is a
+        :class:`~repro.sim.events.Handle` that keeps ``name`` and whose
+        :meth:`~repro.sim.events.Handle.cancel` drops the call unrun.
+        """
+        if delay < 0:
+            raise ValueError(f"negative callback delay: {delay!r}")
+        seq = next(self._sequence)
+        handle = Handle(self, fn, seq, name)
+        self._push((self.now + delay, priority, seq, handle, args))
+        return handle
 
     def process(
         self,
@@ -307,17 +334,18 @@ class Engine:
         """Put a triggered event on the processing queue."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
-        self._push((self._now + delay, priority, next(self._sequence), event))
+        self._push((self.now + delay, priority, next(self._sequence), event, ()))
 
-    def _note_cancelled(self) -> None:
-        """Record a queued event's cancellation (called by ``cancel()``).
+    def _note_cancelled(self, sequence: int) -> None:
+        """Record the cancellation of queued entry ``sequence`` (called
+        by ``cancel()``).
 
         Counts the cancellation eagerly and tells the scheduler, whose
-        live ``len()`` excludes dead entries from this point on and
-        which compacts itself when dead entries pile up.
+        live ``len()`` excludes the entry from this point on and which
+        compacts itself when dead entries pile up.
         """
         self.cancelled_events += 1
-        self._scheduler.note_cancelled()
+        self._scheduler.note_cancelled(sequence)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
@@ -325,20 +353,15 @@ class Engine:
         return head[0] if head is not None else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event (advancing the clock to it)."""
+        """Process exactly one entry (advancing the clock to it)."""
         item = self._scheduler.pop()
         if item is None:
             raise IndexError("step() on an empty event queue")
-        when, _, _, event = item
-        assert when >= self._now, "event queue went backwards"
-        self._now = when
+        when, _, _, fn, args = item
+        assert when >= self.now, "event queue went backwards"
+        self.now = when
         self.processed_events += 1
-        event._process()
-        if not event._ok and not event._defused:
-            exc = event.value
-            raise SimulationError(
-                f"unhandled failure of {event!r}: {exc!r}"
-            ) from exc
+        fn(*args)
 
     def run(self, until: Union[None, float, int, EventBase] = None) -> Any:
         """Run the simulation.
@@ -405,15 +428,10 @@ class Engine:
                     item = pop()
                     if item is None:
                         break
-                    when, _, _, event = item
-                    self._now = when
+                    when, _, _, fn, args = item
+                    self.now = when
                     processed += 1
-                    event._process()
-                    if not event._ok and not event._defused:
-                        exc = event.value
-                        raise SimulationError(
-                            f"unhandled failure of {event!r}: {exc!r}"
-                        ) from exc
+                    fn(*args)
             finally:
                 self.processed_events += processed
             return None
@@ -433,15 +451,10 @@ class Engine:
                         raise SimulationError(
                             f"event queue drained before {stop_event!r} fired"
                         )
-                    when, _, _, event = item
-                    self._now = when
+                    when, _, _, fn, args = item
+                    self.now = when
                     processed += 1
-                    event._process()
-                    if not event._ok and not event._defused:
-                        exc = event.value
-                        raise SimulationError(
-                            f"unhandled failure of {event!r}: {exc!r}"
-                        ) from exc
+                    fn(*args)
             except StopSimulation as stop:
                 event = stop.value
                 if not event.ok:
@@ -456,9 +469,9 @@ class Engine:
                     stop_event.callbacks.remove(_stop_callback)
 
         horizon = float(until)
-        if horizon < self._now:
+        if horizon < self.now:
             raise ValueError(
-                f"until={horizon!r} lies in the past (now={self._now!r})"
+                f"until={horizon!r} lies in the past (now={self.now!r})"
             )
         pop_due = self._scheduler.pop_due
         try:
@@ -466,18 +479,13 @@ class Engine:
                 item = pop_due(horizon)
                 if item is None:
                     break
-                when, _, _, event = item
-                self._now = when
+                when, _, _, fn, args = item
+                self.now = when
                 processed += 1
-                event._process()
-                if not event._ok and not event._defused:
-                    exc = event.value
-                    raise SimulationError(
-                        f"unhandled failure of {event!r}: {exc!r}"
-                    ) from exc
+                fn(*args)
         finally:
             self.processed_events += processed
-        self._now = horizon
+        self.now = horizon
         return None
 
 

@@ -47,11 +47,8 @@ class _Interruption(EventBase):
     It is delivered in place, at construction: a queued delivery would
     be a same-instant urgent hop whose only effect is deferring the
     resume behind other urgent events created in the same processing
-    step, and every interrupted body (a stopped daemon's teardown, a
-    batched request continuation's) is node-local, so the earlier
-    resume changes no cross-node ordering.  The workload executor is no
-    longer interrupted: it runs on queue callbacks, and a cap change
-    cancels and reschedules its segment in place.
+    step, and every interrupted body (a stopped daemon's teardown) is
+    node-local, so the earlier resume changes no cross-node ordering.
     """
 
     __slots__ = ()
@@ -71,7 +68,6 @@ class _Interruption(EventBase):
         self._value = Interrupt(cause)
         self._ok = False
         self._defused = True
-        self._cancelled = False
         # Detach the process from whatever it was waiting on ...
         target = process._target
         if target is not None and target.callbacks is not None:
@@ -111,7 +107,6 @@ class Process(EventBase):
         self._value = _PENDING
         self._ok = True
         self._defused = False
-        self._cancelled = False
         self._generator = generator
         initialize = _new_initialize(_Initialize)
         initialize.engine = engine
@@ -120,8 +115,7 @@ class Process(EventBase):
         initialize._value = None
         initialize._ok = True
         initialize._defused = False
-        initialize._cancelled = False
-        engine._push((engine._now, PRIORITY_URGENT, next(engine._sequence), initialize))
+        engine._push((engine.now, PRIORITY_URGENT, next(engine._sequence), initialize, ()))
         #: The event this process is currently waiting on (None while
         #: executing).  Before the first resume it is the initialize event.
         self._target: Optional[EventBase] = initialize
@@ -228,63 +222,3 @@ class Process(EventBase):
             # Already processed: loop and deliver its value immediately.
             event = next_event
         engine._active_process = None
-
-
-class InlineProcess(Process):
-    """A process whose first step runs synchronously at construction.
-
-    A regular :class:`Process` defers its first resume behind an urgent
-    ``_Initialize`` event, so everything before the generator's first
-    ``yield`` executes one event later.  The batched tick driver
-    (:mod:`repro.core.batcher`) needs a node's request body -- including
-    its network send, which consumes the shared latency stream -- to
-    execute at the node's exact position inside the batch loop, so this
-    variant advances the generator immediately instead of scheduling an
-    initialize event.  ``is_initializing`` is therefore never true: use
-    :meth:`Process.interrupt` (via ``stop_process``) to abort one.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        engine: "Engine",
-        generator: Generator[EventBase, Any, Any],
-        name: Optional[str] = None,
-    ) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise TypeError(f"{generator!r} is not a generator")
-        EventBase.__init__(
-            self, engine, name=name or getattr(generator, "__name__", None)
-        )
-        self._generator = generator
-        self._target = None
-        # Bootstrap with a pre-succeeded dummy: _resume only reads the
-        # outcome fields, so a bare triggered EventBase stands in for the
-        # _Initialize event a deferred process would have waited on.
-        bootstrap = EventBase(engine)
-        bootstrap._value = None
-        self._resume(bootstrap)
-
-    def succeed(self, value: Any = None, delay: float = 0.0) -> EventBase:
-        """Complete synchronously instead of via the engine queue.
-
-        A regular process completion is itself a queued event so other
-        processes can ``yield`` on it.  Batched-request continuations are
-        never waited on -- the batcher only checks ``is_alive`` -- so the
-        per-request completion event would be pure queue churn (one push,
-        one sequence number and one pop per request at scale).  Waiters
-        registered anyway are still notified, just at completion instant
-        rather than one queue step later.
-        """
-        if delay:
-            return super().succeed(value, delay)
-        if self._value is not _PENDING:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = True
-        self._value = value
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None, "event processed twice"
-        for callback in callbacks:
-            callback(self)
-        return self

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.node import SimNode
 from repro.power.domain import SKYLAKE_6126_NODE
-from repro.sim.events import Callback
+from repro.sim.events import Handle
 from repro.workloads.performance import runtime_at_constant_cap
 from repro.workloads.phases import Phase, Workload
 
@@ -127,9 +127,9 @@ class TestExecutor:
         executor = node.executor
         live = []
         while (item := engine._scheduler.pop()) is not None:
-            event = item[3]
-            if isinstance(event, Callback) and event.name == "exec.segment":
-                live.append(event)
+            call = item[3]
+            if isinstance(call, Handle) and call.name == "exec.segment":
+                live.append(call)
         assert live == [executor._segment]
 
 

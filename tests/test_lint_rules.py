@@ -149,6 +149,20 @@ class TestR6CallbackNames:
     def test_good_fixture_silent(self):
         assert findings_for("r6_good.py", ["R6"]) == []
 
+    def test_queue_entry_points_need_a_constant_name(self, tmp_path):
+        source = tmp_path / "entries.py"
+        source.write_text(
+            "def arm(engine, fire, node):\n"
+            "    engine.call_cancellable(1.0, fire)\n"  # line 2: no name
+            "    engine.call_cancellable(1.0, fire, name=f'timer[{node}]')\n"  # 3
+            "    engine.call_later(0.5, fire, name=f'tick[{node}]')\n"  # line 4
+            "    engine.call_later(0.5, fire, name='tick')\n"
+            "    engine.call_cancellable(1.0, fire, node, name='timer')\n"
+        )
+        findings = lint_file(source, get_rules(["R6"]), LintConfig())
+        assert rule_lines(findings, "R6") == [2, 3, 4]
+        assert "f-string" in findings[1].message
+
 
 class TestR8Layering:
     def test_bad_tree_exact_locations(self):

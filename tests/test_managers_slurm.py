@@ -197,7 +197,7 @@ class TestCentralizedUrgency:
         _, _, manager = build()
         server = manager.server
         server._urgent_deficits[1] = (10.0, 0.0)
-        server.engine._now = 100.0  # long past the TTL
+        server.engine.now = 100.0  # long past the TTL
         assert not server.has_unmet_urgency
 
 

@@ -259,7 +259,7 @@ class TestLifecycle:
 
 
 def spy_deadlines(rig):
-    """Every request deadline the client arms from now on, in order."""
+    """Every request deadline handle the client arms from now on, in order."""
     deadlines = []
     push = rig.engine._push
 
@@ -298,7 +298,7 @@ class TestDeadlines:
         assert deadlines
         assert rig.engine.cancelled_events > cancelled_before
         # No deadline of an answered request is left live in the queue.
-        assert [d for d in deadlines if d.callbacks is not None and not d._cancelled] == []
+        assert [d for d in deadlines if d.pending] == []
 
     def test_stop_mid_wait_cancels_its_deadline(self):
         # Stopped while waiting on an unreachable server, the client owns
@@ -310,37 +310,42 @@ class TestDeadlines:
         deadlines = spy_deadlines(rig)
         rig.set_draw(INITIAL)
         rig.engine.run(until=config.period_s + 0.5)
-        assert len(deadlines) == 1 and not deadlines[0].processed
+        assert len(deadlines) == 1 and deadlines[0].pending
+        cancelled_before = rig.engine.cancelled_events
         rig.client.stop()
         assert not rig.client.is_running
-        assert deadlines[0]._cancelled
+        assert not deadlines[0].pending
+        assert rig.engine.cancelled_events == cancelled_before + 1
         rig.engine.run(until=rig.engine.now + 2 * config.period_s)
         # Nothing of the abandoned wait acts later: no timeout is counted.
         assert "slurm.client.request_timeouts" not in rig.client.recorder.counters
 
     def test_reply_between_deadline_and_wake_up_counts_as_the_grant(self):
         # The deadline fires, and a grant lands at that same instant
-        # before the wake-up the deadline queues.  A FirstOf wait took
-        # that grant as the answer; so must the client.
+        # before the wake-up the deadline queues: the grant is still
+        # the answer.
         config = SlurmConfig(stagger_start=False, response_timeout_s=0.9)
         rig = Rig(config=config, server_running=False)
-        deadlines = spy_deadlines(rig)
         requests = spy_requests(rig)
-        rig.set_draw(INITIAL)
-        rig.engine.run(until=config.period_s + 0.5)
-        assert len(deadlines) == 1 and len(requests) == 1
-        request = requests[0]
         fired_at = []
+        on_deadline = rig.client._on_deadline
 
-        def late_grant(deadline):
+        def late_grant():
+            # Right after the deadline queues its wake-up.
+            on_deadline()
             fired_at.append(rig.engine.now)
+            request = requests[0]
             rig.client.inbox.try_put(
                 PowerGrant(
                     src=SERVER, dst=request.src, delta=12.0, reply_to=request.msg_id
                 )
             )
 
-        deadlines[0].callbacks.append(late_grant)
+        rig.client._on_deadline = late_grant
+        deadlines = spy_deadlines(rig)
+        rig.set_draw(INITIAL)
+        rig.engine.run(until=config.period_s + 0.5)
+        assert len(deadlines) == 1 and len(requests) == 1
         rig.engine.run(until=config.period_s + 0.95)  # before the next tick
         assert fired_at == [pytest.approx(config.period_s + config.timeout_s)]
         turnaround = rig.client.recorder.turnarounds[-1]
@@ -357,7 +362,7 @@ class TestDeadlines:
         deadlines = spy_deadlines(rig)
         rig.set_draw(INITIAL)
         rig.engine.run(until=config.period_s + 0.95)  # before the next tick
-        assert len(deadlines) == 1 and deadlines[0].processed
+        assert len(deadlines) == 1 and not deadlines[0].pending
         turnaround = rig.client.recorder.turnarounds[-1]
         assert turnaround.timed_out and turnaround.granted_w == 0.0
         assert rig.client.recorder.counters["slurm.client.request_timeouts"] == 1
@@ -368,19 +373,17 @@ class TestDeadlines:
 
 class TestLeanWait:
     def test_no_condition_built_while_a_run_dispatches(self, monkeypatch):
-        # Every server wait is a plain queue callback: a full AnyOf/AllOf
-        # condition (or even a FirstOf) built inside the event loop means
-        # a client fell back to a composite wait.  (run_to_completion
-        # builds its own AnyOf before the loop starts, which this count
-        # leaves out.)
+        # Every server wait is a plain queued call: a full AnyOf/AllOf
+        # condition built inside the event loop means a client fell back
+        # to a composite wait.  (run_to_completion builds its own AnyOf
+        # before the loop starts, which this count leaves out.)
         from repro.experiments.harness import RunSpec, run_single
         from repro.sim import events
 
-        counts = {"conditions": 0, "first_of": 0}
+        counts = {"conditions": 0}
         dispatching = [False]
         dispatch = Engine._dispatch
         condition_init = events._Condition.__init__
-        first_of_init = events.FirstOf.__init__
 
         def counting_dispatch(self, until):
             dispatching[0] = True
@@ -394,14 +397,8 @@ class TestLeanWait:
                 counts["conditions"] += 1
             condition_init(self, *args, **kwargs)
 
-        def counting_first_of(self, *args, **kwargs):
-            if dispatching[0]:
-                counts["first_of"] += 1
-            first_of_init(self, *args, **kwargs)
-
         monkeypatch.setattr(Engine, "_dispatch", counting_dispatch)
         monkeypatch.setattr(events._Condition, "__init__", counting_condition)
-        monkeypatch.setattr(events.FirstOf, "__init__", counting_first_of)
         result = run_single(
             RunSpec(
                 manager="slurm",
@@ -414,4 +411,4 @@ class TestLeanWait:
         # The clients did wait on the server ...
         assert result.recorder.turnarounds
         # ... and none of those waits built a composite event.
-        assert counts == {"conditions": 0, "first_of": 0}
+        assert counts == {"conditions": 0}

@@ -118,7 +118,7 @@ class TestUrgency:
 
     def test_deficit_expires_by_ttl(self, server):
         request(server, src=3, urgent=True, alpha=50.0)
-        server.engine._now = 100.0
+        server.engine.now = 100.0
         assert not server.has_unmet_urgency
 
     def test_urgency_disabled_treats_urgent_as_plain(self, engine, rngs):
@@ -158,7 +158,7 @@ class TestScaleAwareLimit:
             rngs.stream("s4"), MetricsRecorder(),
         )
         request(server, src=0)
-        engine._now = 10.0  # far past one period
+        engine.now = 10.0  # far past one period
         assert server._active_requesters() == 0
 
 

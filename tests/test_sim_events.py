@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, FirstOf
+from repro.sim.events import AllOf, AnyOf, Event, Handle
 
 
 class TestEventLifecycle:
@@ -224,67 +224,49 @@ class TestTimeoutCancel:
         assert engine.cancelled_events == 1
 
 
-class TestFirstOf:
-    def test_fires_when_first_subevent_processes(self, engine):
-        a = engine.timeout(1.0, value="a")
-        b = engine.timeout(2.0, value="b")
-        wait = FirstOf(engine, a, b)
-
-        def waiter():
-            value = yield wait
-            return (value, engine.now)
-
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == (None, 1.0)
-
-    def test_failure_of_first_subevent_propagates(self, engine):
-        a = engine.event()
-        b = engine.timeout(5.0)
-        wait = FirstOf(engine, a, b)
-
-        def waiter():
-            try:
-                yield wait
-            except RuntimeError as exc:
-                return str(exc)
-            return "no failure"
-
-        proc = engine.process(waiter())
-        a.fail(RuntimeError("boom"))
-        engine.run()
-        assert proc.value == "boom"
-
-    @pytest.mark.parametrize("first_wins, in_place", [(True, True), (False, False)])
-    def test_only_the_first_subevent_resumes_in_place(self, engine, first_wins, in_place):
-        # The reply (first) resumes the waiter while its own event
-        # processes; the deadline (second) queues the completion behind
-        # the same-instant event queued after it.
-        first, second = engine.event(), engine.event()
+class TestQueuedCalls:
+    def test_bare_entry_runs_its_call_and_builds_no_event(self, engine):
         log = []
-
-        def waiter():
-            yield FirstOf(engine, first, second)
-            log.append("resumed")
-
-        engine.process(waiter())
+        assert engine.call_later(1.5, log.append, "ran", name="test.bare") is None
+        (entry,) = engine.scheduler._heap
+        assert entry[0] == 1.5 and entry[3:] == (log.append, ("ran",))
         engine.run()
-        (first if first_wins else second).succeed()
-        engine.call_later(0.0, log.append, "same instant")
+        assert log == ["ran"] and engine.now == 1.5
+        assert engine.processed_events == 1
+
+    def test_handle_runs_once_and_stops_pending(self, engine):
+        log = []
+        handle = engine.call_cancellable(1.0, log.append, "ran", name="test.handle")
+        assert isinstance(handle, Handle) and handle.pending
         engine.run()
-        assert log == (
-            ["resumed", "same instant"] if in_place else ["same instant", "resumed"]
+        assert log == ["ran"] and not handle.pending
+        handle.cancel()  # after the call ran: a no-op
+        assert engine.cancelled_events == 0
+
+    def test_cancelled_handle_never_runs_and_counts_once(self, engine):
+        log = []
+        handle = engine.call_cancellable(1.0, log.append, "ran", name="test.handle")
+        engine.call_later(2.0, log.append, "live", name="test.bare")
+        handle.cancel()
+        handle.cancel()
+        assert not handle.pending
+        assert engine.cancelled_events == 1 and len(engine.scheduler) == 1
+        engine.run()
+        assert log == ["live"] and engine.processed_events == 1
+
+    def test_negative_delay_rejected(self, engine):
+        with pytest.raises(ValueError):
+            engine.call_later(-1.0, print, name="test.bare")
+        with pytest.raises(ValueError):
+            engine.call_cancellable(-1.0, print, name="test.handle")
+
+    def test_urgent_entry_runs_before_normal_ones_at_its_instant(self, engine):
+        from repro.sim import PRIORITY_URGENT
+
+        log = []
+        engine.call_later(0.0, log.append, "normal", name="test.bare")
+        engine.call_later(
+            0.0, log.append, "urgent", name="test.bare", priority=PRIORITY_URGENT
         )
-
-    def test_late_subevent_failure_is_defused(self, engine):
-        a = engine.timeout(1.0)
-        b = engine.event()
-        FirstOf(engine, a, b)
-        b.fail(RuntimeError("late"), delay=2.0)
-        engine.run()  # must not raise SimulationError
-
-    def test_processed_subevent_rejected(self, engine):
-        a = engine.timeout(0.0)
         engine.run()
-        with pytest.raises(RuntimeError):
-            FirstOf(engine, a, engine.event())
+        assert log == ["urgent", "normal"]

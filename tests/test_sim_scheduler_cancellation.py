@@ -21,10 +21,13 @@ from repro.sim.schedulers import HeapScheduler
 
 
 class _FakeEvent:
-    __slots__ = ("_cancelled",)
+    """A queued call that remembers its sequence number and fate."""
 
-    def __init__(self) -> None:
-        self._cancelled = False
+    __slots__ = ("seq", "cancelled")
+
+    def __init__(self, seq: int) -> None:
+        self.seq = seq
+        self.cancelled = False
 
 
 def _raw_size(scheduler: HeapScheduler) -> int:
@@ -33,8 +36,8 @@ def _raw_size(scheduler: HeapScheduler) -> int:
 
 
 def _cancel(scheduler: HeapScheduler, event: _FakeEvent) -> None:
-    event._cancelled = True
-    scheduler.note_cancelled()
+    event.cancelled = True
+    scheduler.note_cancelled(event.seq)
 
 
 class TestStormAccounting:
@@ -47,9 +50,9 @@ class TestStormAccounting:
         sequence = 0
         for wave in range(50):
             for k in range(40):
-                event = _FakeEvent()
+                event = _FakeEvent(sequence)
                 when = float(wave) + k * 0.02
-                queue.push((when, 1, sequence, event))
+                queue.push((when, 1, sequence, event, ()))
                 sequence += 1
                 # Keep one entry per wave; doom the rest.
                 if k == 0:
@@ -73,16 +76,16 @@ class TestStormAccounting:
             item = queue.pop()
             if item is None:
                 break
-            assert not item[3]._cancelled
+            assert not item[3].cancelled
             popped.append((item[0], item[3]))
         assert popped == live
         assert len(queue) == 0 and _raw_size(queue) == 0
 
     def test_cancel_everything_empties_the_queue(self) -> None:
         queue = HeapScheduler()
-        events = [_FakeEvent() for _ in range(500)]
+        events = [_FakeEvent(sequence) for sequence in range(500)]
         for sequence, event in enumerate(events):
-            queue.push((sequence * 0.5, 1, sequence, event))
+            queue.push((sequence * 0.5, 1, sequence, event, ()))
         for event in events:
             _cancel(queue, event)
         assert len(queue) == 0
@@ -98,9 +101,9 @@ class TestStormAccounting:
             queue = HeapScheduler()
             events = []
             for sequence in range(300):
-                event = _FakeEvent()
+                event = _FakeEvent(sequence)
                 events.append(event)
-                queue.push((sequence * 0.1, 1, sequence, event))
+                queue.push((sequence * 0.1, 1, sequence, event, ()))
             for event in events[::3]:
                 _cancel(queue, event)
             served = 0
@@ -122,7 +125,7 @@ class TestStormAccounting:
                         horizon += 1.7
                         continue
                     break
-                assert not item[3]._cancelled
+                assert not item[3].cancelled
                 served += 1
             assert served == 300 - 100, via
             assert len(queue) == 0
@@ -135,7 +138,7 @@ class TestEngineStorm:
         # (answered requests cancelling their deadlines).  The queue
         # must not accumulate the corpses.
         engine = Engine()
-        engine.call_later(1000.0, lambda: None)
+        engine.call_later(1000.0, lambda: None, name="test.horizon")
         for wave in range(20):
             timeouts = [engine.timeout(500.0 + wave) for _ in range(200)]
             for timeout in timeouts:

@@ -8,14 +8,16 @@ keeps a plain list, drops cancelled entries and sorts on every
 dequeue:
 
 * **Scheduler level** (hypothesis): randomized push/pop/pop_due/peek/
-  cancel workloads with clustered timestamps, duplicate times and
+  cancel workloads over the three entry kinds (bare calls, cancellable
+  handles, events) with clustered timestamps, duplicate times and
   priority ties must produce the identical operation-by-operation
   transcript on the heap and the model, shrinking to minimal
   counterexamples.
-* **Engine level** (hypothesis): random schedules of timeouts,
-  callbacks, cancellations, interrupts and zero-delay chains driven
-  through ``Engine.run`` must process in the same order with the same
-  final clock and counters when the engine's queue is the model.
+* **Engine level** (hypothesis): random schedules of timeouts, events,
+  bare calls, handles, cancellations (storms of them included, which
+  make the heap compact itself), interrupts and zero-delay chains
+  driven through ``Engine.run`` must process in the same order with the
+  same final clock and counters when the engine's queue is the model.
 
 Whole scenarios are pinned byte-for-byte by the fixture tests in
 ``test_fixture_byte_identity.py`` and ``test_experiments_chaos.py``.
@@ -33,20 +35,22 @@ from repro.sim.schedulers import HeapScheduler
 class _ModelQueue:
     """Brute-force reference queue: a plain list, sorted on every dequeue.
 
-    Cancelled entries are filtered out before each look at the head, so
-    the head is always the least live ``(time, priority, sequence)``
-    key.  Implements the interface the engine uses.
+    Cancelled entries (by sequence number) are filtered out before each
+    look at the head, so the head is always the least live ``(time,
+    priority, sequence)`` key.  It never compacts.  Implements the
+    interface the engine uses.
     """
 
     def __init__(self) -> None:
         self.items: list = []
+        self.cancelled: set = set()
 
     def push(self, item) -> None:
         self.items.append(item)
 
     def _live(self) -> list:
         self.items = sorted(
-            (item for item in self.items if not item[3]._cancelled),
+            (item for item in self.items if item[2] not in self.cancelled),
             key=lambda item: item[:3],
         )
         return self.items
@@ -63,8 +67,8 @@ class _ModelQueue:
         live = self._live()
         return live[0] if live else None
 
-    def note_cancelled(self) -> None:
-        pass
+    def note_cancelled(self, sequence) -> None:
+        self.cancelled.add(sequence)
 
     def __len__(self) -> int:
         return len(self._live())
@@ -76,20 +80,26 @@ class _ModelQueue:
 
 
 class _FakeEvent:
-    """Just enough of EventBase for a scheduler: a cancellation flag.
+    """A queued call with its fate: the ``fn`` of every pushed entry.
 
-    ``popped`` tracks whether the entry already left the queue, so the
-    workload only cancels *queued* entries -- mirroring the engine,
-    where ``cancel()`` raises once an event has been processed and
-    ``note_cancelled`` therefore fires exactly once per queued entry.
+    ``kind`` says which entry shape it stands for (a bare call, a
+    handle or an event; the scheduler must not care).  ``popped``
+    tracks whether the entry already left the queue, so the workload
+    only cancels *queued* entries -- mirroring the engine, where a call
+    that ran can no longer be cancelled and ``note_cancelled``
+    therefore fires exactly once per queued entry.
     """
 
-    __slots__ = ("_cancelled", "popped", "tag")
+    __slots__ = ("cancelled", "popped", "tag", "kind")
 
-    def __init__(self, tag: int) -> None:
-        self._cancelled = False
+    def __init__(self, tag: int, kind: str = "bare") -> None:
+        self.cancelled = False
         self.popped = False
         self.tag = tag
+        self.kind = kind
+
+
+_KINDS = ("bare", "handle", "event")
 
 
 #: Clustered delays: a small grid (duplicate timestamps, zero delays)
@@ -101,7 +111,7 @@ _delays = st.one_of(
 
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("push"), _delays, st.integers(0, 1)),
+        st.tuples(st.just("push"), _delays, st.integers(0, 5)),
         st.tuples(st.just("pop"), st.just(0), st.just(0)),
         st.tuples(st.just("pop_due"), _delays, st.just(0)),
         st.tuples(st.just("peek"), st.just(0), st.just(0)),
@@ -125,9 +135,12 @@ def _run_ops(scheduler, ops):
     sequence = 0
     for op, arg, priority in ops:
         if op == "push":
-            event = _FakeEvent(sequence)
+            # ``priority`` also picks the entry's kind (bits: urgency,
+            # then kind), so every kind mixes with every other.
+            event = _FakeEvent(sequence, _KINDS[priority // 2])
             events.append(event)
-            scheduler.push((now + arg, priority, sequence, event))
+            args = () if event.kind == "event" else (sequence,)
+            scheduler.push((now + arg, priority % 2, sequence, event, args))
             sequence += 1
         elif op == "pop":
             item = scheduler.pop()
@@ -147,9 +160,9 @@ def _run_ops(scheduler, ops):
         elif op == "cancel":
             if events:
                 event = events[arg % len(events)]
-                if not event.popped and not event._cancelled:
-                    event._cancelled = True
-                    scheduler.note_cancelled()
+                if not event.popped and not event.cancelled and event.kind != "bare":
+                    event.cancelled = True
+                    scheduler.note_cancelled(event.tag)
         transcript.append(("len", len(scheduler)))
     # Drain what is left so every queued entry's position is compared.
     while True:
@@ -162,10 +175,10 @@ def _run_ops(scheduler, ops):
 def _key(item):
     if item is None:
         return None
-    time, priority, sequence, event = item
+    time, priority, sequence, event, args = item
     # The final field doubles as an assertion: surfaced entries are
     # never cancelled under the eager-accounting contract.
-    return (time, priority, sequence, event.tag, event._cancelled)
+    return (time, priority, sequence, event.tag, event.kind, args, event.cancelled)
 
 
 class TestSchedulerDifferential:
@@ -177,9 +190,9 @@ class TestSchedulerDifferential:
     def test_far_future_entries_sort_last(self):
         heap, model = HeapScheduler(), _ModelQueue()
         for scheduler in (heap, model):
-            scheduler.push((float("inf"), 1, 0, _FakeEvent(0)))
-            scheduler.push((1.0, 1, 1, _FakeEvent(1)))
-            scheduler.push((float("inf"), 1, 2, _FakeEvent(2)))
+            scheduler.push((float("inf"), 1, 0, _FakeEvent(0), ()))
+            scheduler.push((1.0, 1, 1, _FakeEvent(1), ()))
+            scheduler.push((float("inf"), 1, 2, _FakeEvent(2), ()))
         order_heap = [heap.pop()[2] for _ in range(3)]
         order_model = [model.pop()[2] for _ in range(3)]
         assert order_heap == order_model == [1, 0, 2]
@@ -191,7 +204,19 @@ class TestSchedulerDifferential:
 
 _schedule = st.lists(
     st.tuples(
-        st.sampled_from(["timeout", "callback", "cancelled", "chain", "interrupt"]),
+        st.sampled_from(
+            [
+                "timeout",
+                "event",
+                "callback",
+                "handle",
+                "cancelled",
+                "cancelled_handle",
+                "storm",
+                "chain",
+                "interrupt",
+            ]
+        ),
         _delays,
         st.integers(1, 3),
     ),
@@ -221,20 +246,44 @@ def _engine_trace(schedule, horizon, model=False):
                 yield engine.timeout(delay)
                 note(("timeout", index))
             engine.process(proc())
+        elif kind == "event":
+            # An event triggered later by a bare call, waited on by a
+            # registered callback.
+            event = engine.event()
+            event.callbacks.append(lambda e, index=index: note(("event", index)))
+            engine.call_later(delay, event.succeed, name="test.trigger")
         elif kind == "callback":
-            engine.call_later(delay, note, ("callback", index))
+            engine.call_later(delay, note, ("callback", index), name="test.note")
+        elif kind == "handle":
+            engine.call_cancellable(delay, note, ("handle", index), name="test.note")
         elif kind == "cancelled":
             # Cancel strictly before the timeout would fire, so the entry
             # is lazily discarded by the queue.
             timeout = engine.timeout(delay + 1.0)
-            engine.call_later(delay / 2.0, timeout.cancel)
+            engine.call_later(delay / 2.0, timeout.cancel, name="test.cancel")
+        elif kind == "cancelled_handle":
+            handle = engine.call_cancellable(
+                delay + 1.0, note, ("never", index), name="test.note"
+            )
+            engine.call_later(delay / 2.0, handle.cancel, name="test.cancel")
+        elif kind == "storm":
+            # Enough cancellations at once that dead entries outnumber
+            # live ones and the heap compacts itself; one survivor.
+            handles = [
+                engine.call_cancellable(
+                    delay + k * 0.5, note, ("storm", index, k), name="test.note"
+                )
+                for k in range(8 * width)
+            ]
+            for handle in handles[1:]:
+                handle.cancel()
         elif kind == "chain":
             # Zero-delay chain: each link re-schedules at the same instant.
             def link(remaining, index=index):
                 note(("chain", index, remaining))
                 if remaining:
-                    engine.call_later(0.0, link, remaining - 1)
-            engine.call_later(delay, link, width)
+                    engine.call_later(0.0, link, remaining - 1, name="test.link")
+            engine.call_later(delay, link, width, name="test.link")
         elif kind == "interrupt":
             def sleeper(index=index):
                 try:
@@ -242,7 +291,7 @@ def _engine_trace(schedule, horizon, model=False):
                 except Exception:
                     note(("interrupted", index))
             victim = engine.process(sleeper())
-            engine.call_later(delay, victim.interrupt, "diff-rig")
+            engine.call_later(delay, victim.interrupt, "diff-rig", name="test.interrupt")
     engine.run(until=horizon)
     return trace, engine.now, engine.processed_events, engine.cancelled_events
 

@@ -1,10 +1,10 @@
 """R6 fixture: anonymous callback registrations."""
 
-from repro.sim.events import Callback
+from repro.sim.events import Handle
 
 
-def bad_direct(engine, deliver, message) -> None:
-    Callback(engine, 0.1, deliver, message)  # line 7: R6
+def bad_direct(engine, deliver, message) -> Handle:
+    return engine.call_cancellable(0.1, deliver, message)  # line 7: R6
 
 
 def bad_call_later(engine, enforce) -> None:

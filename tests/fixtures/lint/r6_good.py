@@ -1,15 +1,15 @@
 """R6 fixture: registrations carrying a deterministic tiebreak key."""
 
-from repro.sim.events import Callback, Timeout
+from repro.sim.events import Handle, Timeout
 
 
 def good_constant_key(engine, deliver, message) -> None:
     # Hot paths pass a cheap constant, not a per-event f-string.
-    Callback(engine, 0.1, deliver, message, name="net.deliver")
+    engine.call_later(0.1, deliver, message, name="net.deliver")
 
 
-def good_formatted_key(engine, expire, grant_id: int, node: int) -> None:
-    Callback(engine, 5.0, expire, grant_id, name=f"escrow[{node}#{grant_id}]")
+def good_cancellable(engine, expire, grant_id: int) -> Handle:
+    return engine.call_cancellable(5.0, expire, grant_id, name="pool.escrow")
 
 
 def good_call_later(engine, enforce) -> None:

@@ -12,9 +12,12 @@ with the liveliest request/grant traffic), seed 2022, full-size
 workload, 256 nodes run to 10 sim-s.
 
 Measured counts (they are deterministic).  "Queued hand-offs" is the
-kernel before a put into an idle inbox, a reply ending a ``FirstOf``
-wait and an interrupt resumed their waiter in place on the per-node
-path:
+kernel before a put into an idle inbox, a reply handed to the waiting
+decider's inbox getter and an interrupt resumed their waiter in place
+on the per-node path.  "now" is the current kernel, whose decider is a
+callback state machine taking the reply from its getter's callbacks;
+it reads the same as with the generator decider, because no decider
+stops in this scenario, so no stopped loop's completion entry is saved:
 
 ===========  ================  =======  ======
 path         queued hand-offs  now      bound

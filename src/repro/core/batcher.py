@@ -57,7 +57,7 @@ from __future__ import annotations
 from itertools import count
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.sim import EventBase, Handle
+from repro.sim import Handle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import PenelopeConfig
@@ -105,15 +105,16 @@ class _Slot:
 class SharedDeadline:
     """One request deadline for every request armed at one instant.
 
-    ``waiters`` lists ``(decider, inbox getter)`` for every wait started
-    on it, in order; when it fires, each decider still waiting through
-    that getter queues its wake-up, in that order.
+    ``waiters`` lists ``(decider, wait number)`` for every inbox wait
+    started on it, in order -- a wait re-armed after a stray message is
+    listed again under its fresh number; when it fires, each decider
+    still in the listed wait queues its wake-up, in that order.
     """
 
     __slots__ = ("handle", "waiters")
 
     def __init__(self, engine: "Engine", timeout_s: float) -> None:
-        self.waiters: List[Tuple["LocalDecider", EventBase]] = []
+        self.waiters: List[Tuple["LocalDecider", int]] = []
         self.handle = engine.call_cancellable(
             timeout_s, self._fire, name="decider.shared-deadline"
         )
@@ -124,8 +125,8 @@ class SharedDeadline:
         return self.handle.pending
 
     def _fire(self) -> None:
-        for decider, get_event in self.waiters:
-            if decider._get_event is get_event:
+        for decider, wait in self.waiters:
+            if decider._wait == wait:
                 decider._on_deadline()
         self.waiters = []
 

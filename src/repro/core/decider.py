@@ -67,7 +67,7 @@ from repro.net.messages import (
 from repro.net.network import Network
 from repro.net.roster import roster_of
 from repro.power.rapl import PowerCapInterface
-from repro.sim import PRIORITY_URGENT, Engine, EventBase, Handle, Store
+from repro.sim import PRIORITY_URGENT, Engine, Handle, Store
 
 if TYPE_CHECKING:  # pragma: no cover - break the core <-> membership cycle
     from repro.core.batcher import SharedDeadline, TickBatcher
@@ -111,7 +111,7 @@ class LocalDecider:
         "_suspicion", "_pending_acks", "_membership", "_batcher", "clock_scale",
         "_seen_grants", "dead_grant_hook", "_run", "_runs", "_next_tick",
         "_urgent", "_scale", "_retry_by", "_attempts", "_backoff", "_peer",
-        "_request", "_sent_at", "_deadline", "_get_event",
+        "_request", "_sent_at", "_deadline", "_waits", "_wait", "_reply",
     )
 
     def __init__(
@@ -187,7 +187,7 @@ class LocalDecider:
         self._next_tick = 0.0
         #: The iteration's peer request: urgency, clock scale, retry budget
         #: and the attempt in flight -- its request (the token of entries
-        #: queued for it; ``None`` between requests), deadline and getter.
+        #: queued for it; ``None`` between requests) and deadline.
         self._urgent = False
         self._scale = 1.0
         self._retry_by = 0.0
@@ -197,7 +197,13 @@ class LocalDecider:
         self._request: Optional[PowerRequest] = None
         self._sent_at = 0.0
         self._deadline: Union[Handle, "SharedDeadline", None] = None
-        self._get_event: Optional[EventBase] = None
+        #: The attempt's inbox wait: its number (0 when not waiting; each
+        #: wait takes a fresh one from ``_waits``, so a hand-off queued
+        #: for an ended wait surfaces as a no-op) and its reply slot, the
+        #: message handed over and not yet taken (``None`` until then).
+        self._waits = 0
+        self._wait = 0
+        self._reply: Optional["Message"] = None
 
     #: How many applied grant ids to remember for duplicate suppression
     #: (matches the donor pool's settled-escrow history depth).
@@ -550,23 +556,22 @@ class LocalDecider:
         self._await_reply()
 
     def _await_reply(self) -> None:
-        get_event = self.inbox.get()
-        assert get_event.callbacks is not None
-        get_event.callbacks.append(self._on_reply)
-        self._get_event = get_event
+        self._waits += 1
+        wait = self._wait = self._waits
+        self._reply = self.inbox.wait(self._on_reply, wait)
         deadline = self._deadline
         if deadline is not None and not isinstance(deadline, Handle):
-            deadline.waiters.append((self, get_event))
+            deadline.waiters.append((self, wait))
 
-    def _on_reply(self, get_event: EventBase) -> None:
-        """A message for the waiting request, handed over in place."""
-        if get_event is not self._get_event:
-            return  # handed over after the request was abandoned
+    def _on_reply(self, wait: int, message: "Message") -> None:
+        """A message for the waiting request, handed over by the inbox."""
+        if wait != self._wait:
+            return  # handed over after the wait ended
         request, deadline = self._request, self._deadline
         assert request is not None and deadline is not None
         if not deadline.pending:
-            return  # the deadline fired: its wake-up takes this message
-        message = get_event.value
+            self._reply = message  # the deadline fired: its wake-up takes it
+            return
         if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
             self._take_grant(message)
         else:
@@ -583,20 +588,20 @@ class LocalDecider:
     def _on_wake(self, request: PowerRequest) -> None:
         if request is not self._request:
             return  # abandoned since the deadline fired
-        get_event = self._get_event
-        assert get_event is not None
-        if get_event.triggered:
-            message = get_event.value
+        message = self._reply
+        if message is not None:
+            # Handed over since the deadline fired, or queued and not
+            # surfaced yet (it surfaces as a no-op).
             if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
                 self._take_grant(message)
                 return
             # Anything else is banked; the request has timed out.
             self._absorb_grant(message)
         else:
-            # Withdraw the getter so it cannot swallow a late grant that
+            # Withdraw the wait so it cannot swallow a late grant that
             # the next iteration should absorb instead.
-            self.inbox.cancel_get(get_event)
-        self._get_event = None
+            self.inbox.cancel_wait(self._wait)
+        self._wait, self._reply = 0, None
         self._suspect(self._peer)
         self.recorder.bump("decider.request_timeouts")
         self._record_turnaround(0.0, True)
@@ -604,7 +609,7 @@ class LocalDecider:
 
     def _take_grant(self, message: PowerGrant) -> None:
         """The answer to the attempt in flight: apply it and end the wait."""
-        self._get_event = None
+        self._wait, self._reply = 0, None
         self._suspicion.pop(self._peer, None)
         self._ingest(message)
         self._check_grant_source(message)
@@ -671,12 +676,11 @@ class LocalDecider:
     def abandon_request(self) -> None:
         """Drop the request in flight (the decider stops or leaves the
         batcher): nothing queued for it acts later."""
-        get_event = self._get_event
-        if get_event is not None:
-            # Withdraw the getter, or a restart's first grant would be
+        if self._wait:
+            # Withdraw the wait, or a restart's first grant would be
             # handed to this dead wait and lost.
-            self.inbox.cancel_get(get_event)
-            self._get_event = None
+            self.inbox.cancel_wait(self._wait)
+            self._wait, self._reply = 0, None
             deadline = self._deadline
             if isinstance(deadline, Handle):
                 deadline.cancel()

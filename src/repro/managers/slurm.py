@@ -47,7 +47,7 @@ from repro.net.messages import (
 from repro.net.network import Network
 from repro.net.server import RequestServer
 from repro.power.rapl import PowerCapInterface
-from repro.sim import PRIORITY_URGENT, Engine, EventBase, Handle, Store
+from repro.sim import PRIORITY_URGENT, Engine, Handle, Store
 
 
 @dataclass(frozen=True)
@@ -273,12 +273,14 @@ class SlurmClient:
         self._runs = 0
         #: When the next fixed-cadence tick is due.
         self._next_tick = 0.0
-        #: The request awaiting the server's answer, with its send time,
-        #: deadline and the inbox getter the reply arrives through.
+        #: The request awaiting the server's answer (the token of its
+        #: inbox waits), with its send time, deadline and reply slot: the
+        #: message handed over for the request's wait and not yet taken
+        #: (``None`` while the wait is registered).
         self._request: Optional[PowerRequest] = None
         self._sent_at = 0.0
         self._deadline: Optional[Handle] = None
-        self._get_event: Optional[EventBase] = None
+        self._reply: Optional[Message] = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -302,15 +304,14 @@ class SlurmClient:
         request = self._request
         if request is None:
             return
-        self._request = None
-        get_event, self._get_event = self._get_event, None
+        self._request = self._reply = None
         deadline, self._deadline = self._deadline, None
-        assert get_event is not None and deadline is not None
-        # Withdraw the getter, or a restart's first message would be
+        assert deadline is not None
+        # Withdraw the wait, or a restart's first message would be
         # handed to this dead wait and lost; the client is the
         # deadline's only owner, so an armed one is cancelled rather
         # than left to fire as a no-op later.
-        self.inbox.cancel_get(get_event)
+        self.inbox.cancel_wait(request)
         deadline.cancel()
 
     @property
@@ -452,19 +453,17 @@ class SlurmClient:
         self._await_reply()
 
     def _await_reply(self) -> None:
-        get_event = self.inbox.get()
-        assert get_event.callbacks is not None
-        get_event.callbacks.append(self._on_reply)
-        self._get_event = get_event
+        self._reply = self.inbox.wait(self._on_reply, self._request)
 
-    def _on_reply(self, get_event: EventBase) -> None:
+    def _on_reply(self, request: PowerRequest, message: Message) -> None:
         """A message for the waiting request: its grant ends the wait."""
-        request, deadline = self._request, self._deadline
-        if get_event is not self._get_event or request is None or deadline is None:
-            return  # handed over after a stop
+        if request is not self._request:
+            return  # handed over after the request ended
+        deadline = self._deadline
+        assert deadline is not None
         if not deadline.pending:
-            return  # the deadline fired: its wake-up takes this message
-        message = get_event.value
+            self._reply = message  # the deadline fired: its wake-up takes it
+            return
         if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
             # A grant that beats the deadline leaves it armed: disarm it.
             deadline.cancel()
@@ -481,24 +480,24 @@ class SlurmClient:
     def _on_wake(self, request: PowerRequest) -> None:
         if request is not self._request:
             return  # stopped since the deadline fired
-        get_event = self._get_event
-        assert get_event is not None
-        if get_event.triggered:
-            message = get_event.value
+        message = self._reply
+        if message is not None:
+            # Handed over since the deadline fired, or queued and not
+            # surfaced yet (it surfaces as a no-op).
             if isinstance(message, PowerGrant) and message.reply_to == request.msg_id:
                 self._end_request(message.delta, timed_out=False)
                 return
             # Any other message is handled; the request has timed out.
             self._handle_async(message)
         else:
-            self.inbox.cancel_get(get_event)
+            self.inbox.cancel_wait(request)
         self.recorder.bump("slurm.client.request_timeouts")
         self._end_request(0.0, timed_out=True)
 
     def _end_request(self, granted: float, timed_out: bool) -> None:
         """Record the request's turnaround, apply its grant, go on ticking."""
         engine = self.engine
-        self._request = self._get_event = self._deadline = None
+        self._request = self._reply = self._deadline = None
         self.recorder.turnaround(
             engine.now, self.node_id, engine.now - self._sent_at, granted, timed_out
         )

@@ -368,10 +368,17 @@ class Network:
     def _deliver(self, message: Message) -> None:
         # Conditions are evaluated at *arrival* time: a destination that died
         # in flight still loses the message.
-        if message.dst.node in self._dead:
+        dst = message.dst.node
+        if dst in self._dead:
             self.stats.dropped_dead_dst += 1
             return
-        if not self.topology.reachable(message.src.node, message.dst.node):
+        topology = self.topology
+        src = message.src.node
+        if topology._partitioned:
+            reachable = topology.reachable(src, dst)
+        else:  # nearly every delivery: Topology.reachable's range checks
+            reachable = 0 <= src < topology.n_nodes and 0 <= dst < topology.n_nodes
+        if not reachable:
             self.stats.dropped_partition += 1
             return
         inbox = self._inboxes.get(message.dst)

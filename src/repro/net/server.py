@@ -17,7 +17,7 @@ import numpy as np
 from repro.net.messages import Addr, Message
 from repro.net.network import Network
 from repro.sim.engine import Engine
-from repro.sim.events import PRIORITY_URGENT, EventBase
+from repro.sim.events import PRIORITY_URGENT
 from repro.sim.resources import Store
 
 #: A handler consumes a request and returns zero or more reply messages.
@@ -71,15 +71,12 @@ class RequestServer:
         self.requests_served = 0
         self.busy_time = 0.0
         #: The running loop's number (0 while stopped).  Each start
-        #: takes a fresh one, so a start hop queued before a stop stays
-        #: a no-op after a restart.
+        #: takes a fresh one, and every entry the loop queues -- the
+        #: start hop, an inbox hand-off, a service -- carries it, so
+        #: entries a stopped loop left queued do nothing when they
+        #: surface, even after a restart.
         self._run = 0
         self._runs = 0
-        #: The inbox hand-off of the request in hand: the getter the
-        #: loop waits on, then the request's token while it is served.
-        #: ``None`` when stopped, so entries a stopped loop left queued
-        #: do nothing when they surface.
-        self._get_event: Optional[EventBase] = None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -106,13 +103,11 @@ class RequestServer:
         service is never handled.  The endpoint is detached so a
         restarted replacement server can re-attach at the same address
         (crash-restart)."""
-        self._run = 0
-        get_event = self._get_event
-        if get_event is not None:
-            self._get_event = None
-            # Withdraw a pending get: left registered, it would take the
+        run, self._run = self._run, 0
+        if run:
+            # Withdraw a pending wait: left registered, it would take the
             # first request delivered after a restart, for a dead loop.
-            self.inbox.cancel_get(get_event)
+            self.inbox.cancel_wait(run)
         self.inbox.drain()
         self.network.detach(self.addr)
 
@@ -158,29 +153,26 @@ class RequestServer:
 
     def _wait(self) -> None:
         """Take the next request: in place on its delivery, or queued."""
-        get_event = self.inbox.get()
-        assert get_event.callbacks is not None
-        get_event.callbacks.append(self._on_request)
-        self._get_event = get_event
+        self.inbox.wait(self._on_request, self._run)
 
-    def _on_request(self, get_event: EventBase) -> None:
-        if get_event is not self._get_event:
+    def _on_request(self, run: int, request: Message) -> None:
+        if run != self._run:
             return  # handed over after a stop
         cost = self._sample_service_time()
         if cost > 0.0:
             self.engine.call_later(
-                cost, self._served, get_event, cost, name="server.serve"
+                cost, self._served, run, request, cost, name="server.serve"
             )
         else:
-            self._served(get_event, cost)
+            self._served(run, request, cost)
 
-    def _served(self, get_event: EventBase, cost: float) -> None:
-        if get_event is not self._get_event:
+    def _served(self, run: int, request: Message, cost: float) -> None:
+        if run != self._run:
             return  # the server stopped mid-service
         self.busy_time += cost
         self.requests_served += 1
         send = self.network.send
-        for reply in self.handler(get_event._value):
+        for reply in self.handler(request):
             send(reply)
-        if get_event is self._get_event:  # the handler may stop its server
+        if run == self._run:  # the handler may stop its server
             self._wait()

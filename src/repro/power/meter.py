@@ -77,13 +77,24 @@ class EnergyMeter:
         self._integrate_to_now()
         return self._energy_j
 
-    def average_since(self, t0: float, energy_at_t0: float) -> float:
-        """Average power between ``t0`` (with its energy reading) and now.
+    def read_since(self, t0: float, energy_at_t0: float) -> Tuple[float, float]:
+        """The average power between ``t0`` (with its energy reading) and
+        now, and the energy consumed by now, integrating once.
 
-        Returns the instantaneous power when the window is empty.
+        The average is the instantaneous power when the window is empty.
+        Every RAPL power read makes one call.
         """
         now = self.engine.now
+        dt = now - self._last_update
+        if dt > 0:
+            self._energy_j += self._power_w * dt
+            self._last_update = now
+        energy = self._energy_j
         window = now - t0
         if window <= 0:
-            return self._power_w
-        return (self.energy_j() - energy_at_t0) / window
+            return self._power_w, energy
+        return (energy - energy_at_t0) / window, energy
+
+    def average_since(self, t0: float, energy_at_t0: float) -> float:
+        """Average power between ``t0`` (with its energy reading) and now."""
+        return self.read_since(t0, energy_at_t0)[0]

@@ -169,9 +169,10 @@ class SimulatedRapl(PowerCapInterface):
         instantaneous draw.
         """
         self.power_reads += 1
-        average = self.meter.average_since(self._last_read_time, self._last_read_energy)
+        average, self._last_read_energy = self.meter.read_since(
+            self._last_read_time, self._last_read_energy
+        )
         self._last_read_time = self.engine.now
-        self._last_read_energy = self.meter.energy_j()
         if self._noise > 0.0:
             # numpy's ``normal(0.0, s)`` is ``0.0 + s * z`` for the same
             # ziggurat draw ``z``; the sum only turns ``-0.0`` into

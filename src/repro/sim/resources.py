@@ -14,7 +14,7 @@ one event callback, so the event loop already serializes them (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import Event, EventBase
 
@@ -31,19 +31,19 @@ class Store:
 
     * :meth:`put_nowait` -- append, raising :class:`StoreFull` at capacity.
     * :meth:`try_put` -- append, returning False at capacity (packet drop).
-    * :meth:`get` -- returns an event that fires with the oldest item as
-      soon as one is available.
+    * :meth:`wait` -- hand the oldest item to ``fn(token, item)`` as soon
+      as one is available; :meth:`get` is the same wait as an event.
 
-    A put that finds a getter waiting completes the getter's event in
-    place: its callbacks (typically the owning loop's resume) run inside
-    the put instead of behind a queued event.  The queue hop would only
-    defer the resume behind events already queued for the same instant,
-    and puts come from message deliveries, which land at continuous
-    instants; the pinned fixtures and golden fingerprints are unchanged
-    by it.  One hop per message delivered to an idle loop -- nearly
-    every message -- is measurable at sweep scale.  A getter served from
-    queued items (:meth:`get` on a non-empty store) and a failed getter
-    stay queued.
+    A waiting getter is a plain ``(fn, token)`` pair, so a wait builds
+    no event.  A put that finds a getter waiting calls ``fn(token,
+    item)`` in place: the owning loop resumes inside the put instead of
+    behind a queued entry.  The queue hop would only defer the resume
+    behind entries already queued for the same instant, and puts come
+    from message deliveries, which land at continuous instants; the
+    pinned fixtures and golden fingerprints are unchanged by it.  One
+    hop per message delivered to an idle loop -- nearly every message --
+    is measurable at sweep scale.  A wait on a non-empty store stays
+    queued (see :meth:`wait`).
 
     Items and waiting getters sit in plain lists and leave from the front
     with ``pop(0)``.  That shift is O(len), but every store a run builds is
@@ -61,7 +61,6 @@ class Store:
         "engine",
         "capacity",
         "name",
-        "_get_name",
         "_items",
         "_getters",
         "total_put",
@@ -79,10 +78,8 @@ class Store:
         self.engine = engine
         self.capacity = capacity
         self.name = name or "store"
-        # Event labels are per-call on the hottest paths; build them once.
-        self._get_name = f"{self.name}.get"
         self._items: List[Any] = []
-        self._getters: List[Event] = []
+        self._getters: List[Tuple[Callable[[Any, Any], None], Any]] = []
         #: Counters for observability (drop rate is central to Fig. 5/7).
         self.total_put = 0
         self.total_dropped = 0
@@ -105,19 +102,12 @@ class Store:
         A failed ``try_put`` counts as a dropped packet.
         """
         # A waiting getter means the store is logically empty: hand over
-        # directly (capacity cannot be exceeded in that case), completing
-        # the getter in place (see the class docstring).  It was created
-        # untriggered, so only the succeed bookkeeping is needed, minus
-        # the queue round-trip.
+        # directly (capacity cannot be exceeded in that case), in place
+        # (see the class docstring).
         if self._getters:
-            getter = self._getters.pop(0)
+            fn, token = self._getters.pop(0)
             self.total_put += 1
-            getter._value = item
-            callbacks = getter.callbacks
-            getter.callbacks = None
-            assert callbacks is not None, "event processed twice"
-            for callback in callbacks:
-                callback(getter)
+            fn(token, item)
             return True
         if len(self._items) >= self.capacity:
             self.total_dropped += 1
@@ -126,13 +116,41 @@ class Store:
         self.total_put += 1
         return True
 
+    def wait(self, fn: Callable[[Any, Any], None], token: Any) -> Any:
+        """Hand the oldest item to ``fn(token, item)`` once one is available.
+
+        On an empty store the getter waits for the next put, which calls
+        ``fn`` in place, and this returns ``None``.  Otherwise the oldest
+        item leaves now and is returned, and the call is queued as a bare
+        entry at the key an event succeeding now would take.  ``token``
+        tells the caller's waits apart (:meth:`cancel_wait`).
+        """
+        items = self._items
+        if items:
+            item = items.pop(0)
+            self.engine.call_later(0.0, fn, token, item, name="store.hand-off")
+            return item
+        self._getters.append((fn, token))
+        return None
+
+    def cancel_wait(self, token: Any) -> bool:
+        """Withdraw the getter waiting with ``token``; True if there was one.
+
+        Without this, an abandoned getter would silently consume (and
+        lose) the next item.  A hand-off :meth:`wait` already queued
+        stays queued: its caller tells it apart by ``token``.
+        """
+        getters = self._getters
+        for index, getter in enumerate(getters):
+            if getter[1] == token:
+                del getters[index]
+                return True
+        return False
+
     def get(self) -> EventBase:
         """Return an event yielding the oldest item once available."""
-        event = Event(self.engine, name=self._get_name)
-        if self._items:
-            event.succeed(self._items.pop(0))
-        else:
-            self._getters.append(event)
+        event = Event(self.engine, name=f"{self.name}.get")
+        self.wait(_hand_over, event)
         return event
 
     def get_nowait(self) -> Any:
@@ -140,16 +158,8 @@ class Store:
         return self._items.pop(0)
 
     def cancel_get(self, event: EventBase) -> bool:
-        """Withdraw a pending getter (e.g. its owner timed out waiting).
-
-        Returns True if the getter was still registered.  Without this, an
-        abandoned getter would silently consume (and lose) the next item.
-        """
-        try:
-            self._getters.remove(event)  # type: ignore[arg-type]
-            return True
-        except ValueError:
-            return False
+        """Withdraw a pending :meth:`get` event (e.g. its owner timed out)."""
+        return self.cancel_wait(event)
 
     def drain(self) -> List[Any]:
         """Remove and return all queued items (used on node failure)."""
@@ -158,11 +168,16 @@ class Store:
         return items
 
     def cancel_getters(self, exception: BaseException) -> int:
-        """Fail all waiting getters (e.g. the node they run on died)."""
-        failed = 0
-        while self._getters:
-            getter = self._getters.pop(0)
-            getter.fail(exception)
-            failed += 1
-        return failed
+        """Withdraw every waiting getter (e.g. the node they run on died),
+        failing the events of :meth:`get` with ``exception``."""
+        getters, self._getters = self._getters, []
+        for fn, token in getters:
+            if fn is _hand_over:
+                token.fail(exception)
+        return len(getters)
 
+
+def _hand_over(event: EventBase, item: Any) -> None:
+    """The getter of a :meth:`Store.get` event: complete it with ``item``."""
+    event._value = item
+    event()

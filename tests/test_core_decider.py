@@ -490,3 +490,144 @@ class TestSameInstantOrder:
             "TickBatcher._run_slot",
             "LocalDecider._on_wake",
         ]
+
+
+class TestStrayMessageAtARetry:
+    """A retry re-arms the inbox wait while a stray message sits in the
+    inbox: the wait takes it through a queued hand-off at the retry's
+    instant, banks it, and waits again for the retry's answer."""
+
+    @staticmethod
+    def _rig(batched):
+        config = PenelopeConfig(
+            stagger_start=False, response_timeout_s=0.3, request_retries=2,
+            retry_jitter=0.0,
+        )
+        rig = Rig(config=config, batched=batched)
+        rig.sent_requests = []
+        send = rig.network.send
+
+        def spying_send(message):
+            if message.kind == "PowerRequest":
+                rig.sent_requests.append(message)
+            send(message)
+
+        rig.network.send = spying_send
+        rig.set_draw(300.0)
+        rig.peer_pool.stop()  # the 1 s request times out at 1.3 s
+        rig.engine.run(until=1.35)  # in the backoff; the retry runs at 1.4 s
+        stray = PowerGrant(
+            src=Addr(1, PORT_POOL), dst=rig.decider.addr, delta=5.0, reply_to=-1
+        )
+        assert rig.decider.inbox.try_put(stray)  # no wait to hand it to
+        rig.engine.run(until=1.41)
+        counters = rig.decider.recorder.counters
+        assert counters["decider.request_retries"] == 1
+        assert counters["decider.stale_grants_banked"] == 1
+        assert len(rig.decider.inbox) == 0
+        assert rig.pool.balance_w == pytest.approx(5.0)
+        return rig
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-node", "batched"])
+    def test_the_retry_waits_again_and_takes_its_grant(self, batched):
+        rig = self._rig(batched)
+        # Waiting again: a second stray is taken in place on delivery.
+        rig.decider.inbox.try_put(
+            PowerGrant(src=Addr(1, PORT_POOL), dst=rig.decider.addr, delta=0.0,
+                       reply_to=-2)
+        )
+        assert rig.decider.empty_grants == 1
+        retry = rig.sent_requests[-1]
+        answered_at = rig.engine.now + 0.05
+        rig.engine.call_later(
+            0.05, rig.decider.inbox.try_put,
+            PowerGrant(src=Addr(1, PORT_POOL), dst=rig.decider.addr, delta=12.0,
+                       reply_to=retry.msg_id),
+            name="test.put",
+        )
+        rig.engine.run(until=1.5)
+        first, second = rig.decider.recorder.turnarounds
+        assert first.timed_out
+        assert not second.timed_out and second.granted_w == pytest.approx(12.0)
+        assert second.time == pytest.approx(answered_at)
+        assert second.wait_s == pytest.approx(answered_at - 1.4)
+        assert rig.decider.recorder.counters["decider.request_timeouts"] == 1
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-node", "batched"])
+    def test_an_unanswered_retry_times_out_once_at_its_deadline(self, batched):
+        rig = self._rig(batched)
+        rig.engine.run(until=1.75)
+        first, second = rig.decider.recorder.turnarounds
+        assert first.timed_out and second.timed_out
+        assert second.time == pytest.approx(1.7)
+        assert rig.decider.recorder.counters["decider.request_timeouts"] == 2
+
+
+class TestStrayMessageAtTheFirstWait:
+    """A stray message lands after the tick drained the inbox and before
+    the request's wait is armed: that wait takes it through a queued
+    hand-off and waits again under a fresh wait number."""
+
+    @staticmethod
+    def _rig(batched, on_request=None):
+        config = PenelopeConfig(
+            stagger_start=False, response_timeout_s=0.3, request_retries=2,
+            retry_jitter=0.0,
+        )
+        rig = Rig(config=config, batched=batched)
+        send = rig.network.send
+
+        def send_after_a_stray(message):
+            if message.kind == "PowerRequest":
+                rig.decider.inbox.try_put(
+                    PowerGrant(src=Addr(1, PORT_POOL), dst=rig.decider.addr,
+                               delta=5.0, reply_to=-1)
+                )
+                if on_request is not None:
+                    on_request(rig)
+            send(message)
+
+        rig.network.send = send_after_a_stray
+        rig.set_draw(300.0)
+        rig.peer_pool.stop()  # nobody answers: every request times out
+        return rig
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-node", "batched"])
+    def test_the_rearmed_wait_times_out_once_at_its_deadline(self, batched):
+        # Under batched ticks both waits are listed on the shared
+        # deadline: only the re-armed one may wake the decider.
+        rig = self._rig(batched)
+        rig.engine.run(until=1.35)  # past the 1.3 s deadline, before the retry
+        counters = rig.decider.recorder.counters
+        assert counters["decider.stale_grants_banked"] == 1
+        assert counters["decider.request_timeouts"] == 1
+        (turnaround,) = rig.decider.recorder.turnarounds
+        assert turnaround.timed_out and turnaround.time == pytest.approx(1.3)
+        rig.engine.run(until=1.45)
+        assert counters["decider.request_retries"] == 1
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["per-node", "batched"])
+    def test_a_restart_while_the_hand_off_is_queued_never_takes_it(self, batched):
+        # Stopped and restarted at the request's instant, after the wait
+        # queued the hand-off and before it surfaces: the message left
+        # the inbox with the dead wait and is taken by neither loop.
+        def restart(rig):
+            if rig.decider.requests_sent == 1:
+                rig.engine.call_later(0.0, _restart, rig.decider, name="test.restart")
+
+        rig = self._rig(batched, on_request=restart)
+        rig.engine.run(until=1.35)
+        assert rig.decider.requests_sent == 1
+        assert rig.decider.is_running
+        assert "decider.stale_grants_banked" not in rig.decider.recorder.counters
+        assert rig.decider.recorder.turnarounds == []
+        assert len(rig.decider.inbox) == 0
+
+
+def _restart(decider):
+    batcher = decider._batcher
+    decider.stop()
+    if batcher is not None:
+        batcher.add(decider)
+    else:
+        decider.start()

@@ -371,6 +371,83 @@ class TestDeadlines:
         assert rig.client.inbox._getters == []
 
 
+class TestStrayMessageAtTheWait:
+    """The client's inbox holds a stray message when a request arms its
+    wait: the wait takes it through a queued hand-off at that instant,
+    handles it, and waits again for the request's answer."""
+
+    @staticmethod
+    def _rig(grant_w, server_running, on_request=None):
+        config = SlurmConfig(stagger_start=False, response_timeout_s=0.9)
+        rig = Rig(grant_w=grant_w, config=config, server_running=server_running)
+        rig.stale_at = []
+        send = rig.network.send
+
+        def send_after_a_stray(message):
+            # The stray lands after the tick drained the inbox and
+            # before the request's wait is armed.
+            if isinstance(message, PowerRequest):
+                rig.client.inbox.try_put(
+                    PowerGrant(src=SERVER, dst=message.src, delta=5.0, reply_to=-1)
+                )
+                if on_request is not None:
+                    on_request(rig)
+            send(message)
+
+        rig.network.send = send_after_a_stray
+        apply_grant = rig.client._apply_grant
+
+        def spying_apply_grant(delta_w):
+            rig.stale_at.append((rig.engine.now, len(rig.client.inbox)))
+            apply_grant(delta_w)
+
+        rig.client._apply_grant = spying_apply_grant
+        rig.set_draw(INITIAL)
+        return rig, config
+
+    def test_the_request_waits_again_and_takes_its_grant(self):
+        rig, config = self._rig(grant_w=12.0, server_running=True)
+        rig.run_periods(1)
+        # The stray was handled at the request's instant, out of the inbox.
+        assert rig.stale_at[0] == (config.period_s, 0)
+        assert rig.client.recorder.counters["slurm.client.stale_grants_applied"] == 1
+        (turnaround,) = rig.client.recorder.turnarounds
+        assert not turnaround.timed_out
+        assert turnaround.granted_w == pytest.approx(12.0)
+        assert rig.client.applied_grants_w == pytest.approx(17.0)
+        assert "slurm.client.request_timeouts" not in rig.client.recorder.counters
+
+    def test_an_unanswered_request_times_out_once_at_its_deadline(self):
+        rig, config = self._rig(grant_w=0.0, server_running=False)
+        rig.engine.run(until=config.period_s + 0.95)  # before the next tick
+        assert rig.stale_at == [(config.period_s, 0)]
+        (turnaround,) = rig.client.recorder.turnarounds
+        assert turnaround.timed_out
+        assert turnaround.time == pytest.approx(config.period_s + config.timeout_s)
+        assert rig.client.recorder.counters["slurm.client.request_timeouts"] == 1
+
+
+    def test_a_restart_while_the_hand_off_is_queued_never_takes_it(self):
+        # Stopped and restarted at the request's instant, after the wait
+        # queued the hand-off and before it surfaces: the message left
+        # the inbox with the dead wait and is taken by neither loop.
+        def restart(rig):
+            if not rig.stale_at and not rig.client.recorder.turnarounds:
+                rig.engine.call_later(0.0, _restart, rig.client, name="test.restart")
+
+        rig, config = self._rig(grant_w=0.0, server_running=False, on_request=restart)
+        rig.engine.run(until=config.period_s + 0.95)  # before the next tick
+        assert rig.client.is_running
+        assert rig.stale_at == []
+        assert rig.client.recorder.turnarounds == []
+        assert len(rig.client.inbox) == 0
+
+
+def _restart(client):
+    client.stop()
+    client.start()
+
+
 class TestLeanWait:
     def test_no_condition_built_while_a_run_dispatches(self, monkeypatch):
         # Every server wait is a plain queued call: a full AnyOf/AllOf

@@ -15,12 +15,15 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
+import pytest
+
 from repro.core.config import PenelopeConfig
 from repro.experiments import harness
 from repro.experiments.chaos import ChaosSpec, run_chaos_single
 from repro.membership.view import ALIVE, SUSPECT, MemberView, MembershipTransition
 from repro.net.messages import MembershipUpdate
 from repro.sim.engine import Engine
+from repro.sim.events import Event, EventBase
 from repro.sim.resources import Store
 
 #: Traced bytes per node of a 1 000-node universe, built and started.
@@ -31,8 +34,9 @@ from repro.sim.resources import Store
 #: separate objects, and a node holds 3 generators and ~19 instances.
 NODE_BUDGET_B = 15_000
 
-#: An empty Store traces ~274 B on CPython 3.11 (slots, two empty lists,
-#: its ``"<name>.get"`` label); a ``deque`` alone would be 760 B.
+#: An empty Store traces ~196 B on CPython 3.11 (slots and two empty
+#: lists; ~262 B while each kept a prebuilt ``"<name>.get"`` label); a
+#: ``deque`` alone would be 760 B.
 EMPTY_STORE_BUDGET_B = 300
 
 #: Traced ``membership/view.py`` bytes per observer-peer pair of a
@@ -158,3 +162,31 @@ def test_detector_report_builds_no_transition_records(monkeypatch):
     assert built == []
     MembershipTransition(1.0, 0, 1, ALIVE, 0)
     assert len(built) == 1  # the wrapper does count constructions
+
+
+@pytest.mark.parametrize("manager", ["penelope", "slurm"])
+def test_inbox_waits_build_no_events(manager, monkeypatch):
+    # Every inbox wait of the decider, the SLURM client and the request
+    # servers is a plain (fn, token) getter.  An event labelled as an
+    # inbox's get means one of them fell back to Store.get().
+    names = []
+    init = EventBase.__init__
+
+    def counted(self, engine, name=None):
+        names.append(name)
+        init(self, engine, name)
+
+    monkeypatch.setattr(Event, "__init__", counted)
+    result = harness.run_single(
+        harness.RunSpec(
+            manager, ("EP", "DC"), 70.0, n_clients=4, seed=7, workload_scale=0.05
+        )
+    )
+    # The actors did wait on their inboxes ...
+    assert result.recorder.turnarounds
+    # ... and none of those waits built an event.
+    assert [name for name in names if name and name.endswith(".inbox.get")] == []
+    # The wrapper does see the events a run builds, and a get's label.
+    assert names
+    Store(Engine(), name="probe.inbox").get()
+    assert names[-1] == "probe.inbox.get"

@@ -11,6 +11,7 @@ from repro.net.messages import PORT_DECIDER, PORT_SERVER, Addr, PowerGrant, Powe
 from repro.net.network import Network
 from repro.net.server import RequestServer
 from repro.net.topology import LatencyModel, Topology
+from repro.sim.events import PRIORITY_URGENT
 from repro.sim.resources import Store
 
 
@@ -226,6 +227,37 @@ class TestLifecycle:
         assert seen == [request]
         assert server.requests_served == 1
         assert engine.now == pytest.approx(0.5 + 120e-6 + 1.0)
+
+    def test_restart_while_a_queued_hand_off_is_pending(self, engine, net, rngs):
+        # The loop's first wait finds a request already in the inbox and
+        # queues its hand-off; the server is stopped and restarted at that
+        # instant, before the hand-off surfaces.  The request left the
+        # inbox with the dead loop: neither loop may handle it.
+        seen = []
+        server = make_server(
+            engine, net, rngs, handler=lambda m: (seen.append(m), ())[1]
+        )
+        server.start()
+        stale = PowerRequest(src=Addr(0, PORT_DECIDER), dst=Addr(3, PORT_SERVER))
+        assert server.inbox.try_put(stale)  # there before the loop's first step
+        left_in_inbox = []
+
+        def restart():
+            left_in_inbox.append(len(server.inbox))
+            server.stop()
+            server.start()
+
+        # Urgent like the start hop and queued after it: it runs once the
+        # first wait has queued the hand-off, before that surfaces.
+        engine.call_later(0.0, restart, name="test.restart", priority=PRIORITY_URGENT)
+        engine.run(until=0.0)
+        assert left_in_inbox == [0]
+        # The dead loop's hand-off surfaced and started no service.
+        assert engine.peek() == float("inf")
+        assert seen == [] and server.requests_served == 0
+        request = send_request(net, 1)
+        engine.run()
+        assert seen == [request] and server.requests_served == 1
 
     def test_stop_before_the_first_step(self, engine, net, rngs):
         server = make_server(engine, net, rngs)

@@ -15,9 +15,12 @@ Measured counts (they are deterministic).  "Queued hand-offs" is the
 kernel before a put into an idle inbox, a reply handed to the waiting
 decider's inbox getter and an interrupt resumed their waiter in place
 on the per-node path.  "now" is the current kernel, whose decider is a
-callback state machine taking the reply from its getter's callbacks;
-it reads the same as with the generator decider, because no decider
-stops in this scenario, so no stopped loop's completion entry is saved:
+callback state machine taking the reply through its inbox wait, a
+plain ``(fn, token)`` getter called in place (``Store.wait``: a wait
+builds no event, but the entries it queues are the ones the getter
+event queued, so the count is unchanged).  It reads the same as with
+the generator decider, because no decider stops in this scenario, so
+no stopped loop's completion entry is saved:
 
 ===========  ================  =======  ======
 path         queued hand-offs  now      bound

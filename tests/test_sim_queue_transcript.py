@@ -11,7 +11,9 @@ surfaces the same entries in the same order.
 
 The site of an entry is the qualified name of the method it calls
 (``Network._deliver``, ``RequestServer._served``, ...), or the class
-name of an event.  The decider's entries all read ``decider``: the
+name of an event.  A queued inbox hand-off (an actor's getter called
+with the item an inbox wait popped) reads ``Event``, the getter event
+the recorded kernel queued for it.  The decider's entries all read ``decider``: the
 generator loop queued timeouts, process starts and condition wake-ups
 where the state machine queues its own calls.  Entries that act on
 nothing are left out on both sides: an event nobody waits on any more
@@ -94,6 +96,10 @@ PINNED = {
 #: those whose first argument is their request.
 _RUN_TOKEN = frozenset({"_begin", "_staggered", "_on_tick"})
 _REQUEST_TOKEN = frozenset({"_on_wake", "_on_retry"})
+#: The actors' inbox getters: an entry calling one is a queued inbox
+#: hand-off (``Store.wait`` on a non-empty inbox), which the recorded
+#: kernel queued as the getter's ``Event``.
+_HAND_OFFS = frozenset({"_on_reply", "_on_request"})
 
 
 def _site(item):
@@ -104,6 +110,8 @@ def _site(item):
             return None
         return type(fn).__name__
     target = fn._fn if isinstance(fn, Handle) else fn
+    if target.__name__ in _HAND_OFFS:
+        return "Event"
     owner = getattr(target, "__self__", None)
     if isinstance(owner, LocalDecider):
         name = target.__name__

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sim.events import PRIORITY_NORMAL, Event
 from repro.sim.resources import Store, StoreFull
 
 
@@ -109,3 +110,83 @@ class TestStore:
         assert store.total_put == 1
         assert store.total_dropped == 1
         assert store.is_full
+
+
+class TestWait:
+    """``Store.wait``: a getter that is a plain ``(fn, token)`` pair."""
+
+    def test_put_hands_the_item_to_a_waiting_fn_in_place(self, engine):
+        store = Store(engine, capacity=1)
+        calls = []
+        assert store.wait(lambda token, item: calls.append((token, item)), "t") is None
+        assert store.try_put("direct")
+        # Called inside the put: nothing was queued, nothing stays stored.
+        assert calls == [("t", "direct")]
+        assert len(store) == 0 and store.total_put == 1
+        assert engine.peek() == float("inf")
+
+    def test_wait_on_a_non_empty_store_queues_the_hand_off(self, engine, monkeypatch):
+        store = Store(engine)
+        store.put_nowait("queued")
+        engine.run(until=1.5)
+        pushed = []
+        push = engine._push
+
+        def spying_push(entry):
+            pushed.append(entry)
+            push(entry)
+
+        monkeypatch.setattr(engine, "_push", spying_push)
+        calls = []
+
+        def fn(token, item):
+            calls.append((token, item, engine.now))
+
+        Event(engine).succeed()  # the key an event succeeding now takes
+        assert store.wait(fn, "t") == "queued"
+        assert len(store) == 0 and calls == []
+        (succeeded, hand_off) = pushed
+        assert hand_off[:2] == succeeded[:2] == (1.5, PRIORITY_NORMAL)
+        assert hand_off[2] == succeeded[2] + 1
+        assert hand_off[3:] == (fn, ("t", "queued"))
+        engine.run()
+        assert calls == [("t", "queued", 1.5)]
+
+    def test_cancelled_wait_neither_loses_nor_takes_the_next_item(self, engine):
+        store = Store(engine)
+        dead, live = [], []
+        store.wait(lambda token, item: dead.append(item), 1)
+        assert store.cancel_wait(1)
+        assert not store.cancel_wait(1)
+        store.put_nowait("precious")
+        assert dead == [] and len(store) == 1
+        assert store.wait(lambda token, item: live.append((token, item)), 2) == "precious"
+        engine.run()
+        assert dead == [] and live == [(2, "precious")]
+
+    def test_get_from_a_process_shares_the_getter_list(self, engine):
+        store = Store(engine)
+        taken = []
+
+        def getter():
+            value = yield store.get()
+            taken.append(("process", value, engine.now))
+
+        engine.process(getter())
+        engine.run(until=1.0)
+        store.wait(lambda token, item: taken.append((token, item, engine.now)), "fn")
+        store.put_nowait("first")
+        store.put_nowait("second")
+        engine.run()
+        # FIFO across both kinds of getter; the event completes in place.
+        assert taken == [("process", "first", 1.0), ("fn", "second", 1.0)]
+
+    def test_cancel_getters_fails_get_events_and_drops_waits(self, engine):
+        store = Store(engine)
+        calls = []
+        event = store.get()
+        store.wait(lambda token, item: calls.append(item), "t")
+        assert store.cancel_getters(ConnectionError()) == 2
+        assert event.triggered and not event.ok
+        store.put_nowait("kept")
+        assert calls == [] and len(store) == 1

@@ -10,7 +10,7 @@ from repro.net.topology import LatencyModel, Topology
 from repro.cluster.node import SimNode
 from repro.power.domain import SKYLAKE_6126_NODE, PowerDomainSpec
 from repro.sim.engine import Engine
-from repro.sim.events import EventBase
+from repro.sim.events import Event, EventBase
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import PairAssignment
 from repro.workloads.traces import PowerTrace
@@ -129,21 +129,41 @@ class Cluster:
         for node in self.compute_nodes():
             node.start_workload()
 
-    def completion_event(self) -> EventBase:
+    def completion_event(self) -> Event:
         """Fires when every workload has finished or its node was killed.
 
         §4.1: "the runtime of an experiment [is] the time necessary for all
         nodes to complete their workloads."  A killed node's workload can
         never finish, so its ``settled`` event (finish-or-kill) is what
-        completion waits on -- a kill *during* the run correctly unblocks
+        completion counts -- a kill *during* the run correctly unblocks
         the experiment (§4.4).
+
+        The event fires, with value True, two same-instant hops after the
+        last unsettled executor settles (one after the call, when none
+        is left unsettled): entries queued at that instant before the
+        second hop still run before a ``run(until=...)`` on it stops.
         """
+        engine = self.engine
+        done = engine.event(name="cluster.completion")
         pending = [
             node.executor.settled
             for node in self.compute_nodes()
             if node.executor is not None and not node.executor.settled.triggered
         ]
-        return self.engine.all_of(pending)
+        unsettled = len(pending)
+
+        def settle(event: EventBase) -> None:
+            nonlocal unsettled
+            unsettled -= 1
+            if not unsettled:
+                engine.call_later(0.0, _complete, done, True, name="cluster.settled")
+
+        for settled in pending:
+            assert settled.callbacks is not None
+            settled.callbacks.append(settle)
+        if not pending:
+            engine.call_later(0.0, _complete, done, True, name="cluster.settled")
+        return done
 
     def run_to_completion(
         self, time_limit_s: float = 1e7, start_workloads: bool = True
@@ -159,19 +179,19 @@ class Cluster:
             if start_workloads and node.alive and not node.executor.is_running \
                     and not node.executor.is_done:
                 node.start_workload()
+        engine = self.engine
         done = self.completion_event()
-        guard = self.engine.timeout(time_limit_s)
-        finished = self.engine.run(until=self.engine.any_of([done, guard]))
-        if not done.processed or not done.ok:
+        guard = engine.call_cancellable(
+            time_limit_s, _complete, done, False, name="cluster.time-limit"
+        )
+        if not engine.run(until=done):
             raise RuntimeError(
                 f"cluster did not complete within {time_limit_s} simulated seconds"
             )
-        del finished
-        if not guard.processed:
-            # The livelock guard never fired: cancel it, or the queue
-            # keeps a far-future timer and a later drain of this engine
-            # would leap the clock to the guard's expiry.
-            guard.cancel()
+        # The livelock guard never fired: cancel it, or the queue keeps a
+        # far-future timer and a later drain of this engine would leap
+        # the clock to the guard's expiry.
+        guard.cancel()
         makespans = [
             node.executor.finished_at
             for node in self.compute_nodes()
@@ -214,3 +234,10 @@ class Cluster:
         self.network.mark_alive(node_id)
         if restart_workload and node.executor is not None:
             node.start_workload()
+
+
+def _complete(done: Event, settled: bool) -> None:
+    """Fire a completion event: ``settled`` is False when the livelock
+    guard got there first."""
+    if not done.triggered:
+        done.succeed(settled)

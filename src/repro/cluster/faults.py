@@ -13,34 +13,40 @@ stretches or compresses one node's decider/detector timers, and
 it.  All four are default-off and draw from dedicated RNG streams
 (``net.faults.*``), so plans without them replay byte-identically to
 plans from before the families existed.
+
+Every injector returns nothing: it queues calls on the engine and
+keeps no handle.  Each takes an urgent zero-delay start hop first.  A
+kill, restart, partition, heal or clock drift then queues its one call
+``at - now`` later (:func:`~repro.sim.engine.run_callable_at`).  A
+timed injector (flap, loss, duplication and reorder bursts, slow node)
+acts in the start hop itself when its time is already ``now``, and
+otherwise queues its first step ``at - now`` later; each later step is
+queued one window (``down_s``, ``up_s`` or ``duration_s``) after the
+step before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.sim.engine import run_callable_at
-from repro.sim.events import EventBase
-from repro.sim.process import Process
+from repro.sim.engine import Engine, run_callable_at
+from repro.sim.events import PRIORITY_URGENT
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from repro.managers.base import PowerManager
 
 
-def kill_node_at(cluster: Cluster, node_id: int, at_time_s: float) -> Process:
+def kill_node_at(cluster: Cluster, node_id: int, at_time_s: float) -> None:
     """Schedule a crash of ``node_id`` at simulated time ``at_time_s``.
 
     The paper's faulty-environment experiment (§4.4) kills SLURM's server
     node "partway through execution"; the same injector kills any client
     node for Penelope's resilience tests.
     """
-    return run_callable_at(
-        cluster.engine,
-        at_time_s,
-        lambda: cluster.kill_node(node_id),
-        name=f"fault.kill[{node_id}]",
+    run_callable_at(
+        cluster.engine, at_time_s, lambda: cluster.kill_node(node_id), name="fault.kill"
     )
 
 
@@ -49,7 +55,7 @@ def restart_node_at(
     manager: "PowerManager",
     node_id: int,
     at_time_s: float,
-) -> Process:
+) -> None:
     """Schedule a crash-restart of ``node_id`` through ``manager``.
 
     The manager owns the restart (it must rebuild daemons and spend the
@@ -63,9 +69,7 @@ def restart_node_at(
             return
         manager.revive_node(node_id)
 
-    return run_callable_at(
-        cluster.engine, at_time_s, _restart, name=f"fault.restart[{node_id}]"
-    )
+    run_callable_at(cluster.engine, at_time_s, _restart, name="fault.restart")
 
 
 def partition_at(
@@ -73,7 +77,7 @@ def partition_at(
     isolated: Sequence[int],
     at_time_s: float,
     heal_after_s: Optional[float] = None,
-) -> Process:
+) -> None:
     """Schedule a network partition isolating ``isolated`` at ``at_time_s``.
 
     If ``heal_after_s`` is given the partition heals after that long.
@@ -90,9 +94,24 @@ def partition_at(
                 name="fault.heal",
             )
 
-    return run_callable_at(
-        cluster.engine, at_time_s, _apply, name=f"fault.partition{isolated!r}"
+    run_callable_at(cluster.engine, at_time_s, _apply, name="fault.partition")
+
+
+def _start_at(engine: Engine, at_time_s: float, step: Callable[[], None]) -> None:
+    """Queue a timed injector's urgent zero-delay start hop, which runs
+    ``step()`` in place when ``at_time_s`` is already now and otherwise
+    queues it ``at_time_s - now`` later."""
+    engine.call_later(
+        0.0, _begin, engine, at_time_s, step, name="fault.start",
+        priority=PRIORITY_URGENT,
     )
+
+
+def _begin(engine: Engine, at_time_s: float, step: Callable[[], None]) -> None:
+    if at_time_s > engine.now:
+        engine.call_later(at_time_s - engine.now, step, name="fault.step")
+    else:
+        step()
 
 
 def flap_partition_at(
@@ -102,13 +121,14 @@ def flap_partition_at(
     down_s: float,
     up_s: float,
     cycles: int,
-) -> Process:
+) -> None:
     """Schedule a flapping partition: ``cycles`` rounds of partitioned for
     ``down_s`` then healed for ``up_s``.
 
     Flapping is the adversarial case for peer suspicion: the link heals
     before the suspicion decays, so a decider that banned (rather than
-    biased against) a suspected peer would never come back.
+    biased against) a suspected peer would never come back.  The last
+    up window ends with a step that finds no cycle left.
     """
     isolated = list(isolated)
     if down_s <= 0 or up_s <= 0:
@@ -117,17 +137,21 @@ def flap_partition_at(
         raise ValueError("need at least one flap cycle")
     engine = cluster.engine
     topology = cluster.topology
+    left = cycles
 
-    def _flapper() -> Generator[EventBase, Any, None]:
-        if at_time_s > engine.now:
-            yield engine.timeout(at_time_s - engine.now)
-        for _ in range(cycles):
-            topology.partition(isolated)
-            yield engine.timeout(down_s)
-            topology.heal(isolated)
-            yield engine.timeout(up_s)
+    def down() -> None:
+        nonlocal left
+        if not left:
+            return
+        left -= 1
+        topology.partition(isolated)
+        engine.call_later(down_s, up, name="fault.flap")
 
-    return engine.process(_flapper(), name=f"fault.flap{isolated!r}")
+    def up() -> None:
+        topology.heal(isolated)
+        engine.call_later(up_s, down, name="fault.flap")
+
+    _start_at(engine, at_time_s, down)
 
 
 def loss_burst_at(
@@ -135,7 +159,7 @@ def loss_burst_at(
     probability: float,
     at_time_s: float,
     duration_s: float,
-) -> Process:
+) -> None:
     """Schedule a timed loss burst: the fabric's loss probability jumps to
     ``probability`` for ``duration_s``, then falls back to the cluster's
     configured base rate.
@@ -146,17 +170,16 @@ def loss_burst_at(
     """
     if duration_s <= 0:
         raise ValueError("burst duration must be positive")
-    engine = cluster.engine
     network = cluster.network
 
-    def _burst() -> Generator[EventBase, Any, None]:
-        if at_time_s > engine.now:
-            yield engine.timeout(at_time_s - engine.now)
-        network.set_loss_probability(probability)
-        yield engine.timeout(duration_s)
+    def end() -> None:
         network.set_loss_probability(network.base_loss_probability)
 
-    return engine.process(_burst(), name=f"fault.loss-burst[{probability:g}]")
+    def start() -> None:
+        network.set_loss_probability(probability)
+        cluster.engine.call_later(duration_s, end, name="fault.burst-end")
+
+    _start_at(cluster.engine, at_time_s, start)
 
 
 def duplicate_burst_at(
@@ -164,7 +187,7 @@ def duplicate_burst_at(
     probability: float,
     at_time_s: float,
     duration_s: float,
-) -> Process:
+) -> None:
     """Schedule a duplication burst: each message sent during the window
     is delivered twice with ``probability``.
 
@@ -177,18 +200,17 @@ def duplicate_burst_at(
     """
     if duration_s <= 0:
         raise ValueError("burst duration must be positive")
-    engine = cluster.engine
     network = cluster.network
     rng = cluster.rngs.stream("net.faults.duplicate")
 
-    def _burst() -> Generator[EventBase, Any, None]:
-        if at_time_s > engine.now:
-            yield engine.timeout(at_time_s - engine.now)
-        network.enable_duplication(probability, rng)
-        yield engine.timeout(duration_s)
+    def end() -> None:
         network.disable_duplication()
 
-    return engine.process(_burst(), name=f"fault.dup-burst[{probability:g}]")
+    def start() -> None:
+        network.enable_duplication(probability, rng)
+        cluster.engine.call_later(duration_s, end, name="fault.burst-end")
+
+    _start_at(cluster.engine, at_time_s, start)
 
 
 def reorder_burst_at(
@@ -196,7 +218,7 @@ def reorder_burst_at(
     window_s: float,
     at_time_s: float,
     duration_s: float,
-) -> Process:
+) -> None:
     """Schedule a reordering burst: messages sent during the window get
     uniform extra delay in ``[0, window_s)``, inverting arrival order
     between messages sent close together.
@@ -207,18 +229,17 @@ def reorder_burst_at(
     """
     if duration_s <= 0:
         raise ValueError("burst duration must be positive")
-    engine = cluster.engine
     network = cluster.network
     rng = cluster.rngs.stream("net.faults.reorder")
 
-    def _burst() -> Generator[EventBase, Any, None]:
-        if at_time_s > engine.now:
-            yield engine.timeout(at_time_s - engine.now)
-        network.enable_reordering(window_s, rng)
-        yield engine.timeout(duration_s)
+    def end() -> None:
         network.disable_reordering()
 
-    return engine.process(_burst(), name=f"fault.reorder-burst[{window_s:g}]")
+    def start() -> None:
+        network.enable_reordering(window_s, rng)
+        cluster.engine.call_later(duration_s, end, name="fault.burst-end")
+
+    _start_at(cluster.engine, at_time_s, start)
 
 
 def clock_drift_at(
@@ -227,7 +248,7 @@ def clock_drift_at(
     node_id: int,
     rate: float,
     at_time_s: float,
-) -> Process:
+) -> None:
     """Schedule clock drift on ``node_id``: from ``at_time_s`` on, the
     node's local timers run scaled by ``1 + rate``.
 
@@ -236,11 +257,11 @@ def clock_drift_at(
     through the manager (like restarts), which scales the node's decider
     and detector timers and keeps the scale across crash-restarts.
     """
-    return run_callable_at(
+    run_callable_at(
         cluster.engine,
         at_time_s,
         lambda: manager.set_clock_drift(node_id, rate),
-        name=f"fault.clock-drift[{node_id}]",
+        name="fault.clock-drift",
     )
 
 
@@ -250,7 +271,7 @@ def slow_node_at(
     factor: float,
     at_time_s: float,
     duration_s: Optional[float] = None,
-) -> Process:
+) -> None:
     """Schedule a gray-slow node: every message ``node_id`` sends or
     receives takes ``factor``x longer, from ``at_time_s`` until
     ``duration_s`` later (or the end of the run when ``None``).
@@ -258,18 +279,17 @@ def slow_node_at(
     The node stays alive and correct -- the degraded-but-not-dead case
     failure detectors chronically mis-classify.
     """
-    engine = cluster.engine
     network = cluster.network
 
-    def _slow() -> Generator[EventBase, Any, None]:
-        if at_time_s > engine.now:
-            yield engine.timeout(at_time_s - engine.now)
+    def end() -> None:
+        network.clear_node_slowdown(node_id)
+
+    def start() -> None:
         network.set_node_slowdown(node_id, factor)
         if duration_s is not None:
-            yield engine.timeout(duration_s)
-            network.clear_node_slowdown(node_id)
+            cluster.engine.call_later(duration_s, end, name="fault.slow-end")
 
-    return engine.process(_slow(), name=f"fault.slow-node[{node_id}]")
+    _start_at(cluster.engine, at_time_s, start)
 
 
 @dataclass
@@ -506,8 +526,8 @@ class FaultPlan:
 
     def install(
         self, cluster: Cluster, manager: Optional["PowerManager"] = None
-    ) -> List[Process]:
-        """Arm every fault on ``cluster``; returns the injector processes.
+    ) -> None:
+        """Arm every fault on ``cluster``.
 
         Arming order is the declaration order documented on the class
         (category, then list position) -- same-instant faults fire in
@@ -525,41 +545,23 @@ class FaultPlan:
             # network's stream; pre-drawn latency factors would shift
             # them (install runs before traffic, so the buffer is empty).
             cluster.network.disable_latency_buffering()
-        processes = [
-            kill_node_at(cluster, node_id, at) for node_id, at in self.node_kills
-        ]
-        processes += [
+        for node_id, at in self.node_kills:
+            kill_node_at(cluster, node_id, at)
+        for isolated, at, heal in self.partitions:
             partition_at(cluster, isolated, at, heal)
-            for isolated, at, heal in self.partitions
-        ]
         if manager is not None:
-            processes += [
+            for node_id, at in self.restarts:
                 restart_node_at(cluster, manager, node_id, at)
-                for node_id, at in self.restarts
-            ]
-        processes += [
+        for isolated, at, down, up, cycles in self.flaps:
             flap_partition_at(cluster, isolated, at, down, up, cycles)
-            for isolated, at, down, up, cycles in self.flaps
-        ]
-        processes += [
+        for probability, at, duration in self.loss_bursts:
             loss_burst_at(cluster, probability, at, duration)
-            for probability, at, duration in self.loss_bursts
-        ]
-        processes += [
+        for probability, at, duration in self.duplicate_bursts:
             duplicate_burst_at(cluster, probability, at, duration)
-            for probability, at, duration in self.duplicate_bursts
-        ]
-        processes += [
+        for window, at, duration in self.reorder_bursts:
             reorder_burst_at(cluster, window, at, duration)
-            for window, at, duration in self.reorder_bursts
-        ]
         if manager is not None:
-            processes += [
+            for node_id, rate, at in self.clock_drifts:
                 clock_drift_at(cluster, manager, node_id, rate, at)
-                for node_id, rate, at in self.clock_drifts
-            ]
-        processes += [
+        for node_id, factor, at, duration in self.slow_nodes:
             slow_node_at(cluster, node_id, factor, at, duration)
-            for node_id, factor, at, duration in self.slow_nodes
-        ]
-        return processes

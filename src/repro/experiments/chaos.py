@@ -42,10 +42,9 @@ from repro.experiments.runner import TaskKind, run_sweep
 from repro.instrumentation import MetricsRecorder
 from repro.membership.view import STATUSES
 from repro.net.network import NetworkStats
-from repro.sim._stop import stop_process
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
-from repro.sim.process import Process
+from repro.sim.events import PRIORITY_URGENT, SimulationError
 from repro.sim.rng import RngRegistry
 
 
@@ -238,7 +237,12 @@ class BudgetAuditor:
     the ledger and the §2.1 audit), then records every ledger term as a
     :class:`~repro.instrumentation.LedgerSample`.  A fail-fast monitor
     raises out of the engine loop at the first destroyed watt, with the
-    full term breakdown in the exception.
+    full term breakdown in the exception (the cause of the
+    :class:`~repro.sim.events.SimulationError` it raises).
+
+    The probes are queued calls, one ``interval_s`` after the other,
+    behind an urgent zero-delay start hop.  Each carries the auditor's
+    run number, so a probe queued before :meth:`stop` does nothing.
     """
 
     def __init__(
@@ -257,17 +261,22 @@ class BudgetAuditor:
         self.recorder = manager.recorder
         self.ledgers: List[ConservationLedger] = []
         self.max_abs_residual_w = 0.0
-        self._process: Optional[Process] = None
+        #: The running loop's number (0 while stopped).
+        self._run = 0
+        self._runs = 0
 
     def start(self) -> None:
-        if self._process is not None and self._process.is_alive:
+        if self._run:
             raise RuntimeError("auditor already running")
-        self._process = self.engine.process(self._run(), name="chaos.auditor")
+        self._runs += 1
+        self._run = self._runs
+        self.engine.call_later(
+            0.0, self._begin, self._run, name="chaos.auditor",
+            priority=PRIORITY_URGENT,
+        )
 
     def stop(self) -> None:
-        if self._process is not None:
-            stop_process(self._process)
-            self._process = None
+        self._run = 0
 
     def probe(self) -> ConservationLedger:
         """Sample, assert and record one conservation snapshot."""
@@ -291,10 +300,22 @@ class BudgetAuditor:
         )
         return ledger
 
-    def _run(self):
-        while True:
-            yield self.engine.timeout(self.interval_s)
+    def _begin(self, run: int) -> None:
+        if run == self._run:
+            self.engine.call_later(
+                self.interval_s, self._probe_due, run, name="chaos.auditor"
+            )
+
+    def _probe_due(self, run: int) -> None:
+        if run != self._run:
+            return
+        try:
             self.probe()
+        except Exception as exc:
+            raise SimulationError(f"chaos auditor probe failed: {exc!r}") from exc
+        self.engine.call_later(
+            self.interval_s, self._probe_due, run, name="chaos.auditor"
+        )
 
 
 def compute_detector_report(

@@ -17,8 +17,8 @@ On top of the DAG, the **protocol layers** (``core``, ``membership``,
 enforced precondition for running the same decider/pool/SWIM code on a
 real asyncio/socket substrate (ROADMAP):
 
-* they must not import ``repro.sim.engine``, ``repro.sim.process`` or
-  any private ``repro.sim._*`` module directly -- the injected clock
+* they must not import ``repro.sim.engine`` or any private
+  ``repro.sim._*`` module directly -- the injected clock
   seam is the ``repro.sim`` package facade, which a future substrate
   can re-point without touching protocol code;
 * they must not reach into engine internals: any ``engine._name`` /
@@ -67,11 +67,11 @@ LAYERS: Dict[str, int] = {
 PROTOCOL_LAYERS = frozenset({"core", "membership", "managers"})
 
 #: ``repro.sim`` submodules protocol layers may import directly.  The
-#: facade (bare ``repro.sim``) is always legal; the engine, the process
-#: machinery and every private module are not -- and the remaining
-#: submodules (events, resources, config, rng, schedulers, streams)
-#: are data/type surfaces, not execution machinery.
-_BANNED_SIM_MODULES = ("repro.sim.engine", "repro.sim.process")
+#: facade (bare ``repro.sim``) is always legal; the engine and every
+#: private module are not -- and the remaining submodules (events,
+#: resources, config, rng, schedulers, streams) are data/type surfaces,
+#: not execution machinery.
+_BANNED_SIM_MODULES = ("repro.sim.engine",)
 
 
 def _unit_of(module_path: str) -> str:
@@ -137,7 +137,7 @@ class LayeringRule(Rule):
                         node,
                         f"substrate leak: protocol layer {source_unit} "
                         f"imports {edge.target} directly; import the "
-                        "clock/process seam through the repro.sim facade "
+                        "clock seam through the repro.sim facade "
                         "instead",
                     )
         yield from self._engine_internals(project)

@@ -18,28 +18,24 @@ outgoing message (the detector's own probes/acks *and*, via
 pending, on a few dedicated gossip messages per period so idle nodes
 still converge.
 
+The probe loop is a state machine on queued calls: an urgent zero-delay
+start hop, the start stagger, then one round wait per period, plus the
+indirect-probe wait of an unanswered round.  Each carries the loop's
+run number, so a wait queued before :meth:`FailureDetector.stop`
+surfaces as a no-op, even after a restart.
+
 Determinism: all randomness (probe order, relay and gossip fan-out
 choice, start stagger) comes from the single named stream the manager
-passes in (``penelope.membership.<node>[.gen<k>]``); timers are named
-cancellable queued calls (:class:`~repro.sim.events.Handle`); the subsystem
-never touches the power path's RNG streams, so runs with the detector
-disabled replay byte-identically.
+passes in (``penelope.membership.<node>[.gen<k>]``); suspect timers are
+named cancellable queued calls (:class:`~repro.sim.events.Handle`); the
+subsystem never touches the power path's RNG streams, so runs with the
+detector disabled replay byte-identically.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Generator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -55,15 +51,7 @@ from repro.membership.view import ALIVE, DEAD, SUSPECT, MemberView
 from repro.net.messages import PORT_MEMBERSHIP, Addr, MembershipUpdate, Message, membership_update
 from repro.net.network import Network
 from repro.net.roster import roster_of
-from repro.sim import (
-    Engine,
-    EventBase,
-    Handle,
-    Interrupt,
-    Process,
-    Timeout,
-    stop_process,
-)
+from repro.sim import PRIORITY_URGENT, Engine, Handle
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard (core imports us)
     from repro.core.config import PenelopeConfig
@@ -142,7 +130,10 @@ class FailureDetector:
         self._relay: "OrderedDict[int, Tuple[int, int]]" = OrderedDict()
         #: Pending suspect -> confirm timers, by subject.
         self._confirm_timers: Dict[int, Handle] = {}
-        self._process: Optional[Process] = None
+        #: The running probe loop's number (0 while stopped); every wait
+        #: the loop queues carries it.
+        self._run = 0
+        self._runs = 0
         #: Local-clock scale factor (1.0 = nominal); stretches the probe
         #: period, indirect-probe timeout and suspect-confirm timer of a
         #: node whose clock drifts (``faults.clock_drift_at``).  At
@@ -153,20 +144,24 @@ class FailureDetector:
 
     @property
     def is_running(self) -> bool:
-        return self._process is not None and self._process.is_alive
+        return self._run != 0
 
-    def start(self) -> Process:
-        if self._process is not None and self._process.is_alive:
+    def start(self) -> None:
+        """Start the probe loop; its first step runs one urgent
+        zero-delay hop later."""
+        if self._run:
             raise RuntimeError(f"detector {self.node_id} already running")
         # A datagram endpoint, not a RequestServer: the SWIM receive path
         # is synchronous and consumes no service time, so handling right
         # inside the delivery event spares the per-message inbox churn
         # and server wake-up (the bench overhead budget depends on it).
         self.network.attach_handler(self.addr, self._handle)
-        self._process = self.engine.process(
-            self._probe_loop(), name=f"membership@{self.node_id}.probe"
+        self._runs += 1
+        self._run = self._runs
+        self.engine.call_later(
+            0.0, self._begin, self._run, name="membership.start",
+            priority=PRIORITY_URGENT,
         )
-        return self._process
 
     def stop(self) -> None:
         """Crash/stop the detector (node kill or shutdown).
@@ -175,9 +170,7 @@ class FailureDetector:
         the replacement takes its incarnation from it, and the manager
         keeps only the view's transition log (the chaos report's input).
         """
-        if self._process is not None:
-            stop_process(self._process)
-            self._process = None
+        self._run = 0
         self.network.detach(self.addr)
         for timer in self._confirm_timers.values():
             timer.cancel()
@@ -217,55 +210,75 @@ class FailureDetector:
 
     # -- the probe loop --------------------------------------------------------
 
-    def _probe_loop(self) -> Generator[EventBase, Any, None]:
-        engine = self.engine
-        config = self.config
-        period = config.membership_probe_period_s
-        probe_timeout = config.membership_probe_timeout_s
-        indirect = config.membership_indirect_probes
-        recorder = self.recorder
-        try:
-            # Stagger starts so a cluster's probes do not beat in lockstep.
-            # clock_scale is re-read at every wait so a drift fault landing
-            # mid-run takes effect on the very next timer.
-            yield Timeout(engine, float(self._rng.uniform(0.0, period)) * self.clock_scale)
-            while True:
-                target = self._next_target()
-                if target is None:  # no peers at all
-                    yield Timeout(engine, period * self.clock_scale)
-                    continue
-                self._probe_target = target
-                self._probe_acked = False
-                self.probe_rounds += 1
+    # clock_scale is re-read at every wait, so a drift fault landing
+    # mid-run takes effect on the very next timer.
+
+    def _begin(self, run: int) -> None:
+        """Stagger the start so a cluster's probes do not beat in lockstep."""
+        if run != self._run:
+            return
+        stagger = float(self._rng.uniform(0.0, self.config.membership_probe_period_s))
+        self.engine.call_later(
+            stagger * self.clock_scale, self._round, run, name="membership.round"
+        )
+
+    def _round(self, run: int) -> None:
+        """Open a probe round: ping the next target, wait one period."""
+        if run != self._run:
+            return
+        period = self.config.membership_probe_period_s
+        target = self._next_target()
+        if target is None:  # no peers at all
+            self.engine.call_later(
+                period * self.clock_scale, self._round, run, name="membership.round"
+            )
+            return
+        self._probe_target = target
+        self._probe_acked = False
+        self.probe_rounds += 1
+        self._send(MembershipPing(src=self.addr, dst=Addr(target, PORT_MEMBERSHIP)))
+        self.recorder.bump("membership.pings")
+        # The common (answered) round costs exactly one timer entry; only
+        # an unanswered round pays for a second wait, covering the
+        # indirect probes through relays.
+        self.engine.call_later(
+            period * self.clock_scale, self._round_end, run, target,
+            name="membership.round",
+        )
+
+    def _round_end(self, run: int, target: int) -> None:
+        if run != self._run:
+            return
+        if not self._probe_acked and self.config.membership_indirect_probes > 0:
+            relays = self._pick_relays(target)
+            for relay in relays:
                 self._send(
-                    MembershipPing(
-                        src=self.addr, dst=Addr(target, PORT_MEMBERSHIP)
+                    MembershipPingReq(
+                        src=self.addr, dst=Addr(relay, PORT_MEMBERSHIP), target=target
                     )
                 )
-                recorder.bump("membership.pings")
-                # The common (answered) round costs exactly one timer
-                # event; only an unanswered round pays for a second wait,
-                # covering the indirect probes through relays.
-                yield Timeout(engine, period * self.clock_scale)
-                if not self._probe_acked and indirect > 0:
-                    relays = self._pick_relays(target)
-                    for relay in relays:
-                        self._send(
-                            MembershipPingReq(
-                                src=self.addr,
-                                dst=Addr(relay, PORT_MEMBERSHIP),
-                                target=target,
-                            )
-                        )
-                        recorder.bump("membership.ping_reqs")
-                    if relays:
-                        yield Timeout(engine, probe_timeout * self.clock_scale)
-                if not self._probe_acked:
-                    self._on_probe_failed(target)
-                self._probe_target = None
-                self._send_gossip()
-        except Interrupt:
-            return
+                self.recorder.bump("membership.ping_reqs")
+            if relays:
+                self.engine.call_later(
+                    self.config.membership_probe_timeout_s * self.clock_scale,
+                    self._indirect_end,
+                    run,
+                    target,
+                    name="membership.indirect",
+                )
+                return
+        self._close_round(run, target)
+
+    def _indirect_end(self, run: int, target: int) -> None:
+        if run == self._run:
+            self._close_round(run, target)
+
+    def _close_round(self, run: int, target: int) -> None:
+        if not self._probe_acked:
+            self._on_probe_failed(target)
+        self._probe_target = None
+        self._send_gossip()
+        self._round(run)
 
     def _next_target(self) -> Optional[int]:
         """Shuffled round-robin over *all* peers.

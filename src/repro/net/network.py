@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -109,7 +109,7 @@ class Network:
         #: ``loss_probability == 0`` -- loss draws interleave on the same
         #: stream, and a lossy-from-construction network must keep the
         #: legacy draw-for-draw alignment (see :meth:`send`).
-        self._latency_units: "np.ndarray[Any, Any]" = np.empty(0)
+        self._latency_units: List[float] = []
         self._latency_idx = 0
         self._latency_buffering = True
         # -- adversarial fault families (all default-off) ----------------
@@ -291,35 +291,35 @@ class Network:
         stats.sent += 1
         kind = message.kind
         stats.by_kind[kind] = stats.by_kind.get(kind, 0) + 1
+        src = message.src.node
+        dst = message.dst.node
         latency = self.topology.latency
         sigma = latency.sigma
         if sigma == 0.0:
-            delay = latency.sample(message.src.node, message.dst.node, self._rng)
+            delay = latency.sample(src, dst, self._rng)
         else:
             idx = self._latency_idx
             units = self._latency_units
             if idx < len(units):
-                unit = float(units[idx])
+                unit = units[idx]
                 self._latency_idx = idx + 1
             elif self.loss_probability == 0.0 and self._latency_buffering:
-                units = self._rng.lognormal(mean=0.0, sigma=sigma, size=512)
+                # A Python list: indexing it gives the float each draw
+                # converts to, without a numpy scalar per send.
+                units = self._rng.lognormal(mean=0.0, sigma=sigma, size=512).tolist()
                 self._latency_units = units
                 self._latency_idx = 1
-                unit = float(units[0])
+                unit = units[0]
             else:
                 # Lossy stream: loss draws interleave with latency draws,
                 # so drawing ahead here would shift them.  With no buffer
                 # outstanding this is exactly the legacy scalar sequence.
                 unit = float(self._rng.lognormal(mean=0.0, sigma=sigma))
-            median = (
-                latency.median_local_s
-                if message.src.node == message.dst.node
-                else latency.median_remote_s
-            )
+            median = latency.median_local_s if src == dst else latency.median_remote_s
             delay = median * unit
             if delay < latency.floor_s:
                 delay = latency.floor_s
-        if message.src.node in self._dead:
+        if src in self._dead:
             stats.dropped_dead_src += 1
             return
         if self.loss_probability > 0.0 and float(
@@ -334,10 +334,10 @@ class Network:
         # draw from their own dedicated streams, never the latency/loss
         # stream, so arming them cannot shift any other draw position.
         if self._slow_factors:
-            src_factor = self._slow_factors.get(message.src.node)
+            src_factor = self._slow_factors.get(src)
             if src_factor is not None:
                 delay *= src_factor
-            dst_factor = self._slow_factors.get(message.dst.node)
+            dst_factor = self._slow_factors.get(dst)
             if dst_factor is not None:
                 delay *= dst_factor
         if self._reorder_window_s > 0.0:

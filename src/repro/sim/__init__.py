@@ -4,10 +4,10 @@ This subpackage is a small, self-contained, simpy-like discrete-event
 simulation core.  It provides:
 
 * :class:`~repro.sim.engine.Engine` -- the event loop and simulated clock,
-* generator-based processes (:class:`~repro.sim.process.Process`) with
-  interrupt support,
-* waitable events, composite conditions and cancellable queued calls
-  (:mod:`repro.sim.events`),
+  whose one way to wait is a queued call (cancellable through a
+  :class:`~repro.sim.events.Handle`),
+* waitable events, the target of ``run(until=...)`` and of a workload's
+  completion (:mod:`repro.sim.events`),
 * the bounded message queue every inbox is built on
   (:mod:`repro.sim.resources`),
 * named, reproducibly-seeded random streams (:mod:`repro.sim.rng`).
@@ -18,8 +18,8 @@ this kernel, which makes every experiment deterministic given a seed.
 
 This module is also the *substrate seam*: protocol layers (``core``,
 ``membership``, ``managers``) import the kernel exclusively through this
-facade, never from ``repro.sim.engine`` / ``repro.sim.process`` /
-private ``repro.sim._*`` modules directly.  The whole-program lint rule
+facade, never from ``repro.sim.engine`` or private ``repro.sim._*``
+modules directly.  The whole-program lint rule
 R8 (``repro lint --project``) enforces that boundary so the kernel can
 be swapped (sharded engine, real-substrate clock) without touching the
 protocol code.
@@ -28,32 +28,18 @@ protocol code.
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine, SimulationError, StopSimulation
 from repro.sim.schedulers import HeapScheduler
-from repro.sim.events import (
-    PRIORITY_URGENT,
-    AllOf,
-    AnyOf,
-    Event,
-    EventBase,
-    Handle,
-    Timeout,
-)
-from repro.sim.process import Interrupt, Process
+from repro.sim.events import PRIORITY_URGENT, Event, EventBase, Handle
 from repro.sim.resources import Store, StoreFull
 from repro.sim.rng import RngRegistry, stable_name_hash
-from repro.sim._stop import stop_process
 from repro.sim.streams import STREAM_TABLE, StreamSpec, lookup as lookup_stream
 
 __all__ = [
     "PRIORITY_URGENT",
-    "AllOf",
-    "AnyOf",
     "Engine",
     "Event",
     "EventBase",
     "Handle",
     "HeapScheduler",
-    "Interrupt",
-    "Process",
     "RngRegistry",
     "STREAM_TABLE",
     "SimConfig",
@@ -62,8 +48,6 @@ __all__ = [
     "Store",
     "StoreFull",
     "StreamSpec",
-    "Timeout",
     "lookup_stream",
     "stable_name_hash",
-    "stop_process",
 ]

@@ -26,11 +26,10 @@ layer reads directly -- no property call per read.  Entries are pushed
 through the pre-bound ``engine._push`` rather than a scheduler method
 lookup, and a call nobody waits on or cancels allocates no event object
 at all.  Cancelled entries (lazy deletion, :meth:`Handle.cancel
-<repro.sim.events.Handle.cancel>`, :meth:`repro.sim.events.Timeout.cancel`)
-are counted eagerly at cancel time -- :meth:`Engine._note_cancelled` --
-and the scheduler drops them internally (at surfacing or in bulk
-compaction), so they never reach the dispatch loop and never count
-toward ``processed_events``.
+<repro.sim.events.Handle.cancel>`) are counted eagerly at cancel time
+-- :meth:`Engine._note_cancelled` -- and the scheduler drops them
+internally (at surfacing or in bulk compaction), so they never reach
+the dispatch loop and never count toward ``processed_events``.
 
 ``run`` also sizes the cyclic garbage collector's young generation for a
 discrete-event loop.  Most objects a run allocates are queued waits that
@@ -65,20 +64,17 @@ from __future__ import annotations
 
 import gc
 from itertools import count
-from typing import Any, Callable, Generator, List, Optional, Tuple, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 from repro.sim.config import DEFAULT_TICK_SLOTS, SimConfig, default_batched_ticks
 from repro.sim.events import (
     PRIORITY_NORMAL,
-    AllOf,
-    AnyOf,
+    PRIORITY_URGENT,
     Event,
     EventBase,
     Handle,
     SimulationError,
-    Timeout,
 )
-from repro.sim.process import Process
 from repro.sim.schedulers import HeapScheduler
 
 
@@ -93,10 +89,9 @@ class StopSimulation(Exception):
 #: Generation-0 collection threshold while an engine runs or is paused
 #: (see the module's hot-path notes), and from the moment
 #: ``harness.build_universe`` starts building one.  A queued wait (its
-#: queue-entry tuple, bound method and arguments, plus an event and its
-#: callbacks list where a process waits) lives about one sim-second, i.e.
-#: many thousands of allocations; a build allocates almost only objects
-#: that live as long as its universe.  Either way a young collection
+#: queue-entry tuple, bound method and arguments) lives about one
+#: sim-second, i.e. many thousands of allocations; a build allocates
+#: almost only objects that live as long as its universe.  Either way a young collection
 #: frees next to nothing, and at 700 its survivors are promoted into
 #: generation 2, whose growth triggers full passes over the universe.
 #: Measured with ``gc.callbacks`` over the 10 000-node benchmark
@@ -205,14 +200,10 @@ class Engine:
     Typical usage::
 
         engine = Engine()
-
-        def worker(engine):
-            yield engine.timeout(1.0)
-            return "done"
-
-        proc = engine.process(worker(engine))
+        seen = []
+        engine.call_later(1.0, seen.append, "done", name="example.done")
         engine.run()
-        assert engine.now == 1.0 and proc.value == "done"
+        assert engine.now == 1.0 and seen == ["done"]
 
     ``sim`` carries the kernel knobs (:class:`~repro.sim.config.SimConfig`);
     ``None`` uses the ambient defaults.
@@ -243,18 +234,12 @@ class Engine:
         #: constructors invoke it directly.
         self._push = self._scheduler.push
         self._sequence = count()
-        self._active_process: Optional[Process] = None
         #: Monotone counter of processed events (useful for cost accounting
         #: and loop-progress assertions in tests).  Cancelled events are
         #: discarded without being processed and do not count.
         self.processed_events = 0
         #: Events cancelled while queued, counted at cancel time.
         self.cancelled_events = 0
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if the engine is inside one."""
-        return self._active_process
 
     @property
     def scheduler(self) -> HeapScheduler:
@@ -266,10 +251,6 @@ class Engine:
     def event(self, name: Optional[str] = None) -> Event:
         """Create an untriggered :class:`~repro.sim.events.Event`."""
         return Event(self, name=name)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a :class:`~repro.sim.events.Timeout` firing after ``delay``."""
-        return Timeout(self, delay, value=value)
 
     def call_later(
         self,
@@ -312,29 +293,7 @@ class Engine:
         self._push((self.now + delay, priority, seq, handle, args))
         return handle
 
-    def process(
-        self,
-        generator: Generator[EventBase, Any, Any],
-        name: Optional[str] = None,
-    ) -> Process:
-        """Start a new :class:`~repro.sim.process.Process` from ``generator``."""
-        return Process(self, generator, name=name)
-
-    def any_of(self, events: List[EventBase]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: List[EventBase]) -> AllOf:
-        return AllOf(self, events)
-
     # -- scheduling ---------------------------------------------------------
-
-    def _schedule(
-        self, event: EventBase, delay: float = 0.0, priority: int = PRIORITY_NORMAL
-    ) -> None:
-        """Put a triggered event on the processing queue."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay!r})")
-        self._push((self.now + delay, priority, next(self._sequence), event, ()))
 
     def _note_cancelled(self, sequence: int) -> None:
         """Record the cancellation of queued entry ``sequence`` (called
@@ -495,18 +454,23 @@ def _stop_callback(event: EventBase) -> None:
 
 def run_callable_at(
     engine: Engine, when: float, func: Callable[[], Any], name: Optional[str] = None
-) -> Process:
-    """Schedule a plain callable to run at absolute simulated time ``when``.
+) -> None:
+    """Run the plain callable ``func`` at absolute simulated time ``when``.
 
-    Convenience used by fault injectors and experiment scripts.  Returns a
-    full :class:`Process` (not a bare callback event) so callers can
-    interrupt or wait on it.
+    Used by fault injectors and experiment scripts.  It takes an urgent
+    zero-delay start hop, whose call queues ``func`` ``when - now``
+    later: at ``now + (when - now)``, which is not always the float
+    ``when``.  ``name`` is the call site's label (lint R6); like any
+    bare entry's, it is not kept.
     """
     if when < engine.now:
         raise ValueError(f"when={when!r} is in the past (now={engine.now!r})")
+    engine.call_later(
+        0.0, _call_at, engine, when, func, name=name or "sim.call-at",
+        priority=PRIORITY_URGENT,
+    )
 
-    def _runner() -> Generator[EventBase, Any, Any]:
-        yield engine.timeout(when - engine.now)
-        func()
 
-    return engine.process(_runner(), name=name or f"at[{when:g}]")
+def _call_at(engine: Engine, when: float, func: Callable[[], Any]) -> None:
+    """The start hop of :func:`run_callable_at`."""
+    engine.call_later(when - engine.now, func, name="sim.call-at")

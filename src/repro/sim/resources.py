@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import Event, EventBase
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
 
@@ -32,7 +30,7 @@ class Store:
     * :meth:`put_nowait` -- append, raising :class:`StoreFull` at capacity.
     * :meth:`try_put` -- append, returning False at capacity (packet drop).
     * :meth:`wait` -- hand the oldest item to ``fn(token, item)`` as soon
-      as one is available; :meth:`get` is the same wait as an event.
+      as one is available.
 
     A waiting getter is a plain ``(fn, token)`` pair, so a wait builds
     no event.  A put that finds a getter waiting calls ``fn(token,
@@ -147,37 +145,12 @@ class Store:
                 return True
         return False
 
-    def get(self) -> EventBase:
-        """Return an event yielding the oldest item once available."""
-        event = Event(self.engine, name=f"{self.name}.get")
-        self.wait(_hand_over, event)
-        return event
-
     def get_nowait(self) -> Any:
         """Pop the oldest item immediately; raise ``IndexError`` if empty."""
         return self._items.pop(0)
-
-    def cancel_get(self, event: EventBase) -> bool:
-        """Withdraw a pending :meth:`get` event (e.g. its owner timed out)."""
-        return self.cancel_wait(event)
 
     def drain(self) -> List[Any]:
         """Remove and return all queued items (used on node failure)."""
         items = self._items
         self._items = []
         return items
-
-    def cancel_getters(self, exception: BaseException) -> int:
-        """Withdraw every waiting getter (e.g. the node they run on died),
-        failing the events of :meth:`get` with ``exception``."""
-        getters, self._getters = self._getters, []
-        for fn, token in getters:
-            if fn is _hand_over:
-                token.fail(exception)
-        return len(getters)
-
-
-def _hand_over(event: EventBase, item: Any) -> None:
-    """The getter of a :meth:`Store.get` event: complete it with ``item``."""
-    event._value = item
-    event()

@@ -45,7 +45,7 @@ class HeapScheduler:
 
     ``push`` is an instance attribute bound to C-level ``heappush``: it
     is the single hottest call in the simulator -- every queued call,
-    timeout, process step and message delivery lands here.
+    triggered event and message delivery lands here.
 
     Cancellation is by sequence number: ``_cancelled`` holds the
     sequence numbers of cancelled entries still on the heap, so an entry
@@ -98,7 +98,7 @@ class HeapScheduler:
     def note_cancelled(self, sequence: int) -> None:
         """Record that the *queued* entry ``sequence`` was cancelled.
 
-        Called by the ``cancel()`` of a handle, timeout or callback
+        Called by :meth:`Handle.cancel <repro.sim.events.Handle.cancel>`
         (through :meth:`Engine._note_cancelled`) exactly once per
         cancelled entry.  The live size drops immediately; once dead
         entries outnumber live ones the heap is compacted, which bounds

@@ -3,11 +3,11 @@
 from typing import TYPE_CHECKING
 
 from repro.sim.engine import Engine
-from repro.sim._stop import stop_process
+from repro.sim._internals import drain
 from repro.cluster.boot import wire_cluster
 
 if TYPE_CHECKING:
-    from repro.sim.process import Process
+    from repro.sim.engine import StopSimulation
 
 
 class DirectDecider:
@@ -17,8 +17,8 @@ class DirectDecider:
     def deadline(self, engine: Engine) -> float:
         return engine._now + 1.0
 
-    def spin(self, process: "Process") -> None:
+    def spin(self, stop: "StopSimulation") -> None:
         while self.engine._queue:
             self.engine.step()
-        stop_process(process)
+        drain(stop)
         wire_cluster()

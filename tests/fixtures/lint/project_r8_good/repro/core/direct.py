@@ -2,11 +2,11 @@
 
 from typing import TYPE_CHECKING
 
-from repro.sim import Engine, stop_process
+from repro.sim import Engine, Handle
 
 if TYPE_CHECKING:
     # Annotation-only edges carry no runtime coupling: exempt.
-    from repro.sim.process import Process
+    from repro.sim.engine import StopSimulation
 
 
 class DirectDecider:
@@ -16,6 +16,6 @@ class DirectDecider:
     def deadline(self, engine: Engine) -> float:
         return engine.now + 1.0
 
-    def spin(self, process: "Process") -> None:
+    def spin(self, timer: Handle, stop: "StopSimulation") -> None:
         if self.engine.now > 0:
-            stop_process(process)
+            timer.cancel()

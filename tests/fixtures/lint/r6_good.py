@@ -1,6 +1,6 @@
 """R6 fixture: registrations carrying a deterministic tiebreak key."""
 
-from repro.sim.events import Handle, Timeout
+from repro.sim.events import EventBase, Handle
 
 
 def good_constant_key(engine, deliver, message) -> None:
@@ -16,5 +16,5 @@ def good_call_later(engine, enforce) -> None:
     engine.call_later(0.5, enforce, name="rapl.enforce")
 
 
-def timeouts_exempt(engine) -> Timeout:
-    return engine.timeout(1.0)  # timeouts are values, not registrations
+def events_exempt(engine) -> EventBase:
+    return engine.event().succeed(delay=1.0)  # events are values, not registrations

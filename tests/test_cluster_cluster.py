@@ -98,6 +98,31 @@ class TestRunToCompletion:
         with pytest.raises(RuntimeError, match="did not complete"):
             cluster.run_to_completion(time_limit_s=1.0)
 
+    def test_stops_two_same_instant_hops_after_the_last_settle(self):
+        # Every executor's ``done`` fires just before its ``settled``.
+        # A chain of zero-delay calls started there shows where the run
+        # stops: the last settle queues a hop that queues the stop, so
+        # at the final instant a call queued after the first hop still
+        # runs, and one queued after the second does not.
+        engine, cluster = make_cluster(n=4)
+        assignment = assign_pair_to_cluster(
+            ("EP", "DC"), range(4), rng=np.random.default_rng(0), scale=0.1
+        )
+        cluster.install_assignment(assignment)
+        ran = []
+
+        def chain(depth):
+            ran.append((engine.now, depth))
+            if depth < 3:
+                engine.call_later(0.0, chain, depth + 1, name="test.chain")
+
+        for node in cluster.compute_nodes():
+            node.executor.done.callbacks.append(lambda event: chain(0))
+        runtime = cluster.run_to_completion()
+        assert [depth for when, depth in ran if when == runtime] == [0, 1, 2]
+        engine.run()
+        assert [depth for when, depth in ran if when == runtime] == [0, 1, 2, 3]
+
     def test_compute_nodes_excludes_bare_nodes(self):
         _, cluster = make_cluster(n=4)
         assignment = assign_pair_to_cluster(("EP", "DC"), range(2), scale=0.05)

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.cluster.faults import FaultPlan, kill_node_at, partition_at
+from repro.cluster.faults import (
+    FaultPlan,
+    kill_node_at,
+    partition_at,
+    restart_node_at,
+)
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
@@ -61,8 +66,7 @@ class TestFaultPlan:
 
     def test_install_arms_all_faults(self, cluster):
         plan = FaultPlan().kill(1, 2.0).partition([3], 4.0)
-        processes = plan.install(cluster)
-        assert len(processes) == 2
+        assert plan.install(cluster) is None
         cluster.engine.run(until=5.0)
         assert not cluster.node(1).alive
         assert not cluster.topology.reachable(3, 0)
@@ -228,3 +232,102 @@ class TestSameTimestampOrdering:
             ("partition", (3,)),
             ("partition", (0,)),
         ]
+
+
+class _StubManager:
+    """Records the manager calls restarts and clock drifts make."""
+
+    def __init__(self):
+        self.calls = []
+
+    def revive_node(self, node_id):
+        self.calls.append(("revive", node_id))
+
+    def set_clock_drift(self, node_id, rate):
+        self.calls.append(("drift", node_id))
+
+
+class TestFaultAtTheInstallInstant:
+    """A fault whose time is ``engine.now`` at install.
+
+    The five timed injectors (flap, loss, duplication and reorder bursts,
+    slow node) act in their urgent start hop, ahead of a normal entry
+    queued at the same instant before the install.  Kills, restarts,
+    partitions and clock drifts act in a zero-delay normal entry queued
+    by that hop, so after it."""
+
+    @staticmethod
+    def _order(cluster, plan, manager=None):
+        order = []
+        network, topology = cluster.network, cluster.topology
+
+        def traced(owner, name):
+            real = getattr(owner, name)
+
+            def call(*args):
+                order.append(name)
+                return real(*args)
+
+            setattr(owner, name, call)
+
+        for name in (
+            "set_loss_probability",
+            "enable_duplication",
+            "enable_reordering",
+            "set_node_slowdown",
+        ):
+            traced(network, name)
+        traced(topology, "partition")
+        traced(cluster, "kill_node")
+        engine = cluster.engine
+        engine.run(until=1.0)
+        engine.call_later(0.0, order.append, "normal", name="test.normal")
+        plan.install(cluster, manager)
+        engine.run(until=1.0 + 1e-9)
+        return order
+
+    @pytest.mark.parametrize(
+        "plan, first",
+        [
+            (FaultPlan().flap([0], 1.0, 1.0, 1.0, 1), "partition"),
+            (FaultPlan().loss_burst(0.5, 1.0, 1.0), "set_loss_probability"),
+            (FaultPlan().duplicate_burst(0.5, 1.0, 1.0), "enable_duplication"),
+            (FaultPlan().reorder_burst(0.01, 1.0, 1.0), "enable_reordering"),
+            (FaultPlan().slow_node(1, 2.0, 1.0, 1.0), "set_node_slowdown"),
+        ],
+        ids=["flap", "loss", "duplicate", "reorder", "slow-node"],
+    )
+    def test_timed_injectors_act_in_the_urgent_start_hop(self, cluster, plan, first):
+        assert self._order(cluster, plan) == [first, "normal"]
+
+    @pytest.mark.parametrize(
+        "plan, last",
+        [
+            (FaultPlan().kill(1, 1.0), "kill_node"),
+            (FaultPlan().partition([0], 1.0), "partition"),
+        ],
+        ids=["kill", "partition"],
+    )
+    def test_scheduled_calls_act_after_same_instant_entries(self, cluster, plan, last):
+        assert self._order(cluster, plan) == ["normal", last]
+
+    def test_restart_and_drift_act_after_same_instant_entries(self, cluster):
+        cluster.kill_node(1)
+        manager = _StubManager()
+        engine = cluster.engine
+        engine.run(until=1.0)
+        engine.call_later(
+            0.0, manager.calls.append, ("normal", None), name="test.normal"
+        )
+        FaultPlan().restart(1, 1.0).clock_drift(2, 0.1, 1.0).install(cluster, manager)
+        engine.run(until=1.0 + 1e-9)
+        assert manager.calls == [("normal", None), ("revive", 1), ("drift", 2)]
+
+
+class TestRestartWithoutKill:
+    def test_restart_of_a_live_node_is_a_no_op(self, cluster):
+        manager = _StubManager()
+        restart_node_at(cluster, manager, 2, 3.0)
+        cluster.engine.run(until=5.0)
+        assert manager.calls == []
+        assert cluster.node(2).alive

@@ -30,6 +30,7 @@ from repro.experiments.chaos import (
     run_chaos_sweep,
 )
 from repro.experiments.harness import build_universe, pair_workloads
+from repro.experiments.invariants import InvariantMonitor
 from repro.experiments.serialize import canonical_json, decode, encode
 from repro.sim.config import SimConfig
 
@@ -231,6 +232,52 @@ class TestBudgetAuditor:
         assert counters["manager.revives"] == 1  # the kill's paired restart
         assert smoke_result.network.dropped > 0
         assert len(smoke_result.schedule["node_kills"]) == 1
+
+
+class TestAuditorStop:
+    """A stopped auditor leaves no queued probe that acts, even after a
+    restart."""
+
+    @staticmethod
+    def _auditor():
+        engine, cluster, manager = build_universe(
+            "penelope", 4, SMOKE.budget_w, 0,
+            pair_workloads(SMOKE.pair, 4, 0.1),
+            system_budget_w=SMOKE.budget_w,
+        )
+        cluster.start_workloads()
+        manager.start()
+        auditor = BudgetAuditor(engine, manager, InvariantMonitor(engine, manager))
+        return engine, auditor
+
+    def test_stop_before_the_first_step(self):
+        engine, auditor = self._auditor()
+        auditor.start()
+        auditor.stop()
+        engine.run(until=5.0)
+        engine.release_gc_hold()
+        assert auditor.ledgers == []
+
+    def test_stop_between_probes(self):
+        engine, auditor = self._auditor()
+        auditor.start()
+        engine.run(until=2.5)
+        auditor.stop()
+        engine.run(until=6.0)
+        engine.release_gc_hold()
+        assert [ledger.time for ledger in auditor.ledgers] == [1.0, 2.0]
+
+    def test_restart_between_probes_keeps_one_grid(self):
+        engine, auditor = self._auditor()
+        auditor.start()
+        engine.run(until=2.5)
+        auditor.stop()
+        auditor.start()
+        engine.run(until=6.0)
+        engine.release_gc_hold()
+        assert [ledger.time for ledger in auditor.ledgers] == [
+            1.0, 2.0, 3.5, 4.5, 5.5,
+        ]
 
 
 class TestChaosCodecs:

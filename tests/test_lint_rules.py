@@ -169,7 +169,7 @@ class TestR8Layering:
         report = project_report("project_r8", ["R8"])
         assert located(report, "R8") == [
             ("core/direct.py", 5),  # imports repro.sim.engine
-            ("core/direct.py", 6),  # imports repro.sim._stop
+            ("core/direct.py", 6),  # imports repro.sim._internals
             ("core/direct.py", 7),  # imports up-rank into cluster
             ("core/direct.py", 18),  # engine._now
             ("core/direct.py", 21),  # self.engine._queue
@@ -189,7 +189,7 @@ class TestR8Layering:
         assert project_report("project_r8_good").ok
 
     def test_type_checking_imports_exempt(self):
-        # The bad tree's `if TYPE_CHECKING: from repro.sim.process ...`
+        # The bad tree's `if TYPE_CHECKING: from repro.sim.engine ...`
         # must not appear among the findings.
         report = project_report("project_r8", ["R8"])
         assert all(f.line != 10 for f in report.findings)

@@ -450,17 +450,18 @@ def _restart(client):
 
 class TestLeanWait:
     def test_no_condition_built_while_a_run_dispatches(self, monkeypatch):
-        # Every server wait is a plain queued call: a full AnyOf/AllOf
-        # condition built inside the event loop means a client fell back
-        # to a composite wait.  (run_to_completion builds its own AnyOf
-        # before the loop starts, which this count leaves out.)
+        # Every server wait is a plain queued call: any event built inside
+        # the event loop -- a condition included -- means a client fell
+        # back to waiting on an event.  (The executors' and the
+        # completion's events are built before the loop starts, which
+        # this count leaves out.)
         from repro.experiments.harness import RunSpec, run_single
         from repro.sim import events
 
         counts = {"conditions": 0}
         dispatching = [False]
         dispatch = Engine._dispatch
-        condition_init = events._Condition.__init__
+        event_init = events.EventBase.__init__
 
         def counting_dispatch(self, until):
             dispatching[0] = True
@@ -469,13 +470,13 @@ class TestLeanWait:
             finally:
                 dispatching[0] = False
 
-        def counting_condition(self, *args, **kwargs):
+        def counting_event(self, *args, **kwargs):
             if dispatching[0]:
                 counts["conditions"] += 1
-            condition_init(self, *args, **kwargs)
+            event_init(self, *args, **kwargs)
 
         monkeypatch.setattr(Engine, "_dispatch", counting_dispatch)
-        monkeypatch.setattr(events._Condition, "__init__", counting_condition)
+        monkeypatch.setattr(events.EventBase, "__init__", counting_event)
         result = run_single(
             RunSpec(
                 manager="slurm",
@@ -487,5 +488,5 @@ class TestLeanWait:
         )
         # The clients did wait on the server ...
         assert result.recorder.turnarounds
-        # ... and none of those waits built a composite event.
+        # ... and none of those waits built an event.
         assert counts == {"conditions": 0}

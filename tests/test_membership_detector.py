@@ -236,3 +236,48 @@ class TestDegradation:
         rig.run_to(6.0)
         # Our gossip (plus any peer probes of the stopped node) dropped.
         assert rig.network.stats.dropped_unattached >= before + 1
+
+
+class TestStop:
+    """A stopped probe loop leaves no queued entry that acts: the
+    stagger, round or indirect-probe wait it was in surfaces as a
+    no-op, even after a restart."""
+
+    def test_stop_before_the_first_step(self):
+        rig = Rig(n=3)
+        det = rig.detectors[0]
+        rng = rig.rngs.stream("membership.0")
+        state = rng.bit_generator.state
+        det.stop()
+        rig.run_to(5.0)
+        assert det.probe_rounds == 0
+        assert det.recorder.counters == {}
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("stop_at", [2.0 + 0.07 * i for i in range(15)])
+    def test_stop_mid_round(self, stop_at):
+        # Node 2 is dead, so rounds aimed at it wait on indirect probes
+        # too: the stop instants cover both kinds of wait.
+        rig = Rig(n=4)
+        rig.kill(2)
+        rig.run_to(stop_at)
+        det = rig.detectors[0]
+        det.stop()
+        rounds, counters = det.probe_rounds, dict(det.recorder.counters)
+        transitions = len(det.view.log)
+        rig.run_to(stop_at + 4 * PERIOD)
+        assert det.probe_rounds == rounds
+        assert det.recorder.counters == counters
+        assert len(det.view.log) == transitions
+
+    @pytest.mark.parametrize("stop_at", [2.0 + 0.07 * i for i in range(8)])
+    def test_restart_after_a_stop_mid_round_runs_one_loop(self, stop_at):
+        rig = Rig(n=3)
+        rig.run_to(stop_at)
+        det = rig.detectors[0]
+        det.stop()
+        det.start()
+        rounds = det.probe_rounds
+        rig.run_to(stop_at + 10 * PERIOD)
+        # One loop: a stagger of under a period, then one round per period.
+        assert 9 <= det.probe_rounds - rounds <= 10

@@ -167,8 +167,9 @@ def test_detector_report_builds_no_transition_records(monkeypatch):
 @pytest.mark.parametrize("manager", ["penelope", "slurm"])
 def test_inbox_waits_build_no_events(manager, monkeypatch):
     # Every inbox wait of the decider, the SLURM client and the request
-    # servers is a plain (fn, token) getter.  An event labelled as an
-    # inbox's get means one of them fell back to Store.get().
+    # servers is a plain (fn, token) getter, and nothing else in a run
+    # waits on an event: the only events a run builds are the
+    # executors' ``done``/``settled`` and the completion event.
     names = []
     init = EventBase.__init__
 
@@ -185,8 +186,9 @@ def test_inbox_waits_build_no_events(manager, monkeypatch):
     # The actors did wait on their inboxes ...
     assert result.recorder.turnarounds
     # ... and none of those waits built an event.
-    assert [name for name in names if name and name.endswith(".inbox.get")] == []
-    # The wrapper does see the events a run builds, and a get's label.
     assert names
-    Store(Engine(), name="probe.inbox").get()
-    assert names[-1] == "probe.inbox.get"
+    assert [
+        name
+        for name in names
+        if not name.endswith((".done", ".settled")) and name != "cluster.completion"
+    ] == []

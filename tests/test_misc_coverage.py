@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.instrumentation import MetricsRecorder, merge_recorders
-from repro.sim.engine import Engine, run_callable_at
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.rng import RngRegistry
 
 
@@ -49,19 +49,12 @@ class TestMergeRecorders:
         assert [s.time for s in merged.caps] == [3.0, 9.0]
 
 
-class TestRunCallableName:
-    def test_default_name_includes_time(self, engine):
-        process = run_callable_at(engine, 2.5, lambda: None)
-        assert "2.5" in process.name
-        engine.run()
-
-
 class TestEngineUntilFailedEvent:
     def test_already_failed_event_raises_its_exception(self, engine):
         event = engine.event()
         event.fail(ValueError("pre-failed"))
-        event._defused = True
-        engine.run()
+        with pytest.raises(SimulationError, match="pre-failed"):
+            engine.run()
         with pytest.raises(ValueError, match="pre-failed"):
             engine.run(until=event)
 

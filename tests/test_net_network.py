@@ -264,11 +264,7 @@ class TestStreamAlignment:
         net.attach(Addr(1, PORT_POOL), inbox)
         arrival = {}
 
-        def watch():
-            yield inbox.get()
-            arrival["t"] = engine.now
-
-        engine.process(watch())
+        inbox.wait(lambda token, item: arrival.setdefault("t", engine.now), "watch")
         if kill_first_sender:
             net.mark_dead(2)
         net.send(request(2, 3))  # dropped at send in the faulty variant

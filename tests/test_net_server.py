@@ -276,6 +276,5 @@ class TestLifecycle:
         server.start()
         send_request(net)
         engine.run()
-        engine.timeout(0.5)
-        engine.run()
+        engine.run(until=engine.now + 0.5)
         assert 0.0 < server.utilization() < 1.0

@@ -10,17 +10,14 @@ from repro.power.meter import EnergyMeter
 class TestIntegration:
     def test_constant_power(self, engine):
         meter = EnergyMeter(engine, initial_power_w=100.0)
-        engine.timeout(10.0)
-        engine.run()
+        engine.run(until=engine.now + 10.0)
         assert meter.energy_j() == pytest.approx(1000.0)
 
     def test_piecewise_constant(self, engine):
         meter = EnergyMeter(engine, initial_power_w=50.0)
-        engine.timeout(2.0)
-        engine.run()
+        engine.run(until=engine.now + 2.0)
         meter.set_power(150.0)
-        engine.timeout(3.0)
-        engine.run()
+        engine.run(until=engine.now + 3.0)
         # 50*2 + 150*3
         assert meter.energy_j() == pytest.approx(550.0)
 
@@ -34,11 +31,9 @@ class TestIntegration:
     def test_average_since(self, engine):
         meter = EnergyMeter(engine, initial_power_w=100.0)
         t0, e0 = engine.now, meter.energy_j()
-        engine.timeout(4.0)
-        engine.run()
+        engine.run(until=engine.now + 4.0)
         meter.set_power(200.0)
-        engine.timeout(4.0)
-        engine.run()
+        engine.run(until=engine.now + 4.0)
         assert meter.average_since(t0, e0) == pytest.approx(150.0)
 
     def test_average_over_empty_window_is_instantaneous(self, engine):
@@ -62,11 +57,9 @@ class TestTrace:
     def test_trace_records_breakpoints(self, engine):
         meter = EnergyMeter(engine, initial_power_w=10.0)
         meter.enable_trace()
-        engine.timeout(1.0)
-        engine.run()
+        engine.run(until=engine.now + 1.0)
         meter.set_power(20.0)
-        engine.timeout(1.0)
-        engine.run()
+        engine.run(until=engine.now + 1.0)
         meter.set_power(5.0)
         assert meter.trace == [(0.0, 10.0), (1.0, 20.0), (2.0, 5.0)]
 

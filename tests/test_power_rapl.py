@@ -111,22 +111,18 @@ class TestReadings:
     def test_read_averages_since_last_read(self, engine, rapl):
         rapl.set_consumption(100.0)
         rapl.read_power()
-        engine.timeout(2.0)
-        engine.run()
+        engine.run(until=engine.now + 2.0)
         rapl.set_consumption(200.0)
-        engine.timeout(2.0)
-        engine.run()
+        engine.run(until=engine.now + 2.0)
         assert rapl.read_power() == pytest.approx(150.0)
 
     def test_consecutive_windows_are_independent(self, engine, rapl):
         rapl.set_consumption(100.0)
         rapl.read_power()
-        engine.timeout(1.0)
-        engine.run()
+        engine.run(until=engine.now + 1.0)
         assert rapl.read_power() == pytest.approx(100.0)
         rapl.set_consumption(50.0)
-        engine.timeout(1.0)
-        engine.run()
+        engine.run(until=engine.now + 1.0)
         assert rapl.read_power() == pytest.approx(50.0)
 
     def test_noise_perturbs_readings(self, engine, rng):
@@ -137,8 +133,7 @@ class TestReadings:
         rapl.set_consumption(100.0)
         readings = []
         for _ in range(50):
-            engine.timeout(1.0)
-            engine.run()
+            engine.run(until=engine.now + 1.0)
             readings.append(rapl.read_power())
         assert len(set(readings)) > 1
         assert all(r >= 0 for r in readings)

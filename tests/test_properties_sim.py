@@ -21,10 +21,7 @@ class TestClockMonotonicity:
         engine = Engine()
         observed = []
         for delay in delays:
-            def proc(delay=delay):
-                yield engine.timeout(delay)
-                observed.append(engine.now)
-            engine.process(proc())
+            engine.call_later(delay, lambda: observed.append(engine.now), name="test.at")
         engine.run()
         assert observed == sorted(observed)
         assert len(observed) == len(delays)
@@ -35,7 +32,7 @@ class TestClockMonotonicity:
     def test_run_until_never_overshoots(self, delays):
         engine = Engine()
         for delay in delays:
-            engine.timeout(delay)
+            engine.call_later(delay, print, name="test.at")
         horizon = max(delays) / 2
         engine.run(until=horizon)
         assert engine.now == horizon
@@ -63,11 +60,12 @@ class TestStoreConservation:
         store = Store(engine)
         received = []
 
-        def consumer():
-            for _ in items:
-                value = yield store.get()
-                received.append(value)
-        engine.process(consumer())
+        def take(token, item):
+            received.append(item)
+            if len(received) < len(items):
+                store.wait(take, token)
+
+        store.wait(take, "consumer")
         for item in items:
             store.put_nowait(item)
         engine.run()
@@ -77,9 +75,8 @@ class TestStoreConservation:
 class DequeStore:
     """Reference model: the FIFO store semantics on ``deque``, no kernel.
 
-    A get is named by an integer id; ``woken`` logs ``(id, item)`` for
-    every getter served, in serving order, and ``(id, "failed")`` for
-    every getter failed by :meth:`cancel_getters`.
+    A wait is named by an integer id; ``woken`` logs ``(id, item)`` for
+    every getter served, in serving order.
     """
 
     def __init__(self, capacity):
@@ -102,7 +99,7 @@ class DequeStore:
         self.total_put += 1
         return True
 
-    def get(self, getter_id):
+    def wait(self, getter_id):
         if self.items:
             self.woken.append((getter_id, self.items.popleft()))
         else:
@@ -111,7 +108,7 @@ class DequeStore:
     def get_nowait(self):
         return self.items.popleft()
 
-    def cancel_get(self, getter_id):
+    def cancel_wait(self, getter_id):
         try:
             self.getters.remove(getter_id)
             return True
@@ -123,23 +120,15 @@ class DequeStore:
         self.items.clear()
         return items
 
-    def cancel_getters(self):
-        failed = 0
-        while self.getters:
-            self.woken.append((self.getters.popleft(), "failed"))
-            failed += 1
-        return failed
-
 
 store_ops = st.lists(
     st.one_of(
         st.tuples(st.just("try_put"), st.integers(0, 99)),
         st.tuples(st.just("put_nowait"), st.integers(0, 99)),
-        st.tuples(st.just("get"), st.just(0)),
+        st.tuples(st.just("wait"), st.just(0)),
         st.tuples(st.just("get_nowait"), st.just(0)),
-        st.tuples(st.just("cancel_get"), st.integers(0, 30)),
+        st.tuples(st.just("cancel_wait"), st.integers(0, 30)),
         st.tuples(st.just("drain"), st.just(0)),
-        st.tuples(st.just("cancel_getters"), st.just(0)),
     ),
     max_size=60,
 )
@@ -155,13 +144,10 @@ class TestStoreMatchesDequeModel:
         store = Store(engine, capacity=capacity)
         model = DequeStore(capacity)
         woken = []
-        events = []
+        waits = 0
 
-        def on_wake(getter_id):
-            def record(event):
-                event._defused = True  # a failed getter is logged, not raised
-                woken.append((getter_id, event.value if event.ok else "failed"))
-            return record
+        def record(getter_id, item):
+            woken.append((getter_id, item))
 
         for op, arg in ops:
             if op in ("try_put", "put_nowait"):
@@ -174,30 +160,24 @@ class TestStoreMatchesDequeModel:
                     else:
                         with pytest.raises(StoreFull):
                             store.put_nowait(arg)
-            elif op == "get":
-                getter_id = len(events)
-                event = store.get()
-                event.callbacks.append(on_wake(getter_id))
-                events.append(event)
-                model.get(getter_id)
+            elif op == "wait":
+                store.wait(record, waits)
+                model.wait(waits)
+                waits += 1
             elif op == "get_nowait":
                 if model.items:
                     assert store.get_nowait() == model.get_nowait()
                 else:
                     with pytest.raises(IndexError):
                         store.get_nowait()
-            elif op == "cancel_get":
-                if events:
-                    getter_id = arg % len(events)
-                    assert store.cancel_get(events[getter_id]) == model.cancel_get(
-                        getter_id
-                    )
-            elif op == "drain":
-                assert store.drain() == model.drain()
+            elif op == "cancel_wait":
+                if waits:
+                    getter_id = arg % waits
+                    assert store.cancel_wait(getter_id) == model.cancel_wait(getter_id)
             else:
-                assert store.cancel_getters(ConnectionError()) == model.cancel_getters()
-            # A put completes a waiting getter in place; a getter served
-            # from queued items, or failed, processes at this instant.
+                assert store.drain() == model.drain()
+            # A put hands the item to a waiting getter in place; a getter
+            # served from queued items is called at this instant.
             # Either way the wake log matches the model's, in order.
             engine.run()
             assert woken == model.woken
@@ -218,11 +198,16 @@ class TestDeterminism:
             engine = Engine()
             rng = RngRegistry(seed=seed).stream("x")
             trace = []
-            def proc():
-                for _ in range(10):
-                    yield engine.timeout(float(rng.uniform(0.1, 1.0)))
-                    trace.append(engine.now)
-            engine.process(proc())
+
+            def step():
+                engine.call_later(float(rng.uniform(0.1, 1.0)), tick, name="test.tick")
+
+            def tick():
+                trace.append(engine.now)
+                if len(trace) < 10:
+                    step()
+
+            step()
             engine.run()
             return trace
 

@@ -28,6 +28,12 @@ from repro.sim.engine import (
 from repro.sim.events import Event
 
 
+def _timeout(engine, delay, value=None):
+    """An event processed ``delay`` from now with ``value``: one queued
+    entry, the kernel's timer for ``run(until=...)``."""
+    return engine.event().succeed(value, delay=delay)
+
+
 class TestClock:
     def test_starts_at_zero(self, engine):
         assert engine.now == 0.0
@@ -36,17 +42,17 @@ class TestClock:
         assert Engine(start_time=5.0).now == 5.0
 
     def test_timeout_advances_clock(self, engine):
-        engine.timeout(2.5)
+        _timeout(engine, 2.5)
         engine.run()
         assert engine.now == 2.5
 
     def test_run_until_number_advances_exactly(self, engine):
-        engine.timeout(1.0)
+        _timeout(engine, 1.0)
         engine.run(until=10.0)
         assert engine.now == 10.0
 
     def test_run_until_past_raises(self, engine):
-        engine.timeout(5.0)
+        _timeout(engine, 5.0)
         engine.run()
         with pytest.raises(ValueError):
             engine.run(until=1.0)
@@ -55,8 +61,8 @@ class TestClock:
         assert engine.peek() == float("inf")
 
     def test_peek_reports_next_event_time(self, engine):
-        engine.timeout(3.0)
-        engine.timeout(1.0)
+        _timeout(engine, 3.0)
+        _timeout(engine, 1.0)
         assert engine.peek() == pytest.approx(1.0)
 
     def test_step_on_empty_queue_raises(self, engine):
@@ -68,46 +74,35 @@ class TestOrdering:
     def test_events_process_in_time_order(self, engine):
         order = []
         for delay in (3.0, 1.0, 2.0):
-            def proc(delay=delay):
-                yield engine.timeout(delay)
-                order.append(delay)
-            engine.process(proc())
+            engine.call_later(delay, order.append, delay, name="test.order")
         engine.run()
         assert order == [1.0, 2.0, 3.0]
 
     def test_simultaneous_events_process_in_trigger_order(self, engine):
         order = []
         for tag in ("a", "b", "c"):
-            def proc(tag=tag):
-                yield engine.timeout(1.0)
-                order.append(tag)
-            engine.process(proc())
+            _timeout(engine, 1.0, tag).callbacks.append(
+                lambda event: order.append(event.value)
+            )
         engine.run()
         assert order == ["a", "b", "c"]
 
     def test_deterministic_event_count(self, engine):
         for _ in range(10):
-            engine.timeout(1.0)
+            _timeout(engine, 1.0)
         engine.run()
         assert engine.processed_events == 10
 
 
 class TestRunUntilEvent:
     def test_returns_event_value(self, engine):
-        def worker():
-            yield engine.timeout(2.0)
-            return 42
-        proc = engine.process(worker())
-        assert engine.run(until=proc) == 42
+        assert engine.run(until=_timeout(engine, 2.0, 42)) == 42
         assert engine.now == 2.0
 
     def test_raises_event_failure(self, engine):
-        def worker():
-            yield engine.timeout(1.0)
-            raise ValueError("boom")
-        proc = engine.process(worker())
+        failing = engine.event().fail(ValueError("boom"), delay=1.0)
         with pytest.raises(ValueError, match="boom"):
-            engine.run(until=proc)
+            engine.run(until=failing)
 
     def test_already_processed_event_returns_immediately(self, engine):
         event = engine.event()
@@ -117,7 +112,7 @@ class TestRunUntilEvent:
 
     def test_queue_drain_before_event_raises(self, engine):
         event = engine.event()  # never triggered
-        engine.timeout(1.0)
+        _timeout(engine, 1.0)
         with pytest.raises(SimulationError, match="drained"):
             engine.run(until=event)
 
@@ -153,7 +148,7 @@ class TestRunUntilEvent:
         with pytest.raises(raises):
             engine.run(until=stop_event)
         stop_event.succeed()
-        engine.timeout(1.0)
+        _timeout(engine, 1.0)
         engine.run(until=later_until)
         assert engine.now == (1.0 if later_until is None else later_until)
         assert stop_event.processed
@@ -166,19 +161,6 @@ class TestFailurePropagation:
         with pytest.raises(SimulationError):
             engine.run()
 
-    def test_failure_delivered_to_process_is_defused(self, engine):
-        event = engine.event()
-
-        def watcher():
-            try:
-                yield event
-            except RuntimeError:
-                return "caught"
-        proc = engine.process(watcher())
-        event.fail(RuntimeError("x"))
-        engine.run()
-        assert proc.value == "caught"
-
 
 class TestRunCallableAt:
     def test_runs_at_requested_time(self, engine):
@@ -187,8 +169,18 @@ class TestRunCallableAt:
         engine.run()
         assert seen == [4.0]
 
+    def test_fires_at_now_plus_the_remaining_delay(self, engine):
+        # The entry is queued at ``now + (when - now)``, which is not
+        # always the float ``when``: here it is 0.9000000000000001.
+        engine.run(until=0.3)
+        seen = []
+        run_callable_at(engine, 0.9, lambda: seen.append(engine.now))
+        engine.run()
+        assert seen == [0.3 + (0.9 - 0.3)]
+        assert seen != [0.9]
+
     def test_past_time_rejected(self, engine):
-        engine.timeout(2.0)
+        _timeout(engine, 2.0)
         engine.run()
         with pytest.raises(ValueError):
             run_callable_at(engine, 1.0, lambda: None)
@@ -196,7 +188,7 @@ class TestRunCallableAt:
     def test_negative_delay_scheduling_rejected(self, engine):
         event = Event(engine)
         with pytest.raises(ValueError):
-            engine._schedule(event, delay=-1.0)
+            event.succeed(delay=-1.0)
 
 
 class TestFactories:
@@ -204,19 +196,9 @@ class TestFactories:
         event = engine.event(name="e")
         assert not event.triggered and event.name == "e"
 
-    def test_timeout_factory_value(self, engine):
-        timeout = engine.timeout(1.0, value="v")
-
-        def waiter():
-            got = yield timeout
-            return got
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == "v"
-
     def test_negative_timeout_rejected(self, engine):
         with pytest.raises(ValueError):
-            engine.timeout(-0.1)
+            engine.call_cancellable(-0.1, print, name="test.timeout")
 
 
 class TestRunUntilHorizon:
@@ -250,9 +232,11 @@ class TestRunUntilHorizon:
         # Several same-time entries at the queue head, all cancelled:
         # peek() must lazily discard the whole cluster and report the
         # first live entry behind it.
-        doomed = [engine.timeout(1.0) for _ in range(3)]
+        doomed = [
+            engine.call_cancellable(1.0, print, name="test.timeout") for _ in range(3)
+        ]
         survivor_at = 2.0
-        engine.timeout(survivor_at)
+        _timeout(engine, survivor_at)
         for timeout in doomed:
             timeout.cancel()
         assert engine.peek() == survivor_at
@@ -261,7 +245,7 @@ class TestRunUntilHorizon:
         assert engine.now == survivor_at
 
     def test_run_until_horizon_counts_cancelled_entries(self, engine):
-        cancelled = engine.timeout(3.0)
+        cancelled = engine.call_cancellable(3.0, print, name="test.timeout")
         engine.call_later(1.0, cancelled.cancel)
         engine.call_later(4.0, lambda: None)
         engine.run(until=6.0)
@@ -296,23 +280,24 @@ def collector():
 
 
 def _probe(engine, seen, delay=1.0):
-    def body():
-        yield engine.timeout(delay)
-        seen.append((gc.isenabled(), gc.get_threshold()))
-
-    return engine.process(body())
+    """An event ``delay`` from now that records the collector state."""
+    probe = _timeout(engine, delay)
+    probe.callbacks.append(
+        lambda event: seen.append((gc.isenabled(), gc.get_threshold()))
+    )
+    return probe
 
 
 def _paused(engine=None):
     """An engine stopped at a horizon with one event still queued."""
     engine = engine or Engine()
-    engine.timeout(0.25)
+    _timeout(engine, 0.25)
     engine.run(until=engine.now + 0.1)
     return engine
 
 
 def _already_processed(engine):
-    done = engine.timeout(0.0)
+    done = _timeout(engine, 0.0)
     engine.run(until=engine.now + 0.1)
     assert engine.run(until=done) is None
 
@@ -349,7 +334,7 @@ def _keyboard_interrupt(engine):
 EXIT_PATHS = {
     "horizon": lambda engine: engine.run(until=5.0),
     "drained queue": lambda engine: engine.run(),
-    "until event": lambda engine: engine.run(until=engine.timeout(1.0)),
+    "until event": lambda engine: engine.run(until=_timeout(engine, 1.0)),
     "until processed event": _already_processed,
     "until failed event": _stop_with_failure,
     "unhandled failure": _unhandled_failure,
@@ -427,11 +412,10 @@ class TestCollectorScope:
         _probe(inner_engine, seen)
 
         def outer():
-            yield engine.timeout(1.0)
             inner_engine.run()
             seen.append(("after inner", gc.get_threshold()))
 
-        engine.process(outer())
+        engine.call_later(1.0, outer, name="test.outer")
         engine.run()
         assert seen == [(True, HELD), ("after inner", HELD)]
         assert gc.get_threshold() == CALLER_THRESHOLDS

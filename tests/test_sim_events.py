@@ -1,11 +1,10 @@
-"""Unit tests for events and conditions."""
+"""Unit tests for events and queued calls."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import Engine
-from repro.sim.events import AllOf, AnyOf, Event, Handle
+from repro.sim.events import Handle
 
 
 class TestEventLifecycle:
@@ -31,7 +30,6 @@ class TestEventLifecycle:
     def test_fail_then_succeed_rejected(self, engine):
         event = engine.event()
         event.fail(ValueError("x"))
-        event._defused = True
         with pytest.raises(RuntimeError):
             event.succeed()
 
@@ -63,126 +61,12 @@ class TestEventLifecycle:
         assert got == [event]
 
 
-class TestAnyOf:
-    def test_fires_on_first(self, engine):
-        fast, slow = engine.timeout(1.0, "fast"), engine.timeout(5.0, "slow")
-
-        def waiter():
-            value = yield AnyOf(engine, [fast, slow])
-            return value
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value.values() == ["fast"]
-        assert fast in proc.value
-
-    def test_operator_or(self, engine):
-        a, b = engine.timeout(1.0, "a"), engine.timeout(2.0, "b")
-
-        def waiter():
-            value = yield a | b
-            return value.values()
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == ["a"]
-
-    def test_empty_anyof_fires_immediately(self, engine):
-        def waiter():
-            yield AnyOf(engine, [])
-            return engine.now
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == 0.0
-
-    def test_already_processed_subevent(self, engine):
-        done = engine.event()
-        done.succeed("early")
-        engine.run()
-
-        def waiter():
-            value = yield AnyOf(engine, [done, engine.timeout(9.0)])
-            return value[done]
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == "early"
-
-    def test_failure_propagates(self, engine):
-        bad = engine.event()
-
-        def waiter():
-            try:
-                yield AnyOf(engine, [bad, engine.timeout(9.0)])
-            except ValueError as exc:
-                return str(exc)
-        proc = engine.process(waiter())
-        bad.fail(ValueError("sub-failure"))
-        engine.run()
-        assert proc.value == "sub-failure"
-
-
-class TestAllOf:
-    def test_waits_for_all(self, engine):
-        a, b = engine.timeout(1.0, "a"), engine.timeout(5.0, "b")
-
-        def waiter():
-            value = yield AllOf(engine, [a, b])
-            return (engine.now, value.values())
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == (5.0, ["a", "b"])
-
-    def test_operator_and(self, engine):
-        a, b = engine.timeout(1.0), engine.timeout(2.0)
-
-        def waiter():
-            yield a & b
-            return engine.now
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == 2.0
-
-    def test_empty_allof_fires_immediately(self, engine):
-        def waiter():
-            yield AllOf(engine, [])
-            return engine.now
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == 0.0
-
-    def test_condition_value_len_and_getitem(self, engine):
-        a, b = engine.timeout(1.0, "x"), engine.timeout(2.0, "y")
-
-        def waiter():
-            value = yield AllOf(engine, [a, b])
-            return (len(value), value[a], value[b])
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == (2, "x", "y")
-
-    def test_condition_value_missing_key(self, engine):
-        a = engine.timeout(1.0)
-        other = engine.timeout(1.0)
-
-        def waiter():
-            value = yield AllOf(engine, [a])
-            with pytest.raises(KeyError):
-                _ = value[other]
-            return True
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value is True
-
-    def test_cross_engine_condition_rejected(self, engine):
-        other_engine = Engine()
-        foreign = Event(other_engine)
-        with pytest.raises(ValueError):
-            AllOf(engine, [engine.event(), foreign])
-
-
 class TestTimeoutCancel:
+    """A timeout is a cancellable queued call (a :class:`Handle`)."""
+
     def test_cancelled_timeout_never_runs_callbacks(self, engine):
         fired = []
-        timeout = engine.timeout(1.0)
-        timeout.callbacks.append(fired.append)
+        timeout = engine.call_cancellable(1.0, fired.append, "ran", name="test.timeout")
         timeout.cancel()
         engine.run()
         assert fired == []
@@ -191,32 +75,24 @@ class TestTimeoutCancel:
         # A discarded entry does not advance the clock.
         assert engine.now == 0.0
 
-    def test_cancel_after_processing_rejected(self, engine):
-        timeout = engine.timeout(0.0)
-        engine.run()
-        with pytest.raises(RuntimeError):
-            timeout.cancel()
-
     def test_cancelled_head_purged_by_peek(self, engine):
-        doomed = engine.timeout(1.0)
-        engine.timeout(2.0)
+        doomed = engine.call_cancellable(1.0, print, name="test.timeout")
+        engine.call_later(2.0, print, name="test.bare")
         doomed.cancel()
         assert engine.peek() == 2.0
         assert engine.cancelled_events == 1
 
     def test_step_raises_when_only_cancelled_left(self, engine):
-        doomed = engine.timeout(1.0)
+        doomed = engine.call_cancellable(1.0, print, name="test.timeout")
         doomed.cancel()
         with pytest.raises(IndexError):
             engine.step()
 
     def test_cancelled_event_between_live_events(self, engine):
         order = []
-        first = engine.timeout(1.0, value="first")
-        doomed = engine.timeout(2.0)
-        last = engine.timeout(3.0, value="last")
-        for event in (first, last):
-            event.callbacks.append(lambda e: order.append(e.value))
+        engine.call_cancellable(1.0, order.append, "first", name="test.timeout")
+        doomed = engine.call_cancellable(2.0, order.append, "doomed", name="test.timeout")
+        engine.call_cancellable(3.0, order.append, "last", name="test.timeout")
         doomed.cancel()
         engine.run()
         assert order == ["first", "last"]

@@ -1,13 +1,17 @@
 """Pinned queue order: the transcript of every processed entry.
 
 The kernel's determinism contract is a total order over ``(time,
-priority, sequence)`` keys.  These tests record, for four small runs,
+priority, sequence)`` keys.  These tests record, for five small runs,
 the ``(time, priority, site)`` of every queue entry the engine
-processes, in order, and pin a digest of that transcript.  The digests
-were recorded on commit a95db89, whose kernel queued an event object
-per entry and whose decider was a generator process; the same
-transcript from today's bare entries and handles proves the queue
-surfaces the same entries in the same order.
+processes, in order, and pin a digest of that transcript.  The first
+four digests were recorded on commit a95db89, whose kernel queued an
+event object per entry and whose decider was a generator process; the
+same transcript from today's bare entries and handles proves the queue
+surfaces the same entries in the same order.  The fifth,
+``storm8-every-fault``, was recorded on commit ad58182, whose fault
+injectors, SWIM probe loops, chaos auditor, ``run_callable_at`` and
+``Cluster.run_to_completion`` still ran on generator processes and
+composite events.
 
 The site of an entry is the qualified name of the method it calls
 (``Network._deliver``, ``RequestServer._served``, ...), or the class
@@ -34,12 +38,16 @@ import json
 
 import pytest
 
+from repro.cluster import cluster as cluster_module
+from repro.cluster import faults
 from repro.cluster.faults import FaultPlan
 from repro.core.config import PenelopeConfig
 from repro.core.decider import LocalDecider
-from repro.experiments.chaos import ChaosSpec, run_chaos_single
+from repro.experiments.chaos import BudgetAuditor, ChaosSpec, run_chaos_single
 from repro.experiments.harness import RunSpec, run_single
+from repro.membership.detector import FailureDetector
 from repro.sim.config import SimConfig
+from repro.sim.engine import _call_at
 from repro.sim.events import EventBase, Handle
 from repro.sim.schedulers import HeapScheduler
 
@@ -79,6 +87,17 @@ SCENARIOS = {
         ChaosSpec(seed=1, n_clients=4, duration_s=30.0, enable_membership=True),
         sim=SimConfig(batched_ticks=False),
     ),
+    # An audited 8-node SWIM storm arming every fault kind: kills with
+    # restarts, a partition, a flap, loss, duplication and reorder
+    # bursts, a clock drift and a slow node.
+    "storm8-every-fault": lambda: run_chaos_single(
+        ChaosSpec(
+            seed=3, n_clients=8, duration_s=20.0, enable_membership=True,
+            kills=2, flaps=1, bursts=1, partitions=1, duplicate_bursts=1,
+            reorder_bursts=1, clock_drifts=1, slow_nodes=1,
+        ),
+        sim=SimConfig(batched_ticks=False),
+    ),
 }
 
 #: (processed entries, sha256 of the transcript) per scenario.
@@ -90,6 +109,10 @@ PINNED = {
     ),
     "slurm-kill": (1354, "4f417134260fff2bbdff14a54ed7676b63e99e1fe670ffc7ee2e48c69ba7a1b0"),
     "storm4": (1345, "bc601a7ee4038adfd893d454d7662f75250b9b31995cc08187f9eb52785e5634"),
+    "storm8-every-fault": (
+        1982,
+        "9021efbff6e467365fd459929fa6bb7285bfd7104b8bd2326c5da167416d0490",
+    ),
 }
 
 #: Decider entries whose first argument is their loop's run number, and
@@ -100,6 +123,20 @@ _REQUEST_TOKEN = frozenset({"_on_wake", "_on_retry"})
 #: hand-off (``Store.wait`` on a non-empty inbox), which the recorded
 #: kernel queued as the getter's ``Event``.
 _HAND_OFFS = frozenset({"_on_reply", "_on_request"})
+#: Actors that were generator processes when ``storm8-every-fault`` was
+#: recorded, now state machines on queued calls whose first argument is
+#: their loop's run number: each method's label is what the process
+#: queued for it, its start hop (``_Initialize``) or a wait
+#: (``Timeout``).
+_PROCESS_LOOPS = {
+    FailureDetector: {
+        "_begin": "_Initialize",
+        "_round": "Timeout",
+        "_round_end": "Timeout",
+        "_indirect_end": "Timeout",
+    },
+    BudgetAuditor: {"_begin": "_Initialize", "_probe_due": "Timeout"},
+}
 
 
 def _site(item):
@@ -108,7 +145,11 @@ def _site(item):
     if isinstance(fn, EventBase):
         if fn.callbacks is not None and not fn.callbacks:
             return None
+        if fn.name == "cluster.completion":
+            return "AnyOf"  # run_to_completion's second hop
         return type(fn).__name__
+    if isinstance(fn, Handle) and fn.name == "cluster.time-limit":
+        return "Timeout"  # run_to_completion's livelock guard
     target = fn._fn if isinstance(fn, Handle) else fn
     if target.__name__ in _HAND_OFFS:
         return "Event"
@@ -120,6 +161,15 @@ def _site(item):
         if name in _REQUEST_TOKEN and args[0] is not owner._request:
             return None
         return "decider"
+    loop = _PROCESS_LOOPS.get(type(owner))
+    if loop is not None and target.__name__ in loop:
+        return loop[target.__name__] if args[0] == owner._run else None
+    if target is _call_at or target is faults._begin:
+        return "_Initialize"  # run_callable_at's or an injector's start hop
+    if target.__module__ == faults.__name__:
+        return "Timeout"  # a fault's step, queued where the process waited
+    if target is cluster_module._complete:
+        return "AllOf"  # run_to_completion's first hop
     if target.__qualname__ == "SharedDeadline._fire":
         return "decider"
     return target.__qualname__

@@ -12,28 +12,18 @@ class TestStore:
     def test_put_then_get(self, engine):
         store = Store(engine)
         store.put_nowait("item")
-
-        def getter():
-            value = yield store.get()
-            return value
-        proc = engine.process(getter())
+        got = []
+        store.wait(lambda token, item: got.append(item), "t")
         engine.run()
-        assert proc.value == "item"
+        assert got == ["item"]
 
     def test_get_blocks_until_put(self, engine):
         store = Store(engine)
-
-        def getter():
-            value = yield store.get()
-            return (engine.now, value)
-
-        def putter():
-            yield engine.timeout(2.0)
-            store.put_nowait("late")
-        proc = engine.process(getter())
-        engine.process(putter())
+        got = []
+        store.wait(lambda token, item: got.append((engine.now, item)), "t")
+        engine.call_later(2.0, store.put_nowait, "late", name="test.put")
         engine.run()
-        assert proc.value == (2.0, "late")
+        assert got == [(2.0, "late")]
 
     def test_fifo_order(self, engine):
         store = Store(engine)
@@ -51,15 +41,12 @@ class TestStore:
 
     def test_put_to_waiting_getter_bypasses_capacity(self, engine):
         store = Store(engine, capacity=1)
-
-        def getter():
-            value = yield store.get()
-            return value
-        proc = engine.process(getter())
-        engine.run()
+        store.put_nowait("first")
+        store.get_nowait()
+        got = []
+        store.wait(lambda token, item: got.append(item), "t")
         assert store.try_put("direct")
-        engine.run()
-        assert proc.value == "direct"
+        assert got == ["direct"]
         assert len(store) == 0
 
     def test_invalid_capacity(self, engine):
@@ -75,8 +62,8 @@ class TestStore:
 
     def test_cancel_get_prevents_item_loss(self, engine):
         store = Store(engine)
-        get_event = store.get()
-        assert store.cancel_get(get_event)
+        store.wait(lambda token, item: None, "abandoned")
+        assert store.cancel_wait("abandoned")
         store.put_nowait("precious")
         # The item stays queued instead of being swallowed by the
         # abandoned getter.
@@ -85,23 +72,9 @@ class TestStore:
 
     def test_cancel_get_unknown_event(self, engine):
         store = Store(engine)
-        event = store.get()
+        store.wait(lambda token, item: None, "t")
         store.put_nowait("x")  # satisfies the getter
-        assert not store.cancel_get(event)
-
-    def test_cancel_getters_fails_waiters(self, engine):
-        store = Store(engine)
-
-        def getter():
-            try:
-                yield store.get()
-            except ConnectionError:
-                return "failed"
-        proc = engine.process(getter())
-        engine.run(until=0.0)
-        assert store.cancel_getters(ConnectionError()) == 1
-        engine.run()
-        assert proc.value == "failed"
+        assert not store.cancel_wait("t")
 
     def test_counters(self, engine):
         store = Store(engine, capacity=1)
@@ -163,30 +136,3 @@ class TestWait:
         assert store.wait(lambda token, item: live.append((token, item)), 2) == "precious"
         engine.run()
         assert dead == [] and live == [(2, "precious")]
-
-    def test_get_from_a_process_shares_the_getter_list(self, engine):
-        store = Store(engine)
-        taken = []
-
-        def getter():
-            value = yield store.get()
-            taken.append(("process", value, engine.now))
-
-        engine.process(getter())
-        engine.run(until=1.0)
-        store.wait(lambda token, item: taken.append((token, item, engine.now)), "fn")
-        store.put_nowait("first")
-        store.put_nowait("second")
-        engine.run()
-        # FIFO across both kinds of getter; the event completes in place.
-        assert taken == [("process", "first", 1.0), ("fn", "second", 1.0)]
-
-    def test_cancel_getters_fails_get_events_and_drops_waits(self, engine):
-        store = Store(engine)
-        calls = []
-        event = store.get()
-        store.wait(lambda token, item: calls.append(item), "t")
-        assert store.cancel_getters(ConnectionError()) == 2
-        assert event.triggered and not event.ok
-        store.put_nowait("kept")
-        assert calls == [] and len(store) == 1

@@ -140,7 +140,10 @@ class TestEngineStorm:
         engine = Engine()
         engine.call_later(1000.0, lambda: None, name="test.horizon")
         for wave in range(20):
-            timeouts = [engine.timeout(500.0 + wave) for _ in range(200)]
+            timeouts = [
+                engine.call_cancellable(500.0 + wave, print, name="test.deadline")
+                for _ in range(200)
+            ]
             for timeout in timeouts:
                 timeout.cancel()
             assert len(engine.scheduler) == 1
@@ -152,7 +155,7 @@ class TestEngineStorm:
 
     def test_cancelled_count_is_eager_and_idempotent(self) -> None:
         engine = Engine()
-        timeout = engine.timeout(5.0)
+        timeout = engine.call_cancellable(5.0, print, name="test.deadline")
         timeout.cancel()
         assert engine.cancelled_events == 1
         timeout.cancel()  # double-cancel is a no-op, not a double count

@@ -210,11 +210,9 @@ _schedule = st.lists(
                 "event",
                 "callback",
                 "handle",
-                "cancelled",
                 "cancelled_handle",
                 "storm",
                 "chain",
-                "interrupt",
             ]
         ),
         _delays,
@@ -242,10 +240,9 @@ def _engine_trace(schedule, horizon, model=False):
 
     for index, (kind, delay, width) in enumerate(schedule):
         if kind == "timeout":
-            def proc(index=index, delay=delay):
-                yield engine.timeout(delay)
-                note(("timeout", index))
-            engine.process(proc())
+            # An event succeeded with a delay: one queued entry.
+            timeout = engine.event().succeed(delay=delay)
+            timeout.callbacks.append(lambda e, index=index: note(("timeout", index)))
         elif kind == "event":
             # An event triggered later by a bare call, waited on by a
             # registered callback.
@@ -256,12 +253,9 @@ def _engine_trace(schedule, horizon, model=False):
             engine.call_later(delay, note, ("callback", index), name="test.note")
         elif kind == "handle":
             engine.call_cancellable(delay, note, ("handle", index), name="test.note")
-        elif kind == "cancelled":
-            # Cancel strictly before the timeout would fire, so the entry
-            # is lazily discarded by the queue.
-            timeout = engine.timeout(delay + 1.0)
-            engine.call_later(delay / 2.0, timeout.cancel, name="test.cancel")
         elif kind == "cancelled_handle":
+            # Cancel strictly before the call would run, so the entry is
+            # lazily discarded by the queue.
             handle = engine.call_cancellable(
                 delay + 1.0, note, ("never", index), name="test.note"
             )
@@ -284,14 +278,6 @@ def _engine_trace(schedule, horizon, model=False):
                 if remaining:
                     engine.call_later(0.0, link, remaining - 1, name="test.link")
             engine.call_later(delay, link, width, name="test.link")
-        elif kind == "interrupt":
-            def sleeper(index=index):
-                try:
-                    yield engine.timeout(1e9)
-                except Exception:
-                    note(("interrupted", index))
-            victim = engine.process(sleeper())
-            engine.call_later(delay, victim.interrupt, "diff-rig", name="test.interrupt")
     engine.run(until=horizon)
     return trace, engine.now, engine.processed_events, engine.cancelled_events
 
